@@ -3,22 +3,36 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace {0,1}
 
 Run from the repository root.  Every pass runs in a fresh interpreter
-(cold_pass.py) with BLAS pinned to one thread, because sympy's global
-cache makes a repeated pass in one process much faster than a user's
-first call.  Every pass generates the same inputs from --seed.
+(cold_pass.py) with BLAS pinned to one thread and generates the same
+inputs from --seed.  Within a pass, sympy's global cache is cleared
+before every task call: it makes a repeat of the same exact work in one
+process much faster than a user's first call.
 
---trace 0 runs passes back to back until the next one would end after
-S seconds (at least one), then set-up-only passes until there are five
-set-up samples, and reports the end-to-end metrics in BENCHMARK.json.
-`wall_s` sums, over the pass's tasks, each task's fastest time among the
-passes: on a shared host, interference only ever adds time, and one
-identical solve took 0.69 to 1.58 s over 50 repeats.  The median pass
-time and its tail are printed too.
+--trace 0 runs three passes that share the S seconds.  A pass calls
+every task once, then goes on calling them in turn until its share ends.
+It times a fixed reference kernel (cold_pass.reference_kernel) three
+times before the first call and after each call.  The run reports the
+end-to-end metrics in BENCHMARK.json.
 
---trace 1 runs one untraced pass and two traced passes and reports the
-per-layer metrics of the first traced pass.  Every count must match
-between the two traced passes.  The tracing overhead is the traced pass
-time minus the untraced one.
+`wall_s` is the time of one round of the tasks, from inputs ready to
+results verified, at a fixed host speed: the speed at which the reference
+kernel takes REFERENCE_NOMINAL_S.  Each call's time is multiplied by
+REFERENCE_NOMINAL_S over the mean of the six reference times around the
+call.  Per task the median scaled call is taken, and these are summed.
+`setup_s` is scaled in the same way, by the first three reference times
+of its pass.  The host is a few vCPUs of a shared machine whose speed
+drifts over seconds and minutes by up to 1.8 times, so times as measured
+moved by 20-30% between runs minutes apart; the reference kernel slows
+with the tasks.  Over ten seeds the scaled wall_s spread by 1-8% on each
+workload, where the sum of each task's fastest call spread by 9-23%.
+The times as measured are printed as well: the median round time, its
+tail, the median first (cold) round of a pass, the sum of each task's
+fastest call, and the median set-up time.
+
+--trace 1 runs one untraced pass and two traced passes, of one round
+each, and reports the per-layer metrics of the first traced pass.  Every
+count must match between the two traced passes.  The tracing overhead is
+the traced round time minus the untraced one.
 
 Human-readable lines come first; the last line of stdout is the JSON
 result.  A harness error (missing sources, a crashed pass, a timeout)
@@ -42,7 +56,11 @@ from cold_pass import THREAD_VARS
 from tracing import PER_LAYER
 
 WORKLOADS = ("he_solve", "cli_audits", "exact_invariants")
-SETUP_SAMPLES = 5
+# passes per run; each gives one set-up sample
+PASSES = 3
+# host speed that times are scaled to: the reference kernel's time at it,
+# about its fastest time on the 2-vCPU host the benchmark was defined on
+REFERENCE_NOMINAL_S = 0.0135
 # every pass must end by then, so the run exits within 180 s
 HARD_LIMIT_S = 170.0
 END_TO_END_UNITS = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB", "pass_frac": "ratio"}
@@ -76,14 +94,14 @@ def git_commit() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def run_pass(args, mode: str, run_start: float) -> dict:
+def run_pass(args, mode: str, run_start: float, deadline: float = 0.0) -> dict:
     """One cold pass; raises HarnessError if the process fails."""
     budget = HARD_LIMIT_S - (perf_counter() - run_start)
     if budget <= 1.0:
         raise HarnessError("no time left for another pass")
     cmd = [sys.executable, str(HERE / "cold_pass.py"), args.workload, str(args.seed)]
     spawn = perf_counter()
-    cmd += [repr(spawn), mode] + (["--tiny"] if args.tiny else [])
+    cmd += [repr(spawn), repr(deadline), mode] + (["--tiny"] if args.tiny else [])
     try:
         proc = subprocess.run(cmd, env=pinned_env(), cwd=ROOT, capture_output=True,
                               text=True, timeout=budget)
@@ -100,39 +118,46 @@ def tail(values: list) -> str:
     """Highest percentile with at least ten samples beyond it."""
     n = len(values)
     if n < 11:
-        return f"no tail percentile (needs 11 passes, have {n})"
+        return f"no tail percentile (needs 11 rounds, have {n})"
     q = int(100 * (n - 10) / n)
     return f"p{q}={statistics.quantiles(values, n=100)[q - 1]:.4f}"
 
 
 def measure(args, run_start: float):
-    """Untraced passes for --seconds, then set-up samples; end-to-end metrics."""
-    passes = [run_pass(args, "run", run_start)]
-    while True:
-        elapsed = perf_counter() - run_start
-        if elapsed + statistics.median(p["process_s"] for p in passes) > args.seconds:
-            break
-        passes.append(run_pass(args, "run", run_start))
-    setups = [p["setup_s"] for p in passes]
-    while len(setups) < SETUP_SAMPLES:
-        setups.append(run_pass(args, "setup", run_start)["setup_s"])
-    walls = [p["wall_s"] for p in passes]
-    attempted = sum(p["attempted"] for p in passes)
-    failed = sum(p["failed"] for p in passes)
+    """Three passes that share --seconds; end-to-end metrics."""
+    share = args.seconds / PASSES
+    passes = [run_pass(args, "run", run_start, deadline=run_start + (i + 1) * share)
+              for i in range(PASSES)]
+    scaled: dict = {}
     fastest: dict = {}
     for p in passes:
-        for name, seconds in p["task_s"]:
-            fastest[name] = min(fastest.get(name, seconds), seconds)
+        for name, calls in p["task_s"].items():
+            scaled.setdefault(name, []).extend(
+                seconds * REFERENCE_NOMINAL_S / ref for seconds, ref in calls)
+            fastest[name] = min(fastest.get(name, float("inf")), *(c[0] for c in calls))
+    setups = [p["setup_s"] * REFERENCE_NOMINAL_S / p["setup_ref_s"] for p in passes]
+    refs = [r for p in passes for r in p["ref_s"]]
+    rounds = [r for p in passes for r in p["round_s"]]
+    attempted = sum(p["attempted"] for p in passes)
+    failed = sum(p["failed"] for p in passes)
     metrics = {
-        "wall_s": sum(fastest.values()),
+        "wall_s": sum(statistics.median(s) for s in scaled.values()),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in passes),
         "pass_frac": (attempted - failed) / attempted,
     }
-    print(f"pass wall time: median {statistics.median(walls):.4f} s over {len(walls)} passes; "
-          f"{tail(walls)}")
-    print(f"wall_s: {metrics['wall_s']:.4f} s, the sum over tasks of each task's fastest pass")
-    print(f"setup_s: median {metrics['setup_s']:.4f} s over {len(setups)} set-ups")
+    print(f"round time as measured: median {statistics.median(rounds):.4f} s over "
+          f"{len(rounds)} rounds in {len(passes)} passes; {tail(rounds)}; first (cold) "
+          f"round of a pass: median {statistics.median(p['round_s'][0] for p in passes):.4f} s; "
+          f"sum of each task's fastest call: {sum(fastest.values()):.4f} s")
+    print(f"reference kernel: fastest {min(refs):.4f} s, median {statistics.median(refs):.4f} s, "
+          f"nominal {REFERENCE_NOMINAL_S} s")
+    print(f"wall_s: {metrics['wall_s']:.4f} s, the sum over tasks of the median call "
+          f"scaled to the nominal reference time ({min(map(len, scaled.values()))} "
+          f"or more calls each)")
+    print(f"setup_s: median {metrics['setup_s']:.4f} s over {len(setups)} set-ups, scaled to "
+          f"the nominal reference time; as measured, median "
+          f"{statistics.median(p['setup_s'] for p in passes):.4f} s")
     return passes, metrics, {k: END_TO_END_UNITS[k] for k in metrics}, []
 
 
