@@ -93,8 +93,8 @@ def _deriv_at(ray: OnePSRay, t: float, rule: QuadratureRule) -> float:
     """dM/dt along the ray: integral of tr(h^-1 dh/dt (contracted
     curvature - slope)) with h^-1 dh/dt = (Z Y* + Y Z*) A^-1."""
     hm = ray.metric_at(t)
-    S, _, Y, _, _, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = hm.contracted_curvature_batch(rule.charts, rule.coords)
+    S, Y, Y1, Ainv = hm._core(rule.charts, rule.coords)
+    lamF = hm._curvature(Y, Y1, Ainv, rule.coords)
     mu = float(ray.sb.bundle.slope)
     r = ray.sb.bundle.rank
     res = lamF - mu * np.eye(r)

@@ -83,6 +83,14 @@ class MetricEvaluator:
             out[i] = self.evaluate(SpherePoint(CHART_Z if cz else CHART_W, complex(x)))
         return out
 
+    def evaluate_with_curvature(self, charts: np.ndarray, coords: np.ndarray):
+        """Metric values and contracted curvature at many points, shape
+        (n, r, r) each; finite-difference curvature unless overridden."""
+        coords = np.asarray(coords, dtype=complex)
+        F = fd_curvature_batch(self, charts, coords)
+        scale = (1.0 + np.abs(coords) ** 2) ** 2
+        return self.evaluate_batch(charts, coords), F * scale[:, None, None]
+
     def check_point(self, p: SpherePoint) -> np.ndarray:
         m = self.evaluate(p)
         if np.linalg.norm(m - m.conj().T) > 1e-10 * (1 + np.linalg.norm(m)):
@@ -108,16 +116,33 @@ class ExplicitMetric(MetricEvaluator):
         )
 
 
+class _StandardMetric(MetricEvaluator):
+    """diag((1+|coord|^2)^(-a_i)) in either chart."""
+
+    family = "explicit"
+
+    def __init__(self, bundle: BundleSpec):
+        self.bundle = bundle
+        self._neg_degs = -np.array(bundle.degrees, dtype=float)
+
+    def evaluate(self, p: SpherePoint) -> np.ndarray:
+        return self.evaluate_batch(np.array([p.chart == CHART_Z]), np.array([p.coord]))[0]
+
+    def evaluate_batch(self, charts, coords) -> np.ndarray:
+        x = np.asarray(coords, dtype=complex)
+        # hypot rounds as the scalar abs(x) does; np.abs can differ in the last bit
+        x2 = np.hypot(x.real, x.imag) ** 2
+        r = self.bundle.rank
+        out = np.zeros((len(x2), r, r), dtype=complex)
+        out[:, np.arange(r), np.arange(r)] = (1.0 + x2[:, None]) ** self._neg_degs
+        return out
+
+
 def trivial_metric(bundle: BundleSpec) -> MetricEvaluator:
     """Identity metric; natural on degree-0 summands, and the standard
     homogeneous metric (1+|coord|^2)^(-a) on degree-a summands so the
     two charts glue."""
-    degs = np.array(bundle.degrees)
-
-    def fn(chart, x):
-        return np.diag((1.0 + abs(x) ** 2) ** (-degs.astype(float)))
-
-    return ExplicitMetric(bundle, fn)
+    return _StandardMetric(bundle)
 
 
 class ScaledMetric(MetricEvaluator):
@@ -136,9 +161,14 @@ class ScaledMetric(MetricEvaluator):
     def evaluate_batch(self, charts, coords):
         return self.factor * self.base.evaluate_batch(charts, coords)
 
+    def evaluate_with_curvature(self, charts, coords):
+        # constant scaling leaves the curvature unchanged
+        h, lam = self.base.evaluate_with_curvature(charts, coords)
+        return self.factor * h, lam
+
     def __getattr__(self, name):
         # constant scaling leaves curvature and connection data unchanged
-        if name in ("curvature_coeff", "contracted_curvature_batch", "connection_coeff"):
+        if name in ("curvature_coeff", "connection_coeff"):
             return getattr(self.base, name)
         raise AttributeError(name)
 
@@ -298,24 +328,19 @@ def chern_curvature(h: MetricEvaluator, p: SpherePoint) -> np.ndarray:
 
 def contracted_curvature_batch(h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
     """Lambda-contracted curvature at all rule nodes, shape (n, r, r)."""
-    if hasattr(h, "contracted_curvature_batch"):
-        return h.contracted_curvature_batch(rule.charts, rule.coords)
-    F = fd_curvature_batch(h, rule.charts, rule.coords)
-    scale = (1.0 + np.abs(rule.coords) ** 2) ** 2
-    return F * scale[:, None, None]
+    return h.evaluate_with_curvature(rule.charts, rule.coords)[1]
 
 
 def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
     """Sup and L2 norms of the Einstein defect, plus the defect field."""
     mu = float(h.bundle.slope)
-    lam = contracted_curvature_batch(h, rule)
-    hv = h.evaluate_batch(rule.charts, rule.coords)
+    hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
     r = h.bundle.rank
     res = lam - mu * np.eye(r)
     hinv = np.linalg.inv(hv)
     # make the defect hermitian with respect to h before taking norms
     res_h = 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
-    sup = max(np.linalg.norm(m, 2) for m in res_h)
+    sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
     tr_sq = np.einsum("nij,nji->n", res_h, res_h).real
     l2 = float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))
 
@@ -327,12 +352,40 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
 
 
 def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
+    """Ascending eigenvalues of h relative to h0 at every node.
+
+    With h0 = L L*, the pencil is reduced to L^-1 h L^-* column by column
+    in the order of LAPACK's hegs2, the reduction behind scipy's
+    generalized eigh.  Against a diagonal h0, such as the solver's
+    default reference, the values then match it to the last bit: the
+    solver normalizes by a minimum over nodes of values that may agree
+    up to rounding, and its iterates follow that last bit.
+    """
     a = h.evaluate_batch(rule.charts, rule.coords)
     b = h0.evaluate_batch(rule.charts, rule.coords)
-    out = np.empty((rule.n, h.bundle.rank))
-    for i in range(rule.n):
-        out[i] = scipy.linalg.eigh(_hermitize(a[i]), _hermitize(b[i]), eigvals_only=True)
-    return out
+    a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+    L = np.linalg.cholesky(0.5 * (b + np.swapaxes(b, -1, -2).conj()))
+    r = a.shape[-1]
+    for k in range(r):
+        lkk = L[:, k, k].real
+        akk = a[:, k, k].real / lkk**2
+        a[:, k, k] = akk
+        if k + 1 == r:
+            break
+        ct = (-0.5 * akk)[:, None]
+        y = L[:, k + 1 :, k].conj()
+        x = (a[:, k + 1 :, k] * (1.0 / lkk)[:, None]).conj() + ct * y
+        # hermitian rank-2 update of the trailing block
+        a[:, k + 1 :, k + 1 :] -= (
+            x[:, :, None] * y.conj()[:, None, :] + y[:, :, None] * x.conj()[:, None, :]
+        )
+        x = x + ct * y
+        # forward substitution with the trailing block of L
+        for i in range(r - k - 1):
+            j = k + 1 + i
+            x[:, i] = (x[:, i] - np.sum(L[:, j, k + 1 : j] * x[:, :i], axis=1)) / L[:, j, j]
+        a[:, k + 1 :, k] = x.conj()
+    return np.linalg.eigvalsh(a)  # reads the lower triangle only
 
 
 def scale_normalize(h: MetricEvaluator, h_ref: MetricEvaluator, rule: QuadratureRule):

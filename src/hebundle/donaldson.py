@@ -29,11 +29,21 @@ from .geometry import (
     integrate_values,
     tree_sum,
 )
-from .sections import FSMetric, SectionBasis
+from .sections import (
+    FSMetric,
+    SectionBasis,
+    _equilibrated_inverse,
+    _fs_curvature,
+    eval_matrix_batch,
+)
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFF = np.array([-2, -1, 0, 1, 2])
+
+# most (t-node, sphere-node) pairs evaluated in one batch by the Bergman
+# path: the size of a 64x64 rule
+_MAX_POINTS = 4096
 
 
 def geodesic_log(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
@@ -89,17 +99,37 @@ class BergmanPath:
         """K_t = G_t^-1 dG_t/dt G_t^-1 (hermitian)."""
         return (self._base * (self._lam ** (-t) * self._loglam)) @ self._base.conj().T
 
-    def deriv_integrand(self, t: float, rule: QuadratureRule) -> float:
-        hm = self.metric_at(t)
-        S, _, _, _, _, Ainv = hm._core(rule.charts, rule.coords)
-        lamF = hm.contracted_curvature_batch(rule.charts, rule.coords)
+    def deriv_integrand(self, t, rule: QuadratureRule):
+        """dM/dt along the path: a float for a scalar t, an array for a
+        1-D array of t.
+
+        W_t = base diag(lam^(-t/2)), so T_t = (S base) diag(lam^(-t/2))
+        and S K_t S* = (S base) diag(lam^(-t) log lam) (S base)*; the
+        t-nodes are evaluated in chunks of at most _MAX_POINTS points.
+        """
+        ts = np.asarray(t, dtype=float)
+        S, S1 = eval_matrix_batch(self.sb, rule.charts, rule.coords)
+        SB = S @ self._base
+        S1B = S1 @ self._base
+        SBc = np.swapaxes(SB, -1, -2).conj()
         mu = float(self.sb.bundle.slope)
-        K = self.k_matrix(t)
-        r = self.sb.bundle.rank
-        res = lamF - mu * np.eye(r)
-        # h^-1 dh/dt = S K S^* A^-1
-        vals = np.einsum("nij,jk,nlk,nlm,nmi->n", S, K, S.conj(), Ainv, res)
-        return float(tree_sum(vals.real * rule.weights))
+        res_shift = mu * np.eye(self.sb.bundle.rank)
+        flat = ts.reshape(-1)
+        out = np.empty(flat.shape)
+        step = max(1, _MAX_POINTS // rule.n)
+        for lo in range(0, len(flat), step):
+            tc = flat[lo : lo + step, None]
+            c = (self._lam ** (-0.5 * tc))[:, None, None, :]
+            T = SB * c
+            T1 = S1B * c
+            Ainv = _equilibrated_inverse(T)
+            res = _fs_curvature(T, T1, Ainv, rule.coords, self.sb.k) - res_shift
+            # h^-1 dh/dt = S K_t S* A^-1
+            d = (self._lam ** (-tc) * self._loglam)[:, None, None, :]
+            u = (SB * d) @ SBc @ Ainv
+            vals = np.einsum("...ij,...ji->...", u, res).real
+            out[lo : lo + step] = tree_sum((vals * rule.weights).T)
+        return float(out[0]) if ts.ndim == 0 else out
 
     def vfield_at(self, t: float):
         hm = self.metric_at(t)
@@ -108,7 +138,7 @@ class BergmanPath:
         def v(p: SpherePoint) -> np.ndarray:
             charts = np.array([p.chart == CHART_Z])
             coords = np.array([p.coord])
-            S, _, _, _, _, Ainv = hm._core(charts, coords)
+            S, _, _, Ainv = hm._core(charts, coords)
             return S[0] @ K @ S[0].conj().T @ Ainv[0]
 
         return v
@@ -132,17 +162,25 @@ class PointwiseExponentialPath:
         return GeodesicMetric(self.h0, self.h1, t)
 
     def _node_logs(self, rule: QuadratureRule):
-        key = id(rule)
-        if getattr(self, "_cache_key", None) != key:
+        # keyed on the rule object itself, which the cache keeps alive:
+        # an id could be recycled by a new rule
+        if getattr(self, "_cache_rule", None) is not rule:
             from .bundle import geodesic_log_batch
 
             h0v = self.h0.evaluate_batch(rule.charts, rule.coords)
             h1v = self.h1.evaluate_batch(rule.charts, rule.coords)
-            self._cache_key = key
+            self._cache_rule = rule
             self._cache = geodesic_log_batch(h0v, h1v)
         return self._cache
 
-    def deriv_integrand(self, t: float, rule: QuadratureRule) -> float:
+    def deriv_integrand(self, t, rule: QuadratureRule):
+        """dM/dt along the path: a float for a scalar t, an array for a
+        1-D array of t."""
+        ts = np.asarray(t, dtype=float)
+        out = np.array([self._deriv_one(s, rule) for s in ts.reshape(-1)])
+        return float(out[0]) if ts.ndim == 0 else out
+
+    def _deriv_one(self, t: float, rule: QuadratureRule) -> float:
         from .bundle import fd_curvature_batch
 
         ht = self.metric_at(t)
@@ -196,7 +234,7 @@ def donaldson(
     prev = None
     for _ in range(4):
         tn, tw = _gl_nodes(order)
-        val = float(sum(w * path.deriv_integrand(t, rule) for t, w in zip(tn, tw)))
+        val = float(sum(w * v for w, v in zip(tw, path.deriv_integrand(tn, rule))))
         if prev is not None and abs(val - prev) < tol:
             return val
         prev = val
@@ -338,12 +376,9 @@ def c_delta(delta: float) -> float:
 
 def he_defect_norm(h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """L2 size of the Einstein defect with its scalar average removed."""
-    from .bundle import contracted_curvature_batch
-
     mu = float(h0.bundle.slope)
     r = h0.bundle.rank
-    lam = contracted_curvature_batch(h0, rule)
-    hv = h0.evaluate_batch(rule.charts, rule.coords)
+    hv, lam = h0.evaluate_with_curvature(rule.charts, rule.coords)
     hinv = np.linalg.inv(hv)
     res = lam - mu * np.eye(r)
     res = 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)

@@ -116,6 +116,33 @@ def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> Posit
         ) from exc
 
 
+def _equilibrated_inverse(T: np.ndarray) -> np.ndarray:
+    """Inverse of A = T T* over any leading batch axes, taken after the
+    diagonal equilibration A -> D^-1 A D^-1."""
+    A = T @ np.swapaxes(T, -1, -2).conj()
+    d = np.sqrt(np.maximum(np.diagonal(A, axis1=-2, axis2=-1).real, 0.0))
+    if np.any(d <= 0):
+        raise RuntimeError("section evaluation matrix is rank-deficient")
+    dinv = 1.0 / d
+    At = A * dinv[..., :, None] * dinv[..., None, :]
+    return np.linalg.inv(At) * dinv[..., :, None] * dinv[..., None, :]
+
+
+def _fs_curvature(T, T1, Ainv, coords, k: int) -> np.ndarray:
+    """Contracted closed-form curvature of the FS metric with section
+    factors T = S W, T1 = S' W and Ainv = (T T*)^-1, over any leading
+    batch axes ending in the node axis of `coords`."""
+    Tc = np.swapaxes(T, -1, -2).conj()
+    A1 = T1 @ Tc  # d/dx A
+    A11 = T1 @ np.swapaxes(T1, -1, -2).conj()  # d/dx d/dx-bar A
+    omega_c = (1.0 + np.abs(coords) ** 2) ** (-2.0)
+    r = T.shape[-2]
+    term = (A11 - A1 @ Ainv @ np.swapaxes(A1, -1, -2).conj()) @ Ainv
+    # coefficient of (i/2pi) dz^dz-bar, then contracted against the area form
+    F = term - k * omega_c[:, None, None] * np.eye(r)
+    return F * ((1.0 + np.abs(coords) ** 2) ** 2)[:, None, None]
+
+
 class FSMetric(MetricEvaluator):
     """Metric induced by a positive form on the level-k section space.
 
@@ -155,56 +182,43 @@ class FSMetric(MetricEvaluator):
         )[0]
 
     def _core(self, charts, coords):
-        """Per-node T = S W, T1 = S' W, equilibrated inverse of A = T T*."""
+        """Per-node S, T = S W, T1 = S' W and the equilibrated inverse of
+        A = T T*."""
         S, S1 = eval_matrix_batch(self.sb, charts, coords)
         T = S @ self.W
         T1 = S1 @ self.W
-        A = T @ np.transpose(T, (0, 2, 1)).conj()
-        d = np.sqrt(np.maximum(np.einsum("nii->ni", A).real, 0.0))
-        if np.any(d <= 0):
-            raise RuntimeError("section evaluation matrix is rank-deficient")
-        dinv = 1.0 / d
-        At = A * dinv[:, :, None] * dinv[:, None, :]
-        Ati = np.linalg.inv(At)
-        Ainv = Ati * dinv[:, :, None] * dinv[:, None, :]
-        return S, S1, T, T1, A, Ainv
+        return S, T, T1, _equilibrated_inverse(T)
 
-    def evaluate_batch(self, charts, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=complex)
-        _, _, _, _, _, Ainv = self._core(charts, coords)
+    def _metric(self, Ainv, coords) -> np.ndarray:
         ekphi = (1.0 + np.abs(coords) ** 2) ** self.sb.k
         h = Ainv * ekphi[:, None, None]
         return 0.5 * (h + np.transpose(h, (0, 2, 1)).conj())
 
-    # -- closed-form differential data --------------------------------
-    def contracted_curvature_batch(self, charts, coords) -> np.ndarray:
-        """Contraction of the curvature form at each point (batched)."""
+    def evaluate_batch(self, charts, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
-        F = self._curvature(charts, coords)
-        scale = (1.0 + np.abs(coords) ** 2) ** 2
-        return F * scale[:, None, None]
+        return self._metric(self._core(charts, coords)[3], coords)
+
+    # -- closed-form differential data --------------------------------
+    def evaluate_with_curvature(self, charts, coords):
+        coords = np.asarray(coords, dtype=complex)
+        _, T, T1, Ainv = self._core(charts, coords)
+        return self._metric(Ainv, coords), self._curvature(T, T1, Ainv, coords)
 
     def curvature_coeff(self, p: SpherePoint) -> np.ndarray:
-        return self._curvature(np.array([p.chart == CHART_Z]), np.array([p.coord]))[0]
+        """Coefficient of (i/2pi) dz^dz-bar of the curvature at p."""
+        coords = np.array([p.coord])
+        _, T, T1, Ainv = self._core(np.array([p.chart == CHART_Z]), coords)
+        return self._curvature(T, T1, Ainv, coords)[0] / (1.0 + abs(p.coord) ** 2) ** 2
 
-    def _curvature(self, charts, coords) -> np.ndarray:
-        """Coefficient of (i/2pi) dz^dz-bar of the curvature, batched."""
-        coords = np.asarray(coords, dtype=complex)
-        S, S1, T, T1, A, Ainv = self._core(charts, coords)
-        Tc = np.transpose(T, (0, 2, 1)).conj()
-        T1c = np.transpose(T1, (0, 2, 1)).conj()
-        A1 = T1 @ Tc          # d/dx A
-        A11 = T1 @ T1c        # d/dx d/dx-bar A
-        omega_c = (1.0 + np.abs(coords) ** 2) ** (-2.0)
-        r = self.bundle.rank
-        term = (A11 - A1 @ Ainv @ np.transpose(A1, (0, 2, 1)).conj()) @ Ainv
-        return term - self.sb.k * omega_c[:, None, None] * np.eye(r)
+    def _curvature(self, T, T1, Ainv, coords) -> np.ndarray:
+        """Contracted curvature from the factors of `_core`, batched."""
+        return _fs_curvature(T, T1, Ainv, coords, self.sb.k)
 
     def connection_coeff(self, p: SpherePoint) -> np.ndarray:
         """Chern connection coefficient a = h^-1 dh/dx in p's chart."""
         charts = np.array([p.chart == CHART_Z])
         coords = np.array([p.coord])
-        S, S1, T, T1, A, Ainv = self._core(charts, coords)
+        _, T, T1, Ainv = self._core(charts, coords)
         x = p.coord
         dphi = np.conj(x) / (1.0 + abs(x) ** 2)
         A1 = (T1 @ np.transpose(T, (0, 2, 1)).conj())[0]
@@ -241,8 +255,8 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     r = h.bundle.rank
     norm_factor = r * 1.0 / sb.N  # volume is 1
     tilde = norm_factor * raw
-    sup_dev = max(np.linalg.norm(m - np.eye(r), 2) for m in tilde)
-    raw_sup_dev = max(np.linalg.norm(m - (sb.N / r) * np.eye(r), 2) for m in raw)
+    sup_dev = np.linalg.norm(tilde - np.eye(r), 2, axis=(1, 2)).max()
+    raw_sup_dev = np.linalg.norm(raw - (sb.N / r) * np.eye(r), 2, axis=(1, 2)).max()
 
     def norm_fn(p: SpherePoint) -> np.ndarray:
         return norm_factor * h.evaluate(p) @ np.linalg.inv(hfs.evaluate(p))

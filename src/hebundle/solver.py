@@ -44,8 +44,8 @@ def mdon_gradient(
     out suppresses quadrature noise in that direction.
     """
     hm = FSMetric(sb, G=G)
-    S, _, _, _, _, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = hm.contracted_curvature_batch(rule.charts, rule.coords)
+    S, T, T1, Ainv = hm._core(rule.charts, rule.coords)
+    lamF = hm._curvature(T, T1, Ainv, rule.coords)
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
     vals = np.einsum("nji,njl,nlm,nmo->nio", S.conj(), Ainv, res, S)

@@ -1,6 +1,10 @@
 """Energy minimization: gradient correctness, convergence, divergence."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,3 +98,38 @@ def test_minimize_random_init_reaches_he(rule24):
     assert res.status == "converged"
     assert res.he_residual_sup < 1e-3
     assert he_residual(FSMetric(sb, G=res.G_final), rule24)["sup"] < 1e-3
+
+
+_SOLVE_HASH = """
+import hashlib, sys
+import numpy as np
+from _utils import rand_pd
+from hebundle.bundle import BundleSpec
+from hebundle.geometry import build_quadrature
+from hebundle.sections import basis
+from hebundle.solver import SolveOptions, minimize
+spec = BundleSpec((2, 2))
+G = rand_pd(np.random.default_rng(1), basis(spec, 2).N, scale=0.3)
+res = minimize(spec, SolveOptions(k=2, max_iter=40), build_quadrature(24, 24), G_init=G)
+print(res.status, len(res.history),
+      hashlib.sha256(res.G_final.tobytes()).hexdigest(),
+      hashlib.sha256(np.array(res.mdon_history, dtype=float).tobytes()).hexdigest())
+"""
+
+
+def test_minimize_is_independent_of_blas_threads():
+    import hebundle
+
+    src = str(Path(hebundle.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, tests])
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVE_HASH],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 4
+    assert outs[0] == outs[1]
