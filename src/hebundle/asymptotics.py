@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .bundle import BundleSpec, MetricEvaluator
-from .geometry import QuadratureRule, tree_sum
+from .geometry import QuadratureRule, contract_batch, tree_sum
 from .quot import WeightSpec, filtration, jna as exact_jna
 from .sections import FSMetric, SectionBasis, _as_matrix
 
@@ -94,7 +94,7 @@ def _deriv_at(ray: OnePSRay, t: float, rule: QuadratureRule) -> float:
     curvature - slope)) with h^-1 dh/dt = (Z Y* + Y Z*) A^-1."""
     hm = ray.metric_at(t)
     S, Y, Y1, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = hm._curvature(Y, Y1, Ainv, rule.coords)
+    lamF = contract_batch(hm._curvature(Y, Y1, Ainv, rule.coords), rule.coords)
     mu = float(ray.sb.bundle.slope)
     r = ray.sb.bundle.rank
     res = lamF - mu * np.eye(r)

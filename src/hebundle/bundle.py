@@ -354,12 +354,13 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
 def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
     """Ascending eigenvalues of h relative to h0 at every node.
 
-    With h0 = L L*, the pencil is reduced to L^-1 h L^-* column by column
-    in the order of LAPACK's hegs2, the reduction behind scipy's
-    generalized eigh.  Against a diagonal h0, such as the solver's
-    default reference, the values then match it to the last bit: the
-    solver normalizes by a minimum over nodes of values that may agree
-    up to rounding, and its iterates follow that last bit.
+    With h0 = L L*, the pencil is reduced to L^-1 h L^-* by the lower
+    branch of LAPACK's hegs2, the reduction behind scipy's generalized
+    eigh, batched over nodes.  Its operation order is kept only so that,
+    against a diagonal h0 such as the solver's default reference, the
+    values match scipy's to the last bit: the solver's absolute
+    ``sy > 1e-16`` Barzilai-Borwein test sees that last bit, and a plain
+    whitening would change its iteration counts.
     """
     a = h.evaluate_batch(rule.charts, rule.coords)
     b = h0.evaluate_batch(rule.charts, rule.coords)
@@ -372,19 +373,19 @@ def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule
         a[:, k, k] = akk
         if k + 1 == r:
             break
+        l = L[:, k + 1 :, k]
         ct = (-0.5 * akk)[:, None]
-        y = L[:, k + 1 :, k].conj()
-        x = (a[:, k + 1 :, k] * (1.0 / lkk)[:, None]).conj() + ct * y
-        # hermitian rank-2 update of the trailing block
+        x = a[:, k + 1 :, k] * (1.0 / lkk)[:, None] + ct * l
+        # hermitian rank-2 update of the trailing block: x l* + l x*
         a[:, k + 1 :, k + 1 :] -= (
-            x[:, :, None] * y.conj()[:, None, :] + y[:, :, None] * x.conj()[:, None, :]
+            x[:, :, None] * l.conj()[:, None, :] + l[:, :, None] * x.conj()[:, None, :]
         )
-        x = x + ct * y
+        x += ct * l
         # forward substitution with the trailing block of L
         for i in range(r - k - 1):
             j = k + 1 + i
             x[:, i] = (x[:, i] - np.sum(L[:, j, k + 1 : j] * x[:, :i], axis=1)) / L[:, j, j]
-        a[:, k + 1 :, k] = x.conj()
+        a[:, k + 1 :, k] = x
     return np.linalg.eigvalsh(a)  # reads the lower triangle only
 
 

@@ -26,6 +26,7 @@ from .geometry import (
     QuadratureRule,
     SpherePoint,
     contract,
+    contract_batch,
     integrate_values,
     tree_sum,
 )
@@ -123,7 +124,8 @@ class BergmanPath:
             T = SB * c
             T1 = S1B * c
             Ainv = _equilibrated_inverse(T)
-            res = _fs_curvature(T, T1, Ainv, rule.coords, self.sb.k) - res_shift
+            F = _fs_curvature(T, T1, Ainv, rule.coords, self.sb.k)
+            res = contract_batch(F, rule.coords) - res_shift
             # h^-1 dh/dt = S K_t S* A^-1
             d = (self._lam ** (-tc) * self._loglam)[:, None, None, :]
             u = (SB * d) @ SBc @ Ainv

@@ -81,6 +81,12 @@ def contract(form_coeff, p: SpherePoint):
     return form_coeff * s
 
 
+def contract_batch(form_coeff: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """`contract` at every node: matrix coefficients whose node axis,
+    matching `coords`, comes just before the two matrix axes."""
+    return form_coeff * ((1.0 + np.abs(coords) ** 2) ** 2)[:, None, None]
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     nodes: tuple

@@ -19,6 +19,7 @@ from .geometry import (
     CHART_Z,
     QuadratureRule,
     SpherePoint,
+    contract_batch,
     integrate_values,
     tree_sum,
 )
@@ -129,18 +130,16 @@ def _equilibrated_inverse(T: np.ndarray) -> np.ndarray:
 
 
 def _fs_curvature(T, T1, Ainv, coords, k: int) -> np.ndarray:
-    """Contracted closed-form curvature of the FS metric with section
-    factors T = S W, T1 = S' W and Ainv = (T T*)^-1, over any leading
-    batch axes ending in the node axis of `coords`."""
+    """Closed-form curvature coefficient of (i/2pi) dz^dz-bar of the FS
+    metric with section factors T = S W, T1 = S' W and Ainv = (T T*)^-1,
+    over any leading batch axes ending in the node axis of `coords`."""
     Tc = np.swapaxes(T, -1, -2).conj()
     A1 = T1 @ Tc  # d/dx A
     A11 = T1 @ np.swapaxes(T1, -1, -2).conj()  # d/dx d/dx-bar A
     omega_c = (1.0 + np.abs(coords) ** 2) ** (-2.0)
     r = T.shape[-2]
     term = (A11 - A1 @ Ainv @ np.swapaxes(A1, -1, -2).conj()) @ Ainv
-    # coefficient of (i/2pi) dz^dz-bar, then contracted against the area form
-    F = term - k * omega_c[:, None, None] * np.eye(r)
-    return F * ((1.0 + np.abs(coords) ** 2) ** 2)[:, None, None]
+    return term - k * omega_c[:, None, None] * np.eye(r)
 
 
 class FSMetric(MetricEvaluator):
@@ -202,16 +201,17 @@ class FSMetric(MetricEvaluator):
     def evaluate_with_curvature(self, charts, coords):
         coords = np.asarray(coords, dtype=complex)
         _, T, T1, Ainv = self._core(charts, coords)
-        return self._metric(Ainv, coords), self._curvature(T, T1, Ainv, coords)
+        lam = contract_batch(self._curvature(T, T1, Ainv, coords), coords)
+        return self._metric(Ainv, coords), lam
 
     def curvature_coeff(self, p: SpherePoint) -> np.ndarray:
         """Coefficient of (i/2pi) dz^dz-bar of the curvature at p."""
         coords = np.array([p.coord])
         _, T, T1, Ainv = self._core(np.array([p.chart == CHART_Z]), coords)
-        return self._curvature(T, T1, Ainv, coords)[0] / (1.0 + abs(p.coord) ** 2) ** 2
+        return self._curvature(T, T1, Ainv, coords)[0]
 
     def _curvature(self, T, T1, Ainv, coords) -> np.ndarray:
-        """Contracted curvature from the factors of `_core`, batched."""
+        """Curvature coefficient from the factors of `_core`, batched."""
         return _fs_curvature(T, T1, Ainv, coords, self.sb.k)
 
     def connection_coeff(self, p: SpherePoint) -> np.ndarray:

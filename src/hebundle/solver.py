@@ -25,7 +25,7 @@ from .bundle import (
     trivial_metric,
 )
 from .donaldson import BergmanPath, donaldson
-from .geometry import QuadratureRule, integrate_values, tree_sum
+from .geometry import QuadratureRule, contract_batch, integrate_values, tree_sum
 from .sections import FSMetric, SectionBasis, basis, l2_gram
 
 
@@ -45,7 +45,7 @@ def mdon_gradient(
     """
     hm = FSMetric(sb, G=G)
     S, T, T1, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = hm._curvature(T, T1, Ainv, rule.coords)
+    lamF = contract_batch(hm._curvature(T, T1, Ainv, rule.coords), rule.coords)
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
     vals = np.einsum("nji,njl,nlm,nmo->nio", S.conj(), Ainv, res, S)

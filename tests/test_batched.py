@@ -96,6 +96,8 @@ def _metric_pairs(rule):
     spec3 = BundleSpec((2, 1, 0))
     sb3 = basis(spec3, 2)
     yield FSMetric(sb3, G=l2_gram(sb3, trivial_metric(spec3), rule).matrix), trivial_metric(spec3)
+    # rank 3 against a non-diagonal reference exercises the full reduction
+    yield FSMetric(sb3, G=rand_pd(rng, sb3.N, 0.3)), FSMetric(sb3, G=rand_pd(rng, sb3.N, 0.3))
 
 
 def test_relative_eigs_match_scipy(rule16):
