@@ -24,10 +24,17 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .bundle import BundleSpec, MetricEvaluator
-from .geometry import QuadratureRule, contract_batch, tree_sum
+from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator
+from .geometry import QuadratureRule, contract_batch, point_arrays, tree_sum
 from .quot import WeightSpec, filtration, jna as exact_jna
-from .sections import FSMetric, SectionBasis, _as_matrix
+from .sections import (
+    FSMetric,
+    SectionBasis,
+    _as_matrix,
+    _equilibrated_inverse,
+    _fs_curvature,
+    eval_matrix_batch,
+)
 
 _GL_CACHE: dict = {}
 
@@ -89,42 +96,56 @@ def bergman_ray(sb: SectionBasis, G0, zeta, t: float) -> MetricEvaluator:
     return OnePSRay(sb, _as_matrix(G0), zeta).metric_at(t)
 
 
-def _deriv_at(ray: OnePSRay, t: float, rule: QuadratureRule) -> float:
-    """dM/dt along the ray: integral of tr(h^-1 dh/dt (contracted
-    curvature - slope)) with h^-1 dh/dt = (Z Y* + Y Z*) A^-1."""
-    hm = ray.metric_at(t)
-    S, Y, Y1, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = contract_batch(hm._curvature(Y, Y1, Ainv, rule.coords), rule.coords)
+def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
+    """dM/dt along the ray: a float for a scalar t, an array for a 1-D
+    array of t.
+
+    The integral of tr(h^-1 dh/dt (contracted curvature - slope)) with
+    h^-1 dh/dt = (Z Y* + Y Z*) A^-1, Y = S W_t and Z = -S zeta W_t.  The
+    sections are evaluated once; the t-nodes go in chunks of at most
+    _MAX_POINTS (t-node, sphere-node) points.
+    """
+    ts = np.asarray(t, dtype=float)
+    S, S1 = eval_matrix_batch(ray.sb, rule.charts, rule.coords)
+    shape = S.shape
+    # the section factors as (n r) x N matrices: one product with W_t per
+    # factor and t-node is far faster than n small ones
+    S, S1 = S.reshape(-1, shape[-1]), S1.reshape(-1, shape[-1])
+    SZ = S @ (-ray.zeta)
     mu = float(ray.sb.bundle.slope)
-    r = ray.sb.bundle.rank
-    res = lamF - mu * np.eye(r)
-    Wt = ray.gram_factor(t)
-    Z = (S @ (-ray.zeta)) @ Wt
-    u = (
-        Z @ np.transpose(Y, (0, 2, 1)).conj()
-        + Y @ np.transpose(Z, (0, 2, 1)).conj()
-    ) @ Ainv
-    vals = np.einsum("nij,nji->n", u, res).real
-    return float(tree_sum(vals * rule.weights))
+    res_shift = mu * np.eye(ray.sb.bundle.rank)
+    flat = ts.reshape(-1)
+    out = np.empty(flat.shape)
+    step = max(1, _MAX_POINTS // rule.n)
+    for lo in range(0, len(flat), step):
+        Wt = [ray.gram_factor(tt) for tt in flat[lo : lo + step]]
+        Y, Y1, Z = (np.array([M @ W for W in Wt]).reshape((-1,) + shape) for M in (S, S1, SZ))
+        Ainv = _equilibrated_inverse(Y)
+        F = _fs_curvature(Y, Y1, Ainv, rule.coords, ray.sb.k)
+        res = contract_batch(F, rule.coords) - res_shift
+        u = (Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()) @ Ainv
+        vals = np.einsum("...ij,...ji->...", u, res).real
+        out[lo : lo + step] = tree_sum((vals * rule.weights).T)
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 def mdon_along_ray(
     ray: OnePSRay, t_grid, rule: QuadratureRule, seg_order: int = 6
 ) -> np.ndarray:
     """Cumulative energy M(t) relative to the ray start, by per-segment
-    Gauss-Legendre integration of the analytic t-derivative."""
+    Gauss-Legendre integration of the analytic t-derivative, all
+    segments' t-nodes in one batched call."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must start at 0 and increase")
     u, w = _gl01(seg_order)
+    a, b = t_grid[:-1, None], t_grid[1:, None]
+    derivs = _deriv_at(ray, (a + (b - a) * u).reshape(-1), rule).reshape(-1, len(u))
     out = np.empty(len(t_grid))
     out[0] = 0.0
     acc = 0.0
-    for i in range(len(t_grid) - 1):
-        a, b = t_grid[i], t_grid[i + 1]
-        acc += (b - a) * sum(
-            wi * _deriv_at(ray, a + (b - a) * ui, rule) for ui, wi in zip(u, w)
-        )
+    for i, d in enumerate(derivs):
+        acc += (t_grid[i + 1] - t_grid[i]) * sum(wi * di for wi, di in zip(w, d))
         out[i + 1] = acc
     return out
 
@@ -275,20 +296,14 @@ def renormalized_limit(
         frame_w = frame_weights(spec, zeta_rational)
     frame_w = np.array([float(w) for w in frame_w]) / ray.scale
     t_list = sorted(float(t) for t in t_list)
+    charts, coords = point_arrays(points)
     values = []
     pd_flags = []
     for t in t_list:
-        hm = ray.metric_at(t)
         conj = np.exp(frame_w * t)
-        row = []
-        pd = True
-        for p in points:
-            h = hm.evaluate(p)
-            hr = conj[:, None] * h * conj[None, :]
-            row.append(hr)
-            pd = pd and bool(np.all(np.linalg.eigvalsh(hr) > 0))
-        values.append(row)
-        pd_flags.append(pd)
+        hr = conj[:, None] * ray.metric_at(t).evaluate(charts, coords) * conj[None, :]
+        values.append(list(hr))
+        pd_flags.append(bool(np.all(np.linalg.eigvalsh(hr) > 0)))
     cauchy = [
         max(
             float(np.linalg.norm(b - a, 2))

@@ -1,11 +1,12 @@
 """Split holomorphic bundles on the sphere and hermitian metric fields.
 
 A bundle is a direct sum of degree-a_i line bundles.  Metrics are
-pointwise evaluators returning matrix components in the chart frame of
-the evaluation point; the chart-Z and chart-W components are related by
-conjugation with diag(z^{a_i}) on the overlap.  Curvature is computed in
-closed form when the evaluator provides it (the Fubini-Study family
-does) and by 4th-order finite differences otherwise.
+batched evaluators: `evaluate(charts, coords)` returns the matrix
+components at every point in that point's chart frame; the chart-Z and
+chart-W components are related by conjugation with diag(z^{a_i}) on the
+overlap.  Curvature is computed in closed form when the evaluator
+provides it (the Fubini-Study family does) and by 4th-order finite
+differences otherwise.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import (
     CHART_W,
     CHART_Z,
     QuadratureRule,
     SpherePoint,
-    contract,
-    integrate_values,
+    point_arrays,
     tree_sum,
 )
+
+# most points evaluated in one batched call by the stencil and the
+# energy-path helpers: the size of a 64x64 rule
+_MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,6 @@ class BundleSpec:
         return Fraction(self.deg, self.rank)
 
 
-def slope(spec: BundleSpec) -> Fraction:
-    return spec.slope
-
-
 def regularity(spec: BundleSpec) -> int:
     """Least k making every twisted summand degree nonnegative (may be
     negative when all summand degrees are positive)."""
@@ -69,19 +68,19 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 class MetricEvaluator:
-    """Base class: a pointwise hermitian positive-definite matrix field."""
+    """Base class: a hermitian positive-definite matrix field.
+
+    `evaluate(charts, coords)` takes a boolean array (True where chart
+    Z) and a complex coordinate array of length n and returns the metric
+    components, shape (n, r, r).  Each point's value does not depend on
+    the other points of the call.
+    """
 
     bundle: BundleSpec
     family: str = "generic"
 
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
+    def evaluate(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def evaluate_batch(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        out = np.empty((len(coords), self.bundle.rank, self.bundle.rank), dtype=complex)
-        for i, (cz, x) in enumerate(zip(charts, coords)):
-            out[i] = self.evaluate(SpherePoint(CHART_Z if cz else CHART_W, complex(x)))
-        return out
 
     def evaluate_with_curvature(self, charts: np.ndarray, coords: np.ndarray):
         """Metric values and contracted curvature at many points, shape
@@ -89,10 +88,10 @@ class MetricEvaluator:
         coords = np.asarray(coords, dtype=complex)
         F = fd_curvature_batch(self, charts, coords)
         scale = (1.0 + np.abs(coords) ** 2) ** 2
-        return self.evaluate_batch(charts, coords), F * scale[:, None, None]
+        return self.evaluate(charts, coords), F * scale[:, None, None]
 
     def check_point(self, p: SpherePoint) -> np.ndarray:
-        m = self.evaluate(p)
+        m = self.evaluate(*point_arrays([p]))[0]
         if np.linalg.norm(m - m.conj().T) > 1e-10 * (1 + np.linalg.norm(m)):
             raise RuntimeError(f"metric not hermitian at {p}")
         w = np.linalg.eigvalsh(_hermitize(m))
@@ -102,7 +101,8 @@ class MetricEvaluator:
 
 
 class ExplicitMetric(MetricEvaluator):
-    """Metric given by an explicit function (chart, coord) -> matrix."""
+    """Metric given by an explicit function (chart, coord) -> matrix,
+    called once per point."""
 
     family = "explicit"
 
@@ -110,10 +110,13 @@ class ExplicitMetric(MetricEvaluator):
         self.bundle = bundle
         self.fn = fn
 
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        return np.asarray(self.fn(p.chart, p.coord), dtype=complex).reshape(
-            (self.bundle.rank, self.bundle.rank)
-        )
+    def evaluate(self, charts, coords) -> np.ndarray:
+        r = self.bundle.rank
+        out = np.empty((len(coords), r, r), dtype=complex)
+        for i, (cz, x) in enumerate(zip(charts, coords)):
+            m = self.fn(CHART_Z if cz else CHART_W, complex(x))
+            out[i] = np.asarray(m, dtype=complex).reshape((r, r))
+        return out
 
 
 class _StandardMetric(MetricEvaluator):
@@ -125,10 +128,7 @@ class _StandardMetric(MetricEvaluator):
         self.bundle = bundle
         self._neg_degs = -np.array(bundle.degrees, dtype=float)
 
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        return self.evaluate_batch(np.array([p.chart == CHART_Z]), np.array([p.coord]))[0]
-
-    def evaluate_batch(self, charts, coords) -> np.ndarray:
+    def evaluate(self, charts, coords) -> np.ndarray:
         x = np.asarray(coords, dtype=complex)
         # hypot rounds as the scalar abs(x) does; np.abs can differ in the last bit
         x2 = np.hypot(x.real, x.imag) ** 2
@@ -155,22 +155,13 @@ class ScaledMetric(MetricEvaluator):
         self.base = base
         self.factor = float(factor)
 
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        return self.factor * self.base.evaluate(p)
-
-    def evaluate_batch(self, charts, coords):
-        return self.factor * self.base.evaluate_batch(charts, coords)
+    def evaluate(self, charts, coords):
+        return self.factor * self.base.evaluate(charts, coords)
 
     def evaluate_with_curvature(self, charts, coords):
         # constant scaling leaves the curvature unchanged
         h, lam = self.base.evaluate_with_curvature(charts, coords)
         return self.factor * h, lam
-
-    def __getattr__(self, name):
-        # constant scaling leaves curvature and connection data unchanged
-        if name in ("curvature_coeff", "connection_coeff"):
-            return getattr(self.base, name)
-        raise AttributeError(name)
 
 
 def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
@@ -204,22 +195,6 @@ def geodesic_log_batch(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     return rt @ lb @ irt
 
 
-def geodesic_interpolate(h0: np.ndarray, h1: np.ndarray, s: float) -> np.ndarray:
-    """Pointwise exp(s log(h1 h0^-1)) h0 through the symmetric square-root
-    conjugation, so the result is hermitian PD by construction."""
-    w0, v0 = np.linalg.eigh(_hermitize(h0))
-    if w0[0] <= 0:
-        raise RuntimeError("geodesic endpoint not positive definite")
-    rt = (v0 * np.sqrt(w0)) @ v0.conj().T
-    irt = (v0 / np.sqrt(w0)) @ v0.conj().T
-    b = _hermitize(irt @ h1 @ irt)
-    wb, vb = np.linalg.eigh(b)
-    if wb[0] <= 0:
-        raise RuntimeError("geodesic endpoints not jointly positive definite")
-    bs = (vb * wb**s) @ vb.conj().T
-    return _hermitize(rt @ bs @ rt)
-
-
 class GeodesicMetric(MetricEvaluator):
     family = "geodesic"
 
@@ -231,99 +206,63 @@ class GeodesicMetric(MetricEvaluator):
         self.h1 = h1
         self.s = float(s)
 
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        return geodesic_interpolate(self.h0.evaluate(p), self.h1.evaluate(p), self.s)
-
-    def evaluate_batch(self, charts, coords):
+    def evaluate(self, charts, coords):
         return geodesic_interpolate_batch(
-            self.h0.evaluate_batch(charts, coords),
-            self.h1.evaluate_batch(charts, coords),
+            self.h0.evaluate(charts, coords),
+            self.h1.evaluate(charts, coords),
             self.s,
         )
-
-
-class PointwiseExpMetric(MetricEvaluator):
-    """h_s = h0 expm(s v) for an h0-hermitian endomorphism field v."""
-
-    family = "pointwise_exp"
-
-    def __init__(self, h0: MetricEvaluator, v_field, s: float):
-        self.bundle = h0.bundle
-        self.h0 = h0
-        self.v_field = v_field
-        self.s = float(s)
-
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        h0 = self.h0.evaluate(p)
-        v = np.asarray(self.v_field(p), dtype=complex)
-        return _hermitize(h0 @ scipy.linalg.expm(self.s * v))
-
-
-class EndomorphismField:
-    """A matrix field in frame components, with its metric context."""
-
-    def __init__(self, fn, metric_context: MetricEvaluator):
-        self.fn = fn
-        self.metric_context = metric_context
-
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        return np.asarray(self.fn(p), dtype=complex)
 
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFF = np.array([-2, -1, 0, 1, 2])
+# the nine distinct shifts of the x- and y-stencils, in units of the step,
+# and where each stencil reads its five values among them
+_SHIFTS = np.concatenate([_OFF, 1j * _OFF[_OFF != 0]])
+_X_IDX = np.array([0, 1, 2, 3, 4])
+_Y_IDX = np.array([5, 6, 2, 7, 8])
 
 
-def fd_curvature(h: MetricEvaluator, p: SpherePoint, step: float | None = None) -> np.ndarray:
-    """4th-order finite-difference coefficient of the curvature form.
+def fd_derivatives(fn, charts, coords):
+    """4th-order finite differences of a batched matrix field.
 
-    Returns the coefficient F of (i/2pi) F dz^dz-bar in p's chart, from
-    F = d/dz-bar (h^-1 dh/dz) with a sign making the area form's own
-    contraction +1.
+    `fn(charts, coords)` returns (n, m, m) values.  It is called on the
+    x- and y-shifts of step 1e-3 (1+|x|) around every point, whole shifts
+    at a time and at most _MAX_POINTS points per call, so a rule of up to
+    455 nodes takes one call.  Returns the value f and the Wirtinger
+    derivatives df/dz, df/dz-bar and d2f/dz dz-bar, shape (n, m, m) each.
     """
-    x0 = p.coord
-    dl = step if step is not None else 1e-3 * (1.0 + abs(x0))
-    vals_x = np.array([h.evaluate(SpherePoint(p.chart, x0 + o * dl)) for o in _OFF])
-    vals_y = np.array([h.evaluate(SpherePoint(p.chart, x0 + 1j * o * dl)) for o in _OFF])
-    hc = vals_x[2]
-    hx = np.tensordot(_D1, vals_x, axes=(0, 0)) / dl
-    hy = np.tensordot(_D1, vals_y, axes=(0, 0)) / dl
-    hxx = np.tensordot(_D2, vals_x, axes=(0, 0)) / dl**2
-    hyy = np.tensordot(_D2, vals_y, axes=(0, 0)) / dl**2
-    hz = 0.5 * (hx - 1j * hy)
-    hzb = 0.5 * (hx + 1j * hy)
-    hzzb = 0.25 * (hxx + hyy)
-    hinv = np.linalg.inv(hc)
-    return hinv @ hzb @ hinv @ hz - hinv @ hzzb
+    coords = np.asarray(coords, dtype=complex)
+    n = len(coords)
+    dl = 1e-3 * (1.0 + np.abs(coords))
+    per_call = max(1, _MAX_POINTS // max(n, 1))
+    vals = []
+    for lo in range(0, len(_SHIFTS), per_call):
+        shifts = _SHIFTS[lo : lo + per_call]
+        v = fn(np.tile(charts, len(shifts)), (coords + shifts[:, None] * dl).reshape(-1))
+        vals.append(v.reshape((len(shifts), n) + v.shape[1:]))
+    vals = np.concatenate(vals)
+    vals_x, vals_y = vals[_X_IDX], vals[_Y_IDX]
+    inv_dl = (1.0 / dl)[:, None, None]
+    fx = np.tensordot(_D1, vals_x, axes=(0, 0)) * inv_dl
+    fy = np.tensordot(_D1, vals_y, axes=(0, 0)) * inv_dl
+    fxx = np.tensordot(_D2, vals_x, axes=(0, 0)) * inv_dl**2
+    fyy = np.tensordot(_D2, vals_y, axes=(0, 0)) * inv_dl**2
+    fz = 0.5 * (fx - 1j * fy)
+    fzb = 0.5 * (fx + 1j * fy)
+    return vals_x[2], fz, fzb, 0.25 * (fxx + fyy)
 
 
 def fd_curvature_batch(
     h: MetricEvaluator, charts: np.ndarray, coords: np.ndarray
 ) -> np.ndarray:
-    """Batched finite-difference curvature coefficients, shape (n, r, r)."""
-    coords = np.asarray(coords, dtype=complex)
-    dl = 1e-3 * (1.0 + np.abs(coords))
-    vals_x = np.array([h.evaluate_batch(charts, coords + o * dl) for o in _OFF])
-    vals_y = np.array([h.evaluate_batch(charts, coords + 1j * o * dl) for o in _OFF])
-    inv_dl = (1.0 / dl)[:, None, None]
-    hc = vals_x[2]
-    hx = np.tensordot(_D1, vals_x, axes=(0, 0)) * inv_dl
-    hy = np.tensordot(_D1, vals_y, axes=(0, 0)) * inv_dl
-    hxx = np.tensordot(_D2, vals_x, axes=(0, 0)) * inv_dl**2
-    hyy = np.tensordot(_D2, vals_y, axes=(0, 0)) * inv_dl**2
-    hz = 0.5 * (hx - 1j * hy)
-    hzb = 0.5 * (hx + 1j * hy)
-    hzzb = 0.25 * (hxx + hyy)
+    """Finite-difference coefficients F of (i/2pi) F dz^dz-bar of the
+    curvature, shape (n, r, r): F = d/dz-bar (h^-1 dh/dz), with a sign
+    making the area form's own contraction +1."""
+    hc, hz, hzb, hzzb = fd_derivatives(h.evaluate, charts, coords)
     hinv = np.linalg.inv(hc)
     return hinv @ hzb @ hinv @ hz - hinv @ hzzb
-
-
-def chern_curvature(h: MetricEvaluator, p: SpherePoint) -> np.ndarray:
-    """Curvature coefficient, closed form when available."""
-    if hasattr(h, "curvature_coeff"):
-        return h.curvature_coeff(p)
-    return fd_curvature(h, p)
 
 
 def contracted_curvature_batch(h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
@@ -332,7 +271,7 @@ def contracted_curvature_batch(h: MetricEvaluator, rule: QuadratureRule) -> np.n
 
 
 def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
-    """Sup and L2 norms of the Einstein defect, plus the defect field."""
+    """Sup and L2 norms of the Einstein defect."""
     mu = float(h.bundle.slope)
     hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
     r = h.bundle.rank
@@ -343,50 +282,17 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
     sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
     tr_sq = np.einsum("nij,nji->n", res_h, res_h).real
     l2 = float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))
-
-    def field_fn(p: SpherePoint) -> np.ndarray:
-        lam_p = contract(chern_curvature(h, p), p)
-        return lam_p - mu * np.eye(r)
-
-    return {"sup": float(sup), "l2": l2, "field": EndomorphismField(field_fn, h)}
+    return {"sup": float(sup), "l2": l2}
 
 
 def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
-    """Ascending eigenvalues of h relative to h0 at every node.
-
-    With h0 = L L*, the pencil is reduced to L^-1 h L^-* by the lower
-    branch of LAPACK's hegs2, the reduction behind scipy's generalized
-    eigh, batched over nodes.  Its operation order is kept only so that,
-    against a diagonal h0 such as the solver's default reference, the
-    values match scipy's to the last bit: the solver's absolute
-    ``sy > 1e-16`` Barzilai-Borwein test sees that last bit, and a plain
-    whitening would change its iteration counts.
-    """
-    a = h.evaluate_batch(rule.charts, rule.coords)
-    b = h0.evaluate_batch(rule.charts, rule.coords)
-    a = 0.5 * (a + np.swapaxes(a, -1, -2).conj())
-    L = np.linalg.cholesky(0.5 * (b + np.swapaxes(b, -1, -2).conj()))
-    r = a.shape[-1]
-    for k in range(r):
-        lkk = L[:, k, k].real
-        akk = a[:, k, k].real / lkk**2
-        a[:, k, k] = akk
-        if k + 1 == r:
-            break
-        l = L[:, k + 1 :, k]
-        ct = (-0.5 * akk)[:, None]
-        x = a[:, k + 1 :, k] * (1.0 / lkk)[:, None] + ct * l
-        # hermitian rank-2 update of the trailing block: x l* + l x*
-        a[:, k + 1 :, k + 1 :] -= (
-            x[:, :, None] * l.conj()[:, None, :] + l[:, :, None] * x.conj()[:, None, :]
-        )
-        x += ct * l
-        # forward substitution with the trailing block of L
-        for i in range(r - k - 1):
-            j = k + 1 + i
-            x[:, i] = (x[:, i] - np.sum(L[:, j, k + 1 : j] * x[:, :i], axis=1)) / L[:, j, j]
-        a[:, k + 1 :, k] = x
-    return np.linalg.eigvalsh(a)  # reads the lower triangle only
+    """Ascending eigenvalues of h relative to h0 at every node: with
+    h0 = L L*, the eigenvalues of the whitened L^-1 h L^-*."""
+    a = h.evaluate(rule.charts, rule.coords)
+    b = h0.evaluate(rule.charts, rule.coords)
+    Linv = np.linalg.inv(np.linalg.cholesky(0.5 * (b + np.swapaxes(b, -1, -2).conj())))
+    c = Linv @ (0.5 * (a + np.swapaxes(a, -1, -2).conj())) @ np.swapaxes(Linv, -1, -2).conj()
+    return np.linalg.eigvalsh(c)
 
 
 def scale_normalize(h: MetricEvaluator, h_ref: MetricEvaluator, rule: QuadratureRule):

@@ -15,19 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import (
-    BundleSpec,
+    _D1,
+    _MAX_POINTS,
+    _OFF,
     GeodesicMetric,
     MetricEvaluator,
-    fd_curvature,
     _hermitize,
+    fd_curvature_batch,
+    fd_derivatives,
+    geodesic_log_batch,
 )
 from .geometry import (
     CHART_Z,
     QuadratureRule,
-    SpherePoint,
-    contract,
     contract_batch,
-    integrate_values,
+    point_arrays,
     tree_sum,
 )
 from .sections import (
@@ -37,29 +39,6 @@ from .sections import (
     _fs_curvature,
     eval_matrix_batch,
 )
-
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFF = np.array([-2, -1, 0, 1, 2])
-
-# most (t-node, sphere-node) pairs evaluated in one batch by the Bergman
-# path: the size of a 64x64 rule
-_MAX_POINTS = 4096
-
-
-def geodesic_log(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
-    """log(h1 h0^-1) through the symmetric square-root conjugation."""
-    w0, v0 = np.linalg.eigh(_hermitize(h0))
-    if w0[0] <= 0:
-        raise RuntimeError("metric value not positive definite")
-    rt = (v0 * np.sqrt(w0)) @ v0.conj().T
-    irt = (v0 / np.sqrt(w0)) @ v0.conj().T
-    b = _hermitize(irt @ h1 @ irt)
-    wb, vb = np.linalg.eigh(b)
-    if wb[0] <= 0:
-        raise RuntimeError("metric pair not jointly positive definite")
-    logb = (vb * np.log(wb)) @ vb.conj().T
-    return rt @ logb @ irt
 
 
 class BergmanPath:
@@ -134,14 +113,14 @@ class BergmanPath:
         return float(out[0]) if ts.ndim == 0 else out
 
     def vfield_at(self, t: float):
+        """The velocity h^-1 dh/dt = S K_t S* A^-1 at t, as a batched
+        field (charts, coords) -> (n, r, r)."""
         hm = self.metric_at(t)
         K = self.k_matrix(t)
 
-        def v(p: SpherePoint) -> np.ndarray:
-            charts = np.array([p.chart == CHART_Z])
-            coords = np.array([p.coord])
+        def v(charts, coords):
             S, _, _, Ainv = hm._core(charts, coords)
-            return S[0] @ K @ S[0].conj().T @ Ainv[0]
+            return S @ K @ np.swapaxes(S, -1, -2).conj() @ Ainv
 
         return v
 
@@ -167,10 +146,8 @@ class PointwiseExponentialPath:
         # keyed on the rule object itself, which the cache keeps alive:
         # an id could be recycled by a new rule
         if getattr(self, "_cache_rule", None) is not rule:
-            from .bundle import geodesic_log_batch
-
-            h0v = self.h0.evaluate_batch(rule.charts, rule.coords)
-            h1v = self.h1.evaluate_batch(rule.charts, rule.coords)
+            h0v = self.h0.evaluate(rule.charts, rule.coords)
+            h1v = self.h1.evaluate(rule.charts, rule.coords)
             self._cache_rule = rule
             self._cache = geodesic_log_batch(h0v, h1v)
         return self._cache
@@ -183,13 +160,11 @@ class PointwiseExponentialPath:
         return float(out[0]) if ts.ndim == 0 else out
 
     def _deriv_one(self, t: float, rule: QuadratureRule) -> float:
-        from .bundle import fd_curvature_batch
-
         ht = self.metric_at(t)
         mu = float(self.h0.bundle.slope)
         r = self.h0.bundle.rank
         v = self._node_logs(rule)
-        m = ht.evaluate_batch(rule.charts, rule.coords)
+        m = ht.evaluate(rule.charts, rule.coords)
         F = fd_curvature_batch(ht, rule.charts, rule.coords)
         scale = (1.0 + np.abs(rule.coords) ** 2) ** 2
         lam = F * scale[:, None, None]
@@ -255,40 +230,13 @@ def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:
     return abs(m20 - m21 - m10)
 
 
-def geodesic(h0: MetricEvaluator, h1: MetricEvaluator, s: float) -> GeodesicMetric:
-    return GeodesicMetric(h0, h1, s)
-
-
-def first_derivative(path, t: float, rule: QuadratureRule) -> float:
-    """d/dt of the energy along the path at time t."""
-    return path.deriv_integrand(t, rule)
-
-
-def _connection_coeff(h: MetricEvaluator, p: SpherePoint, step: float | None = None):
-    """a = h^-1 dh/dx in p's chart, closed form for FS metrics."""
+def _connection_coeff(h: MetricEvaluator, charts, coords) -> np.ndarray:
+    """a = h^-1 dh/dx in each point's chart, (n, r, r); closed form for
+    FS metrics."""
     if isinstance(h, FSMetric):
-        return h.connection_coeff(p)
-    x0 = p.coord
-    dl = step if step is not None else 1e-3 * (1.0 + abs(x0))
-    vx = np.array([h.evaluate(SpherePoint(p.chart, x0 + o * dl)) for o in _OFF])
-    vy = np.array([h.evaluate(SpherePoint(p.chart, x0 + 1j * o * dl)) for o in _OFF])
-    hx = np.tensordot(_D1, vx, axes=(0, 0)) / dl
-    hy = np.tensordot(_D1, vy, axes=(0, 0)) / dl
-    hz = 0.5 * (hx - 1j * hy)
-    return np.linalg.solve(vx[2], hz)
-
-
-def _field_first_derivs(fn, p: SpherePoint, step: float | None = None):
-    """4th-order d/dz and d/dz-bar of a matrix field given pointwise."""
-    x0 = p.coord
-    dl = step if step is not None else 1e-3 * (1.0 + abs(x0))
-    vx = np.array([fn(SpherePoint(p.chart, x0 + o * dl)) for o in _OFF])
-    vy = np.array([fn(SpherePoint(p.chart, x0 + 1j * o * dl)) for o in _OFF])
-    fx = np.tensordot(_D1, vx, axes=(0, 0)) / dl
-    fy = np.tensordot(_D1, vy, axes=(0, 0)) / dl
-    fz = 0.5 * (fx - 1j * fy)
-    fzb = 0.5 * (fx + 1j * fy)
-    return vx[2], fz, fzb
+        return h.connection_coeff(charts, coords)
+    hc, hz, _, _ = fd_derivatives(h.evaluate, charts, coords)
+    return np.linalg.solve(hc, hz)
 
 
 def second_derivative_geodesic(
@@ -302,21 +250,17 @@ def second_derivative_geodesic(
     interpolated metric.  `fd`: centered differences of the first
     derivative along the path.
     """
-    from .bundle import GeodesicMetric
 
-    def vfn(p: SpherePoint) -> np.ndarray:
+    def vfn(charts, coords):
         # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s
-        h = h0.evaluate(p)
-        return np.linalg.solve(h, geodesic_log(h, h1.evaluate(p)) @ h)
+        h = h0.evaluate(charts, coords)
+        return np.linalg.solve(h, geodesic_log_batch(h, h1.evaluate(charts, coords)) @ h)
 
-    hs = GeodesicMetric(h0, h1, s)
-    vals = np.empty(rule.n)
-    for i, p in enumerate(rule.nodes):
-        v, vz, vzb = _field_first_derivs(vfn, p)
-        a_s = _connection_coeff(hs, p)
-        grad = vz + a_s @ v - v @ a_s
-        coeff = np.trace(grad @ vzb).real
-        vals[i] = coeff * (1.0 + abs(p.coord) ** 2) ** 2
+    v, vz, vzb, _ = fd_derivatives(vfn, rule.charts, rule.coords)
+    a_s = _connection_coeff(GeodesicMetric(h0, h1, s), rule.charts, rule.coords)
+    grad = vz + a_s @ v - v @ a_s
+    coeff = np.trace(grad @ vzb, axis1=1, axis2=2).real
+    vals = coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2
     formula = float(tree_sum(vals * rule.weights))
 
     path = PointwiseExponentialPath(h0, h1)
@@ -332,35 +276,15 @@ def curvature_variation_check(path, t: float, points, step: float = 1e-3) -> flo
     points; both sides as coefficients of (i/2pi) dz^dz-bar."""
     if not isinstance(path, BergmanPath):
         raise ValueError("analytic variation check needs a form-space path")
-    vfn = path.vfield_at(t)
-    hm = path.metric_at(t)
-
-    def curv(tt, p):
-        return path.metric_at(tt).curvature_coeff(p)
-
-    def afn(p):
-        return path.metric_at(t).connection_coeff(p)
-
-    defect = 0.0
-    for p in points:
-        # LHS: dF/dt by 4th-order differences in t
-        dt = step
-        lhs = np.tensordot(
-            _D1, np.array([curv(t + o * dt, p) for o in _OFF]), axes=(0, 0)
-        ) / dt
-        # RHS: -(d/dz-bar)(dv/dz + [a, v]) expanded by the product rule
-        v, vz, vzb = _field_first_derivs(vfn, p)
-        x0 = p.coord
-        dl = 1e-3 * (1.0 + abs(x0))
-        vxx = np.array([vfn(SpherePoint(p.chart, x0 + o * dl)) for o in _OFF])
-        vyy = np.array([vfn(SpherePoint(p.chart, x0 + 1j * o * dl)) for o in _OFF])
-        vzzb = 0.25 * (
-            np.tensordot(_D2, vxx, axes=(0, 0)) + np.tensordot(_D2, vyy, axes=(0, 0))
-        ) / dl**2
-        a, az, azb = _field_first_derivs(afn, p)
-        rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
-        defect = max(defect, float(np.max(np.abs(lhs - rhs))))
-    return defect
+    charts, coords = point_arrays(points)
+    # LHS: dF/dt by 4th-order differences in t
+    curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF]
+    lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
+    # RHS: -(d/dz-bar)(dv/dz + [a, v]) expanded by the product rule
+    v, _, vzb, vzzb = fd_derivatives(path.vfield_at(t), charts, coords)
+    a, _, azb, _ = fd_derivatives(path.metric_at(t).connection_coeff, charts, coords)
+    rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def c_delta(delta: float) -> float:
@@ -422,7 +346,7 @@ def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) 
     r = h0.bundle.rank
     fams, val, dbar = _harmonic_family(max_deg)
     nf = len(fams)
-    hv = h0.evaluate_batch(rule.charts, rule.coords)
+    hv = h0.evaluate(rule.charts, rule.coords)
     hinv = np.linalg.inv(hv)
     gup = (1.0 + np.abs(rule.coords) ** 2) ** 2
     # scalar-function Gram blocks, then tensor with matrix pairings

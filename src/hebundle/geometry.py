@@ -51,18 +51,17 @@ def other_chart(p: SpherePoint) -> SpherePoint:
     return SpherePoint(CHART_W if p.chart == CHART_Z else CHART_Z, 1.0 / p.coord)
 
 
-class KahlerData:
-    """Potential and normalization data of the round polarized metric."""
-
-    volume = 1.0
-
-    @staticmethod
-    def potential(p: SpherePoint) -> float:
-        return float(np.log1p(abs(p.coord) ** 2))
+def point_arrays(points):
+    """(charts, coords) arrays of a sequence of points, as taken by the
+    metric evaluators: charts is True where chart Z."""
+    charts = np.array([p.chart == CHART_Z for p in points], dtype=bool)
+    coords = np.array([p.coord for p in points], dtype=complex)
+    return charts, coords
 
 
 def potential(p: SpherePoint) -> float:
-    return KahlerData.potential(p)
+    """Kahler potential log(1 + |coord|^2) of the round metric."""
+    return float(np.log1p(abs(p.coord) ** 2))
 
 
 def omega_coefficient(p: SpherePoint) -> float:

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BundleSpec, MetricEvaluator, EndomorphismField, regularity
+from .bundle import BundleSpec, MetricEvaluator, regularity
 from .geometry import (
-    CHART_W,
-    CHART_Z,
     QuadratureRule,
     SpherePoint,
     contract_batch,
     integrate_values,
-    tree_sum,
+    point_arrays,
 )
 
 
@@ -70,7 +68,7 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
 
 
 def eval_matrix(sb: SectionBasis, p: SpherePoint) -> np.ndarray:
-    S, _ = eval_matrix_batch(sb, np.array([p.chart == CHART_Z]), np.array([p.coord]))
+    S, _ = eval_matrix_batch(sb, *point_arrays([p]))
     return S[0]
 
 
@@ -104,7 +102,7 @@ def _as_matrix(G) -> np.ndarray:
 def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> PositiveForm:
     """L2 form of the basis sections against h and the level-k line weight."""
     S, _ = eval_matrix_batch(sb, rule.charts, rule.coords)
-    hv = h.evaluate_batch(rule.charts, rule.coords)
+    hv = h.evaluate(rule.charts, rule.coords)
     wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
     vals = np.einsum("nji,njl,nlm->nim", S.conj(), hv, S) * wphi[:, None, None]
     g = integrate_values(vals, rule)
@@ -174,12 +172,6 @@ class FSMetric(MetricEvaluator):
     def Ginv(self) -> np.ndarray:
         return self.W @ self.W.conj().T
 
-    # -- pointwise API ------------------------------------------------
-    def evaluate(self, p: SpherePoint) -> np.ndarray:
-        return self.evaluate_batch(
-            np.array([p.chart == CHART_Z]), np.array([p.coord])
-        )[0]
-
     def _core(self, charts, coords):
         """Per-node S, T = S W, T1 = S' W and the equilibrated inverse of
         A = T T*."""
@@ -193,7 +185,7 @@ class FSMetric(MetricEvaluator):
         h = Ainv * ekphi[:, None, None]
         return 0.5 * (h + np.transpose(h, (0, 2, 1)).conj())
 
-    def evaluate_batch(self, charts, coords) -> np.ndarray:
+    def evaluate(self, charts, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
         return self._metric(self._core(charts, coords)[3], coords)
 
@@ -204,29 +196,25 @@ class FSMetric(MetricEvaluator):
         lam = contract_batch(self._curvature(T, T1, Ainv, coords), coords)
         return self._metric(Ainv, coords), lam
 
-    def curvature_coeff(self, p: SpherePoint) -> np.ndarray:
-        """Coefficient of (i/2pi) dz^dz-bar of the curvature at p."""
-        coords = np.array([p.coord])
-        _, T, T1, Ainv = self._core(np.array([p.chart == CHART_Z]), coords)
-        return self._curvature(T, T1, Ainv, coords)[0]
+    def curvature_coeff(self, charts, coords) -> np.ndarray:
+        """Coefficients of (i/2pi) dz^dz-bar of the curvature, (n, r, r)."""
+        coords = np.asarray(coords, dtype=complex)
+        _, T, T1, Ainv = self._core(charts, coords)
+        return self._curvature(T, T1, Ainv, coords)
 
     def _curvature(self, T, T1, Ainv, coords) -> np.ndarray:
         """Curvature coefficient from the factors of `_core`, batched."""
         return _fs_curvature(T, T1, Ainv, coords, self.sb.k)
 
-    def connection_coeff(self, p: SpherePoint) -> np.ndarray:
-        """Chern connection coefficient a = h^-1 dh/dx in p's chart."""
-        charts = np.array([p.chart == CHART_Z])
-        coords = np.array([p.coord])
+    def connection_coeff(self, charts, coords) -> np.ndarray:
+        """Chern connection coefficients a = h^-1 dh/dx in each point's
+        chart, (n, r, r)."""
+        coords = np.asarray(coords, dtype=complex)
         _, T, T1, Ainv = self._core(charts, coords)
-        x = p.coord
-        dphi = np.conj(x) / (1.0 + abs(x) ** 2)
-        A1 = (T1 @ np.transpose(T, (0, 2, 1)).conj())[0]
-        return self.sb.k * dphi * np.eye(self.bundle.rank) - A1 @ Ainv[0]
-
-
-def fs_metric(sb: SectionBasis, G) -> FSMetric:
-    return FSMetric(sb, G=G)
+        dphi = np.conj(coords) / (1.0 + np.abs(coords) ** 2)
+        A1 = T1 @ np.transpose(T, (0, 2, 1)).conj()
+        eye = np.eye(self.bundle.rank)
+        return self.sb.k * dphi[:, None, None] * eye - A1 @ Ainv
 
 
 def fs_identity_defect(sb: SectionBasis, G, p: SpherePoint) -> float:
@@ -235,7 +223,8 @@ def fs_identity_defect(sb: SectionBasis, G, p: SpherePoint) -> float:
     g = _as_matrix(G)
     hm = FSMetric(sb, G=g)
     S = eval_matrix(sb, p)
-    hk = hm.evaluate(p) / (1.0 + abs(p.coord) ** 2) ** sb.k  # metric on E(k)
+    # metric on E(k)
+    hk = hm.evaluate(*point_arrays([p]))[0] / (1.0 + abs(p.coord) ** 2) ** sb.k
     total = S @ np.linalg.inv(g) @ S.conj().T @ hk
     return float(np.linalg.norm(total - np.eye(sb.bundle.rank)))
 
@@ -249,24 +238,15 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     sb = basis(h.bundle, k)
     G = l2_gram(sb, h, rule)
     hfs = FSMetric(sb, G=G.matrix)
-    hv = h.evaluate_batch(rule.charts, rule.coords)
-    fv = hfs.evaluate_batch(rule.charts, rule.coords)
+    hv = h.evaluate(rule.charts, rule.coords)
+    fv = hfs.evaluate(rule.charts, rule.coords)
     raw = hv @ np.linalg.inv(fv)
     r = h.bundle.rank
     norm_factor = r * 1.0 / sb.N  # volume is 1
     tilde = norm_factor * raw
     sup_dev = np.linalg.norm(tilde - np.eye(r), 2, axis=(1, 2)).max()
     raw_sup_dev = np.linalg.norm(raw - (sb.N / r) * np.eye(r), 2, axis=(1, 2)).max()
-
-    def norm_fn(p: SpherePoint) -> np.ndarray:
-        return norm_factor * h.evaluate(p) @ np.linalg.inv(hfs.evaluate(p))
-
-    def raw_fn(p: SpherePoint) -> np.ndarray:
-        return h.evaluate(p) @ np.linalg.inv(hfs.evaluate(p))
-
     return {
-        "field": EndomorphismField(norm_fn, h),
-        "raw_field": EndomorphismField(raw_fn, h),
         "sup_dev": float(sup_dev),
         "raw_sup_dev": float(raw_sup_dev),
         "N": sb.N,
@@ -294,13 +274,11 @@ def fs_pointwise_bound_audit(sb: SectionBasis, G0, zeta: np.ndarray, points) -> 
     h0 = FSMetric(sb, G=g0)
     hz = FSMetric(sb, G=0.5 * (gz + gz.conj().T))
     lo, hi = np.exp(-2.0 * opn), np.exp(2.0 * opn)
-    worst_low = np.inf
-    worst_high = np.inf
-    for p in points:
-        d0 = np.diag(h0.evaluate(p)).real
-        dz = np.diag(hz.evaluate(p)).real
-        worst_low = min(worst_low, float(np.min(dz / d0 - lo)))
-        worst_high = min(worst_high, float(np.min(hi - dz / d0)))
+    charts, coords = point_arrays(points)
+    d0 = np.diagonal(h0.evaluate(charts, coords), axis1=1, axis2=2).real
+    dz = np.diagonal(hz.evaluate(charts, coords), axis1=1, axis2=2).real
+    worst_low = float(np.min(dz / d0 - lo, initial=np.inf))
+    worst_high = float(np.min(hi - dz / d0, initial=np.inf))
     return {
         "op_norm": opn,
         "margin_lower": worst_low,

@@ -176,12 +176,19 @@ def minimize(
             break
 
         # spectral (Barzilai-Borwein) initial step, Armijo backtracking;
-        # acceptance allows any decrease within the monotonicity tolerance
+        # acceptance allows any decrease within the monotonicity tolerance.
+        # Both tests are relative: a gradient unchanged to rounding (as
+        # along an escape ray) has no curvature, the limit of ss/sy is
+        # infinite and the step is capped; otherwise s.y must be positive
+        # beyond the rounding of the trace
         if g_prev is not None and s_prev is not None:
             y = g - g_prev
             sy = float(np.real(np.trace(s_prev @ y)))
             ss = float(np.real(np.trace(s_prev @ s_prev)))
-            if sy > 1e-16:
+            yy = float(np.real(np.trace(y @ y)))
+            if yy <= 1e-24 * gnorm2:
+                alpha = opts.max_step
+            elif sy > 1e-12 * np.sqrt(ss * yy):
                 alpha = min(ss / sy, opts.max_step)
         accepted = False
         a = alpha

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _utils import rand_pd
+from _utils import at, rand_pd
 from hebundle.asymptotics import OnePSRay, slope_estimate, zeta_matrix
 from hebundle.bundle import (
     BundleSpec,
@@ -29,7 +29,6 @@ from hebundle.donaldson import (
     curvature_variation_check,
     delta_lower_bound_audit,
     donaldson,
-    geodesic_log,
     poincare_constant,
     second_derivative_geodesic,
 )
@@ -270,8 +269,8 @@ def test_criterion_07_semistable_positivity():
 def _constant_factor_gap(sb, G1, G2, rule):
     """Sup relative deviation between two FS metrics after matching by
     the best constant endomorphism (constant scalar when rank is 1)."""
-    h1 = FSMetric(sb, G=G1).evaluate_batch(rule.charts, rule.coords)
-    h2 = FSMetric(sb, G=G2).evaluate_batch(rule.charts, rule.coords)
+    h1 = FSMetric(sb, G=G1).evaluate(rule.charts, rule.coords)
+    h2 = FSMetric(sb, G=G2).evaluate(rule.charts, rule.coords)
     C = np.mean(h1 @ np.linalg.inv(h2), axis=0)
     matched = C @ h2
     num = np.linalg.norm(h1 - matched, axis=(1, 2))
@@ -383,18 +382,18 @@ def test_criterion_10_delta_bound_audit(rule24):
 def _geodesic_equation_residual(h0, h1, points):
     """Sup over points of the s-derivative of the velocity field
     h_s^-1 d h_s/ds, by 4th-order finite differences in s."""
-    from hebundle.bundle import geodesic_interpolate
+    from hebundle.bundle import geodesic_interpolate_batch
 
     offs = np.array([-2, -1, 0, 1, 2])
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     eps = 0.05
     worst = 0.0
     for p in points:
-        a = h0.evaluate(p)
-        b = h1.evaluate(p)
+        a = at(h0, p)
+        b = at(h1, p)
 
         def v_at(s):
-            vals = np.array([geodesic_interpolate(a, b, s + o * eps) for o in offs])
+            vals = np.array([geodesic_interpolate_batch(a, b, s + o * eps) for o in offs])
             hdot = np.tensordot(w1, vals, axes=(0, 0)) / eps
             return np.linalg.solve(vals[2], hdot)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _utils import rand_pd
+from _utils import at, rand_pd
 from hebundle.asymptotics import (
     OnePSRay,
     bergman_ray,
@@ -61,7 +61,7 @@ def test_ray_start_is_base_metric(rule16):
     G0 = l2_gram(SB, trivial_metric(SPEC), rule16).matrix
     h = bergman_ray(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0]), 0.0)
     p = sphere_point(0.4 + 0.2j)
-    assert np.allclose(h.evaluate(p), FSMetric(SB, G=G0).evaluate(p), atol=1e-10)
+    assert np.allclose(at(h, p), at(FSMetric(SB, G=G0), p), atol=1e-10)
 
 
 def test_mdon_along_ray_grid_validation(rule16):

@@ -1,28 +1,51 @@
 """Batched kernels against the per-node and per-t formulas they replace.
 
 The reference functions below are the loop and einsum forms of the
-energy integrand, the relative eigenvalues and the sup norms; the
-batched code must agree with them to 1e-12 relative where the arithmetic
-changed, and exactly where it did not.
+energy integrands, the relative eigenvalues, the sup norms, the
+convexity audit and the curvature-variation check; the batched code
+must agree with them to 1e-12 relative where the arithmetic changed,
+and exactly where it did not.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import hebundle.asymptotics as asymptotics_mod
 import hebundle.donaldson as donaldson_mod
-from _utils import rand_pd
+from _utils import at, rand_pd
+from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray
 from hebundle.bundle import (
     BundleSpec,
+    ExplicitMetric,
     GeodesicMetric,
+    MetricEvaluator,
+    ScaledMetric,
     _relative_eigs,
     contracted_curvature_batch,
+    geodesic_log_batch,
     he_residual,
     trivial_metric,
 )
-from hebundle.donaldson import BergmanPath, _gl_nodes
-from hebundle.geometry import tree_sum
+from hebundle.donaldson import (
+    BergmanPath,
+    _gl_nodes,
+    curvature_variation_check,
+    second_derivative_geodesic,
+)
+from hebundle.geometry import (
+    SpherePoint,
+    build_quadrature,
+    contract_batch,
+    point_arrays,
+    sphere_point,
+    tree_sum,
+)
 from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram
+
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_OFF = np.array([-2, -1, 0, 1, 2])
 
 
 def _deriv_integrand_reference(path, t, rule):
@@ -37,8 +60,8 @@ def _deriv_integrand_reference(path, t, rule):
 
 
 def _relative_eigs_reference(h, h0, rule):
-    a = h.evaluate_batch(rule.charts, rule.coords)
-    b = h0.evaluate_batch(rule.charts, rule.coords)
+    a = h.evaluate(rule.charts, rule.coords)
+    b = h0.evaluate(rule.charts, rule.coords)
     herm = lambda m: 0.5 * (m + m.conj().T)
     return np.array(
         [scipy.linalg.eigh(herm(a[i]), herm(b[i]), eigvals_only=True) for i in range(rule.n)]
@@ -107,29 +130,19 @@ def test_relative_eigs_match_scipy(rule16):
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
-def test_relative_eigs_bitwise_against_diagonal_reference(rule24):
-    # the solver normalizes against the diagonal standard metric by a
-    # minimum over nodes; there the batched values are scipy's exactly
-    for h, h0 in _metric_pairs(rule24):
-        if not isinstance(h0, FSMetric):
-            assert np.array_equal(
-                _relative_eigs(h, h0, rule24), _relative_eigs_reference(h, h0, rule24)
-            )
-
-
 def test_standard_metric_batch_matches_pointwise(rule16):
     h = trivial_metric(BundleSpec((2, -1, 0)))
-    batched = h.evaluate_batch(rule16.charts, rule16.coords)
+    batched = h.evaluate(rule16.charts, rule16.coords)
     for i, p in enumerate(rule16.nodes):
         degs = np.array(h.bundle.degrees, dtype=float)
         assert np.array_equal(batched[i], np.diag((1.0 + abs(p.coord) ** 2) ** -degs))
-        assert np.array_equal(h.evaluate(p), batched[i])
+        assert np.array_equal(at(h, p), batched[i])
 
 
 def test_he_residual_sup_equals_per_node_loop(rule16):
     for h, _ in _metric_pairs(rule16):
         lam = contracted_curvature_batch(h, rule16)
-        hv = h.evaluate_batch(rule16.charts, rule16.coords)
+        hv = h.evaluate(rule16.charts, rule16.coords)
         res = lam - float(h.bundle.slope) * np.eye(h.bundle.rank)
         hinv = np.linalg.inv(hv)
         res_h = 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
@@ -144,11 +157,163 @@ def test_bergman_kernel_sups_equal_per_node_loop(rule16):
     for k in (1, 3):
         rep = bergman_kernel(h, k, rule16)
         sb = basis(h.bundle, k)
-        fv = FSMetric(sb, G=rep["gram"].matrix).evaluate_batch(rule16.charts, rule16.coords)
-        raw = h.evaluate_batch(rule16.charts, rule16.coords) @ np.linalg.inv(fv)
+        fv = FSMetric(sb, G=rep["gram"].matrix).evaluate(rule16.charts, rule16.coords)
+        raw = h.evaluate(rule16.charts, rule16.coords) @ np.linalg.inv(fv)
         r = h.bundle.rank
         tilde = (r * 1.0 / sb.N) * raw
         assert rep["sup_dev"] == float(max(np.linalg.norm(m - np.eye(r), 2) for m in tilde))
         assert rep["raw_sup_dev"] == float(
             max(np.linalg.norm(m - (sb.N / r) * np.eye(r), 2) for m in raw)
         )
+
+
+def _subclasses(cls):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _subclasses(sub)
+    return out
+
+
+def test_every_evaluator_batch_equals_one_point_calls(rule16):
+    # evaluate on n points is the stack of n one-point calls, bit for bit
+    sb = basis(BundleSpec((2, 1, 0)), 1)
+    rng = np.random.default_rng(8)
+    h0 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.4))
+    h1 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.4))
+    evaluators = [
+        h0,
+        GeodesicMetric(h0, h1, 0.3),
+        ScaledMetric(h0, 2.5),
+        trivial_metric(sb.bundle),
+        ExplicitMetric(sb.bundle, lambda chart, x: np.diag([1.0, 2.0, 3.0]) * (1 + abs(x) ** 2)),
+    ]
+    assert {type(h) for h in evaluators} == _subclasses(MetricEvaluator)
+    for h in evaluators:
+        batched = h.evaluate(rule16.charts, rule16.coords)
+        one = [h.evaluate(rule16.charts[i : i + 1], rule16.coords[i : i + 1])[0] for i in range(rule16.n)]
+        assert np.array_equal(batched, np.stack(one)), type(h).__name__
+
+
+def _stencil(fn, p):
+    """The old per-point 5-point x- and y-stencils of a one-point field
+    fn(SpherePoint), with their step."""
+    dl = 1e-3 * (1.0 + abs(p.coord))
+    vx = np.array([fn(SpherePoint(p.chart, p.coord + o * dl)) for o in _OFF])
+    vy = np.array([fn(SpherePoint(p.chart, p.coord + 1j * o * dl)) for o in _OFF])
+    return vx, vy, dl
+
+
+def _first_derivs(vx, vy, dl):
+    fx = np.tensordot(_D1, vx, axes=(0, 0)) / dl
+    fy = np.tensordot(_D1, vy, axes=(0, 0)) / dl
+    return vx[2], 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def _formula_per_node(h0, h1, s, rule):
+    """The convexity audit's formula as the per-node loop it replaced,
+    from one-point evaluations at each node's stencil."""
+    hs = GeodesicMetric(h0, h1, s)
+
+    def vfn(p):
+        # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s
+        h = at(h0, p)
+        return np.linalg.solve(h, geodesic_log_batch(h, at(h1, p)) @ h)
+
+    vals = np.empty(rule.n)
+    for i, (chart, x) in enumerate(zip(rule.charts, rule.coords)):
+        p = SpherePoint("Z" if chart else "W", complex(x))
+        v, vz, vzb = _first_derivs(*_stencil(vfn, p))
+        hc, hz, _ = _first_derivs(*_stencil(lambda q: at(hs, q), p))
+        a_s = np.linalg.solve(hc, hz)
+        grad = vz + a_s @ v - v @ a_s
+        vals[i] = np.trace(grad @ vzb).real * (1.0 + abs(x) ** 2) ** 2
+    return float(tree_sum(vals * rule.weights))
+
+
+@pytest.mark.parametrize("degs, k, n", [((1, 0), 0, 20), ((1, -1), 1, 24), ((2, 1, 0), 1, 16)])
+def test_convexity_formula_matches_per_node_loop(degs, k, n):
+    rule = build_quadrature(n, n)
+    assert rule.charts.any() and not rule.charts.all()  # nodes in both charts
+    sb = basis(BundleSpec(degs), k)
+    rng = np.random.default_rng(9)
+    h0 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
+    h1 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
+    got = second_derivative_geodesic(h0, h1, 0.5, rule)["formula"]
+    ref = _formula_per_node(h0, h1, 0.5, rule)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _variation_per_point(path, t, p, step=1e-3):
+    """Per-point curvature-variation defect, and the size of dF/dt."""
+    curv = [path.metric_at(t + o * step).curvature_coeff(*point_arrays([p]))[0] for o in _OFF]
+    lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
+    vfn = path.vfield_at(t)
+    afn = path.metric_at(t).connection_coeff
+    vx, vy, dl = _stencil(lambda q: vfn(*point_arrays([q]))[0], p)
+    v, _, vzb = _first_derivs(vx, vy, dl)
+    vzzb = 0.25 * (np.tensordot(_D2, vx, axes=(0, 0)) + np.tensordot(_D2, vy, axes=(0, 0))) / dl**2
+    a, _, azb = _first_derivs(*_stencil(lambda q: afn(*point_arrays([q]))[0], p))
+    rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
+    return float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs)))
+
+
+@pytest.mark.parametrize("degs", [(1, -1), (2, 1, 0)])
+def test_curvature_variation_matches_per_point_loop(degs):
+    # the defect is rounding noise of the second differences (about
+    # 1e-10), so the two are compared on the scale of dF/dt
+    sb = basis(BundleSpec(degs), 1)
+    rng = np.random.default_rng(10)
+    path = BergmanPath(sb, rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3))
+    pts = [sphere_point(z) for z in (0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j)]
+    assert {p.chart for p in pts} == {"Z", "W"}
+    ref = [_variation_per_point(path, 0.5, p) for p in pts]
+    for p, (defect, scale) in zip(pts, ref):
+        assert abs(curvature_variation_check(path, 0.5, [p]) - defect) <= 1e-12 * scale
+    assert curvature_variation_check(path, 0.5, pts) == max(
+        curvature_variation_check(path, 0.5, [p]) for p in pts
+    )
+
+
+def _ray_deriv_reference(ray, t, rule):
+    """The ray's energy derivative at one t through the metric at t."""
+    hm = ray.metric_at(t)
+    S, Y, Y1, Ainv = hm._core(rule.charts, rule.coords)
+    lamF = contract_batch(hm._curvature(Y, Y1, Ainv, rule.coords), rule.coords)
+    res = lamF - float(ray.sb.bundle.slope) * np.eye(ray.sb.bundle.rank)
+    Z = (S @ (-ray.zeta)) @ ray.gram_factor(t)
+    u = (Z @ np.transpose(Y, (0, 2, 1)).conj() + Y @ np.transpose(Z, (0, 2, 1)).conj()) @ Ainv
+    vals = np.einsum("nij,nji->n", u, res).real
+    return float(tree_sum(vals * rule.weights))
+
+
+def _ray(degs, k, rule, seed):
+    sb = basis(BundleSpec(degs), k)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
+    G0 = l2_gram(sb, trivial_metric(sb.bundle), rule).matrix
+    return OnePSRay(sb, G0, 0.5 * (X + X.conj().T))
+
+
+@pytest.mark.parametrize("degs, k", [((1, -1), 1), ((2, 1, 0), 2)])
+def test_ray_derivative_matches_per_t_loop(degs, k, rule16, monkeypatch):
+    ray = _ray(degs, k, rule16, 12)
+    t_grid = np.linspace(0.0, 12.0, 5)
+    u = _gl_nodes(6)[0]
+    ts = (t_grid[:-1, None] + np.diff(t_grid)[:, None] * u).reshape(-1)
+    got = _deriv_at(ray, ts, rule16)
+    ref = np.array([_ray_deriv_reference(ray, t, rule16) for t in ts])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    assert _deriv_at(ray, ts[3], rule16) == got[3]
+    # chunks of 5 t-nodes give the same bits as one chunk
+    monkeypatch.setattr(asymptotics_mod, "_MAX_POINTS", 5 * rule16.n)
+    assert np.array_equal(_deriv_at(ray, ts, rule16), got)
+    # the cumulative energy against per-node sums of the reference
+    w = _gl_nodes(6)[1]
+    acc, want = 0.0, [0.0]
+    for i in range(len(t_grid) - 1):
+        acc += (t_grid[i + 1] - t_grid[i]) * sum(
+            wi * r for wi, r in zip(w, ref[6 * i : 6 * i + 6])
+        )
+        want.append(acc)
+    got_m = mdon_along_ray(ray, t_grid, rule16)
+    assert np.all(np.abs(got_m - want) <= 1e-12 * np.abs(want))

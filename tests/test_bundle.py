@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _utils import rand_pd
+from _utils import at, rand_pd
 from hebundle.bundle import (
     BundleSpec,
     ExplicitMetric,
@@ -15,28 +15,25 @@ from hebundle.bundle import (
     ScaledMetric,
     contracted_curvature_batch,
     delta_boundedness,
-    fd_curvature,
     fd_curvature_batch,
-    geodesic_interpolate,
     geodesic_interpolate_batch,
     geodesic_log_batch,
     he_residual,
     regularity,
     scale_normalize,
-    slope,
     transition_matrix,
     trivial_metric,
 )
-from hebundle.geometry import CHART_Z, SpherePoint, contract, sphere_point
+from hebundle.geometry import CHART_Z, SpherePoint, contract, point_arrays, sphere_point
 
 
 def test_spec_arithmetic():
     spec = BundleSpec((1, -1))
     assert spec.rank == 2 and spec.deg == 0
-    assert slope(spec) == Fraction(0)
+    assert spec.slope == Fraction(0)
     spec2 = BundleSpec((3, 2))
-    assert slope(spec2) == Fraction(5, 2)
-    assert isinstance(slope(spec2), Fraction)
+    assert spec2.slope == Fraction(5, 2)
+    assert isinstance(spec2.slope, Fraction)
 
 
 def test_regularity():
@@ -62,8 +59,8 @@ def test_trivial_metric_glues_across_charts():
     spec = BundleSpec((2, -1))
     h = trivial_metric(spec)
     z = 0.8 + 0.3j
-    hz = h.evaluate(SpherePoint(CHART_Z, z))
-    hw = h.evaluate(SpherePoint("W", 1.0 / z))
+    hz = at(h, SpherePoint(CHART_Z, z))
+    hw = at(h, SpherePoint("W", 1.0 / z))
     T = transition_matrix(spec, z)
     assert np.allclose(hw, T.conj().T @ hz @ T, atol=1e-12)
 
@@ -74,7 +71,7 @@ def test_trivial_metric_curvature():
         h = trivial_metric(BundleSpec((a,)))
         for z in (0.0, 0.5, 0.3 - 0.6j):
             p = sphere_point(z)
-            lam = contract(fd_curvature(h, p), p)
+            lam = contract(fd_curvature_batch(h, *point_arrays([p]))[0], p)
             assert lam[0, 0].real == pytest.approx(a, abs=5e-8)
 
 
@@ -96,15 +93,15 @@ def test_fd_curvature_batch_matches_pointwise(rule16):
     h = trivial_metric(BundleSpec((2, 0)))
     F = fd_curvature_batch(h, rule16.charts[:5], rule16.coords[:5])
     for i in range(5):
-        p = rule16.nodes[i]
-        assert np.allclose(F[i], fd_curvature(h, p), atol=1e-9)
+        one = fd_curvature_batch(h, rule16.charts[i : i + 1], rule16.coords[i : i + 1])
+        assert np.allclose(F[i], one[0], atol=1e-9)
 
 
 def test_scaled_metric():
     h = trivial_metric(BundleSpec((1,)))
     s = ScaledMetric(h, 2.5)
     p = sphere_point(0.4)
-    assert np.allclose(s.evaluate(p), 2.5 * h.evaluate(p))
+    assert np.allclose(at(s, p), 2.5 * at(h, p))
     with pytest.raises(ValueError):
         ScaledMetric(h, -1.0)
 
@@ -125,12 +122,12 @@ def test_geodesic_endpoints_and_midpoint():
     rng = np.random.default_rng(3)
     h0 = rand_pd(rng, 3)
     h1 = rand_pd(rng, 3)
-    assert np.allclose(geodesic_interpolate(h0, h1, 0.0), h0, atol=1e-12)
-    assert np.allclose(geodesic_interpolate(h0, h1, 1.0), h1, atol=1e-12)
+    assert np.allclose(geodesic_interpolate_batch(h0, h1, 0.0), h0, atol=1e-12)
+    assert np.allclose(geodesic_interpolate_batch(h0, h1, 1.0), h1, atol=1e-12)
     # the path is symmetric under (h0, h1, s) -> (h1, h0, 1-s)
     assert np.allclose(
-        geodesic_interpolate(h0, h1, 0.3),
-        geodesic_interpolate(h1, h0, 0.7),
+        geodesic_interpolate_batch(h0, h1, 0.3),
+        geodesic_interpolate_batch(h1, h0, 0.7),
         atol=1e-12,
     )
 
@@ -138,7 +135,7 @@ def test_geodesic_endpoints_and_midpoint():
 def test_geodesic_commuting_case():
     d0 = np.diag([1.0, 2.0])
     d1 = np.diag([4.0, 3.0])
-    got = geodesic_interpolate(d0, d1, 0.5)
+    got = geodesic_interpolate_batch(d0, d1, 0.5)
     assert np.allclose(got, np.diag([2.0, np.sqrt(6.0)]), atol=1e-12)
 
 
@@ -148,7 +145,7 @@ def test_geodesic_batch_matches_pointwise():
     h1 = np.stack([rand_pd(rng, 2) for _ in range(4)])
     got = geodesic_interpolate_batch(h0, h1, 0.4)
     for i in range(4):
-        assert np.allclose(got[i], geodesic_interpolate(h0[i], h1[i], 0.4), atol=1e-12)
+        assert np.allclose(got[i], geodesic_interpolate_batch(h0[i], h1[i], 0.4), atol=1e-12)
 
 
 def test_geodesic_log_batch_recovers_endpoint():
@@ -168,7 +165,7 @@ def test_geodesic_stays_positive_definite(seed, s):
     rng = np.random.default_rng(seed)
     h0 = rand_pd(rng, 3, scale=0.6)
     h1 = rand_pd(rng, 3, scale=0.6)
-    hs = geodesic_interpolate(h0, h1, s)
+    hs = geodesic_interpolate_batch(h0, h1, s)
     assert np.allclose(hs, hs.conj().T)
     assert np.min(np.linalg.eigvalsh(hs)) > 0
 
@@ -186,7 +183,7 @@ def test_scale_normalize_and_delta(rule16):
     h = ScaledMetric(h0, 3.0)
     hn, c = scale_normalize(h, h0, rule16)
     assert c == pytest.approx(3.0, abs=1e-12)
-    assert np.allclose(hn.evaluate(sphere_point(0.2)), np.eye(2), atol=1e-12)
+    assert np.allclose(at(hn, sphere_point(0.2)), np.eye(2), atol=1e-12)
     # constant multiples have delta-ratio 1
     assert delta_boundedness(h, h0, rule16) == pytest.approx(1.0, abs=1e-12)
 

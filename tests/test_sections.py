@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from _utils import rand_pd
-from hebundle.bundle import BundleSpec, fd_curvature, transition_matrix, trivial_metric
-from hebundle.geometry import CHART_W, CHART_Z, SpherePoint, sphere_point
+from _utils import at, rand_pd
+from hebundle.bundle import BundleSpec, fd_curvature_batch, transition_matrix, trivial_metric
+from hebundle.geometry import CHART_W, CHART_Z, SpherePoint, point_arrays, sphere_point
 from hebundle.sections import (
     FSMetric,
     PositiveForm,
@@ -15,7 +15,6 @@ from hebundle.sections import (
     bergman_kernel,
     eval_matrix,
     fs_identity_defect,
-    fs_metric,
     fs_pointwise_bound_audit,
     l2_gram,
 )
@@ -75,7 +74,7 @@ def test_fs_metric_identity_form_closed_form():
     for z in (0.0, 0.5, 0.2 - 0.7j):
         denom = sum(abs(z) ** (2 * j) for j in range(k + 1))
         want = (1.0 + abs(z) ** 2) ** k / denom
-        got = h.evaluate(SpherePoint(CHART_Z, z))[0, 0].real
+        got = at(h, SpherePoint(CHART_Z, z))[0, 0].real
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -85,8 +84,8 @@ def test_fs_metric_glues_across_charts():
     rng = np.random.default_rng(11)
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
     z = 0.6 + 0.5j
-    hz = h.evaluate(SpherePoint(CHART_Z, z))
-    hw = h.evaluate(SpherePoint(CHART_W, 1.0 / z))
+    hz = at(h, SpherePoint(CHART_Z, z))
+    hw = at(h, SpherePoint(CHART_W, 1.0 / z))
     T = transition_matrix(spec, z)
     assert np.allclose(hw, T.conj().T @ hz @ T, atol=1e-10)
 
@@ -98,7 +97,7 @@ def test_fs_metric_ginv_factor_roundtrip():
     h1 = FSMetric(sb, G=G)
     h2 = FSMetric(sb, ginv_factor=h1.W)
     p = sphere_point(0.3 + 0.1j)
-    assert np.allclose(h1.evaluate(p), h2.evaluate(p), atol=1e-12)
+    assert np.allclose(at(h1, p), at(h2, p), atol=1e-12)
     assert np.allclose(h2.G, G, atol=1e-12)
 
 
@@ -107,8 +106,11 @@ def test_fs_closed_form_curvature_matches_fd(rule16):
     sb = basis(spec, 2)
     rng = np.random.default_rng(9)
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
-    for p in [sphere_point(z) for z in (0.1, 0.5j, -0.4 + 0.3j)]:
-        assert np.allclose(h.curvature_coeff(p), fd_curvature(h, p), atol=1e-6)
+    charts, coords = point_arrays([sphere_point(z) for z in (0.1, 0.5j, -0.4 + 0.3j)])
+    closed = h.curvature_coeff(charts, coords)
+    fd = fd_curvature_batch(h, charts, coords)
+    for i in range(3):
+        assert np.allclose(closed[i], fd[i], atol=1e-6)
 
 
 def test_fs_connection_matches_fd():
@@ -116,14 +118,14 @@ def test_fs_connection_matches_fd():
     rng = np.random.default_rng(13)
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
     p = sphere_point(0.35 - 0.2j)
-    closed = h.connection_coeff(p)
+    closed = h.connection_coeff(*point_arrays([p]))[0]
     # compare the closed form against finite differences of the metric
     x0 = p.coord
     dl = 1e-4
     offs = np.array([-2, -1, 0, 1, 2])
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    vx = np.array([h.evaluate(SpherePoint(p.chart, x0 + o * dl)) for o in offs])
-    vy = np.array([h.evaluate(SpherePoint(p.chart, x0 + 1j * o * dl)) for o in offs])
+    vx = np.array([at(h, SpherePoint(p.chart, x0 + o * dl)) for o in offs])
+    vy = np.array([at(h, SpherePoint(p.chart, x0 + 1j * o * dl)) for o in offs])
     hz = 0.5 * (
         np.tensordot(w1, vx, axes=(0, 0)) - 1j * np.tensordot(w1, vy, axes=(0, 0))
     ) / dl
@@ -144,8 +146,12 @@ def test_bergman_kernel_flat_line_bundle(rule24):
     assert rep["N"] == 5
     assert rep["raw_sup_dev"] < 1e-9
     assert rep["sup_dev"] < 1e-9
+    # the raw kernel h fs^-1 at a point, with fs the FS metric of the L2 form
     p = sphere_point(0.3)
-    assert rep["raw_field"].evaluate(p)[0, 0].real == pytest.approx(5.0, abs=1e-9)
+    h = trivial_metric(BundleSpec((0,)))
+    fs = FSMetric(basis(h.bundle, 4), G=rep["gram"].matrix)
+    raw = at(h, p) @ np.linalg.inv(at(fs, p))
+    assert raw[0, 0].real == pytest.approx(5.0, abs=1e-9)
 
 
 def test_bergman_kernel_decreasing_for_smooth_metric(rule24):
@@ -172,5 +178,6 @@ def test_fs_pointwise_bound_audit():
 
 def test_fs_metric_helper():
     sb = basis(BundleSpec((0,)), 1)
-    h = fs_metric(sb, np.eye(2))
+    h = FSMetric(sb, G=np.eye(2))
     assert isinstance(h, FSMetric)
+    assert np.array_equal(h.G, np.eye(2))

@@ -11,6 +11,7 @@ import pytest
 
 from _utils import rand_pd
 from hebundle.bundle import BundleSpec, he_residual, trivial_metric
+from hebundle.geometry import build_quadrature
 from hebundle.sections import FSMetric, basis, l2_gram
 from hebundle.solver import (
     SolveOptions,
@@ -133,3 +134,24 @@ def test_minimize_is_independent_of_blas_threads():
         outs.append(proc.stdout.split())
     assert len(outs[0]) == 4
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("ulps", [1, -1])
+def test_diverging_solve_ignores_last_bit_of_normalization(monkeypatch, ulps):
+    # along the escape ray of O(1)+O(-1) the gradient is constant, so the
+    # Barzilai-Borwein curvature s.y is rounding noise; the iterations and
+    # the energy history must not depend on the last bit of the
+    # normalization constant
+    import hebundle.bundle as bundle_mod
+
+    rule = build_quadrature(12, 12)
+    spec = BundleSpec((1, -1))
+    ref = minimize(spec, SolveOptions(k=2, max_iter=300), rule)
+    orig = bundle_mod._relative_eigs
+    monkeypatch.setattr(
+        bundle_mod, "_relative_eigs", lambda *a: orig(*a) * (1.0 + ulps * 2.0**-52)
+    )
+    got = minimize(spec, SolveOptions(k=2, max_iter=300), rule)
+    assert ref.status == got.status == "diverging"
+    assert len(got.history) == len(ref.history)
+    assert np.allclose(got.mdon_history, ref.mdon_history, rtol=1e-12, atol=0.0)

@@ -1,0 +1,52 @@
+"""Every callable the benchmark traces exists under its traced name.
+
+perfbench/tracing.py wraps hebundle callables by name when a benchmark
+runs with ``--trace 1``; a rename in the package would fail only there.
+This test reads the traced names from that file (without changing it)
+and fails on the rename at once.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _module(name):
+    return importlib.import_module(f"hebundle.{name}")
+
+
+def test_traced_callables_exist():
+    tr = _tracing()
+    missing = []
+    for name in tr.TRACED:
+        module, _, attr = name.partition(".")
+        mod = _module(module)
+        if module == "cli" and attr in tr.CLI_COMMANDS:
+            found = callable(mod._IMPL.get(attr))
+        elif "." in attr:
+            # methods are wrapped on the class that defines them
+            cls_name, meth = attr.split(".")
+            cls = vars(mod).get(cls_name)
+            found = isinstance(cls, type) and callable(cls.__dict__.get(meth))
+        else:
+            found = callable(vars(mod).get(attr))
+        if not found:
+            missing.append(name)
+    assert not missing, f"traced names missing from hebundle: {missing}"
+
+
+def test_known_bindings_exist():
+    tr = _tracing()
+    for module, attr in tr.KNOWN_BINDINGS:
+        assert callable(vars(_module(module)).get(attr)), f"{module}.{attr}"
+    for module, cls_name, home in tr.KNOWN_CLASS_BINDINGS:
+        assert getattr(_module(module), cls_name) is getattr(_module(home), cls_name)
