@@ -22,28 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
-from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator
-from .geometry import QuadratureRule, contract_batch, point_arrays, tree_sum
+from .bundle import BundleSpec, MetricEvaluator
+from .geometry import QuadratureRule, gauss_legendre01, point_arrays
 from .quot import WeightSpec, filtration, jna as exact_jna
 from .sections import (
     FSMetric,
     SectionBasis,
     _as_matrix,
-    _equilibrated_inverse,
-    _fs_curvature,
     eval_matrix_batch,
+    fs_path_rate,
 )
-
-_GL_CACHE: dict = {}
-
-
-def _gl01(n: int):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[n]
 
 
 @dataclass
@@ -100,33 +89,22 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     """dM/dt along the ray: a float for a scalar t, an array for a 1-D
     array of t.
 
-    The integral of tr(h^-1 dh/dt (contracted curvature - slope)) with
-    h^-1 dh/dt = (Z Y* + Y Z*) A^-1, Y = S W_t and Z = -S zeta W_t.  The
-    sections are evaluated once; the t-nodes go in chunks of at most
-    _MAX_POINTS (t-node, sphere-node) points.
+    h^-1 dh/dt = (Z Y* + Y Z*) A^-1 with Y = S W_t and Z = -S zeta W_t;
+    the sections are evaluated once.
     """
-    ts = np.asarray(t, dtype=float)
     S, S1 = eval_matrix_batch(ray.sb, rule.charts, rule.coords)
     shape = S.shape
     # the section factors as (n r) x N matrices: one product with W_t per
     # factor and t-node is far faster than n small ones
     S, S1 = S.reshape(-1, shape[-1]), S1.reshape(-1, shape[-1])
     SZ = S @ (-ray.zeta)
-    mu = float(ray.sb.bundle.slope)
-    res_shift = mu * np.eye(ray.sb.bundle.rank)
-    flat = ts.reshape(-1)
-    out = np.empty(flat.shape)
-    step = max(1, _MAX_POINTS // rule.n)
-    for lo in range(0, len(flat), step):
-        Wt = [ray.gram_factor(tt) for tt in flat[lo : lo + step]]
+
+    def factors(ts):
+        Wt = [ray.gram_factor(tt) for tt in ts]
         Y, Y1, Z = (np.array([M @ W for W in Wt]).reshape((-1,) + shape) for M in (S, S1, SZ))
-        Ainv = _equilibrated_inverse(Y)
-        F = _fs_curvature(Y, Y1, Ainv, rule.coords, ray.sb.k)
-        res = contract_batch(F, rule.coords) - res_shift
-        u = (Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()) @ Ainv
-        vals = np.einsum("...ij,...ji->...", u, res).real
-        out[lo : lo + step] = tree_sum((vals * rule.weights).T)
-    return float(out[0]) if ts.ndim == 0 else out
+        return Y, Y1, Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()
+
+    return fs_path_rate(ray.sb, rule, t, factors)
 
 
 def mdon_along_ray(
@@ -138,7 +116,7 @@ def mdon_along_ray(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must start at 0 and increase")
-    u, w = _gl01(seg_order)
+    u, w = gauss_legendre01(seg_order)
     a, b = t_grid[:-1, None], t_grid[1:, None]
     derivs = _deriv_at(ray, (a + (b - a) * u).reshape(-1), rule).reshape(-1, len(u))
     out = np.empty(len(t_grid))

@@ -21,6 +21,7 @@ from .geometry import (
     CHART_Z,
     QuadratureRule,
     SpherePoint,
+    contract_batch,
     point_arrays,
     tree_sum,
 )
@@ -77,7 +78,6 @@ class MetricEvaluator:
     """
 
     bundle: BundleSpec
-    family: str = "generic"
 
     def evaluate(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -87,8 +87,7 @@ class MetricEvaluator:
         (n, r, r) each; finite-difference curvature unless overridden."""
         coords = np.asarray(coords, dtype=complex)
         F = fd_curvature_batch(self, charts, coords)
-        scale = (1.0 + np.abs(coords) ** 2) ** 2
-        return self.evaluate(charts, coords), F * scale[:, None, None]
+        return self.evaluate(charts, coords), contract_batch(F, coords)
 
     def check_point(self, p: SpherePoint) -> np.ndarray:
         m = self.evaluate(*point_arrays([p]))[0]
@@ -103,8 +102,6 @@ class MetricEvaluator:
 class ExplicitMetric(MetricEvaluator):
     """Metric given by an explicit function (chart, coord) -> matrix,
     called once per point."""
-
-    family = "explicit"
 
     def __init__(self, bundle: BundleSpec, fn):
         self.bundle = bundle
@@ -121,8 +118,6 @@ class ExplicitMetric(MetricEvaluator):
 
 class _StandardMetric(MetricEvaluator):
     """diag((1+|coord|^2)^(-a_i)) in either chart."""
-
-    family = "explicit"
 
     def __init__(self, bundle: BundleSpec):
         self.bundle = bundle
@@ -146,8 +141,6 @@ def trivial_metric(bundle: BundleSpec) -> MetricEvaluator:
 
 
 class ScaledMetric(MetricEvaluator):
-    family = "scaled"
-
     def __init__(self, base: MetricEvaluator, factor: float):
         if factor <= 0:
             raise ValueError("scale factor must be positive")
@@ -196,8 +189,6 @@ def geodesic_log_batch(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
 
 
 class GeodesicMetric(MetricEvaluator):
-    family = "geodesic"
-
     def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, s: float):
         if h0.bundle.degrees != h1.bundle.degrees:
             raise ValueError("geodesic endpoints live on different bundles")
@@ -265,20 +256,19 @@ def fd_curvature_batch(
     return hinv @ hzb @ hinv @ hz - hinv @ hzzb
 
 
-def contracted_curvature_batch(h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
-    """Lambda-contracted curvature at all rule nodes, shape (n, r, r)."""
-    return h.evaluate_with_curvature(rule.charts, rule.coords)[1]
+def _he_defect(h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
+    """Einstein defect res = contracted curvature - slope at every node,
+    made hermitian with respect to h: 0.5 (res + h^-1 res* h)."""
+    mu = float(h.bundle.slope)
+    hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
+    res = lam - mu * np.eye(h.bundle.rank)
+    hinv = np.linalg.inv(hv)
+    return 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
 
 
 def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
     """Sup and L2 norms of the Einstein defect."""
-    mu = float(h.bundle.slope)
-    hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
-    r = h.bundle.rank
-    res = lam - mu * np.eye(r)
-    hinv = np.linalg.inv(hv)
-    # make the defect hermitian with respect to h before taking norms
-    res_h = 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
+    res_h = _he_defect(h, rule)
     sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
     tr_sq = np.einsum("nij,nji->n", res_h, res_h).real
     l2 = float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))

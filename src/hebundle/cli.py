@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import BundleSpec, regularity, trivial_metric
-from .geometry import build_quadrature, sphere_point
+from .geometry import build_quadrature
 from .quot import WeightSpec, block_weightspec, report_to_json, _frac_str
 from .sections import FSMetric, basis, bergman_kernel, l2_gram
 

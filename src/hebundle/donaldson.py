@@ -10,35 +10,29 @@ pointwise exponentials otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import (
     _D1,
-    _MAX_POINTS,
     _OFF,
     GeodesicMetric,
     MetricEvaluator,
+    _he_defect,
     _hermitize,
     fd_curvature_batch,
     fd_derivatives,
     geodesic_log_batch,
 )
 from .geometry import (
-    CHART_Z,
     QuadratureRule,
     contract_batch,
+    gauss_legendre01,
     point_arrays,
     tree_sum,
 )
-from .sections import (
-    FSMetric,
-    SectionBasis,
-    _equilibrated_inverse,
-    _fs_curvature,
-    eval_matrix_batch,
-)
+from .sections import FSMetric, SectionBasis, eval_matrix_batch, fs_path_rate
 
 
 class BergmanPath:
@@ -47,8 +41,6 @@ class BergmanPath:
     G_t = G0^(1/2) (G0^(-1/2) G1 G0^(-1/2))^t G0^(1/2); both G_t^-1 and
     dG/dt admit stable factorized expressions.
     """
-
-    kind = "bergman"
 
     def __init__(self, sb: SectionBasis, G0, G1, t_order: int = 16):
         from .sections import _as_matrix
@@ -83,34 +75,22 @@ class BergmanPath:
         """dM/dt along the path: a float for a scalar t, an array for a
         1-D array of t.
 
-        W_t = base diag(lam^(-t/2)), so T_t = (S base) diag(lam^(-t/2))
+        W_t = base diag(lam^(-t/2)), so Y = S W_t = (S base) diag(lam^(-t/2))
         and S K_t S* = (S base) diag(lam^(-t) log lam) (S base)*; the
-        t-nodes are evaluated in chunks of at most _MAX_POINTS points.
+        sections are evaluated once.
         """
-        ts = np.asarray(t, dtype=float)
         S, S1 = eval_matrix_batch(self.sb, rule.charts, rule.coords)
         SB = S @ self._base
         S1B = S1 @ self._base
         SBc = np.swapaxes(SB, -1, -2).conj()
-        mu = float(self.sb.bundle.slope)
-        res_shift = mu * np.eye(self.sb.bundle.rank)
-        flat = ts.reshape(-1)
-        out = np.empty(flat.shape)
-        step = max(1, _MAX_POINTS // rule.n)
-        for lo in range(0, len(flat), step):
-            tc = flat[lo : lo + step, None]
+
+        def factors(ts):
+            tc = ts[:, None]
             c = (self._lam ** (-0.5 * tc))[:, None, None, :]
-            T = SB * c
-            T1 = S1B * c
-            Ainv = _equilibrated_inverse(T)
-            F = _fs_curvature(T, T1, Ainv, rule.coords, self.sb.k)
-            res = contract_batch(F, rule.coords) - res_shift
-            # h^-1 dh/dt = S K_t S* A^-1
             d = (self._lam ** (-tc) * self._loglam)[:, None, None, :]
-            u = (SB * d) @ SBc @ Ainv
-            vals = np.einsum("...ij,...ji->...", u, res).real
-            out[lo : lo + step] = tree_sum((vals * rule.weights).T)
-        return float(out[0]) if ts.ndim == 0 else out
+            return SB * c, S1B * c, (SB * d) @ SBc
+
+        return fs_path_rate(self.sb, rule, t, factors)
 
     def vfield_at(self, t: float):
         """The velocity h^-1 dh/dt = S K_t S* A^-1 at t, as a batched
@@ -128,8 +108,6 @@ class BergmanPath:
 class PointwiseExponentialPath:
     """Pointwise geodesic between two arbitrary metric evaluators."""
 
-    kind = "pointwise_exp"
-
     def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, t_order: int = 12):
         if h0.bundle.degrees != h1.bundle.degrees:
             raise ValueError("path endpoints live on different bundles")
@@ -142,32 +120,23 @@ class PointwiseExponentialPath:
     def metric_at(self, t: float) -> MetricEvaluator:
         return GeodesicMetric(self.h0, self.h1, t)
 
-    def _node_logs(self, rule: QuadratureRule):
-        # keyed on the rule object itself, which the cache keeps alive:
-        # an id could be recycled by a new rule
-        if getattr(self, "_cache_rule", None) is not rule:
-            h0v = self.h0.evaluate(rule.charts, rule.coords)
-            h1v = self.h1.evaluate(rule.charts, rule.coords)
-            self._cache_rule = rule
-            self._cache = geodesic_log_batch(h0v, h1v)
-        return self._cache
-
     def deriv_integrand(self, t, rule: QuadratureRule):
         """dM/dt along the path: a float for a scalar t, an array for a
-        1-D array of t."""
+        1-D array of t; the node logs are taken once per call."""
         ts = np.asarray(t, dtype=float)
-        out = np.array([self._deriv_one(s, rule) for s in ts.reshape(-1)])
+        v = geodesic_log_batch(
+            self.h0.evaluate(rule.charts, rule.coords),
+            self.h1.evaluate(rule.charts, rule.coords),
+        )
+        out = np.array([self._deriv_one(s, v, rule) for s in ts.reshape(-1)])
         return float(out[0]) if ts.ndim == 0 else out
 
-    def _deriv_one(self, t: float, rule: QuadratureRule) -> float:
+    def _deriv_one(self, t: float, v: np.ndarray, rule: QuadratureRule) -> float:
         ht = self.metric_at(t)
         mu = float(self.h0.bundle.slope)
         r = self.h0.bundle.rank
-        v = self._node_logs(rule)
         m = ht.evaluate(rule.charts, rule.coords)
-        F = fd_curvature_batch(ht, rule.charts, rule.coords)
-        scale = (1.0 + np.abs(rule.coords) ** 2) ** 2
-        lam = F * scale[:, None, None]
+        lam = contract_batch(fd_curvature_batch(ht, rule.charts, rule.coords), rule.coords)
         res = lam - mu * np.eye(r)
         vals = np.einsum("nij,njk,nkl,nli->n", np.linalg.inv(m), v, m, res).real
         return float(tree_sum(vals * rule.weights))
@@ -190,11 +159,6 @@ def _path_for(h1: MetricEvaluator, h0: MetricEvaluator, t_order: int = 16):
     return PointwiseExponentialPath(h0, h1, t_order=min(t_order, 12))
 
 
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def donaldson(
     h1: MetricEvaluator,
     h0: MetricEvaluator,
@@ -210,7 +174,7 @@ def donaldson(
     order = path.t_order
     prev = None
     for _ in range(4):
-        tn, tw = _gl_nodes(order)
+        tn, tw = gauss_legendre01(order)
         val = float(sum(w * v for w, v in zip(tw, path.deriv_integrand(tn, rule))))
         if prev is not None and abs(val - prev) < tol:
             return val
@@ -263,10 +227,10 @@ def second_derivative_geodesic(
     vals = coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2
     formula = float(tree_sum(vals * rule.weights))
 
-    path = PointwiseExponentialPath(h0, h1)
     eps = 0.05
-    stencil = [(o, c) for o, c in zip(_OFF, _D1) if c != 0.0]
-    fd = sum(c * path.deriv_integrand(s + o * eps, rule) for o, c in stencil) / eps
+    nz = _D1 != 0.0
+    derivs = PointwiseExponentialPath(h0, h1).deriv_integrand(s + _OFF[nz] * eps, rule)
+    fd = sum(c * d for c, d in zip(_D1[nz], derivs)) / eps
     return {"formula": formula, "fd": float(fd)}
 
 
@@ -302,41 +266,33 @@ def c_delta(delta: float) -> float:
 
 def he_defect_norm(h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """L2 size of the Einstein defect with its scalar average removed."""
-    mu = float(h0.bundle.slope)
     r = h0.bundle.rank
-    hv, lam = h0.evaluate_with_curvature(rule.charts, rule.coords)
-    hinv = np.linalg.inv(hv)
-    res = lam - mu * np.eye(r)
-    res = 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
+    res = _he_defect(h0, rule)
     avg = tree_sum(np.einsum("nii->n", res).real * rule.weights) / r
     res = res - avg * np.eye(r)
     tr_sq = np.einsum("nij,nji->n", res, res).real
     return float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))
 
 
-def _harmonic_family(max_deg: int):
-    """Smooth scalar functions z^m (1+|z|^2)^-l, m <= l <= max_deg, with
-    their d/dx-bar derivatives, chart-aware."""
-    fams = []
+def _harmonic_family(max_deg: int, charts, coords):
+    """Smooth scalar functions z^m (1+|z|^2)^-l, m <= l <= max_deg, and
+    their d/dx-bar derivatives at every point, in the point's chart;
+    arrays of shape (number of functions, n)."""
+    x = np.asarray(coords, dtype=complex)
+    xb = np.conj(x)
+    s = 1.0 + np.abs(x) ** 2
+    vals, dbars = [], []
     for l in range(max_deg + 1):
+        q, q1 = s ** (-l), s ** (-l - 1)
         for m in range(l + 1):
-            fams.append((l, m))
-
-    def val(l, m, chart, x):
-        q = (1.0 + abs(x) ** 2) ** (-l)
-        if chart == CHART_Z:
-            return x**m * q
-        return np.conj(x) ** l * x ** (l - m) * q
-
-    def dbar(l, m, chart, x):
-        if chart == CHART_Z:
-            return -l * x ** (m + 1) * (1.0 + abs(x) ** 2) ** (-l - 1)
-        xb = np.conj(x)
-        t1 = l * xb ** (l - 1) * x ** (l - m) * (1.0 + abs(x) ** 2) ** (-l) if l >= 1 else 0.0
-        t2 = -l * xb**l * x ** (l - m + 1) * (1.0 + abs(x) ** 2) ** (-l - 1)
-        return t1 + t2
-
-    return fams, val, dbar
+            val_z = x**m * q
+            val_w = xb**l * x ** (l - m) * q
+            dbar_z = -l * x ** (m + 1) * q1
+            t1 = l * xb ** (l - 1) * x ** (l - m) * q if l >= 1 else 0.0
+            dbar_w = t1 - l * xb**l * x ** (l - m + 1) * q1
+            vals.append(np.where(charts, val_z, val_w))
+            dbars.append(np.where(charts, dbar_z, dbar_w))
+    return np.array(vals), np.array(dbars)
 
 
 def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) -> float:
@@ -344,51 +300,24 @@ def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) 
     endomorphism fields spanned by scalar harmonics times constant
     matrices (Rayleigh-Ritz upper bound)."""
     r = h0.bundle.rank
-    fams, val, dbar = _harmonic_family(max_deg)
-    nf = len(fams)
+    fvals, dvals = _harmonic_family(max_deg, rule.charts, rule.coords)
+    dim = len(fvals) * r * r
     hv = h0.evaluate(rule.charts, rule.coords)
     hinv = np.linalg.inv(hv)
     gup = (1.0 + np.abs(rule.coords) ** 2) ** 2
-    # scalar-function Gram blocks, then tensor with matrix pairings
-    fvals = np.empty((nf, rule.n), dtype=complex)
-    dvals = np.empty((nf, rule.n), dtype=complex)
-    for a, (l, m) in enumerate(fams):
-        for i, p in enumerate(rule.nodes):
-            fvals[a, i] = val(l, m, p.chart, p.coord)
-            dvals[a, i] = dbar(l, m, p.chart, p.coord)
-    # matrix basis: elementary matrices; pairing tr(Ea h^-1 Eb^† h)
-    mats = [np.zeros((r, r), dtype=complex) for _ in range(r * r)]
-    for idx in range(r * r):
-        mats[idx][idx // r, idx % r] = 1.0
-    pair = np.empty((rule.n, r * r, r * r), dtype=complex)
-    for i in range(rule.n):
-        for a in range(r * r):
-            for b in range(r * r):
-                pair[i, a, b] = np.trace(
-                    mats[a] @ hinv[i] @ mats[b].conj().T @ hv[i]
-                )
+    # pairing of the elementary matrices E_pq and E_st at every node:
+    # tr(E_pq h^-1 E_st^* h) = (h^-1)_qt h_sp
+    pair = np.einsum("nqt,nsp->npqst", hinv, hv).reshape(rule.n, r * r, r * r)
+    # Gram matrices of the trial fields f_a E_i against f_b E_j
     w = rule.weights
-    dim = nf * r * r
-    Q = np.zeros((dim, dim), dtype=complex)
-    M = np.zeros((dim, dim), dtype=complex)
-    for a in range(nf):
-        for b in range(nf):
-            fa_fb = fvals[a] * np.conj(fvals[b])
-            da_db = dvals[a] * np.conj(dvals[b]) * gup
-            Mblock = np.einsum("n,nab->ab", w * fa_fb, pair)
-            Qblock = np.einsum("n,nab->ab", w * da_db, pair)
-            M[a * r * r : (a + 1) * r * r, b * r * r : (b + 1) * r * r] = Mblock
-            Q[a * r * r : (a + 1) * r * r, b * r * r : (b + 1) * r * r] = Qblock
-    import scipy.linalg
-
-    M = 0.5 * (M + M.conj().T)
-    Q = 0.5 * (Q + Q.conj().T)
+    M = np.einsum("an,bn,nij->aibj", fvals * w, fvals.conj(), pair, optimize=True)
+    Q = np.einsum("an,bn,nij->aibj", dvals * (w * gup), dvals.conj(), pair, optimize=True)
+    M, Q = _hermitize(M.reshape(dim, dim)), _hermitize(Q.reshape(dim, dim))
     # drop near-dependent trial vectors
     wM, vM = np.linalg.eigh(M)
     keep = wM > 1e-10 * wM[-1]
     B = vM[:, keep] / np.sqrt(wM[keep])
-    Qr = B.conj().T @ Q @ B
-    ev = np.linalg.eigvalsh(0.5 * (Qr + Qr.conj().T))
+    ev = np.linalg.eigvalsh(_hermitize(B.conj().T @ Q @ B))
     nonzero = ev[ev > 1e-8 * max(1.0, ev[-1])]
     if len(nonzero) == 0:
         raise RuntimeError("trial space saw only the kernel; enlarge it")

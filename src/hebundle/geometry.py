@@ -69,30 +69,24 @@ def omega_coefficient(p: SpherePoint) -> float:
     return 1.0 / (1.0 + abs(p.coord) ** 2) ** 2
 
 
-def contract(form_coeff, p: SpherePoint):
-    """Contract a (1,1)-coefficient against the area form.
-
-    `form_coeff` is the coefficient g of (i/2pi) g dz^dz-bar in the
-    point's chart (scalar or matrix); returns g * (1+|coord|^2)^2 so the
-    area form itself contracts to 1.
-    """
-    s = (1.0 + abs(p.coord) ** 2) ** 2
-    return form_coeff * s
-
-
 def contract_batch(form_coeff: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """`contract` at every node: matrix coefficients whose node axis,
-    matching `coords`, comes just before the two matrix axes."""
+    """Contract (1,1)-coefficients against the area form at every node.
+
+    `form_coeff` holds the coefficients g of (i/2pi) g dz^dz-bar in each
+    node's chart, with the node axis, matching `coords`, just before the
+    two matrix axes; returns g * (1+|coord|^2)^2, so the area form itself
+    contracts to 1."""
     return form_coeff * ((1.0 + np.abs(coords) ** 2) ** 2)[:, None, None]
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    nodes: tuple
-    weights: np.ndarray
-    # cached flat arrays for vectorized evaluation
+    """Nodes as flat arrays: chart coordinates, charts (True where chart
+    Z) and weights."""
+
     coords: np.ndarray
-    charts: np.ndarray  # boolean, True where chart Z
+    charts: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -100,7 +94,7 @@ class QuadratureRule:
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.coords)
 
 
 def build_quadrature(n_colat: int, n_angle: int) -> QuadratureRule:
@@ -109,33 +103,27 @@ def build_quadrature(n_colat: int, n_angle: int) -> QuadratureRule:
     Gauss-Legendre with n_colat points in u = |z|^2/(1+|z|^2) on [0,1],
     uniform (trapezoid on the periodic circle) with n_angle points in the
     angle.  In these variables the area form is du dtheta / 2pi, so the
-    weights are gl_weight / n_angle.
+    weights are gl_weight / n_angle.  Each node is held canonically, as
+    `sphere_point` holds it.
     """
     if n_colat < 4 or n_angle < 4:
         raise ValueError("need n_colat >= 4 and n_angle >= 4")
-    x, wu = np.polynomial.legendre.leggauss(n_colat)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * wu
+    u, wu = gauss_legendre01(n_colat)
     theta = 2.0 * np.pi * np.arange(n_angle) / n_angle
     r = np.sqrt(u / (1.0 - u))
-    nodes = []
-    coords = []
-    charts = []
-    weights = []
-    for ri, wi in zip(r, wu):
-        for th in theta:
-            z = ri * np.exp(1j * th)
-            p = sphere_point(z)
-            nodes.append(p)
-            coords.append(p.coord)
-            charts.append(p.chart == CHART_Z)
-            weights.append(wi / n_angle)
-    return QuadratureRule(
-        nodes=tuple(nodes),
-        weights=np.array(weights),
-        coords=np.array(coords, dtype=complex),
-        charts=np.array(charts, dtype=bool),
-    )
+    z = (r[:, None] * np.exp(1j * theta)).reshape(-1)
+    # hypot rounds as the scalar abs(z) does; np.abs can differ in the last bit
+    charts = np.hypot(z.real, z.imag) <= 1.0
+    # the scalar complex reciprocal of sphere_point: numpy's 1/z can differ
+    # from it in the last bit
+    z[~charts] = [1.0 / x for x in z[~charts].tolist()]
+    return QuadratureRule(coords=z, charts=charts, weights=np.repeat(wu / n_angle, n_angle))
+
+
+def gauss_legendre01(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def tree_sum(values: np.ndarray):
@@ -151,22 +139,13 @@ def tree_sum(values: np.ndarray):
     return a[0]
 
 
-def integrate(f, rule: QuadratureRule):
-    """Integrate a pointwise evaluator against the area form."""
-    vals = []
-    for p in rule.nodes:
-        v = f(p)
-        if not np.all(np.isfinite(v)):
-            raise RuntimeError(f"non-finite integrand value at node {p}")
-        vals.append(v)
-    vals = np.array(vals)
-    return tree_sum(vals * rule.weights.reshape((-1,) + (1,) * (vals.ndim - 1)))
-
-
 def integrate_values(values: np.ndarray, rule: QuadratureRule):
-    """Tree-reduce precomputed node values (axis 0 = nodes)."""
+    """Integrate node values (axis 0 = nodes) against the area form, by a
+    deterministic tree reduction."""
     values = np.asarray(values)
     if values.shape[0] != rule.n:
         raise ValueError("value array does not match rule size")
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError("non-finite integrand value")
     w = rule.weights.reshape((-1,) + (1,) * (values.ndim - 1))
     return tree_sum(values * w)

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import BundleSpec, MetricEvaluator, regularity
+from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, regularity
 from .geometry import (
     QuadratureRule,
     SpherePoint,
     contract_batch,
     integrate_values,
     point_arrays,
+    tree_sum,
 )
 
 
@@ -140,14 +141,38 @@ def _fs_curvature(T, T1, Ainv, coords, k: int) -> np.ndarray:
     return term - k * omega_c[:, None, None] * np.eye(r)
 
 
+def fs_path_rate(sb: SectionBasis, rule: QuadratureRule, t, factors):
+    """dM/dt along a path of FS metrics G_t: a float for a scalar t, an
+    array for a 1-D array of t.
+
+    The integral of tr(h^-1 dh/dt (contracted curvature - slope)) with
+    h^-1 dh/dt = V A^-1.  `factors(ts)` returns, for a 1-D array of t and
+    every node, Y = S W_t and Y1 = S' W_t, where G_t^-1 = W_t W_t*, and
+    V = -S (dG_t^-1/dt) S*, shapes (m, n, r, N) and (m, n, r, r).  The
+    t-nodes go in chunks of at most _MAX_POINTS (t-node, sphere-node)
+    points; the values do not depend on the chunking.
+    """
+    ts = np.asarray(t, dtype=float)
+    res_shift = float(sb.bundle.slope) * np.eye(sb.bundle.rank)
+    flat = ts.reshape(-1)
+    out = np.empty(flat.shape)
+    step = max(1, _MAX_POINTS // rule.n)
+    for lo in range(0, len(flat), step):
+        Y, Y1, V = factors(flat[lo : lo + step])
+        Ainv = _equilibrated_inverse(Y)
+        F = _fs_curvature(Y, Y1, Ainv, rule.coords, sb.k)
+        res = contract_batch(F, rule.coords) - res_shift
+        vals = np.einsum("...ij,...ji->...", V @ Ainv, res).real
+        out[lo : lo + step] = tree_sum((vals * rule.weights).T)
+    return float(out[0]) if ts.ndim == 0 else out
+
+
 class FSMetric(MetricEvaluator):
     """Metric induced by a positive form on the level-k section space.
 
     Stored through an inverse-form factor W with G^-1 = W W*, which
     stays usable even when G itself is extremely ill-conditioned.
     """
-
-    family = "fs"
 
     def __init__(self, sb: SectionBasis, G=None, ginv_factor: np.ndarray | None = None):
         self.bundle = sb.bundle

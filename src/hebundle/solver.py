@@ -25,7 +25,7 @@ from .bundle import (
     trivial_metric,
 )
 from .donaldson import BergmanPath, donaldson
-from .geometry import QuadratureRule, contract_batch, integrate_values, tree_sum
+from .geometry import QuadratureRule, contract_batch, integrate_values
 from .sections import FSMetric, SectionBasis, basis, l2_gram
 
 

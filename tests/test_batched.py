@@ -2,7 +2,8 @@
 
 The reference functions below are the loop and einsum forms of the
 energy integrands, the relative eigenvalues, the sup norms, the
-convexity audit and the curvature-variation check; the batched code
+convexity audit, the curvature-variation check and the Poincare
+Rayleigh quotient; the batched code
 must agree with them to 1e-12 relative where the arithmetic changed,
 and exactly where it did not.
 """
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import hebundle.asymptotics as asymptotics_mod
 import hebundle.donaldson as donaldson_mod
+import hebundle.sections as sections_mod
 from _utils import at, rand_pd
 from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray
 from hebundle.bundle import (
@@ -22,14 +23,12 @@ from hebundle.bundle import (
     MetricEvaluator,
     ScaledMetric,
     _relative_eigs,
-    contracted_curvature_batch,
     geodesic_log_batch,
     he_residual,
     trivial_metric,
 )
 from hebundle.donaldson import (
     BergmanPath,
-    _gl_nodes,
     curvature_variation_check,
     second_derivative_geodesic,
 )
@@ -37,6 +36,7 @@ from hebundle.geometry import (
     SpherePoint,
     build_quadrature,
     contract_batch,
+    gauss_legendre01,
     point_arrays,
     sphere_point,
     tree_sum,
@@ -52,7 +52,7 @@ def _deriv_integrand_reference(path, t, rule):
     """Per-t integrand through the metric at t and the 5-operand einsum."""
     hm = path.metric_at(t)
     S, _, _, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = contracted_curvature_batch(hm, rule)
+    lamF = hm.evaluate_with_curvature(rule.charts, rule.coords)[1]
     res = lamF - float(path.sb.bundle.slope) * np.eye(path.sb.bundle.rank)
     K = path.k_matrix(t)
     vals = np.einsum("nij,jk,nlk,nlm,nmi->n", S, K, S.conj(), Ainv, res)
@@ -77,7 +77,7 @@ def _path(degs, k, seed):
 @pytest.mark.parametrize("degs", [(2, 2), (2, 1, 0)])
 def test_bergman_integrand_matches_einsum_reference(degs, rule16):
     path = _path(degs, 2, 3)
-    ts = np.concatenate([[0.0, 1.0], _gl_nodes(8)[0]])
+    ts = np.concatenate([[0.0, 1.0], gauss_legendre01(8)[0]])
     got = path.deriv_integrand(ts, rule16)
     ref = np.array([_deriv_integrand_reference(path, t, rule16) for t in ts])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
@@ -85,7 +85,7 @@ def test_bergman_integrand_matches_einsum_reference(degs, rule16):
 
 def test_bergman_integrand_scalar_equals_batched_entry(rule16):
     path = _path((2, 2), 2, 4)
-    ts = _gl_nodes(8)[0]
+    ts = gauss_legendre01(8)[0]
     batched = path.deriv_integrand(ts, rule16)
     for t, v in zip(ts, batched):
         scalar = path.deriv_integrand(t, rule16)
@@ -96,11 +96,11 @@ def test_bergman_integrand_scalar_equals_batched_entry(rule16):
 def test_bergman_integrand_chunking_is_bitwise(rule24, monkeypatch):
     # 576 nodes: 4096 // 576 = 7 t-nodes per chunk, so 16 nodes take 3
     path = _path((2, 1, 0), 2, 5)
-    ts = _gl_nodes(16)[0]
-    assert len(ts) > donaldson_mod._MAX_POINTS // rule24.n
+    ts = gauss_legendre01(16)[0]
+    assert len(ts) > sections_mod._MAX_POINTS // rule24.n
     chunked = path.deriv_integrand(ts, rule24)
     per_t = np.array([path.deriv_integrand(t, rule24) for t in ts])
-    monkeypatch.setattr(donaldson_mod, "_MAX_POINTS", len(ts) * rule24.n)
+    monkeypatch.setattr(sections_mod, "_MAX_POINTS", len(ts) * rule24.n)
     unchunked = path.deriv_integrand(ts, rule24)
     assert np.array_equal(chunked, per_t)
     assert np.array_equal(chunked, unchunked)
@@ -133,7 +133,8 @@ def test_relative_eigs_match_scipy(rule16):
 def test_standard_metric_batch_matches_pointwise(rule16):
     h = trivial_metric(BundleSpec((2, -1, 0)))
     batched = h.evaluate(rule16.charts, rule16.coords)
-    for i, p in enumerate(rule16.nodes):
+    for i, (chart, x) in enumerate(zip(rule16.charts, rule16.coords)):
+        p = SpherePoint("Z" if chart else "W", complex(x))
         degs = np.array(h.bundle.degrees, dtype=float)
         assert np.array_equal(batched[i], np.diag((1.0 + abs(p.coord) ** 2) ** -degs))
         assert np.array_equal(at(h, p), batched[i])
@@ -141,7 +142,7 @@ def test_standard_metric_batch_matches_pointwise(rule16):
 
 def test_he_residual_sup_equals_per_node_loop(rule16):
     for h, _ in _metric_pairs(rule16):
-        lam = contracted_curvature_batch(h, rule16)
+        lam = h.evaluate_with_curvature(rule16.charts, rule16.coords)[1]
         hv = h.evaluate(rule16.charts, rule16.coords)
         res = lam - float(h.bundle.slope) * np.eye(h.bundle.rank)
         hinv = np.linalg.inv(hv)
@@ -298,17 +299,17 @@ def _ray(degs, k, rule, seed):
 def test_ray_derivative_matches_per_t_loop(degs, k, rule16, monkeypatch):
     ray = _ray(degs, k, rule16, 12)
     t_grid = np.linspace(0.0, 12.0, 5)
-    u = _gl_nodes(6)[0]
+    u = gauss_legendre01(6)[0]
     ts = (t_grid[:-1, None] + np.diff(t_grid)[:, None] * u).reshape(-1)
     got = _deriv_at(ray, ts, rule16)
     ref = np.array([_ray_deriv_reference(ray, t, rule16) for t in ts])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
     assert _deriv_at(ray, ts[3], rule16) == got[3]
     # chunks of 5 t-nodes give the same bits as one chunk
-    monkeypatch.setattr(asymptotics_mod, "_MAX_POINTS", 5 * rule16.n)
+    monkeypatch.setattr(sections_mod, "_MAX_POINTS", 5 * rule16.n)
     assert np.array_equal(_deriv_at(ray, ts, rule16), got)
     # the cumulative energy against per-node sums of the reference
-    w = _gl_nodes(6)[1]
+    w = gauss_legendre01(6)[1]
     acc, want = 0.0, [0.0]
     for i in range(len(t_grid) - 1):
         acc += (t_grid[i + 1] - t_grid[i]) * sum(
@@ -317,3 +318,60 @@ def test_ray_derivative_matches_per_t_loop(degs, k, rule16, monkeypatch):
         want.append(acc)
     got_m = mdon_along_ray(ray, t_grid, rule16)
     assert np.all(np.abs(got_m - want) <= 1e-12 * np.abs(want))
+
+
+def _poincare_rayleigh_reference(h0, rule, max_deg):
+    """The Rayleigh-Ritz eigenvalue from per-node harmonics, pairings
+    tr(E_a h^-1 E_b^* h) and block-by-block Gram matrices."""
+    r = h0.bundle.rank
+    fams = [(l, m) for l in range(max_deg + 1) for m in range(l + 1)]
+
+    def val(l, m, cz, x):
+        q = (1.0 + abs(x) ** 2) ** (-l)
+        return x**m * q if cz else np.conj(x) ** l * x ** (l - m) * q
+
+    def dbar(l, m, cz, x):
+        if cz:
+            return -l * x ** (m + 1) * (1.0 + abs(x) ** 2) ** (-l - 1)
+        xb = np.conj(x)
+        t1 = l * xb ** (l - 1) * x ** (l - m) * (1.0 + abs(x) ** 2) ** (-l) if l >= 1 else 0.0
+        return t1 - l * xb**l * x ** (l - m + 1) * (1.0 + abs(x) ** 2) ** (-l - 1)
+
+    nodes = list(zip(rule.charts, rule.coords.tolist()))
+    fvals = np.array([[val(l, m, cz, x) for cz, x in nodes] for l, m in fams])
+    dvals = np.array([[dbar(l, m, cz, x) for cz, x in nodes] for l, m in fams])
+    hv = h0.evaluate(rule.charts, rule.coords)
+    hinv = np.linalg.inv(hv)
+    mats = [np.eye(r * r)[idx].reshape(r, r) for idx in range(r * r)]
+    pair = np.array(
+        [[[np.trace(a @ hinv[i] @ b.conj().T @ hv[i]) for b in mats] for a in mats] for i in range(rule.n)]
+    )
+    gup = (1.0 + np.abs(rule.coords) ** 2) ** 2
+    rr = r * r
+    dim = len(fams) * rr
+    M = np.zeros((dim, dim), dtype=complex)
+    Q = np.zeros((dim, dim), dtype=complex)
+    for a in range(len(fams)):
+        for b in range(len(fams)):
+            fa_fb = fvals[a] * np.conj(fvals[b])
+            da_db = dvals[a] * np.conj(dvals[b]) * gup
+            M[a * rr : (a + 1) * rr, b * rr : (b + 1) * rr] = np.einsum("n,nab->ab", rule.weights * fa_fb, pair)
+            Q[a * rr : (a + 1) * rr, b * rr : (b + 1) * rr] = np.einsum("n,nab->ab", rule.weights * da_db, pair)
+    M = 0.5 * (M + M.conj().T)
+    Q = 0.5 * (Q + Q.conj().T)
+    wM, vM = np.linalg.eigh(M)
+    keep = wM > 1e-10 * wM[-1]
+    B = vM[:, keep] / np.sqrt(wM[keep])
+    Qr = B.conj().T @ Q @ B
+    ev = np.linalg.eigvalsh(0.5 * (Qr + Qr.conj().T))
+    return float(ev[ev > 1e-8 * max(1.0, ev[-1])][0])
+
+
+@pytest.mark.parametrize("degs, k", [((1, -1), 1), ((2, 1, 0), 1)])
+def test_poincare_rayleigh_matches_per_node_loop(degs, k, rule16):
+    rng = np.random.default_rng(13)
+    sb = basis(BundleSpec(degs), k)
+    for h0 in (trivial_metric(sb.bundle), FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))):
+        got = donaldson_mod._poincare_rayleigh(h0, rule16, 3)
+        ref = _poincare_rayleigh_reference(h0, rule16, 3)
+        assert abs(got - ref) <= 1e-12 * abs(ref)

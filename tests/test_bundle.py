@@ -13,7 +13,6 @@ from hebundle.bundle import (
     ExplicitMetric,
     GeodesicMetric,
     ScaledMetric,
-    contracted_curvature_batch,
     delta_boundedness,
     fd_curvature_batch,
     geodesic_interpolate_batch,
@@ -24,7 +23,7 @@ from hebundle.bundle import (
     transition_matrix,
     trivial_metric,
 )
-from hebundle.geometry import CHART_Z, SpherePoint, contract, point_arrays, sphere_point
+from hebundle.geometry import CHART_Z, SpherePoint, contract_batch, point_arrays, sphere_point
 
 
 def test_spec_arithmetic():
@@ -70,8 +69,8 @@ def test_trivial_metric_curvature():
     for a in (0, 1, 3, -2):
         h = trivial_metric(BundleSpec((a,)))
         for z in (0.0, 0.5, 0.3 - 0.6j):
-            p = sphere_point(z)
-            lam = contract(fd_curvature_batch(h, *point_arrays([p]))[0], p)
+            charts, coords = point_arrays([sphere_point(z)])
+            lam = contract_batch(fd_curvature_batch(h, charts, coords), coords)[0]
             assert lam[0, 0].real == pytest.approx(a, abs=5e-8)
 
 
@@ -113,8 +112,8 @@ def test_scaled_metric_curvature_unchanged(rule16):
     sb = basis(BundleSpec((0,)), 2)
     h = FSMetric(sb, G=np.eye(sb.N))
     s = ScaledMetric(h, 7.0)
-    a = contracted_curvature_batch(h, rule16)
-    b = contracted_curvature_batch(s, rule16)
+    a = h.evaluate_with_curvature(rule16.charts, rule16.coords)[1]
+    b = s.evaluate_with_curvature(rule16.charts, rule16.coords)[1]
     assert np.allclose(a, b)
 
 

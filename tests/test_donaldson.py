@@ -26,7 +26,7 @@ from hebundle.donaldson import (
     poincare_constant,
     second_derivative_geodesic,
 )
-from hebundle.geometry import QuadratureRule, build_quadrature, sphere_point
+from hebundle.geometry import sphere_point
 from hebundle.sections import FSMetric, basis
 
 
@@ -83,20 +83,6 @@ def test_path_independence(rule24):
         h1, h0, path=PointwiseExponentialPath(h0, h1), rule=rule24
     )
     assert m_bergman == pytest.approx(m_pointwise, abs=5e-6)
-
-
-def test_node_log_cache_survives_rule_recycling():
-    # an 8x8 and a 16x4 rule both have 64 nodes; a rule built right after
-    # another is dropped tends to reuse its address, and a cache keyed on
-    # id() would hand it the dropped rule's node logs
-    h0, h1 = _fs_pair(7, scale=0.3)
-    path = PointwiseExponentialPath(h0, h1)
-    r16 = build_quadrature(16, 4)
-    fresh = PointwiseExponentialPath(h0, h1).deriv_integrand(0.3, r16)
-    for _ in range(20):
-        path.deriv_integrand(0.3, build_quadrature(8, 8))
-        rule = QuadratureRule(r16.nodes, r16.weights, r16.coords, r16.charts)
-        assert path.deriv_integrand(0.3, rule) == fresh
 
 
 def test_first_derivative_consistency(rule24):

@@ -12,15 +12,23 @@ from hebundle.geometry import (
     CHART_Z,
     SpherePoint,
     build_quadrature,
-    contract,
-    integrate,
+    contract_batch,
     integrate_values,
     omega_coefficient,
     other_chart,
+    point_arrays,
     potential,
     sphere_point,
     tree_sum,
 )
+
+
+def _points(rule):
+    """The rule's nodes as SpherePoints."""
+    return [
+        SpherePoint(CHART_Z if c else CHART_W, complex(x))
+        for c, x in zip(rule.charts, rule.coords)
+    ]
 
 
 def test_sphere_point_canonicalization():
@@ -62,41 +70,38 @@ def test_potential_values():
 
 
 def test_area_form_contracts_to_one():
-    for x in (0.0, 0.5, 0.9j, -0.3 + 0.7j):
-        p = SpherePoint(CHART_Z, x)
-        assert contract(omega_coefficient(p), p) == pytest.approx(1.0)
+    xs = np.array([0.0, 0.5, 0.9j, -0.3 + 0.7j])
+    coeffs = np.array([omega_coefficient(SpherePoint(CHART_Z, x)) for x in xs])
+    for val in contract_batch(coeffs[:, None, None], xs)[:, 0, 0]:
+        assert val == pytest.approx(1.0)
 
 
 def test_total_mass_is_one(rule24):
-    assert integrate(lambda p: 1.0, rule24) == pytest.approx(1.0, abs=1e-14)
+    assert integrate_values(np.ones(rule24.n), rule24) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_quadrature_exact_on_u_polynomials(rule24):
     # in u = |x|^2/(1+|x|^2) the measure is Lebesgue on [0, 1]; the
     # Gauss rule is exact for u^m well past these degrees
-    def u_of(p):
-        a = abs(p.coord) ** 2
-        u = a / (1.0 + a)
-        return u if p.chart == CHART_Z else 1.0 - u
-
+    a = np.abs(rule24.coords) ** 2
+    u = np.where(rule24.charts, a / (1.0 + a), 1.0 - a / (1.0 + a))
     for m in range(8):
-        val = integrate(lambda p: u_of(p) ** m, rule24)
+        val = integrate_values(u**m, rule24)
         assert val == pytest.approx(1.0 / (m + 1), abs=1e-13)
 
 
 def test_angular_modes_integrate_to_zero(rule24):
     # z / (1+|z|^2)^2 has a pure angular mode and integrates to zero
-    def f(p):
-        z = p.coord if p.chart == CHART_Z else 1.0 / p.coord
-        return z / (1.0 + abs(z) ** 2) ** 2
-
-    assert abs(integrate(f, rule24)) < 1e-14
+    x = rule24.coords
+    z = np.where(rule24.charts, x, 1.0 / x)
+    assert abs(integrate_values(z / (1.0 + np.abs(z) ** 2) ** 2, rule24)) < 1e-14
 
 
 def test_curvature_mass_of_line_weight(rule24):
     # contraction of the (1,1)-form of log(1+|z|^2) integrates to 1
     # (degree of the polarization); the coefficient is (1+|z|^2)^-2
-    val = integrate(lambda p: contract(omega_coefficient(p), p), rule24)
+    coeffs = np.array([omega_coefficient(p) for p in _points(rule24)])
+    val = integrate_values(contract_batch(coeffs[:, None, None], rule24.coords)[:, 0, 0], rule24)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
@@ -108,8 +113,29 @@ def test_build_quadrature_validation():
 
 
 def test_quadrature_nodes_canonical(rule16):
-    for p in rule16.nodes:
-        assert abs(p.coord) <= 1.0 + 1e-12
+    assert np.all(np.abs(rule16.coords) <= 1.0 + 1e-12)
+
+
+def _quadrature_per_node(n_colat, n_angle):
+    """The per-node construction of a rule: one sphere_point per node."""
+    x, wu = np.polynomial.legendre.leggauss(n_colat)
+    u, wu = 0.5 * (x + 1.0), 0.5 * wu
+    theta = 2.0 * np.pi * np.arange(n_angle) / n_angle
+    r = np.sqrt(u / (1.0 - u))
+    charts, coords = point_arrays([sphere_point(ri * np.exp(1j * th)) for ri in r for th in theta])
+    return charts, coords, np.array([wi / n_angle for wi in wu for _ in theta])
+
+
+@pytest.mark.parametrize("n_colat, n_angle", [(4, 4), (7, 5), (24, 24), (33, 12), (64, 64)])
+def test_build_quadrature_matches_per_node_sphere_point(n_colat, n_angle):
+    # bit for bit, signed zeros included: chart-W nodes hold the scalar
+    # complex reciprocal, which numpy's 1/z misses in the last bit
+    rule = build_quadrature(n_colat, n_angle)
+    charts, coords, weights = _quadrature_per_node(n_colat, n_angle)
+    assert not charts.all()
+    assert np.array_equal(rule.charts, charts)
+    assert rule.coords.dtype == coords.dtype and rule.coords.tobytes() == coords.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
@@ -126,9 +152,11 @@ def test_tree_sum_deterministic():
 
 
 def test_integrate_values_matches_integrate(rule16):
-    vals = np.array([abs(p.coord) ** 2 for p in rule16.nodes])
+    # against the per-node weighted sum of the pointwise values
+    points = _points(rule16)
+    vals = np.array([abs(p.coord) ** 2 for p in points])
     assert integrate_values(vals, rule16) == pytest.approx(
-        integrate(lambda p: abs(p.coord) ** 2, rule16)
+        math.fsum(w * abs(p.coord) ** 2 for w, p in zip(rule16.weights, points))
     )
     with pytest.raises(ValueError):
         integrate_values(vals[:-1], rule16)
@@ -136,4 +164,4 @@ def test_integrate_values_matches_integrate(rule16):
 
 def test_integrate_rejects_nonfinite(rule16):
     with pytest.raises(RuntimeError):
-        integrate(lambda p: np.inf, rule16)
+        integrate_values(np.full(rule16.n, np.inf), rule16)
