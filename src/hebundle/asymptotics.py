@@ -25,11 +25,13 @@ import numpy as np
 
 from .bundle import BundleSpec, MetricEvaluator
 from .geometry import QuadratureRule, gauss_legendre01, point_arrays
-from .quot import WeightSpec, filtration, jna as exact_jna
+from .quot import WeightSpec, evaluation_drop_degree, filtration, generated_subsheaf, values_at
+from .quot import jna as exact_jna
 from .sections import (
     FSMetric,
     SectionBasis,
     _as_matrix,
+    basis as section_basis,
     eval_matrix_batch,
     fs_path_rate,
 )
@@ -174,8 +176,6 @@ def slope_estimate(
     _weights_match(ray, zeta_rational)
     spec = ray.sb.bundle
     rep = filtration(spec, zeta_rational)
-    from .quot import evaluation_drop_degree, generated_subsheaf
-
     conc = []
     cum = []
     for _, vecs in zeta_rational.blocks[:-1]:
@@ -221,34 +221,28 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
     """Per-summand weights of the filtration in the standard frame.
 
     Each summand row is assigned the weight of the first filtration
-    level whose generic fiber contains that coordinate direction;
-    requires the saturations to be aligned with the splitting.
+    level whose generic fiber contains that coordinate direction.  The
+    saturations must be aligned with the splitting: a level whose fiber
+    at the point (1, 3/7) is not a coordinate subspace raises ValueError.
     """
-    import sympy as sp
-
-    from .quot import X0, X1, generated_subsheaf
-    from .sections import basis as section_basis
-
     sb = section_basis(spec, zeta_rational.k)
     zeta_rational.validate_against(sb)
-    r = spec.rank
-    out = [None] * r
+    out = [None] * spec.rank
     cum = []
     for w, vecs in zeta_rational.blocks:
         cum.extend(vecs)
-        m = generated_subsheaf(sb, cum).matrix
-        mt = m.subs({X0: 1, X1: sp.Rational(3, 7)})
-        for i in range(r):
-            if out[i] is not None:
-                continue
-            aug = mt.row_join(sp.eye(r)[:, i])
-            if aug.rank() == mt.rank():
+        fiber = values_at(generated_subsheaf(sb, cum).matrix, Fraction(3, 7))
+        # a coordinate subspace iff its reduced echelon basis is unit
+        # vectors; the pivots are then the directions it contains
+        echelon, pivots = fiber.transpose().rref()
+        if any(sum(map(bool, row)) != 1 for row in echelon.to_list()[: len(pivots)]):
+            raise ValueError(
+                "filtration is not aligned with the splitting; "
+                "pass explicit frame weights"
+            )
+        for i in pivots:
+            if out[i] is None:
                 out[i] = w
-    if any(o is None for o in out):
-        raise ValueError(
-            "filtration is not aligned with the splitting; "
-            "pass explicit frame weights"
-        )
     return tuple(out)
 
 
@@ -341,7 +335,7 @@ def coercivity_probe(
     the sampled regime.  No claim is asserted either way.
     """
     from .bundle import trivial_metric
-    from .sections import basis as section_basis, l2_gram
+    from .sections import l2_gram
 
     rows = []
     for k in k_list:

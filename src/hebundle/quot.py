@@ -6,7 +6,9 @@ saturations (rank and degree via gcds of maximal minors of homogeneous
 generator matrices), and the two numerical invariants of a weight
 datum: the non-Archimedean energy slope and the extremal weight gap.
 All arithmetic is exact over the Gaussian rationals; no floating point
-enters this module.
+enters this module.  A binary form of degree d is held as its
+dehomogenisation f(1, x) in QQ_I[x], of degree at most d; matrices of
+forms are sympy DomainMatrix objects over that ring.
 """
 
 from __future__ import annotations
@@ -17,20 +19,25 @@ from fractions import Fraction
 from math import lcm
 
 import sympy as sp
+from sympy import QQ_I
+from sympy.polys.densetools import dup_eval
+from sympy.polys.matrices import DomainMatrix
 
-from .bundle import BundleSpec, regularity
+from .bundle import BundleSpec
 from .sections import SectionBasis, basis
 
 X0, X1 = sp.symbols("x0 x1")
+# dehomogenised forms: x0 -> 1, x1 -> x
+RING = QQ_I[sp.Symbol("x")]
 
 STABLE = "stable"
 POLYSTABLE = "polystable_not_stable"
-SEMISTABLE_ONLY = "semistable_only_na"
 UNSTABLE = "unstable"
 
 
 def _to_gaussian(c):
-    """Coerce a coefficient to an exact Gaussian-rational sympy scalar."""
+    """Coerce a coefficient to an exact Gaussian-rational sympy scalar
+    re + I*im."""
     if isinstance(c, Fraction):
         return sp.Rational(c.numerator, c.denominator)
     if isinstance(c, (int, sp.Integer, sp.Rational)):
@@ -42,11 +49,10 @@ def _to_gaussian(c):
         return sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(
             im.numerator, im.denominator
         )
-    e = sp.sympify(c)
-    re, im = e.as_real_imag()
+    re, im = sp.sympify(c).as_real_imag()
     if not (re.is_rational and im.is_rational):
         raise ValueError(f"coefficient {c!r} is not a Gaussian rational")
-    return e
+    return re + sp.I * im
 
 
 def _frac(w) -> Fraction:
@@ -104,12 +110,13 @@ class WeightSpec:
     def validate_against(self, sb: SectionBasis) -> None:
         if self.k != sb.k:
             raise ValueError("weight decomposition level differs from basis level")
-        if self.dimension != sb.N:
+        vecs = self.all_vectors()
+        if len(vecs) != sb.N or any(len(v) != sb.N for v in vecs):
             raise ValueError(
-                f"weight decomposition has {self.dimension} vectors; "
-                f"the section space has dimension {sb.N}"
+                f"weight decomposition has {self.dimension} vectors; the section "
+                f"space needs {sb.N} vectors of {sb.N} coefficients"
             )
-        m = sp.Matrix([list(v) for v in self.all_vectors()])
+        m = DomainMatrix([[QQ_I.from_sympy(c) for c in v] for v in vecs], (sb.N, sb.N), QQ_I)
         if m.rank() != sb.N:
             raise ValueError("weight-block vectors are linearly dependent")
 
@@ -118,34 +125,44 @@ class WeightSpec:
 class HomogeneousSectionMatrix:
     """Generators of a subsheaf, one column per section.
 
-    Row i holds binary forms of degree (i-th summand degree) + k; a map
-    from m copies of the k-fold negative line bundle into the bundle.
+    Row i holds binary forms of degree d_i = (i-th summand degree) + k; a
+    map from m copies of the k-fold negative line bundle into the bundle.
+    `matrix` is an r x m DomainMatrix over RING holding each form as
+    f(1, x), of degree at most d_i.  A sympy Matrix of forms in x0, x1
+    is accepted and converted once, after a full homogeneity check.
     """
 
     bundle: BundleSpec
     k: int
-    matrix: sp.Matrix  # r x m, entries in QQ(i)[x0, x1]
+    matrix: DomainMatrix
 
     def __post_init__(self):
-        r = self.bundle.rank
-        if self.matrix.rows != r:
+        mat, degs = self.matrix, self.row_degrees
+        if mat.shape[0] != self.bundle.rank:
             raise ValueError("generator matrix row count differs from rank")
-        for i in range(r):
-            d = self.bundle.degrees[i] + self.k
-            for j in range(self.matrix.cols):
-                e = sp.expand(self.matrix[i, j])
-                if e == 0:
-                    continue
-                p = sp.Poly(e, X0, X1)
-                degs = {sum(mono) for mono in p.monoms()}
-                if degs != {d}:
-                    raise ValueError(
-                        f"entry ({i}, {j}) is not homogeneous of degree {d}"
-                    )
+        if isinstance(mat, sp.MatrixBase):
+            forms = [
+                [sp.Poly(e, X0, X1, domain=QQ_I) for e in mat.row(i)] for i in range(mat.rows)
+            ]
+            if any(p and p.homogeneous_order() != d for d, row in zip(degs, forms) for p in row):
+                raise ValueError(f"an entry of row degrees {degs} is not a homogeneous form")
+            mat = DomainMatrix(
+                [[RING({(b,): c for (_, b), c in p.terms()}) for p in row] for row in forms],
+                mat.shape, RING,
+            )
+            object.__setattr__(self, "matrix", mat)
+        if mat.domain != RING or any(
+            f.degree() > d for row, d in zip(mat.to_list(), degs) for f in row
+        ):
+            raise ValueError(f"generator matrix must be over {RING} with row degrees {degs}")
+
+    @property
+    def row_degrees(self) -> tuple:
+        return tuple(a + self.k for a in self.bundle.degrees)
 
     @property
     def cols(self) -> int:
-        return self.matrix.cols
+        return self.matrix.shape[1]
 
 
 def j_of(weights) -> int:
@@ -157,38 +174,57 @@ def j_of(weights) -> int:
 
 
 def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
-    """Homogenize section-coefficient vectors into a generator matrix."""
-    a = sb.bundle.degrees
-    k = sb.k
+    """Generator matrix of section-coefficient vectors: basis entry
+    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i."""
     r = sb.bundle.rank
     cols = []
     for v in vectors:
-        v = [_to_gaussian(c) for c in v]
         if len(v) != sb.N:
             raise ValueError(
                 f"coefficient vector has length {len(v)}; expected {sb.N}"
             )
-        col = [sp.Integer(0)] * r
+        col = [{} for _ in range(r)]
         for c, (i, j) in zip(v, sb.entries):
-            if c != 0:
-                col[i] = col[i] + c * X0 ** (a[i] + k - j) * X1**j
-        cols.append(col)
-    m = sp.Matrix(r, len(cols), lambda i, j: cols[j][i]) if cols else sp.zeros(r, 0)
-    return HomogeneousSectionMatrix(bundle=sb.bundle, k=k, matrix=m)
+            col[i][(j,)] = QQ_I.from_sympy(_to_gaussian(c))  # RING drops zeros
+        cols.append([RING(terms) for terms in col])
+    m = DomainMatrix([list(row) for row in zip(*cols)] or [[]] * r, (r, len(cols)), RING)
+    return HomogeneousSectionMatrix(bundle=sb.bundle, k=sb.k, matrix=m)
 
 
-def _generic_rank(m: sp.Matrix, max_deg: int) -> int:
+def values_at(mat: DomainMatrix, x) -> DomainMatrix:
+    """The forms of `mat` evaluated at the point (1, x), over QQ_I."""
+    x = QQ_I.convert(x)
+    return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, QQ_I), QQ_I)
+
+
+def _generic_rank(m: DomainMatrix, max_deg: int) -> int:
     """Rank over the function field, by exact evaluation at enough
     points (1, t) that some maximal minor is nonzero at one of them."""
-    if m.cols == 0 or m.rows == 0:
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
         return 0
     best = 0
     for t in range(max_deg + 1):
-        mt = m.subs({X0: 1, X1: sp.Integer(t)})
-        best = max(best, mt.rank())
-        if best == min(m.rows, m.cols):
+        best = max(best, values_at(m, t).rank())
+        if best == min(rows, cols):
             break
     return best
+
+
+def _minor_gcd_degree(minors) -> int:
+    """Degree of the gcd of the nonzero binary forms among `minors`,
+    pairs (f(1, x), form degree D): the degree of the univariate gcd of
+    the f plus the least x0-multiplicity D - deg f."""
+    g, mult = RING.zero, None
+    for f, d in minors:
+        if not f:
+            continue
+        if not g or f.rem(g):  # a multiple of g leaves the gcd unchanged
+            g = g.gcd(f)
+        mult = d - f.degree() if mult is None else min(mult, d - f.degree())
+        if g.degree() == 0 and mult == 0:
+            break
+    return g.degree() + mult
 
 
 def saturate_rank_degree(m: HomogeneousSectionMatrix):
@@ -199,33 +235,28 @@ def saturate_rank_degree(m: HomogeneousSectionMatrix):
     minor vector leaves a nowhere-vanishing subbundle inclusion, which
     is exactly the saturation on a curve.
     """
-    mat = m.matrix
-    r = m.bundle.rank
-    max_deg = sum(d + m.k for d in m.bundle.degrees)
-    rho = _generic_rank(mat, max_deg)
+    mat, degs = m.matrix, m.row_degrees
+    rho = _generic_rank(mat, sum(degs))
     if rho == 0:
         return 0, 0
     # mix the columns down to rho generic ones; any mix of full rank
     # spans the same generic fiber, hence has the same saturation
     for attempt in range(64):
-        mix = sp.Matrix(
-            mat.cols, rho, lambda i, j: ((3 * i + 5 * j + 7 * attempt) % 11) + (i == j)
+        mix = DomainMatrix(
+            [[RING(((3 * i + 5 * j + 7 * attempt) % 11) + (i == j)) for j in range(rho)]
+             for i in range(m.cols)],
+            (m.cols, rho), RING,
         )
-        mixed = mat * mix
-        if _generic_rank(mixed, max_deg) == rho:
+        mixed = mat.matmul(mix)
+        if _generic_rank(mixed, sum(degs)) == rho:
             break
     else:  # pragma: no cover - 64 mixes of full column rank cannot all fail
         raise RuntimeError("could not find a generic column combination")
-    minors = []
-    for rows in itertools.combinations(range(r), rho):
-        d = sp.expand(mixed[list(rows), :].det())
-        if d != 0:
-            minors.append(sp.Poly(d, X0, X1, domain="QQ_I"))
-    g = minors[0]
-    for p in minors[1:]:
-        g = g.gcd(p)
-    degree = -rho * m.k + g.total_degree()
-    return rho, degree
+    minors = (
+        (mixed.extract(rows, range(rho)).det(), sum(degs[i] for i in rows))
+        for rows in itertools.combinations(range(len(degs)), rho)
+    )
+    return rho, -rho * m.k + _minor_gcd_degree(minors)
 
 
 def evaluation_drop_degree(m: HomogeneousSectionMatrix) -> int:
@@ -236,24 +267,16 @@ def evaluation_drop_degree(m: HomogeneousSectionMatrix) -> int:
     curvature of the induced metric ray concentrates, which matters
     for the numeric (but not the exact) asymptotics.
     """
-    mat = m.matrix
-    r = mat.rows
-    max_deg = sum(d + m.k for d in m.bundle.degrees)
-    rho = _generic_rank(mat, max_deg)
+    mat, degs = m.matrix, m.row_degrees
+    rho = _generic_rank(mat, sum(degs))
     if rho == 0:
         return 0
-    minors = []
-    for rows in itertools.combinations(range(r), rho):
-        for cols in itertools.combinations(range(mat.cols), rho):
-            d = sp.expand(mat[list(rows), list(cols)].det())
-            if d != 0:
-                minors.append(sp.Poly(d, X0, X1, domain="QQ_I"))
-    g = minors[0]
-    for p in minors[1:]:
-        g = g.gcd(p)
-        if g.total_degree() == 0:
-            break
-    return g.total_degree()
+    minors = (
+        (mat.extract(rows, cols).det(), sum(degs[i] for i in rows))
+        for rows in itertools.combinations(range(len(degs)), rho)
+        for cols in itertools.combinations(range(m.cols), rho)
+    )
+    return _minor_gcd_degree(minors)
 
 
 @dataclass(frozen=True)
@@ -278,34 +301,24 @@ def filtration(spec: BundleSpec, zeta: WeightSpec) -> FiltrationReport:
     invariant is the extreme weight difference over levels where the
     rank actually jumps.
     """
-    k = zeta.k
-    if k < regularity(spec):
-        raise ValueError(
-            f"level {k} is below the regularity threshold {regularity(spec)}"
-        )
-    sb = basis(spec, k)
+    sb = basis(spec, zeta.k)  # raises below the regularity threshold
     zeta.validate_against(sb)
 
     j = j_of(zeta.weights)
     mu = Fraction(spec.slope)
     levels = []
-    ranks = []
     cum = []
     for w, vecs in zeta.blocks:
         cum.extend(vecs)
         rho, deg = saturate_rank_degree(generated_subsheaf(sb, cum))
-        wbar = int(w * j)
-        slope = Fraction(deg, rho) if rho else Fraction(0)
-        levels.append((wbar, rho, deg, slope))
-        ranks.append(rho)
+        levels.append((int(w * j), rho, deg, Fraction(deg, rho) if rho else Fraction(0)))
+    ranks = [rho for _, rho, _, _ in levels]
     if ranks != sorted(ranks):
         raise RuntimeError("saturation ranks failed to be nondecreasing")
     if ranks[-1] != spec.rank or levels[-1][3] != mu:
         raise RuntimeError("top filtration level is not the whole bundle")
 
-    graded = tuple(
-        r1 - r0 for r0, r1 in zip([0] + ranks[:-1], ranks)
-    )
+    graded = tuple(r1 - r0 for r0, r1 in zip([0] + ranks[:-1], ranks))
     jumps = [i for i, g in enumerate(graded) if g > 0]
     jna = zeta.weights[jumps[0]] - zeta.weights[jumps[-1]] if jumps else Fraction(0)
 
@@ -416,19 +429,11 @@ def weightspec_from_json(obj: dict) -> WeightSpec:
         k = int(obj["k"])
         blocks = []
         for b in obj["blocks"]:
-            w = Fraction(b["w"])
-            vecs = []
-            for v in b["vectors"]:
-                vec = []
-                for entry in v:
-                    re, im = entry
-                    fr, fi = Fraction(re), Fraction(im)
-                    vec.append(
-                        sp.Rational(fr.numerator, fr.denominator)
-                        + sp.I * sp.Rational(fi.numerator, fi.denominator)
-                    )
-                vecs.append(tuple(vec))
-            blocks.append((w, tuple(vecs)))
+            vecs = tuple(
+                tuple(sp.Rational(Fraction(re)) + sp.I * sp.Rational(Fraction(im)) for re, im in v)
+                for v in b["vectors"]
+            )
+            blocks.append((Fraction(b["w"]), vecs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed weight decomposition: {exc}") from exc
     return WeightSpec(k=k, blocks=tuple(blocks))

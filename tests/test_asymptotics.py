@@ -116,6 +116,22 @@ def test_frame_weights_aligned_case():
     assert frame_weights(SPEC, zr) == (Fraction(1, 3), Fraction(-1))
 
 
+def test_frame_weights_non_aligned_case():
+    # the top level is spanned by x0^2 e_0 + e_1, whose fiber (1, 1)
+    # contains neither coordinate direction
+    from hebundle.quot import WeightSpec
+
+    zr = WeightSpec(
+        k=1,
+        blocks=(
+            (Fraction(1), ((1, 0, 0, 1),)),
+            (Fraction(-1), ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+        ),
+    )
+    with pytest.raises(ValueError, match="not aligned"):
+        frame_weights(SPEC, zr)
+
+
 def test_renormalized_limit_is_cauchy_and_positive(rule16):
     ray, zr = _ray(rule16, [(Fraction(1, 3), 3), (-1, 1)])
     pts = [sphere_point(z) for z in (0.0, 0.5, 0.8j)]

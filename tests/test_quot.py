@@ -9,14 +9,19 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _quot_reference as ref
 from hebundle.bundle import BundleSpec
 from hebundle.quot import (
     POLYSTABLE,
+    RING,
     STABLE,
     UNSTABLE,
+    HomogeneousSectionMatrix,
     WeightSpec,
     block_weightspec,
     evaluation_drop_degree,
@@ -101,8 +106,13 @@ def test_saturation_examples():
     # together they span generically: saturation is the whole bundle
     m = generated_subsheaf(SB, [(1, 0, 0, 0), (0, 0, 0, 1)])
     assert saturate_rank_degree(m) == (2, 0)
-    # but the evaluation rank drops (twice) at x1 = 0
+    # but the minor is x0**2: the evaluation rank drops (twice) at
+    # x0 = 0, the point at infinity
     assert evaluation_drop_degree(m) == 2
+    # mirror case: the minor is x1**2, so the rank drops twice at x1 = 0
+    mirror = generated_subsheaf(SB, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    assert evaluation_drop_degree(mirror) == 2
+    assert saturate_rank_degree(mirror) == (2, 0)
 
 
 def test_saturation_column_mix_invariance():
@@ -179,6 +189,21 @@ def test_homogeneity_enforced():
         HomogeneousSectionMatrix(bundle=SPEC, k=1, matrix=bad)
 
 
+def test_domain_matrix_degree_enforced():
+    # row degrees are 2 and 0 for O(1)+O(-1) at k=1
+    x = RING.gens[0]
+
+    def make(col, domain=RING):
+        return HomogeneousSectionMatrix(bundle=SPEC, k=1, matrix=DomainMatrix(col, (2, 1), domain))
+
+    assert make([[x**2], [RING.one]]).cols == 1
+    for col in ([[x**3], [RING.zero]], [[RING.one], [x]]):
+        with pytest.raises(ValueError):
+            make(col)
+    with pytest.raises(ValueError):  # entries must lie in RING
+        make([[QQ_I(1)], [QQ_I(1)]], QQ_I)
+
+
 def test_stability_classification():
     assert stability_classify(BundleSpec((5,))) == STABLE
     assert stability_classify(BundleSpec((2, 2))) == POLYSTABLE
@@ -250,3 +275,37 @@ def test_invariants_shift_invariant_property(d, num, den):
     shifted = _ws([(1 + c, d), (-2 + c, 4 - d)])
     assert mna(SPEC, shifted) == mna(SPEC, base)
     assert jna(SPEC, shifted) == jna(SPEC, base)
+
+
+# sparse coefficients, so that common roots fall at x0 = 0 and x1 = 0,
+# with Gaussian rationals among them
+_COEFF = st.sampled_from(
+    [0, 0, 0, 0, 1, -1, 2, sp.Rational(1, 2), sp.I, 1 - sp.I / 3, sp.Rational(-3, 2) + 2 * sp.I]
+)
+# section spaces of dimension 4, 6, 6 and 6
+_ORACLE_BASES = [
+    basis(BundleSpec(d), k) for d, k in (((1, -1), 1), ((1, 0, -1), 1), ((2, 1, 0), 0), ((2, 2), 0))
+]
+
+
+@st.composite
+def _families(draw):
+    sb = draw(st.sampled_from(_ORACLE_BASES))
+    vec = st.lists(_COEFF, min_size=sb.N, max_size=sb.N)
+    base = draw(st.lists(vec, min_size=1, max_size=3))
+    # repeated columns (scalar multiples) keep the rank below the column count
+    repeat = st.tuples(st.integers(0, len(base) - 1), st.sampled_from([1, -2, sp.I]))
+    repeats = draw(st.lists(repeat, max_size=2))
+    return sb, base + [[s * c for c in base[i]] for i, s in repeats]
+
+
+@given(_families())
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_expr_reference(family):
+    sb, vecs = family
+    m = generated_subsheaf(sb, vecs)
+    forms = ref.forms(sb, vecs)
+    # the Expr forms convert to the same dehomogenised matrix
+    assert HomogeneousSectionMatrix(bundle=sb.bundle, k=sb.k, matrix=forms).matrix == m.matrix
+    assert saturate_rank_degree(m) == ref.saturate_rank_degree(forms, sb.bundle, sb.k)
+    assert evaluation_drop_degree(m) == ref.evaluation_drop_degree(forms, sb.bundle, sb.k)
