@@ -5,9 +5,8 @@ forms; along the ray the energy grows linearly with slope equal to the
 exact invariant computed by the sheaf engine.  This module evaluates
 metrics along such rays in a numerically stable inverse-factor form,
 fits asymptotic slopes, takes renormalized large-time limits in a
-weight-adapted frame, probes the uniformity of the linear lower bound
-across twist levels, and perturbs weight data to enforce a floor on
-the weight-gap invariant.
+weight-adapted frame, and probes the uniformity of the linear lower
+bound across twist levels.
 
 Sign convention: the weight-w eigenvectors of the generator are scaled
 by e^{-wt}, so that high-weight section blocks decay; this is the
@@ -23,10 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundle import BundleSpec, MetricEvaluator
+from .bundle import BundleSpec
 from .geometry import QuadratureRule, gauss_legendre01, point_arrays
-from .quot import WeightSpec, evaluation_drop_degree, filtration, generated_subsheaf, values_at
-from .quot import jna as exact_jna
+from .quot import WeightSpec, evaluation_drop_degree, filtration, generated_subsheaf
 from .sections import (
     FSMetric,
     SectionBasis,
@@ -80,11 +78,6 @@ class OnePSRay:
         if t < 0:
             raise ValueError("ray parameter must be nonnegative")
         return FSMetric(self.sb, ginv_factor=self.gram_factor(t))
-
-
-def bergman_ray(sb: SectionBasis, G0, zeta, t: float) -> MetricEvaluator:
-    """Metric at time t on the ray generated by a hermitian matrix."""
-    return OnePSRay(sb, _as_matrix(G0), zeta).metric_at(t)
 
 
 def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
@@ -222,8 +215,11 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
 
     Each summand row is assigned the weight of the first filtration
     level whose generic fiber contains that coordinate direction.  The
-    saturations must be aligned with the splitting: a level whose fiber
-    at the point (1, 3/7) is not a coordinate subspace raises ValueError.
+    generic fiber lies in the span of the rows that are not identically
+    zero, so it is that coordinate subspace exactly when the level's
+    rank over the function field C(x) equals their number.  The
+    saturations must be aligned with the splitting: any other level
+    raises ValueError.
     """
     sb = section_basis(spec, zeta_rational.k)
     zeta_rational.validate_against(sb)
@@ -231,16 +227,14 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
     cum = []
     for w, vecs in zeta_rational.blocks:
         cum.extend(vecs)
-        fiber = values_at(generated_subsheaf(sb, cum).matrix, Fraction(3, 7))
-        # a coordinate subspace iff its reduced echelon basis is unit
-        # vectors; the pivots are then the directions it contains
-        echelon, pivots = fiber.transpose().rref()
-        if any(sum(map(bool, row)) != 1 for row in echelon.to_list()[: len(pivots)]):
+        mat = generated_subsheaf(sb, cum).matrix
+        rows = [i for i, row in enumerate(mat.to_list()) if any(row)]
+        if mat.to_field().rank() != len(rows):
             raise ValueError(
                 "filtration is not aligned with the splitting; "
                 "pass explicit frame weights"
             )
-        for i in pivots:
+        for i in rows:
             if out[i] is None:
                 out[i] = w
     return tuple(out)
@@ -256,11 +250,11 @@ def renormalized_limit(
     """Large-time limit of the ray metric in the weight-adapted frame.
 
     Conjugates h_t by diag(e^{w_i t}) with per-summand filtration
-    weights, evaluates at the sample points for increasing t, and
-    reports successive sup differences (a Cauchy check) together with
-    positive-definiteness flags.  On the projective line the divided
-    minors of a saturation have no common zero, so every point is
-    regular and admissible.
+    weights, evaluates at the sample points for increasing t (`values`,
+    shape (t, point, r, r)), and reports successive sup differences (a
+    Cauchy check) together with positive-definiteness flags.  On the
+    projective line the divided minors of a saturation have no common
+    zero, so every point is regular and admissible.
     """
     spec = ray.sb.bundle
     _weights_match(ray, zeta_rational)
@@ -269,25 +263,15 @@ def renormalized_limit(
     frame_w = np.array([float(w) for w in frame_w]) / ray.scale
     t_list = sorted(float(t) for t in t_list)
     charts, coords = point_arrays(points)
-    values = []
-    pd_flags = []
-    for t in t_list:
-        conj = np.exp(frame_w * t)
-        hr = conj[:, None] * ray.metric_at(t).evaluate(charts, coords) * conj[None, :]
-        values.append(list(hr))
-        pd_flags.append(bool(np.all(np.linalg.eigvalsh(hr) > 0)))
-    cauchy = [
-        max(
-            float(np.linalg.norm(b - a, 2))
-            for a, b in zip(values[i], values[i + 1])
-        )
-        for i in range(len(values) - 1)
-    ]
+    h = np.array([ray.metric_at(t).evaluate(charts, coords) for t in t_list])
+    conj = np.exp(np.outer(t_list, frame_w))[:, None]
+    values = conj[..., :, None] * h * conj[..., None, :]
+    cauchy = np.linalg.norm(np.diff(values, axis=0), 2, axis=(-2, -1)).max(axis=-1)
     return {
         "t_list": t_list,
         "values": values,
-        "cauchy_defects": cauchy,
-        "pd_flags": pd_flags,
+        "cauchy_defects": cauchy.tolist(),
+        "pd_flags": np.all(np.linalg.eigvalsh(values) > 0, axis=(-2, -1)).tolist(),
         "frame_weights": tuple(frame_w),
     }
 
@@ -357,47 +341,6 @@ def coercivity_probe(
                 worst = zr.weights
         rows.append({"k": k, "c_k": ck, "worst_weights": worst})
     return {"bundle": spec.degrees, "table": rows}
-
-
-def perturb_zeta_for_jna(
-    spec: BundleSpec, zeta: WeightSpec, eps_j: Fraction
-) -> WeightSpec:
-    """Enforce a floor on the weight-gap invariant by splitting blocks.
-
-    Returns weight data with the same vectors (commuting with the
-    input): one top vector is raised by an exact multiple of 2*eps_j
-    and one bottom vector lowered by the trace-compensating amount,
-    until the recomputed gap invariant reaches the floor; the operator
-    distance to the input stays at most 4*eps_j.
-    """
-    eps_j = Fraction(eps_j)
-    if not 0 < eps_j < Fraction(1, 4):
-        raise ValueError("the gap floor must lie in (0, 1/4)")
-    if zeta.dimension < 2:
-        raise ValueError("cannot split a one-dimensional weight datum")
-    if exact_jna(spec, zeta) >= eps_j:
-        return zeta
-    for m in (1, 2):
-        shift = 2 * m * eps_j
-        blocks = [(w, list(vecs)) for w, vecs in zeta.blocks]
-        top_vec = blocks[0][1].pop(0)
-        bot_vec = blocks[-1][1].pop() if blocks[-1][1] else None
-        if bot_vec is None:
-            blocks.pop()
-            bot_vec = blocks[-1][1].pop() if len(blocks) > 1 else None
-        if bot_vec is None:
-            raise ValueError("weight datum too small to split twice")
-        new_blocks = [(zeta.blocks[0][0] + shift, (top_vec,))]
-        new_blocks += [(w, tuple(v)) for w, v in blocks if v]
-        new_blocks.append((zeta.blocks[-1][0] - shift, (bot_vec,)))
-        xi = WeightSpec(k=zeta.k, blocks=tuple(new_blocks))
-        if exact_jna(spec, xi) >= eps_j:
-            assert xi.trace == zeta.trace
-            return xi
-    raise RuntimeError(
-        "splitting failed to raise the gap invariant; the filtration "
-        "may be degenerate for this bundle"
-    )
 
 
 def rationalize_zeta(

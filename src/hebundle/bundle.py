@@ -20,9 +20,7 @@ from .geometry import (
     CHART_W,
     CHART_Z,
     QuadratureRule,
-    SpherePoint,
     contract_batch,
-    point_arrays,
     tree_sum,
 )
 
@@ -88,15 +86,6 @@ class MetricEvaluator:
         coords = np.asarray(coords, dtype=complex)
         F = fd_curvature_batch(self, charts, coords)
         return self.evaluate(charts, coords), contract_batch(F, coords)
-
-    def check_point(self, p: SpherePoint) -> np.ndarray:
-        m = self.evaluate(*point_arrays([p]))[0]
-        if np.linalg.norm(m - m.conj().T) > 1e-10 * (1 + np.linalg.norm(m)):
-            raise RuntimeError(f"metric not hermitian at {p}")
-        w = np.linalg.eigvalsh(_hermitize(m))
-        if w[0] <= 0:
-            raise RuntimeError(f"metric not positive definite at {p}")
-        return m
 
 
 class ExplicitMetric(MetricEvaluator):
@@ -283,15 +272,6 @@ def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule
     Linv = np.linalg.inv(np.linalg.cholesky(0.5 * (b + np.swapaxes(b, -1, -2).conj())))
     c = Linv @ (0.5 * (a + np.swapaxes(a, -1, -2).conj())) @ np.swapaxes(Linv, -1, -2).conj()
     return np.linalg.eigvalsh(c)
-
-
-def scale_normalize(h: MetricEvaluator, h_ref: MetricEvaluator, rule: QuadratureRule):
-    """Divide h by the node-infimum of the least relative eigenvalue."""
-    eigs = _relative_eigs(h, h_ref, rule)
-    c = float(eigs[:, 0].min())
-    if c <= 0:
-        raise RuntimeError("relative eigenvalues not positive")
-    return ScaledMetric(h, 1.0 / c), c
 
 
 def delta_boundedness(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> float:

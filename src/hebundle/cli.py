@@ -34,17 +34,6 @@ class ConfigError(ValueError):
     pass
 
 
-_COMMANDS = (
-    "bergman",
-    "mdon",
-    "mna",
-    "slope-test",
-    "solve",
-    "audit-deltabound",
-    "probe-coercivity",
-    "convexity-audit",
-)
-
 _TOP_KEYS = {
     "bundle",
     "k",
@@ -433,7 +422,7 @@ def main(argv=None) -> int:
         description="Audits and experiments for metrics on split bundles "
         "over the projective line.",
     )
-    p.add_argument("command", nargs="?", choices=_COMMANDS)
+    p.add_argument("command", nargs="?", choices=_IMPL)
     p.add_argument("--config", type=str, help="path to a JSON config")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")

@@ -1,10 +1,10 @@
 """The Riemann sphere with its degree-1 polarization.
 
-Two charts Z and W with w = 1/z.  The Kahler potential is
-phi(z) = log(1 + |z|^2) in each chart, normalized so the associated
-(1,1)-form has total mass 1 and the contraction of the form itself is
-identically 1.  Quadrature is a product rule: Gauss-Legendre in the
-colatitude-like variable u = |z|^2/(1+|z|^2), uniform in angle.
+Two charts Z and W with w = 1/z.  The Kahler form is
+(i/2pi) dd-bar log(1 + |z|^2) in each chart, normalized to total mass
+1, so the contraction of the form itself is identically 1.
+Quadrature is a product rule: Gauss-Legendre in the colatitude-like
+variable u = |z|^2/(1+|z|^2), uniform in angle.
 """
 
 from __future__ import annotations
@@ -44,29 +44,12 @@ def sphere_point(z: complex) -> SpherePoint:
     return SpherePoint(CHART_W, 1.0 / z)
 
 
-def other_chart(p: SpherePoint) -> SpherePoint:
-    """Same point represented in the opposite chart (coord must be nonzero)."""
-    if p.coord == 0:
-        raise ValueError("coordinate 0 has no representation in the other chart")
-    return SpherePoint(CHART_W if p.chart == CHART_Z else CHART_Z, 1.0 / p.coord)
-
-
 def point_arrays(points):
     """(charts, coords) arrays of a sequence of points, as taken by the
     metric evaluators: charts is True where chart Z."""
     charts = np.array([p.chart == CHART_Z for p in points], dtype=bool)
     coords = np.array([p.coord for p in points], dtype=complex)
     return charts, coords
-
-
-def potential(p: SpherePoint) -> float:
-    """Kahler potential log(1 + |coord|^2) of the round metric."""
-    return float(np.log1p(abs(p.coord) ** 2))
-
-
-def omega_coefficient(p: SpherePoint) -> float:
-    """Coefficient g of the area form (i/2pi) g dz dz-bar in p's chart."""
-    return 1.0 / (1.0 + abs(p.coord) ** 2) ** 2
 
 
 def contract_batch(form_coeff: np.ndarray, coords: np.ndarray) -> np.ndarray:

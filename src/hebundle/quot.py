@@ -30,10 +30,6 @@ X0, X1 = sp.symbols("x0 x1")
 # dehomogenised forms: x0 -> 1, x1 -> x
 RING = QQ_I[sp.Symbol("x")]
 
-STABLE = "stable"
-POLYSTABLE = "polystable_not_stable"
-UNSTABLE = "unstable"
-
 
 def _to_gaussian(c):
     """Coerce a coefficient to an exact Gaussian-rational sympy scalar
@@ -339,63 +335,6 @@ def filtration(spec: BundleSpec, zeta: WeightSpec) -> FiltrationReport:
         jna=Fraction(jna),
         bundle=spec,
     )
-
-
-def mna(spec: BundleSpec, zeta: WeightSpec) -> Fraction:
-    return filtration(spec, zeta).mna
-
-
-def jna(spec: BundleSpec, zeta: WeightSpec) -> Fraction:
-    return filtration(spec, zeta).jna
-
-
-def slope_gap_constant(spec: BundleSpec) -> Fraction:
-    """Universal slope-gap constant 1/(r(r-1)) from integrality of
-    degrees and ranks; only meaningful for rank at least 2."""
-    r = spec.rank
-    if r < 2:
-        raise ValueError("slope gaps are vacuous for rank 1")
-    return Fraction(1, r * (r - 1))
-
-
-def stability_classify(spec: BundleSpec) -> str:
-    degs = spec.degrees
-    if spec.rank == 1:
-        return STABLE
-    if all(d == degs[0] for d in degs):
-        return POLYSTABLE
-    return UNSTABLE
-
-
-def semistable_positivity_audit(spec: BundleSpec, zeta_samples) -> dict:
-    """Check nonnegativity of the energy slope over sampled weight data.
-
-    Only meaningful for semistable bundles; for each sample the slope
-    must be nonnegative, and any violation is returned as a
-    counterexample record (it would indicate an implementation bug).
-    """
-    cls = stability_classify(spec)
-    if cls == UNSTABLE:
-        raise ValueError("positivity audit requires a semistable bundle")
-    records = []
-    violations = []
-    for zeta in zeta_samples:
-        rep = filtration(spec, zeta)
-        rec = {"weights": zeta.weights, "mna": rep.mna, "jna": rep.jna}
-        if rep.mna < 0:
-            violations.append(rec)
-        if cls == STABLE and spec.rank >= 2:
-            bound = 2 * slope_gap_constant(spec) * rep.jna
-            if rep.mna < bound:
-                violations.append({**rec, "bound": bound})
-        records.append(rec)
-    return {
-        "classification": cls,
-        "samples": len(records),
-        "records": records,
-        "violations": violations,
-        "passes": not violations,
-    }
 
 
 def block_weightspec(sb: SectionBasis, weights_and_dims, k: int | None = None):

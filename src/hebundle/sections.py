@@ -16,10 +16,8 @@ import numpy as np
 from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, regularity
 from .geometry import (
     QuadratureRule,
-    SpherePoint,
     contract_batch,
     integrate_values,
-    point_arrays,
     tree_sum,
 )
 
@@ -66,11 +64,6 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
         nz = e > 0
         S1[nz, i, col] = (e[nz] * x[nz] ** (e[nz] - 1))
     return S, S1
-
-
-def eval_matrix(sb: SectionBasis, p: SpherePoint) -> np.ndarray:
-    S, _ = eval_matrix_batch(sb, *point_arrays([p]))
-    return S[0]
 
 
 @dataclass(frozen=True)
@@ -242,18 +235,6 @@ class FSMetric(MetricEvaluator):
         return self.sb.k * dphi[:, None, None] * eye - A1 @ Ainv
 
 
-def fs_identity_defect(sb: SectionBasis, G, p: SpherePoint) -> float:
-    """Defect of the defining identity: the sum of s_i (x) s_i^* over a
-    G-orthonormal basis must be the identity endomorphism."""
-    g = _as_matrix(G)
-    hm = FSMetric(sb, G=g)
-    S = eval_matrix(sb, p)
-    # metric on E(k)
-    hk = hm.evaluate(*point_arrays([p]))[0] / (1.0 + abs(p.coord) ** 2) ** sb.k
-    total = S @ np.linalg.inv(g) @ S.conj().T @ hk
-    return float(np.linalg.norm(total - np.eye(sb.bundle.rank)))
-
-
 def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     """Kernel endomorphism comparing h with the FS metric of its L2 form.
 
@@ -276,37 +257,4 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
         "raw_sup_dev": float(raw_sup_dev),
         "N": sb.N,
         "gram": G,
-    }
-
-
-def fs_pointwise_bound_audit(sb: SectionBasis, G0, zeta: np.ndarray, points) -> dict:
-    """Sandwich audit of diagonal metric entries under a form conjugation.
-
-    With G = e^zeta G0 e^zeta, each diagonal entry of the induced metric
-    must lie between e^{-2||zeta||op} and e^{+2||zeta||op} times the
-    unperturbed entry.  Returns the worst signed margins (>= 0 means the
-    inequality holds).
-    """
-    g0 = _as_matrix(G0)
-    zeta = np.asarray(zeta, dtype=complex)
-    if np.linalg.norm(zeta - zeta.conj().T) > 1e-10 * max(1.0, np.linalg.norm(zeta)):
-        raise ValueError("zeta must be hermitian")
-    import scipy.linalg as sla
-
-    ez = sla.expm(zeta)
-    gz = ez.conj().T @ g0 @ ez
-    opn = float(np.linalg.norm(zeta, 2))
-    h0 = FSMetric(sb, G=g0)
-    hz = FSMetric(sb, G=0.5 * (gz + gz.conj().T))
-    lo, hi = np.exp(-2.0 * opn), np.exp(2.0 * opn)
-    charts, coords = point_arrays(points)
-    d0 = np.diagonal(h0.evaluate(charts, coords), axis1=1, axis2=2).real
-    dz = np.diagonal(hz.evaluate(charts, coords), axis1=1, axis2=2).real
-    worst_low = float(np.min(dz / d0 - lo, initial=np.inf))
-    worst_high = float(np.min(hi - dz / d0, initial=np.inf))
-    return {
-        "op_norm": opn,
-        "margin_lower": worst_low,
-        "margin_upper": worst_high,
-        "passes": worst_low >= -1e-10 and worst_high >= -1e-10,
     }

@@ -59,19 +59,6 @@ def mdon_gradient(
     return g
 
 
-def _fd_directional(sb, G, rule, dzeta, eps=1e-4) -> float:
-    """Finite-difference directional derivative, for cross-checks."""
-    def m_at(s):
-        E = scipy.linalg.expm(s * dzeta)
-        return donaldson(
-            FSMetric(sb, G=E @ G @ E), FSMetric(sb, G=G), rule=rule
-        )
-
-    return (m_at(-2 * eps) - 8 * m_at(-eps) + 8 * m_at(eps) - m_at(2 * eps)) / (
-        12 * eps
-    )
-
-
 @dataclass
 class SolveOptions:
     k: int

@@ -5,14 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _utils import at, rand_pd
+from _utils import at
 from hebundle.asymptotics import (
     OnePSRay,
-    bergman_ray,
     coercivity_probe,
     frame_weights,
     mdon_along_ray,
-    perturb_zeta_for_jna,
     random_block_weightspec,
     rationalize_zeta,
     renormalized_limit,
@@ -21,7 +19,7 @@ from hebundle.asymptotics import (
 )
 from hebundle.bundle import BundleSpec, trivial_metric
 from hebundle.geometry import sphere_point
-from hebundle.quot import block_weightspec, filtration, jna
+from hebundle.quot import WeightSpec, block_weightspec, filtration
 from hebundle.sections import basis, l2_gram
 
 SPEC = BundleSpec((1, -1))
@@ -59,7 +57,7 @@ def test_ray_start_is_base_metric(rule16):
     from hebundle.sections import FSMetric
 
     G0 = l2_gram(SB, trivial_metric(SPEC), rule16).matrix
-    h = bergman_ray(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0]), 0.0)
+    h = OnePSRay(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0])).metric_at(0.0)
     p = sphere_point(0.4 + 0.2j)
     assert np.allclose(at(h, p), at(FSMetric(SB, G=G0), p), atol=1e-10)
 
@@ -87,8 +85,6 @@ def test_slope_matches_exact_invariant(rule24):
 def test_slope_estimate_flags_concentration(rule16):
     # weights separating {x0^2-section, other-summand section} from the
     # rest: the leading block has a base point, which must be reported
-    from hebundle.quot import WeightSpec
-
     zr = WeightSpec(
         k=1,
         blocks=(
@@ -114,22 +110,30 @@ def test_slope_estimate_input_checks(rule16):
 def test_frame_weights_aligned_case():
     zr = block_weightspec(SB, [(Fraction(1, 3), 3), (Fraction(-1), 1)])
     assert frame_weights(SPEC, zr) == (Fraction(1, 3), Fraction(-1))
+    # the top level's generator x - root vanishes at (1, root); its
+    # generic fiber is still e_0
+    for root in (Fraction(3, 7), Fraction(1, 2)):
+        zr = WeightSpec(
+            k=1,
+            blocks=(
+                (Fraction(1), ((-root, 1, 0, 0),)),
+                (Fraction(-1), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+            ),
+        )
+        assert frame_weights(SPEC, zr) == (Fraction(1), Fraction(-1))
 
 
 def test_frame_weights_non_aligned_case():
-    # the top level is spanned by x0^2 e_0 + e_1, whose fiber (1, 1)
-    # contains neither coordinate direction
-    from hebundle.quot import WeightSpec
-
-    zr = WeightSpec(
-        k=1,
-        blocks=(
-            (Fraction(1), ((1, 0, 0, 1),)),
-            (Fraction(-1), ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
-        ),
-    )
-    with pytest.raises(ValueError, match="not aligned"):
-        frame_weights(SPEC, zr)
+    # each top level contains neither coordinate direction: x0^2 e_0 + e_1
+    # has the constant fiber (1, 1); x0 x1 e_0 + e_1 has the fiber (x, 1),
+    # which is e_1 at x = 0 alone
+    for top, rest in (
+        ((1, 0, 0, 1), ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+        ((0, 1, 0, 1), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ):
+        zr = WeightSpec(k=1, blocks=((Fraction(1), (top,)), (Fraction(-1), rest)))
+        with pytest.raises(ValueError, match="not aligned"):
+            frame_weights(SPEC, zr)
 
 
 def test_renormalized_limit_is_cauchy_and_positive(rule16):
@@ -140,28 +144,6 @@ def test_renormalized_limit_is_cauchy_and_positive(rule16):
     d = out["cauchy_defects"]
     assert d[-1] <= d[0]
     assert d[-1] < 1e-3
-
-
-def test_perturb_zeta_raises_gap():
-    sb2 = basis(BundleSpec((2, 2)), 2)
-    z = block_weightspec(sb2, [(Fraction(0), 10)])
-    assert jna(BundleSpec((2, 2)), z) == 0
-    xi = perturb_zeta_for_jna(BundleSpec((2, 2)), z, Fraction(1, 8))
-    assert jna(BundleSpec((2, 2)), xi) >= Fraction(1, 8)
-    assert xi.trace == z.trace
-    # the perturbation stays within the advertised operator distance
-    assert max(abs(w) for w in xi.weights) <= Fraction(1, 2)
-
-
-def test_perturb_zeta_noop_when_gap_large():
-    z = block_weightspec(SB, [(Fraction(1), 3), (Fraction(-3), 1)])
-    assert perturb_zeta_for_jna(SPEC, z, Fraction(1, 8)) is z
-
-
-def test_perturb_zeta_validation():
-    z = block_weightspec(SB, [(Fraction(0), 4)])
-    with pytest.raises(ValueError):
-        perturb_zeta_for_jna(SPEC, z, Fraction(1, 2))
 
 
 def test_rationalize_zeta_roundtrip():

@@ -19,11 +19,12 @@ from hebundle.bundle import (
     geodesic_log_batch,
     he_residual,
     regularity,
-    scale_normalize,
     transition_matrix,
     trivial_metric,
 )
 from hebundle.geometry import CHART_Z, SpherePoint, contract_batch, point_arrays, sphere_point
+from hebundle.sections import basis
+from hebundle.solver import _normalize
 
 
 def test_spec_arithmetic():
@@ -179,10 +180,10 @@ def test_geodesic_metric_bundle_check():
 def test_scale_normalize_and_delta(rule16):
     spec = BundleSpec((0, 0))
     h0 = trivial_metric(spec)
+    # on (0, 0) at k = 0 the sections are the frame, so FS(G0) = Id
+    sb, G0 = basis(spec, 0), np.eye(2)
+    assert np.allclose(_normalize(sb, 3.0 * G0, h0, rule16), G0, rtol=0, atol=1e-12)
     h = ScaledMetric(h0, 3.0)
-    hn, c = scale_normalize(h, h0, rule16)
-    assert c == pytest.approx(3.0, abs=1e-12)
-    assert np.allclose(at(hn, sphere_point(0.2)), np.eye(2), atol=1e-12)
     # constant multiples have delta-ratio 1
     assert delta_boundedness(h, h0, rule16) == pytest.approx(1.0, abs=1e-12)
 
@@ -192,10 +193,3 @@ def test_delta_boundedness_of_skewed_metric(rule16):
     h0 = trivial_metric(spec)
     h = ExplicitMetric(spec, lambda chart, x: np.diag([1.0, 4.0]))
     assert delta_boundedness(h, h0, rule16) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_check_point_rejects_indefinite():
-    spec = BundleSpec((0,))
-    bad = ExplicitMetric(spec, lambda chart, x: np.array([[-1.0]]))
-    with pytest.raises(RuntimeError):
-        bad.check_point(sphere_point(0.1))

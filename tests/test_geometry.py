@@ -14,10 +14,7 @@ from hebundle.geometry import (
     build_quadrature,
     contract_batch,
     integrate_values,
-    omega_coefficient,
-    other_chart,
     point_arrays,
-    potential,
     sphere_point,
     tree_sum,
 )
@@ -45,16 +42,6 @@ def test_sphere_point_infinity():
     assert q.chart == CHART_W and q.coord == 0.0
 
 
-def test_other_chart_roundtrip():
-    p = SpherePoint(CHART_Z, 0.3 - 0.4j)
-    q = other_chart(p)
-    assert q.chart == CHART_W
-    back = other_chart(q)
-    assert back.chart == p.chart and back.coord == pytest.approx(p.coord)
-    with pytest.raises(ValueError):
-        other_chart(SpherePoint(CHART_Z, 0.0))
-
-
 def test_invalid_points_rejected():
     with pytest.raises(ValueError):
         SpherePoint("Q", 0.0)
@@ -62,16 +49,10 @@ def test_invalid_points_rejected():
         SpherePoint(CHART_Z, complex(np.nan))
 
 
-def test_potential_values():
-    assert potential(SpherePoint(CHART_Z, 0.0)) == 0.0
-    assert potential(SpherePoint(CHART_Z, 1.0)) == pytest.approx(math.log(2.0))
-    # the potential only sees |coord|, so both charts agree on |x| = 1
-    assert potential(SpherePoint(CHART_W, 1j)) == pytest.approx(math.log(2.0))
-
-
 def test_area_form_contracts_to_one():
+    # the area form's coefficient in either chart is (1+|x|^2)^-2
     xs = np.array([0.0, 0.5, 0.9j, -0.3 + 0.7j])
-    coeffs = np.array([omega_coefficient(SpherePoint(CHART_Z, x)) for x in xs])
+    coeffs = (1.0 + np.abs(xs) ** 2) ** -2
     for val in contract_batch(coeffs[:, None, None], xs)[:, 0, 0]:
         assert val == pytest.approx(1.0)
 
@@ -100,7 +81,7 @@ def test_angular_modes_integrate_to_zero(rule24):
 def test_curvature_mass_of_line_weight(rule24):
     # contraction of the (1,1)-form of log(1+|z|^2) integrates to 1
     # (degree of the polarization); the coefficient is (1+|z|^2)^-2
-    coeffs = np.array([omega_coefficient(p) for p in _points(rule24)])
+    coeffs = (1.0 + np.abs(rule24.coords) ** 2) ** -2
     val = integrate_values(contract_batch(coeffs[:, None, None], rule24.coords)[:, 0, 0], rule24)
     assert val == pytest.approx(1.0, abs=1e-14)
 

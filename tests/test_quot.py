@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 import _quot_reference as ref
 from hebundle.bundle import BundleSpec
 from hebundle.quot import (
-    POLYSTABLE,
     RING,
-    STABLE,
-    UNSTABLE,
     HomogeneousSectionMatrix,
     WeightSpec,
     block_weightspec,
@@ -28,13 +25,8 @@ from hebundle.quot import (
     filtration,
     generated_subsheaf,
     j_of,
-    jna,
-    mna,
     report_to_json,
     saturate_rank_degree,
-    semistable_positivity_audit,
-    slope_gap_constant,
-    stability_classify,
     weightspec_from_json,
 )
 from hebundle.sections import basis
@@ -69,23 +61,24 @@ def test_exact_invariants_reversed_sign():
             (Fraction(-1), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))),
         ),
     )
-    assert mna(SPEC, z) == Fraction(8)
-    assert jna(SPEC, z) == Fraction(4)
+    rep = filtration(SPEC, z)
+    assert rep.mna == Fraction(8)
+    assert rep.jna == Fraction(4)
 
 
 def test_invariant_shift_invariance():
     base = _ws([(1, 3), (-3, 1)])
     for c in (Fraction(2), Fraction(-5, 3)):
-        shifted = _ws([(1 + c, 3), (-3 + c, 1)])
-        assert mna(SPEC, shifted) == mna(SPEC, base)
-        assert jna(SPEC, shifted) == jna(SPEC, base)
+        shifted = filtration(SPEC, _ws([(1 + c, 3), (-3 + c, 1)]))
+        assert shifted.mna == filtration(SPEC, base).mna
+        assert shifted.jna == filtration(SPEC, base).jna
 
 
 def test_invariant_scaling():
-    base = _ws([(1, 3), (-3, 1)])
-    scaled = _ws([(Fraction(2, 3), 3), (-2, 1)])
-    assert mna(SPEC, scaled) == Fraction(2, 3) * mna(SPEC, base)
-    assert jna(SPEC, scaled) == Fraction(2, 3) * jna(SPEC, base)
+    base = filtration(SPEC, _ws([(1, 3), (-3, 1)]))
+    scaled = filtration(SPEC, _ws([(Fraction(2, 3), 3), (-2, 1)]))
+    assert scaled.mna == Fraction(2, 3) * base.mna
+    assert scaled.jna == Fraction(2, 3) * base.jna
 
 
 def test_fractional_weights_frozen():
@@ -204,19 +197,6 @@ def test_domain_matrix_degree_enforced():
         make([[QQ_I(1)], [QQ_I(1)]], QQ_I)
 
 
-def test_stability_classification():
-    assert stability_classify(BundleSpec((5,))) == STABLE
-    assert stability_classify(BundleSpec((2, 2))) == POLYSTABLE
-    assert stability_classify(BundleSpec((1, -1))) == UNSTABLE
-
-
-def test_slope_gap_constant():
-    assert slope_gap_constant(BundleSpec((0, 0))) == Fraction(1, 2)
-    assert slope_gap_constant(BundleSpec((1, 2, 3))) == Fraction(1, 6)
-    with pytest.raises(ValueError):
-        slope_gap_constant(BundleSpec((1,)))
-
-
 def test_summand_filtration_of_polystable_attains_zero():
     spec = BundleSpec((2, 2))
     sb = basis(spec, 2)
@@ -224,20 +204,6 @@ def test_summand_filtration_of_polystable_attains_zero():
     rep = filtration(spec, z)
     assert rep.mna == Fraction(0)
     assert rep.levels[0][1:3] == (1, 2)  # the summand O(2) itself
-
-
-def test_positivity_audit_on_polystable():
-    spec = BundleSpec((0, 0))
-    sb = basis(spec, 1)
-    samples = [
-        block_weightspec(sb, [(Fraction(1), d), (Fraction(-1), sb.N - d)])
-        for d in (1, 2, 3)
-    ]
-    out = semistable_positivity_audit(spec, samples)
-    assert out["passes"] and out["samples"] == 3
-    assert all(rec["mna"] >= 0 for rec in out["records"])
-    with pytest.raises(ValueError):
-        semistable_positivity_audit(SPEC, samples)
 
 
 def test_block_weightspec_dimension_check():
@@ -272,9 +238,9 @@ def test_invariants_shift_invariant_property(d, num, den):
     # property form of shift invariance over the standard block data
     base = _ws([(1, d), (-2, 4 - d)])
     c = Fraction(num, den)
-    shifted = _ws([(1 + c, d), (-2 + c, 4 - d)])
-    assert mna(SPEC, shifted) == mna(SPEC, base)
-    assert jna(SPEC, shifted) == jna(SPEC, base)
+    shifted = filtration(SPEC, _ws([(1 + c, d), (-2 + c, 4 - d)]))
+    assert shifted.mna == filtration(SPEC, base).mna
+    assert shifted.jna == filtration(SPEC, base).jna
 
 
 # sparse coefficients, so that common roots fall at x0 = 0 and x1 = 0,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _utils import at, rand_pd
 from hebundle.bundle import BundleSpec, fd_curvature_batch, transition_matrix, trivial_metric
@@ -13,9 +14,7 @@ from hebundle.sections import (
     PositiveForm,
     basis,
     bergman_kernel,
-    eval_matrix,
-    fs_identity_defect,
-    fs_pointwise_bound_audit,
+    eval_matrix_batch,
     l2_gram,
 )
 
@@ -37,11 +36,10 @@ def test_basis_below_regularity_rejected():
 def test_eval_matrix_charts():
     sb = basis(BundleSpec((1, -1)), 1)
     # chart Z at z: row 0 holds z^j for j = 0..2, row 1 holds 1
-    S = eval_matrix(sb, SpherePoint(CHART_Z, 2.0))
+    (S, Sw), _ = eval_matrix_batch(sb, np.array([True, False]), np.array([2.0, 2.0]))
     assert np.allclose(S[0, :3], [1.0, 2.0, 4.0])
     assert np.allclose(S[1, 3], 1.0)
     # chart W flips the exponent to degree minus j
-    Sw = eval_matrix(sb, SpherePoint(CHART_W, 2.0))
     assert np.allclose(Sw[0, :3], [4.0, 2.0, 1.0])
 
 
@@ -133,11 +131,18 @@ def test_fs_connection_matches_fd():
 
 
 def test_fs_identity_defect_small():
+    # the sum of s_i (x) s_i^* over a G-orthonormal basis is the identity:
+    # S G^-1 S* h_k = Id, with h_k the FS metric on E(k)
     sb = basis(BundleSpec((1, -1)), 1)
     rng = np.random.default_rng(2)
     G = rand_pd(rng, sb.N)
-    for z in (0.0, 0.7, 0.4j):
-        assert fs_identity_defect(sb, G, sphere_point(z)) < 1e-10
+    charts, coords = point_arrays([sphere_point(z) for z in (0.0, 0.7, 0.4j)])
+    S, _ = eval_matrix_batch(sb, charts, coords)
+    ekphi = (1.0 + np.abs(coords) ** 2) ** sb.k
+    hk = FSMetric(sb, G=G).evaluate(charts, coords) / ekphi[:, None, None]
+    total = S @ np.linalg.inv(G) @ np.swapaxes(S, 1, 2).conj() @ hk
+    for defect in np.linalg.norm(total - np.eye(sb.bundle.rank), axis=(1, 2)):
+        assert defect < 1e-10
 
 
 def test_bergman_kernel_flat_line_bundle(rule24):
@@ -164,16 +169,24 @@ def test_bergman_kernel_decreasing_for_smooth_metric(rule24):
 
 
 def test_fs_pointwise_bound_audit():
+    # with G = e^zeta G0 e^zeta, each diagonal entry of the induced metric
+    # lies between e^{-2||zeta||op} and e^{+2||zeta||op} times the
+    # unperturbed entry
     sb = basis(BundleSpec((0,)), 2)
     rng = np.random.default_rng(21)
     G0 = rand_pd(rng, sb.N)
     Z = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
     zeta = 0.2 * (Z + Z.conj().T)
-    pts = [sphere_point(z) for z in (0.0, 0.5, 0.9j, -0.6 + 0.2j)]
-    rep = fs_pointwise_bound_audit(sb, G0, zeta, pts)
-    assert rep["passes"]
-    with pytest.raises(ValueError):
-        fs_pointwise_bound_audit(sb, G0, Z, pts)  # not hermitian
+    ez = scipy.linalg.expm(zeta)
+    gz = ez.conj().T @ G0 @ ez
+    opn = np.linalg.norm(zeta, 2)
+    charts, coords = point_arrays([sphere_point(z) for z in (0.0, 0.5, 0.9j, -0.6 + 0.2j)])
+    d0, dz = (
+        np.diagonal(FSMetric(sb, G=g).evaluate(charts, coords), axis1=1, axis2=2).real
+        for g in (G0, 0.5 * (gz + gz.conj().T))
+    )
+    assert np.min(dz / d0 - np.exp(-2.0 * opn)) >= -1e-10
+    assert np.min(np.exp(2.0 * opn) - dz / d0) >= -1e-10
 
 
 def test_fs_metric_helper():
