@@ -29,6 +29,7 @@ from .sections import (
     FSMetric,
     SectionBasis,
     _as_matrix,
+    _fs_moments,
     basis as section_basis,
     eval_matrix_batch,
     fs_path_rate,
@@ -97,7 +98,8 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     def factors(ts):
         Wt = [ray.gram_factor(tt) for tt in ts]
         Y, Y1, Z = (np.array([M @ W for W in Wt]).reshape((-1,) + shape) for M in (S, S1, SZ))
-        return Y, Y1, Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()
+        V = Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()
+        return (*_fs_moments(Y, Y1), V)
 
     return fs_path_rate(ray.sb, rule, t, factors)
 

@@ -245,19 +245,24 @@ def fd_curvature_batch(
     return hinv @ hzb @ hinv @ hz - hinv @ hzzb
 
 
-def _he_defect(h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
+def _he_defect(h: MetricEvaluator, rule: QuadratureRule, values=None) -> np.ndarray:
     """Einstein defect res = contracted curvature - slope at every node,
-    made hermitian with respect to h: 0.5 (res + h^-1 res* h)."""
+    made hermitian with respect to h: 0.5 (res + h^-1 res* h).  `values`
+    is h's (metric, contracted curvature) pair on the rule's nodes, when
+    the caller has it already."""
     mu = float(h.bundle.slope)
-    hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
+    if values is None:
+        values = h.evaluate_with_curvature(rule.charts, rule.coords)
+    hv, lam = values
     res = lam - mu * np.eye(h.bundle.rank)
     hinv = np.linalg.inv(hv)
     return 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
 
 
-def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> dict:
-    """Sup and L2 norms of the Einstein defect."""
-    res_h = _he_defect(h, rule)
+def he_residual(h: MetricEvaluator, rule: QuadratureRule, values=None) -> dict:
+    """Sup and L2 norms of the Einstein defect; `values` as for
+    `_he_defect`."""
+    res_h = _he_defect(h, rule, values)
     sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
     tr_sq = np.einsum("nij,nji->n", res_h, res_h).real
     l2 = float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))

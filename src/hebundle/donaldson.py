@@ -25,13 +25,7 @@ from .bundle import (
     fd_derivatives,
     geodesic_log_batch,
 )
-from .geometry import (
-    QuadratureRule,
-    contract_batch,
-    gauss_legendre01,
-    point_arrays,
-    tree_sum,
-)
+from .geometry import QuadratureRule, contract_batch, point_arrays, tree_sum
 from .sections import FSMetric, SectionBasis, eval_matrix_batch, fs_path_rate
 
 
@@ -42,13 +36,10 @@ class BergmanPath:
     dG/dt admit stable factorized expressions.
     """
 
-    def __init__(self, sb: SectionBasis, G0, G1, t_order: int = 16):
+    def __init__(self, sb: SectionBasis, G0, G1):
         from .sections import _as_matrix
 
         self.sb = sb
-        self.t_order = int(t_order)
-        if self.t_order < 4:
-            raise ValueError("t-quadrature order must be at least 4")
         g0 = _as_matrix(G0)
         g1 = _as_matrix(G1)
         w0, v0 = np.linalg.eigh(_hermitize(g0))
@@ -75,20 +66,29 @@ class BergmanPath:
         """dM/dt along the path: a float for a scalar t, an array for a
         1-D array of t.
 
-        W_t = base diag(lam^(-t/2)), so Y = S W_t = (S base) diag(lam^(-t/2))
-        and S K_t S* = (S base) diag(lam^(-t) log lam) (S base)*; the
-        sections are evaluated once.
+        G_t^-1 = B diag(lam^-t) B*, so with the columns u_j of S B and
+        u'_j of S' B, A_t = sum_j lam_j^-t u_j u_j*, and likewise
+        A' = T' T* and A'' = T' T'* from u'_j u_j* and u'_j u'_j*; V is
+        A_t with weights lam^-t log lam.  The sections and the rank-one
+        moments are formed once; the moments of all t-nodes of a chunk
+        then come from one real GEMM against [lam^-t; lam^-t log lam],
+        which has at least two rows, so each t-node's row does not
+        depend on the others.
         """
         S, S1 = eval_matrix_batch(self.sb, rule.charts, rule.coords)
-        SB = S @ self._base
-        S1B = S1 @ self._base
-        SBc = np.swapaxes(SB, -1, -2).conj()
+        u = np.moveaxis(S @ self._base, -1, 0)[..., :, None]  # (N, n, r, 1)
+        u1 = np.moveaxis(S1 @ self._base, -1, 0)[..., :, None]
+        uc, u1c = np.swapaxes(u, -1, -2).conj(), np.swapaxes(u1, -1, -2).conj()
+        mom = np.stack([u * uc, u1 * uc, u1 * u1c], axis=1)  # (N, 3, n, r, r)
+        shape = mom.shape[1:]
+        mom = np.ascontiguousarray(mom).view(float).reshape(len(self._lam), -1)
 
         def factors(ts):
-            tc = ts[:, None]
-            c = (self._lam ** (-0.5 * tc))[:, None, None, :]
-            d = (self._lam ** (-tc) * self._loglam)[:, None, None, :]
-            return SB * c, S1B * c, (SB * d) @ SBc
+            e = self._lam ** (-ts[:, None])
+            m = len(ts)
+            out = (np.concatenate([e, e * self._loglam]) @ mom).view(complex)
+            out = out.reshape((2 * m,) + shape)
+            return out[:m, 0], out[:m, 1], out[:m, 2], out[m:, 0]
 
         return fs_path_rate(self.sb, rule, t, factors)
 
@@ -108,14 +108,11 @@ class BergmanPath:
 class PointwiseExponentialPath:
     """Pointwise geodesic between two arbitrary metric evaluators."""
 
-    def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, t_order: int = 12):
+    def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator):
         if h0.bundle.degrees != h1.bundle.degrees:
             raise ValueError("path endpoints live on different bundles")
         self.h0 = h0
         self.h1 = h1
-        self.t_order = int(t_order)
-        if self.t_order < 4:
-            raise ValueError("t-quadrature order must be at least 4")
 
     def metric_at(self, t: float) -> MetricEvaluator:
         return GeodesicMetric(self.h0, self.h1, t)
@@ -142,7 +139,7 @@ class PointwiseExponentialPath:
         return float(tree_sum(vals * rule.weights))
 
 
-def _path_for(h1: MetricEvaluator, h0: MetricEvaluator, t_order: int = 16):
+def _path_for(h1: MetricEvaluator, h0: MetricEvaluator):
     from .bundle import ScaledMetric
 
     # a constant rescaling of an FS metric is the FS metric of the scaled form
@@ -155,8 +152,46 @@ def _path_for(h1: MetricEvaluator, h0: MetricEvaluator, t_order: int = 16):
         and isinstance(h0, FSMetric)
         and h1.sb.entries == h0.sb.entries
     ):
-        return BergmanPath(h0.sb, h0.G, h1.G, t_order=t_order)
-    return PointwiseExponentialPath(h0, h1, t_order=min(t_order, 12))
+        return BergmanPath(h0.sb, h0.G, h1.G)
+    return PointwiseExponentialPath(h0, h1)
+
+
+# The Gauss-Kronrod 7/15 pair of QUADPACK's qk15 on [-1, 1] (Piessens,
+# de Doncker-Kapenga, Ueberhuber, Kahaner, QUADPACK, Springer 1983): the
+# nonnegative Kronrod abscissae in descending order, their weights, and
+# the weights of the Gauss abscissae, which are every second one of them.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# the pair on [0, 1], nodes ascending: the G7 nodes are _GK_T[1::2]
+_GK_T = np.concatenate([0.5 - 0.5 * np.array(_XGK), 0.5 + 0.5 * np.array(_XGK[-2::-1])])
+_GK_WK = 0.5 * np.array(_WGK + _WGK[-2::-1])
+_GK_WG = 0.5 * np.array(_WG + _WG[-2::-1])
+# bisection levels: the finest panels have width 2^-(_GK_LEVELS - 1)
+_GK_LEVELS = 5
 
 
 def donaldson(
@@ -166,25 +201,42 @@ def donaldson(
     rule: QuadratureRule | None = None,
     tol: float = 1e-8,
 ) -> float:
-    """Energy of h1 relative to h0 (path independent)."""
+    """Energy of h1 relative to h0 (path independent).
+
+    The path's dM/dt is integrated over t in [0, 1] by the Gauss-Kronrod
+    7/15 pair: |K15 - G7| estimates the error of each panel's K15 value.
+    While the summed estimate exceeds `tol`, the panels whose estimate
+    exceeds their share tol * width are bisected, down to width 1/16; every
+    t-node's integrand is evaluated once, all nodes of a level in one
+    call.  Returns the sum of the panels' K15 values.  Raises RuntimeError,
+    naming the value, the estimate, `tol` and the t-node count, when the
+    finest level still misses `tol`.
+    """
     if rule is None:
         raise ValueError("a quadrature rule is required")
     if path is None:
         path = _path_for(h1, h0)
-    order = path.t_order
-    prev = None
-    for _ in range(4):
-        tn, tw = gauss_legendre01(order)
-        val = float(sum(w * v for w, v in zip(tw, path.deriv_integrand(tn, rule))))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        order *= 2
-        if isinstance(path, PointwiseExponentialPath) and order > 24:
-            break
-        if order > 128:
-            break
-    return prev
+    lo, width = np.zeros(1), 1.0
+    done_val = done_err = 0.0  # accepted panels
+    nodes = 0
+    for _ in range(_GK_LEVELS):
+        ts = (lo[:, None] + width * _GK_T).reshape(-1)
+        f = np.asarray(path.deriv_integrand(ts, rule)).reshape(len(lo), len(_GK_T))
+        nodes += ts.size
+        k15 = width * (f @ _GK_WK)
+        err = np.abs(k15 - width * (f[:, 1::2] @ _GK_WG))
+        value, estimate = done_val + float(k15.sum()), done_err + float(err.sum())
+        if estimate <= tol:
+            return value
+        ok = err <= tol * width
+        done_val += float(k15[ok].sum())
+        done_err += float(err[ok].sum())
+        width *= 0.5
+        lo = np.concatenate([lo[~ok], lo[~ok] + width])
+    raise RuntimeError(
+        f"energy integral missed its tolerance: value {value:.17g}, error "
+        f"estimate {estimate:.3e} > tol {tol:.3e} after {nodes} t-nodes"
+    )
 
 
 def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:

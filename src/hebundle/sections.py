@@ -109,10 +109,16 @@ def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> Posit
         ) from exc
 
 
-def _equilibrated_inverse(T: np.ndarray) -> np.ndarray:
-    """Inverse of A = T T* over any leading batch axes, taken after the
+def _fs_moments(T, T1):
+    """A = T T*, A' = T' T* and A'' = T' T'* over any leading batch
+    axes."""
+    Tc = np.swapaxes(T, -1, -2).conj()
+    return T @ Tc, T1 @ Tc, T1 @ np.swapaxes(T1, -1, -2).conj()
+
+
+def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of A over any leading batch axes, taken after the
     diagonal equilibration A -> D^-1 A D^-1."""
-    A = T @ np.swapaxes(T, -1, -2).conj()
     d = np.sqrt(np.maximum(np.diagonal(A, axis1=-2, axis2=-1).real, 0.0))
     if np.any(d <= 0):
         raise RuntimeError("section evaluation matrix is rank-deficient")
@@ -121,15 +127,13 @@ def _equilibrated_inverse(T: np.ndarray) -> np.ndarray:
     return np.linalg.inv(At) * dinv[..., :, None] * dinv[..., None, :]
 
 
-def _fs_curvature(T, T1, Ainv, coords, k: int) -> np.ndarray:
+def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
     """Closed-form curvature coefficient of (i/2pi) dz^dz-bar of the FS
-    metric with section factors T = S W, T1 = S' W and Ainv = (T T*)^-1,
-    over any leading batch axes ending in the node axis of `coords`."""
-    Tc = np.swapaxes(T, -1, -2).conj()
-    A1 = T1 @ Tc  # d/dx A
-    A11 = T1 @ np.swapaxes(T1, -1, -2).conj()  # d/dx d/dx-bar A
+    metric with moments A' = T' T*, A'' = T' T'* and Ainv = (T T*)^-1 of
+    the section factor T = S W, over any leading batch axes ending in the
+    node axis of `coords`."""
     omega_c = (1.0 + np.abs(coords) ** 2) ** (-2.0)
-    r = T.shape[-2]
+    r = A1.shape[-1]
     term = (A11 - A1 @ Ainv @ np.swapaxes(A1, -1, -2).conj()) @ Ainv
     return term - k * omega_c[:, None, None] * np.eye(r)
 
@@ -140,10 +144,11 @@ def fs_path_rate(sb: SectionBasis, rule: QuadratureRule, t, factors):
 
     The integral of tr(h^-1 dh/dt (contracted curvature - slope)) with
     h^-1 dh/dt = V A^-1.  `factors(ts)` returns, for a 1-D array of t and
-    every node, Y = S W_t and Y1 = S' W_t, where G_t^-1 = W_t W_t*, and
-    V = -S (dG_t^-1/dt) S*, shapes (m, n, r, N) and (m, n, r, r).  The
-    t-nodes go in chunks of at most _MAX_POINTS (t-node, sphere-node)
-    points; the values do not depend on the chunking.
+    every node, the moments A = T T*, A' = T' T* and A'' = T' T'* of
+    T = S W_t, where G_t^-1 = W_t W_t*, and V = -S (dG_t^-1/dt) S*, each
+    of shape (m, n, r, r).  The t-nodes go in chunks of at most
+    _MAX_POINTS (t-node, sphere-node) points; the values do not depend on
+    the chunking.
     """
     ts = np.asarray(t, dtype=float)
     res_shift = float(sb.bundle.slope) * np.eye(sb.bundle.rank)
@@ -151,9 +156,9 @@ def fs_path_rate(sb: SectionBasis, rule: QuadratureRule, t, factors):
     out = np.empty(flat.shape)
     step = max(1, _MAX_POINTS // rule.n)
     for lo in range(0, len(flat), step):
-        Y, Y1, V = factors(flat[lo : lo + step])
-        Ainv = _equilibrated_inverse(Y)
-        F = _fs_curvature(Y, Y1, Ainv, rule.coords, sb.k)
+        A, A1, A11, V = factors(flat[lo : lo + step])
+        Ainv = _equilibrated_inverse(A)
+        F = _fs_curvature(A1, A11, Ainv, rule.coords, sb.k)
         res = contract_batch(F, rule.coords) - res_shift
         vals = np.einsum("...ij,...ji->...", V @ Ainv, res).real
         out[lo : lo + step] = tree_sum((vals * rule.weights).T)
@@ -191,12 +196,11 @@ class FSMetric(MetricEvaluator):
         return self.W @ self.W.conj().T
 
     def _core(self, charts, coords):
-        """Per-node S, T = S W, T1 = S' W and the equilibrated inverse of
-        A = T T*."""
+        """Per-node S, the moments A' = T' T* and A'' = T' T'* of T = S W,
+        and the equilibrated inverse of A = T T*."""
         S, S1 = eval_matrix_batch(self.sb, charts, coords)
-        T = S @ self.W
-        T1 = S1 @ self.W
-        return S, T, T1, _equilibrated_inverse(T)
+        A, A1, A11 = _fs_moments(S @ self.W, S1 @ self.W)
+        return S, A1, A11, _equilibrated_inverse(A)
 
     def _metric(self, Ainv, coords) -> np.ndarray:
         ekphi = (1.0 + np.abs(coords) ** 2) ** self.sb.k
@@ -210,27 +214,26 @@ class FSMetric(MetricEvaluator):
     # -- closed-form differential data --------------------------------
     def evaluate_with_curvature(self, charts, coords):
         coords = np.asarray(coords, dtype=complex)
-        _, T, T1, Ainv = self._core(charts, coords)
-        lam = contract_batch(self._curvature(T, T1, Ainv, coords), coords)
+        _, A1, A11, Ainv = self._core(charts, coords)
+        lam = contract_batch(self._curvature(A1, A11, Ainv, coords), coords)
         return self._metric(Ainv, coords), lam
 
     def curvature_coeff(self, charts, coords) -> np.ndarray:
         """Coefficients of (i/2pi) dz^dz-bar of the curvature, (n, r, r)."""
         coords = np.asarray(coords, dtype=complex)
-        _, T, T1, Ainv = self._core(charts, coords)
-        return self._curvature(T, T1, Ainv, coords)
+        _, A1, A11, Ainv = self._core(charts, coords)
+        return self._curvature(A1, A11, Ainv, coords)
 
-    def _curvature(self, T, T1, Ainv, coords) -> np.ndarray:
-        """Curvature coefficient from the factors of `_core`, batched."""
-        return _fs_curvature(T, T1, Ainv, coords, self.sb.k)
+    def _curvature(self, A1, A11, Ainv, coords) -> np.ndarray:
+        """Curvature coefficient from the moments of `_core`, batched."""
+        return _fs_curvature(A1, A11, Ainv, coords, self.sb.k)
 
     def connection_coeff(self, charts, coords) -> np.ndarray:
         """Chern connection coefficients a = h^-1 dh/dx in each point's
         chart, (n, r, r)."""
         coords = np.asarray(coords, dtype=complex)
-        _, T, T1, Ainv = self._core(charts, coords)
+        _, A1, _, Ainv = self._core(charts, coords)
         dphi = np.conj(coords) / (1.0 + np.abs(coords) ** 2)
-        A1 = T1 @ np.transpose(T, (0, 2, 1)).conj()
         eye = np.eye(self.bundle.rank)
         return self.sb.k * dphi[:, None, None] * eye - A1 @ Ainv
 

@@ -34,18 +34,20 @@ def mdon_gradient(
     G: np.ndarray,
     rule: QuadratureRule,
     project_trace: bool = True,
-) -> np.ndarray:
-    """Gradient of the energy in log-coordinates on the form space.
+) -> tuple[np.ndarray, float]:
+    """Gradient of the energy in log-coordinates on the form space, and
+    the sup of the Einstein defect of FS(G) from the same sections and
+    curvature.
 
-    Returns the hermitian g with tr(g dzeta) = d/ds at 0 of the energy
-    of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
+    The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
+    energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
     g = P G^-1 + G^-1 P with P the curvature-residual moment matrix.
     The trace component vanishes by scale invariance; projecting it
     out suppresses quadrature noise in that direction.
     """
     hm = FSMetric(sb, G=G)
-    S, T, T1, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = contract_batch(hm._curvature(T, T1, Ainv, rule.coords), rule.coords)
+    S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
+    lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
     vals = np.einsum("nji,njl,nlm,nmo->nio", S.conj(), Ainv, res, S)
@@ -56,7 +58,8 @@ def mdon_gradient(
     g = 0.5 * (g + g.conj().T)
     if project_trace:
         g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
-    return g
+    values = (hm._metric(Ainv, rule.coords), lamF)
+    return g, he_residual(hm, rule, values)["sup"]
 
 
 @dataclass
@@ -143,11 +146,10 @@ def minimize(
     last_dm = None
 
     for it in range(opts.max_iter):
-        g = mdon_gradient(sb, G, rule)
+        g, res_sup = mdon_gradient(sb, G, rule)
         gnorm2 = float(np.real(np.trace(g @ g)))
         gnorm = np.sqrt(max(gnorm2, 0.0))
         logG, opn = _log_opnorm(G)
-        res_sup = he_residual(FSMetric(sb, G=G), rule)["sup"]
         history.append((it, m_total, res_sup, opn))
 
         if gnorm < opts.grad_tol:
@@ -186,7 +188,7 @@ def minimize(
                 dm = donaldson(
                     FSMetric(sb, G=G_new),
                     FSMetric(sb, G=G),
-                    path=BergmanPath(sb, G, G_new, t_order=8),
+                    path=BergmanPath(sb, G, G_new),
                     rule=rule,
                     tol=1e-9,
                 )

@@ -68,19 +68,27 @@ def _relative_eigs_reference(h, h0, rule):
     )
 
 
-def _path(degs, k, seed):
+def _path(degs, k, seed, scale=0.4):
     sb = basis(BundleSpec(degs), k)
     rng = np.random.default_rng(seed)
-    return BergmanPath(sb, rand_pd(rng, sb.N, 0.4), rand_pd(rng, sb.N, 0.4))
+    return BergmanPath(sb, rand_pd(rng, sb.N, scale), rand_pd(rng, sb.N, scale))
 
 
-@pytest.mark.parametrize("degs", [(2, 2), (2, 1, 0)])
+# bundle -> log-scale of the random forms and relative tolerance.  The
+# moments of the (1, -1) pair of log-scale 2 are sums of rank-one terms
+# whose weights lam^-t span several decades, so they round apart from the
+# per-t products S W_t (S W_t)* by more than the mild pairs do
+_REFERENCE_CASES = {(2, 2): (0.4, 1e-12), (2, 1, 0): (0.4, 1e-12), (1, -1): (2.0, 1e-10)}
+
+
+@pytest.mark.parametrize("degs", list(_REFERENCE_CASES))
 def test_bergman_integrand_matches_einsum_reference(degs, rule16):
-    path = _path(degs, 2, 3)
+    scale, rtol = _REFERENCE_CASES[degs]
+    path = _path(degs, 2, 3, scale)
     ts = np.concatenate([[0.0, 1.0], gauss_legendre01(8)[0]])
     got = path.deriv_integrand(ts, rule16)
     ref = np.array([_deriv_integrand_reference(path, t, rule16) for t in ts])
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
 
 
 def test_bergman_integrand_scalar_equals_batched_entry(rule16):
@@ -278,9 +286,10 @@ def test_curvature_variation_matches_per_point_loop(degs):
 def _ray_deriv_reference(ray, t, rule):
     """The ray's energy derivative at one t through the metric at t."""
     hm = ray.metric_at(t)
-    S, Y, Y1, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = contract_batch(hm._curvature(Y, Y1, Ainv, rule.coords), rule.coords)
+    S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
+    lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
     res = lamF - float(ray.sb.bundle.slope) * np.eye(ray.sb.bundle.rank)
+    Y = S @ ray.gram_factor(t)
     Z = (S @ (-ray.zeta)) @ ray.gram_factor(t)
     u = (Z @ np.transpose(Y, (0, 2, 1)).conj() + Y @ np.transpose(Z, (0, 2, 1)).conj()) @ Ainv
     vals = np.einsum("nij,nji->n", u, res).real

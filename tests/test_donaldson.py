@@ -2,6 +2,7 @@
 machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from hebundle.bundle import (
     trivial_metric,
 )
 from hebundle.donaldson import (
+    _GK_T,
+    _GK_WG,
+    _GK_WK,
     BergmanPath,
     PointwiseExponentialPath,
     c_delta,
@@ -189,3 +193,35 @@ def test_donaldson_requires_rule():
     h0, h1 = _fs_pair(11)
     with pytest.raises(ValueError):
         donaldson(h1, h0)
+
+
+def test_gauss_kronrod_table():
+    # K15 is exact to degree 22 and G7 to degree 13 on [0, 1]
+    for d in range(23):
+        assert abs(_GK_WK @ _GK_T**d - 1.0 / (d + 1)) < 1e-15
+    for d in range(14):
+        assert abs(_GK_WG @ _GK_T[1::2] ** d - 1.0 / (d + 1)) < 1e-15
+    # the G7 nodes are the odd-index K15 nodes: Gauss-Legendre 7 on [0, 1]
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(_GK_T[1::2], 0.5 * (x7 + 1.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(_GK_WG, 0.5 * w7, rtol=0.0, atol=1e-15)
+    assert np.all(np.diff(_GK_T) > 0) and 0.0 < _GK_T[0] and _GK_T[-1] < 1.0
+    for w in (_GK_WK, _GK_WG):
+        assert np.all(w > 0)
+        assert abs(w.sum() - 1.0) < 1e-15
+
+
+def test_donaldson_raises_when_tolerance_missed(rule16):
+    h0, h1 = _fs_pair(11)
+    value = donaldson(h1, h0, rule=rule16)
+    with pytest.raises(RuntimeError) as info:
+        donaldson(h1, h0, rule=rule16, tol=1e-300)
+    m = re.search(
+        r"value (\S+), error estimate (\S+) > tol (\S+) after (\d+) t-nodes",
+        str(info.value),
+    )
+    assert m is not None
+    assert float(m.group(1)) == pytest.approx(value, abs=1e-12)
+    assert 0.0 < float(m.group(2)) < 1e-6
+    assert float(m.group(3)) == 1e-300
+    assert int(m.group(4)) > 15
