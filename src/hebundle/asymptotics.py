@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import BundleSpec
 from .geometry import QuadratureRule, gauss_legendre01, point_arrays
-from .quot import WeightSpec, evaluation_drop_degree, filtration, generated_subsheaf
+from .quot import WeightSpec, _generic_rank, evaluation_drop_degree, filtration, generated_subsheaf
 from .sections import (
     FSMetric,
     SectionBasis,
@@ -229,9 +229,9 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
     cum = []
     for w, vecs in zeta_rational.blocks:
         cum.extend(vecs)
-        mat = generated_subsheaf(sb, cum).matrix
-        rows = [i for i, row in enumerate(mat.to_list()) if any(row)]
-        if mat.to_field().rank() != len(rows):
+        m = generated_subsheaf(sb, cum)
+        rows = [i for i, row in enumerate(m.matrix.to_list()) if any(row)]
+        if _generic_rank(m.matrix, m.row_degrees)[0] != len(rows):
             raise ValueError(
                 "filtration is not aligned with the splitting; "
                 "pass explicit frame weights"

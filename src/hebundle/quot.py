@@ -2,13 +2,20 @@
 
 Rational weight decompositions of the section space at a twist level k,
 the subsheaves generated by weight-truncated section families, their
-saturations (rank and degree via gcds of maximal minors of homogeneous
-generator matrices), and the two numerical invariants of a weight
-datum: the non-Archimedean energy slope and the extremal weight gap.
-All arithmetic is exact over the Gaussian rationals; no floating point
+saturations, and the two numerical invariants of a weight datum: the
+non-Archimedean energy slope and the extremal weight gap.  All
+arithmetic is exact over the Gaussian rationals; no floating point
 enters this module.  A binary form of degree d is held as its
 dehomogenisation f(1, x) in QQ_I[x], of degree at most d; matrices of
 forms are sympy DomainMatrix objects over that ring.
+
+A saturation's rank is the largest rank at the points (1, t),
+t = 0, 1, ..., and its degree comes from the gcd of the maximal minors
+of the pivot columns at the first point that reaches it.  The
+evaluation drop degree is the degree of the gcd of all maximal minors.
+Both gcds are read in the chart that puts (1, t) at infinity, after
+Euclid's column reduction over the polynomial ring leaves as many
+columns as the rank.
 """
 
 from __future__ import annotations
@@ -156,10 +163,6 @@ class HomogeneousSectionMatrix:
     def row_degrees(self) -> tuple:
         return tuple(a + self.k for a in self.bundle.degrees)
 
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
 
 def j_of(weights) -> int:
     """Least positive integer clearing all weight denominators."""
@@ -193,66 +196,70 @@ def values_at(mat: DomainMatrix, x) -> DomainMatrix:
     return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, QQ_I), QQ_I)
 
 
-def _generic_rank(m: DomainMatrix, max_deg: int) -> int:
-    """Rank over the function field, by exact evaluation at enough
-    points (1, t) that some maximal minor is nonzero at one of them."""
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
+def _generic_rank(m: DomainMatrix, degs):
+    """Rank over the function field, a point (1, t) where it is reached
+    and the pivot columns there, by exact evaluation at more points than
+    a minor has roots: at most the nonnegative row degrees' sum.  Columns
+    independent at one point are independent over C(x)."""
+    best, at = (), 0
+    for t in range(sum(max(d, 0) for d in degs) + 1):
+        pivots = values_at(m, t).rref()[1]
+        if len(pivots) > len(best):
+            best, at = pivots, t
+        if len(best) == min(m.shape):
+            break
+    return len(best), at, best
+
+
+def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
+    """Degree of the gcd of the rho x rho minors of `mat` as binary forms,
+    where `mat` has rank rho at the point (1, t).
+
+    In the chart (x0, x1) = (y, 1 + t y), where row i holds
+    y^d_i f(t + 1/y), that point is at infinity, so the gcd of the minors
+    in QQ_I[y] has the full degree.  Unimodular column operations keep
+    every determinantal divisor over the PID QQ_I[y], so Euclid on the
+    columns, row by row with the entry of least degree as pivot, leaves
+    rho columns whose C(r, rho) minors have that gcd.
+    """
+    if rho == 0:
         return 0
-    best = 0
-    for t in range(max_deg + 1):
-        best = max(best, values_at(m, t).rank())
-        if best == min(rows, cols):
-            break
-    return best
-
-
-def _minor_gcd_degree(minors) -> int:
-    """Degree of the gcd of the nonzero binary forms among `minors`,
-    pairs (f(1, x), form degree D): the degree of the univariate gcd of
-    the f plus the least x0-multiplicity D - deg f."""
-    g, mult = RING.zero, None
-    for f, d in minors:
-        if not f:
-            continue
-        if not g or f.rem(g):  # a multiple of g leaves the gcd unchanged
-            g = g.gcd(f)
-        mult = d - f.degree() if mult is None else min(mult, d - f.degree())
-        if g.degree() == 0 and mult == 0:
-            break
-    return g.degree() + mult
+    cols = (
+        [RING({(d - e,): a for (e,), a in f.shift(t).terms()}) for f, d in zip(col, degs)]
+        for col in zip(*mat.to_list())
+    )
+    done, live = [], [c for c in cols if any(c)]
+    for i in range(len(degs)):
+        while len(done) + len(live) > rho:
+            live.sort(key=lambda c: c[i].degree())  # kept sorted: 2x faster than min()
+            hot = [c for c in live if c[i]]
+            if len(hot) < 2:
+                break
+            for c in hot[1:]:
+                q = c[i] // hot[0][i]
+                c[:] = [a - q * b for a, b in zip(c, hot[0])]
+            live = [c for c in live if any(c)]
+        done += [c for c in live if c[i]]
+        live = [c for c in live if not c[i]]
+    red = DomainMatrix([list(row) for row in zip(*done, *live)], (len(degs), rho), RING)
+    g = RING.zero
+    for rows in itertools.combinations(range(len(degs)), rho):
+        g = g.gcd(red.extract(rows, range(rho)).det())
+    return g.degree()
 
 
 def saturate_rank_degree(m: HomogeneousSectionMatrix):
     """Rank and degree of the saturation of the image subsheaf.
 
-    The degree is -rank*k + deg gcd of the maximal minors of a generic
-    rank-many column combination: dividing the common factor out of the
-    minor vector leaves a nowhere-vanishing subbundle inclusion, which
-    is exactly the saturation on a curve.
+    The pivot columns of a point of full rank span the generic fiber, so
+    they have the same saturation; the degree is -rank*k + the degree of
+    the gcd of their maximal minors: dividing that common factor out of
+    the minor vector leaves a nowhere-vanishing subbundle inclusion,
+    which is exactly the saturation on a curve.
     """
     mat, degs = m.matrix, m.row_degrees
-    rho = _generic_rank(mat, sum(degs))
-    if rho == 0:
-        return 0, 0
-    # mix the columns down to rho generic ones; any mix of full rank
-    # spans the same generic fiber, hence has the same saturation
-    for attempt in range(64):
-        mix = DomainMatrix(
-            [[RING(((3 * i + 5 * j + 7 * attempt) % 11) + (i == j)) for j in range(rho)]
-             for i in range(m.cols)],
-            (m.cols, rho), RING,
-        )
-        mixed = mat.matmul(mix)
-        if _generic_rank(mixed, sum(degs)) == rho:
-            break
-    else:  # pragma: no cover - 64 mixes of full column rank cannot all fail
-        raise RuntimeError("could not find a generic column combination")
-    minors = (
-        (mixed.extract(rows, range(rho)).det(), sum(degs[i] for i in rows))
-        for rows in itertools.combinations(range(len(degs)), rho)
-    )
-    return rho, -rho * m.k + _minor_gcd_degree(minors)
+    rho, t, pivots = _generic_rank(mat, degs)
+    return rho, -rho * m.k + _divisor_degree(mat.extract(range(len(degs)), pivots), degs, rho, t)
 
 
 def evaluation_drop_degree(m: HomogeneousSectionMatrix) -> int:
@@ -264,15 +271,8 @@ def evaluation_drop_degree(m: HomogeneousSectionMatrix) -> int:
     for the numeric (but not the exact) asymptotics.
     """
     mat, degs = m.matrix, m.row_degrees
-    rho = _generic_rank(mat, sum(degs))
-    if rho == 0:
-        return 0
-    minors = (
-        (mat.extract(rows, cols).det(), sum(degs[i] for i in rows))
-        for rows in itertools.combinations(range(len(degs)), rho)
-        for cols in itertools.combinations(range(m.cols), rho)
-    )
-    return _minor_gcd_degree(minors)
+    rho, t, _ = _generic_rank(mat, degs)
+    return _divisor_degree(mat, degs, rho, t)
 
 
 @dataclass(frozen=True)

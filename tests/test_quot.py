@@ -5,6 +5,7 @@ tolerance; the frozen values were derived by hand from the rank/degree
 bookkeeping of subsheaves of split bundles on the line.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,17 @@ def test_saturation_examples():
     assert saturate_rank_degree(mirror) == (2, 0)
 
 
+def test_rank_found_below_the_regularity_level():
+    # O(3)+O(-2) at k=1 has row degrees 4 and -1: this form vanishes at
+    # x = 0, 1, 2, 3, so sampling only sum(row degrees) + 1 = 4 points
+    # finds rank 0
+    x0, x1 = sp.symbols("x0 x1")
+    col = sp.Matrix([[x1 * (x1 - x0) * (x1 - 2 * x0) * (x1 - 3 * x0)], [0]])
+    m = HomogeneousSectionMatrix(bundle=BundleSpec((3, -2)), k=1, matrix=col)
+    assert saturate_rank_degree(m) == (1, 3)
+    assert evaluation_drop_degree(m) == 4
+
+
 def test_saturation_column_mix_invariance():
     # adding redundant generators never changes the saturation
     vecs = [(1, 0, 0, 0), (0, 1, 0, 0)]
@@ -115,6 +127,32 @@ def test_saturation_column_mix_invariance():
     a = saturate_rank_degree(generated_subsheaf(SB, vecs))
     b = saturate_rank_degree(generated_subsheaf(SB, redundant))
     assert a == b
+    # nor the drop degree (gcds x0 and x0**2), though the column
+    # reduction's pivots depend on the column order
+    for base, extra, drop in (
+        (vecs, [(1, 1, 0, 0), (2, 3, 0, 0)], 1),
+        ([(1, 0, 0, 0), (0, 0, 0, 1)], [(1, 0, 0, 1), (2, 0, 0, -3), (3, 0, 0, 0)], 2),
+    ):
+        for fam in (base, base + extra, (base + extra)[::-1], extra[1:] + base):
+            assert evaluation_drop_degree(generated_subsheaf(SB, fam)) == drop
+
+
+def test_twenty_generator_family_frozen():
+    # (2,1,0) at k=4, row degrees 6, 5, 4: every entry is (x1 - x0) x0
+    # times a form with coefficients in {-2, -1, 1, 2}, so every 3x3 minor
+    # has the factor (x1 - x0)**3 x0**3.  The values were computed once by
+    # the exhaustive gcd over all 1140 maximal minors
+    rng = random.Random(20)
+    vecs = []
+    for _ in range(20):
+        v = []
+        for d in (6, 5, 4):
+            q = [rng.choice([-2, -1, 1, 2]) for _ in range(d - 1)]
+            v.extend([b - a for a, b in zip(q + [0], [0] + q)] + [0])  # (x - 1) q
+        vecs.append(v)
+    m = generated_subsheaf(basis(BundleSpec((2, 1, 0)), 4), vecs)
+    assert evaluation_drop_degree(m) == 6
+    assert saturate_rank_degree(m) == (3, 3)
 
 
 def test_gaussian_rational_coefficients():
@@ -189,7 +227,7 @@ def test_domain_matrix_degree_enforced():
     def make(col, domain=RING):
         return HomogeneousSectionMatrix(bundle=SPEC, k=1, matrix=DomainMatrix(col, (2, 1), domain))
 
-    assert make([[x**2], [RING.one]]).cols == 1
+    assert make([[x**2], [RING.one]]).matrix.shape[1] == 1
     for col in ([[x**3], [RING.zero]], [[RING.one], [x]]):
         with pytest.raises(ValueError):
             make(col)
