@@ -17,7 +17,7 @@ build notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +47,7 @@ class OnePSRay:
     sb: SectionBasis
     G0: np.ndarray
     zeta: np.ndarray
-    scale: float = 1.0
+    scale: float = field(init=False)
 
     def __post_init__(self):
         self.G0 = _as_matrix(self.G0)
@@ -56,11 +56,9 @@ class OnePSRay:
             raise ValueError("ray generator must be hermitian")
         z = 0.5 * (z + z.conj().T)
         op = np.linalg.norm(z, 2)
-        if op > 1.0 + 1e-12:
-            self.scale = float(op)
-            z = z / op
-        self.zeta = z
-        self._lam, self._U = np.linalg.eigh(z)
+        self.scale = float(op) if op > 1.0 + 1e-12 else 1.0
+        self.zeta = z / self.scale
+        self._lam, self._U = np.linalg.eigh(self.zeta)
         L = np.linalg.cholesky(self.G0)
         self._W0 = np.linalg.inv(L).conj().T  # G0^-1 = W0 W0*
 
@@ -104,16 +102,14 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     return fs_path_rate(ray.sb, rule, t, factors)
 
 
-def mdon_along_ray(
-    ray: OnePSRay, t_grid, rule: QuadratureRule, seg_order: int = 6
-) -> np.ndarray:
+def mdon_along_ray(ray: OnePSRay, t_grid, rule: QuadratureRule) -> np.ndarray:
     """Cumulative energy M(t) relative to the ray start, by per-segment
-    Gauss-Legendre integration of the analytic t-derivative, all
+    order-6 Gauss-Legendre integration of the analytic t-derivative, all
     segments' t-nodes in one batched call."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t grid must start at 0 and increase")
-    u, w = gauss_legendre01(seg_order)
+    u, w = gauss_legendre01(6)
     a, b = t_grid[:-1, None], t_grid[1:, None]
     derivs = _deriv_at(ray, (a + (b - a) * u).reshape(-1), rule).reshape(-1, len(u))
     out = np.empty(len(t_grid))
@@ -133,16 +129,16 @@ class SlopeReport:
     mna_exact: Fraction
     relative_gap: float
     c_offset: float
-    concentration_degrees: tuple = ()
+    concentration_degrees: tuple
 
 
-def _weights_match(ray: OnePSRay, zeta_rational: WeightSpec, tol: float = 1e-6):
+def _weights_match(ray: OnePSRay, zeta_rational: WeightSpec):
     got = np.sort(ray._lam * ray.scale)
     want = []
     for w, vecs in zeta_rational.blocks:
         want.extend([float(w)] * len(vecs))
     want = np.sort(np.array(want))
-    if len(got) != len(want) or np.max(np.abs(got - want)) > tol:
+    if len(got) != len(want) or np.max(np.abs(got - want)) > 1e-6:
         raise ValueError(
             "rational weight data does not match the ray generator spectrum"
         )
@@ -242,13 +238,7 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
     return tuple(out)
 
 
-def renormalized_limit(
-    ray: OnePSRay,
-    zeta_rational: WeightSpec,
-    t_list,
-    points,
-    frame_w=None,
-) -> dict:
+def renormalized_limit(ray: OnePSRay, zeta_rational: WeightSpec, t_list, points) -> dict:
     """Large-time limit of the ray metric in the weight-adapted frame.
 
     Conjugates h_t by diag(e^{w_i t}) with per-summand filtration
@@ -260,9 +250,7 @@ def renormalized_limit(
     """
     spec = ray.sb.bundle
     _weights_match(ray, zeta_rational)
-    if frame_w is None:
-        frame_w = frame_weights(spec, zeta_rational)
-    frame_w = np.array([float(w) for w in frame_w]) / ray.scale
+    frame_w = np.array([float(w) for w in frame_weights(spec, zeta_rational)]) / ray.scale
     t_list = sorted(float(t) for t in t_list)
     charts, coords = point_arrays(points)
     h = np.array([ray.metric_at(t).evaluate(charts, coords) for t in t_list])
@@ -278,9 +266,10 @@ def renormalized_limit(
     }
 
 
-def random_block_weightspec(sb: SectionBasis, rng, max_den: int = 8) -> WeightSpec:
+def random_block_weightspec(sb: SectionBasis, rng) -> WeightSpec:
     """Random rational block weight data over the standard basis order,
-    rescaled to unit sup weight."""
+    numerators in [-8, 8] and denominators in [1, 4], rescaled to unit sup
+    weight."""
     from .quot import block_weightspec
 
     n = sb.N
@@ -290,7 +279,7 @@ def random_block_weightspec(sb: SectionBasis, rng, max_den: int = 8) -> WeightSp
     while True:
         ws = sorted(
             {
-                Fraction(int(rng.integers(-max_den, max_den + 1)), int(rng.integers(1, 5)))
+                Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5)))
                 for _ in range(n_blocks)
             },
             reverse=True,
@@ -311,9 +300,8 @@ def coercivity_probe(
     t_max: float,
     rule: QuadratureRule,
     seed: int = 0,
-    n_t: int = 13,
 ) -> dict:
-    """Per-level offsets c_k = max over sampled rays and times of
+    """Per-level offsets c_k = max over sampled rays and 13 times of
     (exact slope * t - numeric energy).
 
     A flat trend of c_k across levels is evidence consistent with a
@@ -335,7 +323,7 @@ def coercivity_probe(
             zr = random_block_weightspec(sb, rng)
             ray = OnePSRay(sb, G0, zeta_matrix(zr))
             rep = filtration(spec, zr)
-            t_grid = np.linspace(0.0, float(t_max), n_t)
+            t_grid = np.linspace(0.0, float(t_max), 13)
             vals = mdon_along_ray(ray, t_grid, rule)
             defect = float(np.max(float(rep.mna) * t_grid - vals))
             if defect > ck:
@@ -345,18 +333,14 @@ def coercivity_probe(
     return {"bundle": spec.degrees, "table": rows}
 
 
-def rationalize_zeta(
-    sb: SectionBasis,
-    zeta: np.ndarray,
-    max_den: int = 64,
-    tol: float = 1e-4,
-) -> WeightSpec:
+def rationalize_zeta(sb: SectionBasis, zeta: np.ndarray) -> WeightSpec:
     """Round a floating hermitian generator to exact rational weight data.
 
-    Eigenvalues are clustered at the tolerance, cluster means rounded
-    by continued fractions with bounded denominator, and eigenvector
-    coordinates snapped to small rationals when within tolerance.
+    Eigenvalues are clustered at the tolerance 1e-4, cluster means rounded
+    by continued fractions with denominator at most 64, and eigenvector
+    coordinates snapped to such rationals when within the tolerance.
     """
+    tol = 1e-4
     z = np.asarray(zeta, dtype=complex)
     z = 0.5 * (z + z.conj().T)
     lam, U = np.linalg.eigh(z)
@@ -371,7 +355,7 @@ def rationalize_zeta(
             clusters.append({"idx": [i], "lo": v})
 
     def snap(x: float):
-        f = Fraction(x).limit_denominator(max_den)
+        f = Fraction(x).limit_denominator(64)
         if abs(float(f) - x) <= tol:
             return f
         return Fraction(x).limit_denominator(10**6)

@@ -34,21 +34,16 @@ class ConfigError(ValueError):
     pass
 
 
-_TOP_KEYS = {
-    "bundle",
-    "k",
-    "k_list",
-    "quadrature",
-    "seed",
-    "output_dir",
-    "zeta",
-    "solve",
-    "delta_audit",
-    "probe",
-    "slope",
-    "convexity",
-    "bergman",
+# the keys each per-command block allows
+_BLOCK_KEYS = {
+    "quadrature": {"n_colat", "n_angle"},
+    "solve": {"max_iter", "grad_tol", "he_tol", "divergence_op", "divergence_m"},
+    "delta_audit": {"n_samples", "scale"},
+    "probe": {"samples_per_k", "t_max"},
+    "slope": {"t_max", "n_t"},
+    "convexity": {"n_paths", "s_values"},
 }
+_TOP_KEYS = {"bundle", "k", "k_list", "seed", "output_dir", "zeta", *_BLOCK_KEYS}
 
 
 def _expect(cond, msg):
@@ -57,7 +52,8 @@ def _expect(cond, msg):
 
 
 def parse_config(path) -> dict:
-    """Load and validate a config file; unknown keys are rejected."""
+    """Load and validate a config file; unknown keys are rejected, also
+    inside the per-command blocks."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -80,11 +76,13 @@ def parse_config(path) -> dict:
             f"k={cfg['k']} is below the minimum level {regularity(spec)} "
             f"for bundle {b}",
         )
-    q = cfg.get("quadrature", {"n_colat": 32, "n_angle": 32})
-    _expect(
-        isinstance(q, dict) and set(q) <= {"n_colat", "n_angle"},
-        "quadrature must be {n_colat, n_angle}",
-    )
+    for block, allowed in _BLOCK_KEYS.items():
+        v = cfg.get(block, {})
+        _expect(
+            isinstance(v, dict) and set(v) <= allowed,
+            f"{block} block allows {sorted(allowed)}",
+        )
+    q = cfg.get("quadrature", {})
     cfg["quadrature"] = {
         "n_colat": int(q.get("n_colat", 32)),
         "n_angle": int(q.get("n_angle", 32)),
@@ -204,7 +202,6 @@ def _cmd_slope_test(cfg, rule, outdir):
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
     sl = cfg.get("slope", {})
-    _expect(set(sl) <= {"t_max", "n_t"}, "slope block allows {t_max, n_t}")
     t_max = float(sl.get("t_max", 30.0))
     n_t = int(sl.get("n_t", 31))
     G0 = l2_gram(sb, trivial_metric(spec), rule).matrix
@@ -231,16 +228,7 @@ def _cmd_solve(cfg, rule, outdir):
     from .solver import SolveOptions, destabilizer_extract, minimize
 
     spec = BundleSpec(tuple(cfg["bundle"]))
-    so = cfg.get("solve", {})
-    allowed = {
-        "max_iter",
-        "grad_tol",
-        "he_tol",
-        "divergence_op",
-        "divergence_m",
-    }
-    _expect(set(so) <= allowed, f"solve block allows {sorted(allowed)}")
-    opts = SolveOptions(k=cfg["k"], **so)
+    opts = SolveOptions(k=cfg["k"], **cfg.get("solve", {}))
     res = minimize(spec, opts, rule)
     _write_csv(
         outdir / "solve_history.csv",
@@ -254,19 +242,24 @@ def _cmd_solve(cfg, rule, outdir):
         "iterations": len(res.history),
     }
     if res.status == "diverging":
-        rep = destabilizer_extract(res, spec, cfg["k"])
+        rep = destabilizer_extract(res)
         out["destabilizer"] = report_to_json(rep)
     return out, 0
 
 
-def _cmd_audit_deltabound(cfg, rule, outdir):
+def _rand_pd(rng, n: int, scale: float) -> np.ndarray:
+    """e^{scale (X + X*) / 2} for X with standard complex normal entries."""
     import scipy.linalg
 
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
+
+
+def _cmd_audit_deltabound(cfg, rule, outdir):
     from .donaldson import delta_lower_bound_audit, poincare_constant
 
     spec = BundleSpec(tuple(cfg["bundle"]))
     da = cfg.get("delta_audit", {})
-    _expect(set(da) <= {"n_samples", "scale"}, "delta_audit allows {n_samples, scale}")
     n = int(da.get("n_samples", 10))
     scale = float(da.get("scale", 0.4))
     sb = basis(spec, cfg["k"])
@@ -276,11 +269,9 @@ def _cmd_audit_deltabound(cfg, rule, outdir):
     rows = []
     worst = None
     for i in range(n):
-        X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
-        G = scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
-        h = FSMetric(sb, G=G)
+        h = FSMetric(sb, G=_rand_pd(rng, sb.N, scale))
         rep = delta_lower_bound_audit(
-            h, h0, rule, allow_reducible=(spec.rank > 1), poincare=pc["constant"]
+            h, h0, rule, pc["constant"], allow_reducible=(spec.rank > 1)
         )
         rows.append(
             (i, float(rep.delta), float(rep.mdon), float(rep.bound), rep.passes)
@@ -306,10 +297,6 @@ def _cmd_probe_coercivity(cfg, rule, outdir):
 
     spec = BundleSpec(tuple(cfg["bundle"]))
     pr = cfg.get("probe", {})
-    _expect(
-        set(pr) <= {"samples_per_k", "t_max"},
-        "probe block allows {samples_per_k, t_max}",
-    )
     ks = cfg.get("k_list")
     _expect(ks, "probe-coercivity needs k_list")
     out = coercivity_probe(
@@ -331,13 +318,10 @@ def _cmd_probe_coercivity(cfg, rule, outdir):
 
 
 def _cmd_convexity_audit(cfg, rule, outdir):
-    import scipy.linalg
-
     from .donaldson import second_derivative_geodesic
 
     spec = BundleSpec(tuple(cfg["bundle"]))
     cv = cfg.get("convexity", {})
-    _expect(set(cv) <= {"n_paths", "s_values"}, "convexity allows {n_paths, s_values}")
     n = int(cv.get("n_paths", 3))
     s_values = [float(s) for s in cv.get("s_values", [0.0, 0.5, 1.0])]
     sb = basis(spec, cfg["k"])
@@ -345,11 +329,8 @@ def _cmd_convexity_audit(cfg, rule, outdir):
     rows = []
     ok = True
     for i in range(n):
-        def rand_pd():
-            X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
-            return scipy.linalg.expm(0.25 * (X + X.conj().T))
-
-        h0, h1 = FSMetric(sb, G=rand_pd()), FSMetric(sb, G=rand_pd())
+        h0 = FSMetric(sb, G=_rand_pd(rng, sb.N, 0.5))
+        h1 = FSMetric(sb, G=_rand_pd(rng, sb.N, 0.5))
         for s in s_values:
             r = second_derivative_geodesic(h0, h1, s, rule)
             rel = abs(r["formula"] - r["fd"]) / max(1e-12, abs(r["formula"]))
@@ -426,14 +407,8 @@ def main(argv=None) -> int:
     p.add_argument("--config", type=str, help="path to a JSON config")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
     p.add_argument("--self-test", action="store_true")
     args = p.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     outdir = Path(
         args.out
         or os.environ.get("HEBUNDLE_OUT", "hebundle-out")

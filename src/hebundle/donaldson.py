@@ -197,8 +197,8 @@ _GK_LEVELS = 5
 def donaldson(
     h1: MetricEvaluator,
     h0: MetricEvaluator,
+    rule: QuadratureRule,
     path=None,
-    rule: QuadratureRule | None = None,
     tol: float = 1e-8,
 ) -> float:
     """Energy of h1 relative to h0 (path independent).
@@ -212,8 +212,6 @@ def donaldson(
     naming the value, the estimate, `tol` and the t-node count, when the
     finest level still misses `tol`.
     """
-    if rule is None:
-        raise ValueError("a quadrature rule is required")
     if path is None:
         path = _path_for(h1, h0)
     lo, width = np.zeros(1), 1.0
@@ -286,7 +284,7 @@ def second_derivative_geodesic(
     return {"formula": formula, "fd": float(fd)}
 
 
-def curvature_variation_check(path, t: float, points, step: float = 1e-3) -> float:
+def curvature_variation_check(path, t: float, points) -> float:
     """Defect between the t-derivative of the curvature and the
     covariant-derivative formula d-bar grad (h^-1 dh/dt), at sample
     points; both sides as coefficients of (i/2pi) dz^dz-bar."""
@@ -294,6 +292,7 @@ def curvature_variation_check(path, t: float, points, step: float = 1e-3) -> flo
         raise ValueError("analytic variation check needs a form-space path")
     charts, coords = point_arrays(points)
     # LHS: dF/dt by 4th-order differences in t
+    step = 1e-3
     curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF]
     lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
     # RHS: -(d/dz-bar)(dv/dz + [a, v]) expanded by the product rule
@@ -376,16 +375,15 @@ def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) 
     return float(nonzero[0])
 
 
-def poincare_constant(
-    h0: MetricEvaluator, rule: QuadratureRule, subspace_dim: int = 3
-) -> dict:
+def poincare_constant(h0: MetricEvaluator, rule: QuadratureRule) -> dict:
     """1/lambda_1 of the del-bar energy on endomorphism fields, by
-    Rayleigh-Ritz with enrichment until stable to 1%."""
-    lam_prev = _poincare_rayleigh(h0, rule, subspace_dim)
+    Rayleigh-Ritz on harmonics of degree up to 3, enriched to degree 6
+    until stable to 1%."""
+    lam_prev = _poincare_rayleigh(h0, rule, 3)
     stable = False
     lam = lam_prev
-    for extra in range(1, 4):
-        lam = _poincare_rayleigh(h0, rule, subspace_dim + extra)
+    for max_deg in range(4, 7):
+        lam = _poincare_rayleigh(h0, rule, max_deg)
         if abs(lam - lam_prev) <= 0.01 * abs(lam_prev):
             stable = True
             break
@@ -408,11 +406,12 @@ def delta_lower_bound_audit(
     h: MetricEvaluator,
     h0: MetricEvaluator,
     rule: QuadratureRule,
+    poincare: float,
     allow_reducible: bool = False,
-    poincare: float | None = None,
-    tol: float = 1e-6,
 ) -> DeltaBoundReport:
-    """Audit of the eigenvalue-ratio lower bound on the energy."""
+    """Audit of the eigenvalue-ratio lower bound on the energy, with the
+    Poincare constant of h0 (`poincare_constant`), to a tolerance of
+    1e-6."""
     from .bundle import delta_boundedness
 
     if h0.bundle.rank >= 2 and not allow_reducible:
@@ -423,8 +422,6 @@ def delta_lower_bound_audit(
     delta = delta_boundedness(h, h0, rule)
     cd = c_delta(min(1.0, delta))
     cbar = he_defect_norm(h0, rule)
-    if poincare is None:
-        poincare = poincare_constant(h0, rule)["constant"]
     bound = -0.25 * (1.0 / cd) * cbar**2 * poincare
     mdon = donaldson(h, h0, rule=rule)
     return DeltaBoundReport(
@@ -434,5 +431,5 @@ def delta_lower_bound_audit(
         poincare=float(poincare),
         bound=float(bound),
         mdon=float(mdon),
-        passes=bool(mdon >= bound - tol),
+        passes=bool(mdon >= bound - 1e-6),
     )

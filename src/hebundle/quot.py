@@ -21,7 +21,7 @@ columns as the rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -284,7 +284,6 @@ class FiltrationReport:
     graded_ranks: tuple
     mna: Fraction
     jna: Fraction
-    bundle: BundleSpec = field(default=None)
 
 
 def filtration(spec: BundleSpec, zeta: WeightSpec) -> FiltrationReport:
@@ -333,14 +332,13 @@ def filtration(spec: BundleSpec, zeta: WeightSpec) -> FiltrationReport:
         graded_ranks=graded,
         mna=mna,
         jna=Fraction(jna),
-        bundle=spec,
     )
 
 
-def block_weightspec(sb: SectionBasis, weights_and_dims, k: int | None = None):
-    """Weight decomposition from (weight, dim) pairs over the standard
-    basis order: the first dim1 basis elements get weight w1, and so on."""
-    k = sb.k if k is None else k
+def block_weightspec(sb: SectionBasis, weights_and_dims):
+    """Weight decomposition at level sb.k from (weight, dim) pairs over
+    the standard basis order: the first dim1 basis elements get weight w1,
+    and so on."""
     eye = sp.eye(sb.N)
     blocks = []
     start = 0
@@ -350,7 +348,7 @@ def block_weightspec(sb: SectionBasis, weights_and_dims, k: int | None = None):
         start += d
     if start != sb.N:
         raise ValueError(f"block dimensions sum to {start}; expected {sb.N}")
-    return WeightSpec(k=k, blocks=tuple(blocks))
+    return WeightSpec(k=sb.k, blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

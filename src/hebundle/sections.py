@@ -177,7 +177,7 @@ class FSMetric(MetricEvaluator):
         self.sb = sb
         if ginv_factor is not None:
             self.W = np.asarray(ginv_factor, dtype=complex)
-            self._G = _as_matrix(G) if G is not None else None
+            self._G = None
         else:
             g = _as_matrix(G)
             L = np.linalg.cholesky(0.5 * (g + g.conj().T))

@@ -12,28 +12,19 @@ the destabilizing subsheaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .bundle import (
-    BundleSpec,
-    MetricEvaluator,
-    he_residual,
-    regularity,
-    trivial_metric,
-)
+from .bundle import BundleSpec, he_residual, regularity, trivial_metric
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch, integrate_values
 from .sections import FSMetric, SectionBasis, basis, l2_gram
 
 
 def mdon_gradient(
-    sb: SectionBasis,
-    G: np.ndarray,
-    rule: QuadratureRule,
-    project_trace: bool = True,
+    sb: SectionBasis, G: np.ndarray, rule: QuadratureRule
 ) -> tuple[np.ndarray, float]:
     """Gradient of the energy in log-coordinates on the form space, and
     the sup of the Einstein defect of FS(G) from the same sections and
@@ -56,10 +47,18 @@ def mdon_gradient(
     Ginv = hm.Ginv
     g = P @ Ginv + Ginv @ P
     g = 0.5 * (g + g.conj().T)
-    if project_trace:
-        g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
+    g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
     values = (hm._metric(Ainv, rule.coords), lamF)
     return g, he_residual(hm, rule, values)["sup"]
+
+
+# line search: first step, Armijo constant, backtracking and growth
+# factors, and the cap on the step
+_STEP0 = 1.0
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_GROW = 1.5
+_MAX_STEP = 64.0
 
 
 @dataclass
@@ -68,17 +67,12 @@ class SolveOptions:
     max_iter: int = 200
     grad_tol: float = 1e-7
     he_tol: float = 1e-3
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    grow: float = 1.5
-    max_step: float = 64.0
     divergence_op: float = 40.0
     divergence_m: float = -1.0e3
 
     def __post_init__(self):
-        if min(self.grad_tol, self.he_tol, self.step0) <= 0:
-            raise ValueError("tolerances and steps must be positive")
+        if min(self.grad_tol, self.he_tol) <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -87,9 +81,9 @@ class SolveResult:
     G_final: np.ndarray
     he_residual_sup: float
     mdon_history: list
-    history: list = field(default_factory=list)  # (iter, M, res, op_norm)
-    zeta_limit: np.ndarray | None = None
-    sb: SectionBasis | None = None
+    history: list  # (iter, M, res, op_norm)
+    zeta_limit: np.ndarray | None
+    sb: SectionBasis
 
 
 def _log_opnorm(G: np.ndarray):
@@ -114,10 +108,10 @@ def minimize(
     spec: BundleSpec,
     opts: SolveOptions,
     rule: QuadratureRule,
-    h_ref: MetricEvaluator | None = None,
     G_init: np.ndarray | None = None,
 ) -> SolveResult:
-    """Descend the energy over the form space at level k.
+    """Descend the energy over the form space at level k, from the L2
+    form of the trivial metric unless `G_init` is given.
 
     Converges on polystable split bundles; on unstable ones detects
     divergence (operator-norm blowup of log G with decreasing energy),
@@ -128,8 +122,7 @@ def minimize(
     if k < regularity(spec):
         raise ValueError(f"level {k} is below the regularity {regularity(spec)}")
     sb = basis(spec, k)
-    if h_ref is None:
-        h_ref = trivial_metric(spec)
+    h_ref = trivial_metric(spec)
     G = np.asarray(
         G_init if G_init is not None else l2_gram(sb, h_ref, rule).matrix,
         dtype=complex,
@@ -138,7 +131,7 @@ def minimize(
     m_total = 0.0
     mdon_history = [m_total]
     history = []
-    alpha = opts.step0
+    alpha = _STEP0
     status = "maxiter"
     zeta_limit = None
     g_prev = None
@@ -176,9 +169,9 @@ def minimize(
             ss = float(np.real(np.trace(s_prev @ s_prev)))
             yy = float(np.real(np.trace(y @ y)))
             if yy <= 1e-24 * gnorm2:
-                alpha = opts.max_step
+                alpha = _MAX_STEP
             elif sy > 1e-12 * np.sqrt(ss * yy):
-                alpha = min(ss / sy, opts.max_step)
+                alpha = min(ss / sy, _MAX_STEP)
         accepted = False
         a = alpha
         for _ in range(40):
@@ -193,12 +186,12 @@ def minimize(
                     tol=1e-9,
                 )
             except RuntimeError:
-                a *= opts.backtrack
+                a *= _BACKTRACK
                 continue
-            if dm <= -opts.armijo_c * a * gnorm2 or dm <= 1e-10:
+            if dm <= -_ARMIJO_C * a * gnorm2 or dm <= 1e-10:
                 accepted = True
                 break
-            a *= opts.backtrack
+            a *= _BACKTRACK
         if not accepted:
             if gnorm < 1e2 * opts.grad_tol:
                 status = "converged"
@@ -213,7 +206,7 @@ def minimize(
         G = _normalize(sb, G_new, h_ref, rule)
         m_total += min(dm, 0.0)
         mdon_history.append(m_total)
-        alpha = min(a * opts.grow, opts.max_step)
+        alpha = min(a * _GROW, _MAX_STEP)
 
     if status == "diverging":
         m_total, mdon_history = _extend_along_ray(
@@ -249,8 +242,7 @@ def _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule, opts):
     vals = mdon_along_ray(ray, t_grid, rule)
     mdon_history = mdon_history + list(m_total + vals[1:])
     m_total += float(vals[-1])
-    d1 = _deriv_at(ray, 0.5 * t_end, rule)
-    d2 = _deriv_at(ray, t_end, rule)
+    d1, d2 = _deriv_at(ray, np.array([0.5 * t_end, t_end]), rule)
     if d2 >= 0 or abs(d1 - d2) > max(0.05 * abs(d2), 1e-8):
         raise RuntimeError(
             "escape-ray derivative did not settle; divergence unconfirmed"
@@ -265,7 +257,7 @@ def _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule, opts):
     return m_total, mdon_history
 
 
-def destabilizer_extract(result: SolveResult, spec: BundleSpec, k: int):
+def destabilizer_extract(result: SolveResult):
     """Exact destabilizing filtration from a divergent run.
 
     Rounds the escape direction to rational weight data and runs the
@@ -277,9 +269,8 @@ def destabilizer_extract(result: SolveResult, spec: BundleSpec, k: int):
 
     if result.status != "diverging":
         raise ValueError("destabilizer extraction needs a divergent run")
-    sb = result.sb if result.sb is not None else basis(spec, k)
-    zr = rationalize_zeta(sb, result.zeta_limit, max_den=64, tol=1e-4)
-    rep = filtration(spec, zr)
+    zr = rationalize_zeta(result.sb, result.zeta_limit)
+    rep = filtration(result.sb.bundle, zr)
     if rep.jna == 0:
         raise RuntimeError(
             "rounded escape direction gives a trivial filtration; "

@@ -318,7 +318,7 @@ def test_criterion_09_instability_detection(rule24):
     spec = BundleSpec((1, -1))
     res = minimize(spec, SolveOptions(k=2, max_iter=300), rule24)
     assert res.status == "diverging"
-    rep = destabilizer_extract(res, spec, 2)
+    rep = destabilizer_extract(res)
     dt = time.time() - t0
     top = rep.levels[0]
     ok = (

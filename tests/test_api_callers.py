@@ -1,4 +1,5 @@
-"""Every public module-level function or class of the package has a caller.
+"""Every public module-level function or class of the package has a
+caller, and every defaulted parameter has a caller that overrides it.
 
 A name counts as used when it is read bare (and not shadowed by a local
 name), imported, or read off a package module (`quot.filtration`) in
@@ -71,3 +72,83 @@ def test_every_public_name_has_a_caller():
                 uncalled.append(f"{mod}.{name}")
     assert set(ALLOWED) <= defined, "an allowlisted name no longer exists"
     assert not uncalled, f"public names with no caller outside the unit tests: {uncalled}"
+
+
+# "module.function(parameter)" -> why the default stays without a caller
+# that overrides it
+ALLOWED_DEFAULTS = {}
+
+
+def _defaulted_params():
+    """(qualified name, call name, positional parameters, {defaulted
+    parameter: default}) for every function and method of the package.
+    A method's `self` is not counted, and `__init__` is called by its
+    class's name."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            if isinstance(stmt, ast.FunctionDef):
+                funcs = [(stmt.name, stmt.name, stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                funcs = [
+                    (stmt.name, stmt.name, f, 1) if f.name == "__init__"
+                    else (f"{stmt.name}.{f.name}", f.name, f, 1)
+                    for f in stmt.body if isinstance(f, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for qual, call_name, f, skip in funcs:
+                a = f.args
+                pos = [x.arg for x in [*a.posonlyargs, *a.args]]
+                defaults = dict(zip(pos[len(pos) - len(a.defaults):], a.defaults))
+                defaults.update(
+                    (x.arg, d) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                )
+                if defaults:
+                    yield f"{path.stem}.{qual}", call_name, pos[skip:], defaults
+
+
+def _overrides(arg, default) -> bool:
+    """Whether a passed argument can differ from the default: it can
+    unless both are the same literal."""
+    try:
+        return ast.literal_eval(arg) != ast.literal_eval(default)
+    except (ValueError, TypeError, SyntaxError):
+        return True
+
+
+def test_every_keyword_default_is_overridden():
+    """A defaulted parameter counts as overridden when some call of its
+    function's name in the package, the benchmark harness or the
+    acceptance tests passes it, by keyword or by position, a value other
+    than the default's own literal; a `*` or `**` expansion passes every
+    parameter.  Unit tests do not count."""
+    calls = {}
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unused, found = [], set()
+    for qual, call_name, pos, defaults in _defaulted_params():
+        for param, default in defaults.items():
+            key = f"{qual}({param})"
+            found.add(key)
+            if key in ALLOWED_DEFAULTS:
+                continue
+            for call in calls.get(call_name, []):
+                if any(isinstance(x, ast.Starred) for x in call.args) or any(
+                    kw.arg is None for kw in call.keywords
+                ):
+                    break
+                passed = dict(zip(pos, call.args))
+                passed.update((kw.arg, kw.value) for kw in call.keywords)
+                if param in passed and _overrides(passed[param], default):
+                    break
+            else:
+                unused.append(key)
+    assert set(ALLOWED_DEFAULTS) <= found, "an allowlisted default no longer exists"
+    assert all(ALLOWED_DEFAULTS.values()), "every allowlisted default needs its reason"
+    assert not unused, (
+        f"defaulted parameters that no call outside the unit tests overrides: {unused}"
+    )

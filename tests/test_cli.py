@@ -1,6 +1,10 @@
 """Command-line interface: configs, reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,19 @@ def _run(cmd, cfg_path, out):
     return main([cmd, "--config", cfg_path, "--out", str(out)])
 
 
+_BERGMAN_CFG = {
+    "bundle": [0],
+    "k_list": [2, 3],
+    "quadrature": {"n_colat": 16, "n_angle": 16},
+}
+_MDON_CFG = {
+    "bundle": [1, -1],
+    "k": 1,
+    "quadrature": {"n_colat": 16, "n_angle": 16},
+    "zeta": {"weights": ["1/2", "-1/2"], "dims": [2, 2]},
+}
+
+
 def test_self_test(tmp_path, capsys):
     assert main(["--self-test", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -25,6 +42,19 @@ def test_self_test(tmp_path, capsys):
 
 def test_parse_config_rejects_unknown_keys(tmp_path):
     p = _write_cfg(tmp_path, "c.json", {"bundle": [0], "bogus": 1})
+    with pytest.raises(ConfigError):
+        parse_config(p)
+
+
+@pytest.mark.parametrize(
+    "block", ["quadrature", "solve", "delta_audit", "probe", "slope", "convexity"]
+)
+def test_parse_config_rejects_unknown_block_keys(tmp_path, block):
+    p = _write_cfg(tmp_path, "c.json", {"bundle": [0], block: {"bogus": 1}})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(p)
+    assert block in str(exc.value)
+    p = _write_cfg(tmp_path, "c.json", {"bundle": [0], block: [1]})
     with pytest.raises(ConfigError):
         parse_config(p)
 
@@ -84,15 +114,7 @@ def test_mna_report_is_deterministic(tmp_path):
 
 
 def test_bergman_command(tmp_path):
-    p = _write_cfg(
-        tmp_path,
-        "c.json",
-        {
-            "bundle": [0],
-            "k_list": [2, 3],
-            "quadrature": {"n_colat": 16, "n_angle": 16},
-        },
-    )
+    p = _write_cfg(tmp_path, "c.json", _BERGMAN_CFG)
     out = tmp_path / "out"
     assert _run("bergman", p, out) == 0
     lines = (out / "bergman.csv").read_text().strip().splitlines()
@@ -103,20 +125,32 @@ def test_bergman_command(tmp_path):
 
 
 def test_mdon_command(tmp_path):
-    p = _write_cfg(
-        tmp_path,
-        "c.json",
-        {
-            "bundle": [1, -1],
-            "k": 1,
-            "quadrature": {"n_colat": 16, "n_angle": 16},
-            "zeta": {"weights": ["1/2", "-1/2"], "dims": [2, 2]},
-        },
-    )
+    p = _write_cfg(tmp_path, "c.json", _MDON_CFG)
     out = tmp_path / "out"
     assert _run("mdon", p, out) == 0
     rep = json.loads((out / "report.json").read_text())
     assert isinstance(rep["results"]["mdon"], float)
+
+
+def test_reports_are_independent_of_blas_threads(tmp_path):
+    # the thread cap is the environment's, set before the interpreter
+    # starts: numpy reads it once, at import
+    import hebundle
+
+    src = str(Path(hebundle.__file__).resolve().parents[1])
+    for cmd, cfg in (("bergman", _BERGMAN_CFG), ("mdon", _MDON_CFG)):
+        p = _write_cfg(tmp_path, f"{cmd}.json", cfg)
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src
+            out = tmp_path / f"{cmd}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "hebundle.cli", cmd, "--config", p, "--out", str(out)],
+                env=env, capture_output=True, timeout=600, check=True,
+            )
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1], cmd
 
 
 def test_slope_test_command(tmp_path):

@@ -176,7 +176,8 @@ def test_delta_audit_line_bundle(rule24):
     h0 = FSMetric(sb, G=l2_gram(sb, trivial_metric(spec), rule24))
     rng = np.random.default_rng(17)
     h = FSMetric(sb, G=rand_pd(rng, sb.N, scale=0.4))
-    rep = delta_lower_bound_audit(h, h0, rule24)
+    pc = poincare_constant(h0, rule24)["constant"]
+    rep = delta_lower_bound_audit(h, h0, rule24, pc)
     assert 0 < rep.delta <= 1.0 + 1e-9
     assert rep.passes
     assert rep.mdon >= rep.bound - 1e-6
@@ -186,12 +187,12 @@ def test_delta_audit_requires_flag_for_reducible(rule24):
     h0 = trivial_metric(SPEC)
     h = ScaledMetric(h0, 2.0)
     with pytest.raises(ValueError):
-        delta_lower_bound_audit(h, h0, rule24)
+        delta_lower_bound_audit(h, h0, rule24, poincare=1.0)
 
 
 def test_donaldson_requires_rule():
     h0, h1 = _fs_pair(11)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         donaldson(h1, h0)
 
 

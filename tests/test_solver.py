@@ -88,7 +88,7 @@ def test_minimize_detects_instability(rule24):
     assert res.status == "diverging"
     assert res.mdon_history[-1] < -1e3
     assert res.zeta_limit is not None
-    rep = destabilizer_extract(res, spec, 2)
+    rep = destabilizer_extract(res)
     # the recovered filtration starts with the destabilizing O(1)
     assert rep.levels[0][1] == 1
     assert rep.levels[0][3] == Fraction(1)
@@ -99,7 +99,7 @@ def test_destabilizer_requires_divergence(rule24):
     spec = BundleSpec((3,))
     res = minimize(spec, SolveOptions(k=3), rule24)
     with pytest.raises(ValueError):
-        destabilizer_extract(res, spec, 3)
+        destabilizer_extract(res)
 
 
 def test_minimize_random_init_reaches_he(rule24):
