@@ -30,6 +30,7 @@ from .sections import (
     SectionBasis,
     _as_matrix,
     _fs_moments,
+    _section_factor,
     basis as section_basis,
     eval_matrix_batch,
     fs_path_rate,
@@ -87,15 +88,11 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     the sections are evaluated once.
     """
     S, S1 = eval_matrix_batch(ray.sb, rule.charts, rule.coords)
-    shape = S.shape
-    # the section factors as (n r) x N matrices: one product with W_t per
-    # factor and t-node is far faster than n small ones
-    S, S1 = S.reshape(-1, shape[-1]), S1.reshape(-1, shape[-1])
-    SZ = S @ (-ray.zeta)
+    SZ = _section_factor(S, -ray.zeta)
 
     def factors(ts):
         Wt = [ray.gram_factor(tt) for tt in ts]
-        Y, Y1, Z = (np.array([M @ W for W in Wt]).reshape((-1,) + shape) for M in (S, S1, SZ))
+        Y, Y1, Z = (np.array([_section_factor(M, W) for W in Wt]) for M in (S, S1, SZ))
         V = Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()
         return (*_fs_moments(Y, Y1), V)
 

@@ -84,7 +84,7 @@ class MetricEvaluator:
         """Metric values and contracted curvature at many points, shape
         (n, r, r) each; finite-difference curvature unless overridden."""
         coords = np.asarray(coords, dtype=complex)
-        F = fd_curvature_batch(self, charts, coords)
+        F = fd_curvature_batch(*fd_stencil(self.evaluate, charts, coords))
         return self.evaluate(charts, coords), contract_batch(F, coords)
 
 
@@ -164,7 +164,12 @@ def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
 
 def geodesic_interpolate_batch(h0: np.ndarray, h1: np.ndarray, s: float) -> np.ndarray:
     """exp(s log(h1 h0^-1)) h0, batched over leading axes."""
-    rt, irt, wb, vb = _geodesic_parts(h0, h1)
+    return _geodesic_at(_geodesic_parts(h0, h1), s)
+
+
+def _geodesic_at(parts, s: float) -> np.ndarray:
+    """The geodesic at s from the `_geodesic_parts` of its endpoints."""
+    rt, _, wb, vb = parts
     bs = (vb * (wb**s)[..., None, :]) @ np.swapaxes(vb, -1, -2).conj()
     out = rt @ bs @ rt
     return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
@@ -204,14 +209,14 @@ _X_IDX = np.array([0, 1, 2, 3, 4])
 _Y_IDX = np.array([5, 6, 2, 7, 8])
 
 
-def fd_derivatives(fn, charts, coords):
-    """4th-order finite differences of a batched matrix field.
+def fd_stencil(fn, charts, coords):
+    """Values of a batched matrix field on the 4th-order stencils.
 
     `fn(charts, coords)` returns (n, m, m) values.  It is called on the
-    x- and y-shifts of step 1e-3 (1+|x|) around every point, whole shifts
-    at a time and at most _MAX_POINTS points per call, so a rule of up to
-    455 nodes takes one call.  Returns the value f and the Wirtinger
-    derivatives df/dz, df/dz-bar and d2f/dz dz-bar, shape (n, m, m) each.
+    x- and y-shifts of step dl = 1e-3 (1+|x|) around every point, whole
+    shifts at a time and at most _MAX_POINTS points per call, so a rule of
+    up to 455 nodes takes one call.  Returns the values, shape
+    (9, n, m, m) in the order of _SHIFTS (the zero shift is [2]), and dl.
     """
     coords = np.asarray(coords, dtype=complex)
     n = len(coords)
@@ -222,7 +227,13 @@ def fd_derivatives(fn, charts, coords):
         shifts = _SHIFTS[lo : lo + per_call]
         v = fn(np.tile(charts, len(shifts)), (coords + shifts[:, None] * dl).reshape(-1))
         vals.append(v.reshape((len(shifts), n) + v.shape[1:]))
-    vals = np.concatenate(vals)
+    return np.concatenate(vals), dl
+
+
+def fd_derivatives(vals, dl):
+    """4th-order finite differences of stencil values from `fd_stencil`:
+    the value f and the Wirtinger derivatives df/dz, df/dz-bar and
+    d2f/dz dz-bar, shape (n, m, m) each."""
     vals_x, vals_y = vals[_X_IDX], vals[_Y_IDX]
     inv_dl = (1.0 / dl)[:, None, None]
     fx = np.tensordot(_D1, vals_x, axes=(0, 0)) * inv_dl
@@ -234,13 +245,12 @@ def fd_derivatives(fn, charts, coords):
     return vals_x[2], fz, fzb, 0.25 * (fxx + fyy)
 
 
-def fd_curvature_batch(
-    h: MetricEvaluator, charts: np.ndarray, coords: np.ndarray
-) -> np.ndarray:
+def fd_curvature_batch(vals: np.ndarray, dl: np.ndarray) -> np.ndarray:
     """Finite-difference coefficients F of (i/2pi) F dz^dz-bar of the
-    curvature, shape (n, r, r): F = d/dz-bar (h^-1 dh/dz), with a sign
-    making the area form's own contraction +1."""
-    hc, hz, hzb, hzzb = fd_derivatives(h.evaluate, charts, coords)
+    curvature of a metric from its `fd_stencil` values, shape (n, r, r):
+    F = d/dz-bar (h^-1 dh/dz), with a sign making the area form's own
+    contraction +1."""
+    hc, hz, hzb, hzzb = fd_derivatives(vals, dl)
     hinv = np.linalg.inv(hc)
     return hinv @ hzb @ hinv @ hz - hinv @ hzzb
 
@@ -269,11 +279,10 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule, values=None) -> dict:
     return {"sup": float(sup), "l2": l2}
 
 
-def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
-    """Ascending eigenvalues of h relative to h0 at every node: with
-    h0 = L L*, the eigenvalues of the whitened L^-1 h L^-*."""
-    a = h.evaluate(rule.charts, rule.coords)
-    b = h0.evaluate(rule.charts, rule.coords)
+def _relative_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the metric values a relative to b at
+    every node: with b = L L*, the eigenvalues of the whitened
+    L^-1 a L^-*."""
     Linv = np.linalg.inv(np.linalg.cholesky(0.5 * (b + np.swapaxes(b, -1, -2).conj())))
     c = Linv @ (0.5 * (a + np.swapaxes(a, -1, -2).conj())) @ np.swapaxes(Linv, -1, -2).conj()
     return np.linalg.eigvalsh(c)
@@ -281,5 +290,6 @@ def _relative_eigs(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule
 
 def delta_boundedness(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """Node-infimum of lambda_min/lambda_max of h relative to h0."""
-    eigs = _relative_eigs(h, h0, rule)
+    a, b = (m.evaluate(rule.charts, rule.coords) for m in (h, h0))
+    eigs = _relative_eigs(a, b)
     return float((eigs[:, 0] / eigs[:, -1]).min())

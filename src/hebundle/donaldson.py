@@ -19,14 +19,23 @@ from .bundle import (
     _OFF,
     GeodesicMetric,
     MetricEvaluator,
+    _geodesic_at,
+    _geodesic_parts,
     _he_defect,
     _hermitize,
     fd_curvature_batch,
     fd_derivatives,
+    fd_stencil,
     geodesic_log_batch,
 )
 from .geometry import QuadratureRule, contract_batch, point_arrays, tree_sum
-from .sections import FSMetric, SectionBasis, eval_matrix_batch, fs_path_rate
+from .sections import (
+    FSMetric,
+    SectionBasis,
+    _section_factor,
+    eval_matrix_batch,
+    fs_path_rate,
+)
 
 
 class BergmanPath:
@@ -76,8 +85,8 @@ class BergmanPath:
         depend on the others.
         """
         S, S1 = eval_matrix_batch(self.sb, rule.charts, rule.coords)
-        u = np.moveaxis(S @ self._base, -1, 0)[..., :, None]  # (N, n, r, 1)
-        u1 = np.moveaxis(S1 @ self._base, -1, 0)[..., :, None]
+        u = np.moveaxis(_section_factor(S, self._base), -1, 0)[..., :, None]  # (N, n, r, 1)
+        u1 = np.moveaxis(_section_factor(S1, self._base), -1, 0)[..., :, None]
         uc, u1c = np.swapaxes(u, -1, -2).conj(), np.swapaxes(u1, -1, -2).conj()
         mom = np.stack([u * uc, u1 * uc, u1 * u1c], axis=1)  # (N, 3, n, r, r)
         shape = mom.shape[1:]
@@ -114,29 +123,31 @@ class PointwiseExponentialPath:
         self.h0 = h0
         self.h1 = h1
 
-    def metric_at(self, t: float) -> MetricEvaluator:
-        return GeodesicMetric(self.h0, self.h1, t)
-
     def deriv_integrand(self, t, rule: QuadratureRule):
         """dM/dt along the path: a float for a scalar t, an array for a
-        1-D array of t; the node logs are taken once per call."""
-        ts = np.asarray(t, dtype=float)
-        v = geodesic_log_batch(
-            self.h0.evaluate(rule.charts, rule.coords),
-            self.h1.evaluate(rule.charts, rule.coords),
-        )
-        out = np.array([self._deriv_one(s, v, rule) for s in ts.reshape(-1)])
-        return float(out[0]) if ts.ndim == 0 else out
+        1-D array of t.
 
-    def _deriv_one(self, t: float, v: np.ndarray, rule: QuadratureRule) -> float:
-        ht = self.metric_at(t)
-        mu = float(self.h0.bundle.slope)
-        r = self.h0.bundle.rank
-        m = ht.evaluate(rule.charts, rule.coords)
-        lam = contract_batch(fd_curvature_batch(ht, rule.charts, rule.coords), rule.coords)
-        res = lam - mu * np.eye(r)
-        vals = np.einsum("nij,njk,nkl,nli->n", np.linalg.inv(m), v, m, res).real
-        return float(tree_sum(vals * rule.weights))
+        The endpoints are evaluated on the curvature stencil of every
+        node, and their relative eigendecomposition taken, once per call;
+        only the metric at t, a power of the relative eigenvalues, is
+        formed per t-node.  The stencil's zero shift is the node itself.
+        """
+        ts = np.asarray(t, dtype=float)
+        h0v, dl = fd_stencil(self.h0.evaluate, rule.charts, rule.coords)
+        h1v, _ = fd_stencil(self.h1.evaluate, rule.charts, rule.coords)
+        parts = _geodesic_parts(h0v, h1v)
+        v = geodesic_log_batch(h0v[2], h1v[2])
+        res_shift = float(self.h0.bundle.slope) * np.eye(self.h0.bundle.rank)
+        out = []
+        for s in ts.reshape(-1):
+            # C order, as fd_stencil returns values: einsum's summation
+            # order, and so its rounding, follows the memory layout
+            ht = np.ascontiguousarray(_geodesic_at(parts, s))
+            lam = contract_batch(fd_curvature_batch(ht, dl), rule.coords)
+            m = ht[2]
+            vals = np.einsum("nij,njk,nkl,nli->n", np.linalg.inv(m), v, m, lam - res_shift).real
+            out.append(float(tree_sum(vals * rule.weights)))
+        return out[0] if ts.ndim == 0 else np.array(out)
 
 
 def _path_for(h1: MetricEvaluator, h0: MetricEvaluator):
@@ -249,7 +260,7 @@ def _connection_coeff(h: MetricEvaluator, charts, coords) -> np.ndarray:
     FS metrics."""
     if isinstance(h, FSMetric):
         return h.connection_coeff(charts, coords)
-    hc, hz, _, _ = fd_derivatives(h.evaluate, charts, coords)
+    hc, hz, _, _ = fd_derivatives(*fd_stencil(h.evaluate, charts, coords))
     return np.linalg.solve(hc, hz)
 
 
@@ -270,7 +281,7 @@ def second_derivative_geodesic(
         h = h0.evaluate(charts, coords)
         return np.linalg.solve(h, geodesic_log_batch(h, h1.evaluate(charts, coords)) @ h)
 
-    v, vz, vzb, _ = fd_derivatives(vfn, rule.charts, rule.coords)
+    v, vz, vzb, _ = fd_derivatives(*fd_stencil(vfn, rule.charts, rule.coords))
     a_s = _connection_coeff(GeodesicMetric(h0, h1, s), rule.charts, rule.coords)
     grad = vz + a_s @ v - v @ a_s
     coeff = np.trace(grad @ vzb, axis1=1, axis2=2).real
@@ -296,8 +307,8 @@ def curvature_variation_check(path, t: float, points) -> float:
     curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF]
     lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
     # RHS: -(d/dz-bar)(dv/dz + [a, v]) expanded by the product rule
-    v, _, vzb, vzzb = fd_derivatives(path.vfield_at(t), charts, coords)
-    a, _, azb, _ = fd_derivatives(path.metric_at(t).connection_coeff, charts, coords)
+    v, _, vzb, vzzb = fd_derivatives(*fd_stencil(path.vfield_at(t), charts, coords))
+    a, _, azb, _ = fd_derivatives(*fd_stencil(path.metric_at(t).connection_coeff, charts, coords))
     rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 

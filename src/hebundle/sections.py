@@ -53,16 +53,13 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
     r = sb.bundle.rank
     S = np.zeros((n, r, sb.N), dtype=complex)
     S1 = np.zeros((n, r, sb.N), dtype=complex)
-    x = np.asarray(coords, dtype=complex)
-    cz = np.asarray(charts, dtype=bool)
-    for col, (i, j) in enumerate(sb.entries):
-        d = sb.bundle.degrees[i] + sb.k
-        ez = j
-        ew = d - j
-        e = np.where(cz, ez, ew)
-        S[:, i, col] = x**e
-        nz = e > 0
-        S1[nz, i, col] = (e[nz] * x[nz] ** (e[nz] - 1))
+    x = np.asarray(coords, dtype=complex)[:, None]
+    rows, ez = np.array(sb.entries).reshape(-1, 2).T
+    ew = np.array(sb.bundle.degrees)[rows] + sb.k - ez
+    e = np.where(np.asarray(charts, dtype=bool)[:, None], ez, ew)  # (n, N)
+    cols = np.arange(sb.N)
+    S[:, rows, cols] = x**e
+    S1[:, rows, cols] = e * x ** np.maximum(e - 1, 0)  # 0 where e = 0
     return S, S1
 
 
@@ -109,6 +106,19 @@ def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> Posit
         ) from exc
 
 
+def _section_factor(S, W):
+    """S @ W for a stack S of (r, N) section matrices, as one (n r x N)
+    product with W, far faster than n small ones.  A single row gets a
+    zero partner: numpy sends a one-row product to gemv, which rounds
+    apart from gemm, and a one-point value must equal its row of an
+    n-point call."""
+    rows = S.reshape(-1, S.shape[-1])
+    pad = len(rows) == 1
+    if pad:
+        rows = np.concatenate([rows, np.zeros_like(rows)])
+    return (rows @ W)[: len(rows) - pad].reshape(S.shape[:-1] + W.shape[-1:])
+
+
 def _fs_moments(T, T1):
     """A = T T*, A' = T' T* and A'' = T' T'* over any leading batch
     axes."""
@@ -116,15 +126,54 @@ def _fs_moments(T, T1):
     return T @ Tc, T1 @ Tc, T1 @ np.swapaxes(T1, -1, -2).conj()
 
 
+# numpy's stacked matmul and inv make one BLAS or LAPACK call per r x r
+# matrix, which for r <= 3 costs many times the arithmetic; the two
+# kernels below loop over the matrix indices instead, each step one
+# array operation over all batch axes, so no matrix's result depends on
+# the others
+def _mat_mul(X, Y):
+    """X @ Y over (..., r, r) stacks, entry by entry."""
+    r = X.shape[-1]
+    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
+    for i in range(r):
+        for j in range(r):
+            acc = X[..., i, 0] * Y[..., 0, j]
+            for l in range(1, r):
+                acc += X[..., i, l] * Y[..., l, j]
+            out[..., i, j] = acc
+    return out
+
+
 def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of A over any leading batch axes, taken after the
-    diagonal equilibration A -> D^-1 A D^-1."""
-    d = np.sqrt(np.maximum(np.diagonal(A, axis1=-2, axis2=-1).real, 0.0))
-    if np.any(d <= 0):
+    """Inverse of hermitian positive A over any leading batch axes: the
+    diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then
+    Gauss-Jordan in place without pivoting, entry by entry.  The pivots
+    are diagonal entries of Schur complements of a hermitian positive
+    matrix with unit diagonal: real, in (0, 1] and no smaller than its
+    least eigenvalue, while no Schur complement entry exceeds 1 in
+    modulus, so pivoting would gain nothing."""
+    diag = np.diagonal(A, axis1=-2, axis2=-1).real
+    if np.any(diag <= 0):
         raise RuntimeError("section evaluation matrix is rank-deficient")
-    dinv = 1.0 / d
-    At = A * dinv[..., :, None] * dinv[..., None, :]
-    return np.linalg.inv(At) * dinv[..., :, None] * dinv[..., None, :]
+    dinv = 1.0 / np.sqrt(diag)
+    r = A.shape[-1]
+    scale = [[dinv[..., i] * dinv[..., j] for j in range(r)] for i in range(r)]
+    a = [[A[..., i, j] * scale[i][j] for j in range(r)] for i in range(r)]
+    for k in range(r):
+        piv = a[k][k].real
+        if np.any(piv == 0):
+            raise RuntimeError("section evaluation matrix is rank-deficient")
+        p = 1.0 / piv
+        a[k] = [p if j == k else a[k][j] * p for j in range(r)]
+        for i in range(r):
+            if i != k:
+                f = a[i][k]
+                a[i] = [-f * p if j == k else a[i][j] - f * a[k][j] for j in range(r)]
+    out = np.empty(A.shape, dtype=complex)
+    for i in range(r):
+        for j in range(r):
+            out[..., i, j] = a[i][j] * scale[i][j]
+    return out
 
 
 def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
@@ -134,7 +183,8 @@ def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
     node axis of `coords`."""
     omega_c = (1.0 + np.abs(coords) ** 2) ** (-2.0)
     r = A1.shape[-1]
-    term = (A11 - A1 @ Ainv @ np.swapaxes(A1, -1, -2).conj()) @ Ainv
+    A1c = np.swapaxes(A1, -1, -2).conj()
+    term = _mat_mul(A11 - _mat_mul(_mat_mul(A1, Ainv), A1c), Ainv)
     return term - k * omega_c[:, None, None] * np.eye(r)
 
 
@@ -199,7 +249,7 @@ class FSMetric(MetricEvaluator):
         """Per-node S, the moments A' = T' T* and A'' = T' T'* of T = S W,
         and the equilibrated inverse of A = T T*."""
         S, S1 = eval_matrix_batch(self.sb, charts, coords)
-        A, A1, A11 = _fs_moments(S @ self.W, S1 @ self.W)
+        A, A1, A11 = _fs_moments(_section_factor(S, self.W), _section_factor(S1, self.W))
         return S, A1, A11, _equilibrated_inverse(A)
 
     def _metric(self, Ainv, coords) -> np.ndarray:
@@ -235,7 +285,7 @@ class FSMetric(MetricEvaluator):
         _, A1, _, Ainv = self._core(charts, coords)
         dphi = np.conj(coords) / (1.0 + np.abs(coords) ** 2)
         eye = np.eye(self.bundle.rank)
-        return self.sb.k * dphi[:, None, None] * eye - A1 @ Ainv
+        return self.sb.k * dphi[:, None, None] * eye - _mat_mul(A1, Ainv)
 
 
 def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:

@@ -20,15 +20,15 @@ import scipy.linalg
 from .bundle import BundleSpec, he_residual, regularity, trivial_metric
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch, integrate_values
-from .sections import FSMetric, SectionBasis, basis, l2_gram
+from .sections import FSMetric, SectionBasis, _mat_mul, basis, l2_gram
 
 
 def mdon_gradient(
     sb: SectionBasis, G: np.ndarray, rule: QuadratureRule
-) -> tuple[np.ndarray, float]:
-    """Gradient of the energy in log-coordinates on the form space, and
-    the sup of the Einstein defect of FS(G) from the same sections and
-    curvature.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Gradient of the energy in log-coordinates on the form space, the
+    sup of the Einstein defect of FS(G) from the same sections and
+    curvature, and FS(G) on the rule's nodes.
 
     The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
     energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
@@ -40,8 +40,12 @@ def mdon_gradient(
     S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
     lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
     mu = float(sb.bundle.slope)
-    res = lamF - mu * np.eye(sb.bundle.rank)
-    vals = np.einsum("nji,njl,nlm,nmo->nio", S.conj(), Ainv, res, S)
+    r = sb.bundle.rank
+    res = lamF - mu * np.eye(r)
+    # S* (A^-1 res) S at every node, as sums over the r rows of S
+    B = _mat_mul(Ainv, res)
+    BS = sum(B[:, :, l, None] * S[:, None, l, :] for l in range(r))
+    vals = sum(S[:, l, :, None].conj() * BS[:, l, None, :] for l in range(r))
     P = integrate_values(vals, rule)
     P = 0.5 * (P + P.conj().T)
     Ginv = hm.Ginv
@@ -49,7 +53,7 @@ def mdon_gradient(
     g = 0.5 * (g + g.conj().T)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
     values = (hm._metric(Ainv, rule.coords), lamF)
-    return g, he_residual(hm, rule, values)["sup"]
+    return g, he_residual(hm, rule, values)["sup"], values[0]
 
 
 # line search: first step, Armijo constant, backtracking and growth
@@ -92,13 +96,16 @@ def _log_opnorm(G: np.ndarray):
     return logG, float(np.max(np.abs(np.log(w))))
 
 
-def _normalize(sb, G, h_ref, rule) -> np.ndarray:
+def _normalize(sb, G, h_ref, rule, values=None) -> np.ndarray:
     """Rescale the form so the node-infimum of the least relative
     eigenvalue of FS(G) against the reference is one; the energy is
-    scale invariant, so this is free."""
+    scale invariant, so this is free.  `values` is FS(G) on the rule's
+    nodes, when the caller has it already."""
     from .bundle import _relative_eigs
 
-    c = float(_relative_eigs(FSMetric(sb, G=G), h_ref, rule)[:, 0].min())
+    if values is None:
+        values = FSMetric(sb, G=G).evaluate(rule.charts, rule.coords)
+    c = float(_relative_eigs(values, h_ref.evaluate(rule.charts, rule.coords))[:, 0].min())
     if c <= 0:
         raise RuntimeError("iterate lost positivity against the reference")
     return G / c
@@ -127,7 +134,6 @@ def minimize(
         G_init if G_init is not None else l2_gram(sb, h_ref, rule).matrix,
         dtype=complex,
     )
-    G = _normalize(sb, G, h_ref, rule)
     m_total = 0.0
     mdon_history = [m_total]
     history = []
@@ -139,7 +145,10 @@ def minimize(
     last_dm = None
 
     for it in range(opts.max_iter):
-        g, res_sup = mdon_gradient(sb, G, rule)
+        g, res_sup, values = mdon_gradient(sb, G, rule)
+        # the gradient and the residual are scale free, so the form is
+        # normalized from the metric values they came from
+        G = _normalize(sb, G, h_ref, rule, values)
         gnorm2 = float(np.real(np.trace(g @ g)))
         gnorm = np.sqrt(max(gnorm2, 0.0))
         logG, opn = _log_opnorm(G)
@@ -203,10 +212,13 @@ def minimize(
         s_prev = -a * g
         g_prev = g
         last_dm = dm
-        G = _normalize(sb, G_new, h_ref, rule)
+        G = G_new
         m_total += min(dm, 0.0)
         mdon_history.append(m_total)
         alpha = min(a * _GROW, _MAX_STEP)
+    else:
+        # every iteration took a step: the last form is not normalized yet
+        G = _normalize(sb, G, h_ref, rule)
 
     if status == "diverging":
         m_total, mdon_history = _extend_along_ray(

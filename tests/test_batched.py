@@ -133,7 +133,7 @@ def _metric_pairs(rule):
 
 def test_relative_eigs_match_scipy(rule16):
     for h, h0 in _metric_pairs(rule16):
-        got = _relative_eigs(h, h0, rule16)
+        got = _relative_eigs(*(m.evaluate(rule16.charts, rule16.coords) for m in (h, h0)))
         ref = _relative_eigs_reference(h, h0, rule16)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -201,6 +201,24 @@ def test_every_evaluator_batch_equals_one_point_calls(rule16):
         batched = h.evaluate(rule16.charts, rule16.coords)
         one = [h.evaluate(rule16.charts[i : i + 1], rule16.coords[i : i + 1])[0] for i in range(rule16.n)]
         assert np.array_equal(batched, np.stack(one)), type(h).__name__
+
+
+@pytest.mark.parametrize("degs, k", [((3,), 0), ((1, -1), 1), ((2, 1, 0), 1)])
+def test_fs_metric_batch_equals_one_point_calls_at_every_rank(degs, k, rule16):
+    # the section factor is one flat product over all points; a single
+    # point of rank 1 is one row, which must round as it does among many
+    sb = basis(BundleSpec(degs), k)
+    h = FSMetric(sb, G=rand_pd(np.random.default_rng(14), sb.N, 0.4))
+    methods = {
+        "evaluate": lambda c, x: (h.evaluate(c, x),),
+        "evaluate_with_curvature": h.evaluate_with_curvature,
+        "connection_coeff": lambda c, x: (h.connection_coeff(c, x),),
+    }
+    for name, method in methods.items():
+        batched = method(rule16.charts, rule16.coords)
+        one = [method(rule16.charts[i : i + 1], rule16.coords[i : i + 1]) for i in range(rule16.n)]
+        for part, ones in zip(batched, zip(*one)):
+            assert np.array_equal(part, np.concatenate(ones)), name
 
 
 def _stencil(fn, p):

@@ -15,6 +15,7 @@ from hebundle.bundle import (
     ScaledMetric,
     delta_boundedness,
     fd_curvature_batch,
+    fd_stencil,
     geodesic_interpolate_batch,
     geodesic_log_batch,
     he_residual,
@@ -71,7 +72,8 @@ def test_trivial_metric_curvature():
         h = trivial_metric(BundleSpec((a,)))
         for z in (0.0, 0.5, 0.3 - 0.6j):
             charts, coords = point_arrays([sphere_point(z)])
-            lam = contract_batch(fd_curvature_batch(h, charts, coords), coords)[0]
+            F = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
+            lam = contract_batch(F, coords)[0]
             assert lam[0, 0].real == pytest.approx(a, abs=5e-8)
 
 
@@ -91,9 +93,10 @@ def test_he_residual_of_unbalanced_split(rule24):
 
 def test_fd_curvature_batch_matches_pointwise(rule16):
     h = trivial_metric(BundleSpec((2, 0)))
-    F = fd_curvature_batch(h, rule16.charts[:5], rule16.coords[:5])
+    F = fd_curvature_batch(*fd_stencil(h.evaluate, rule16.charts[:5], rule16.coords[:5]))
     for i in range(5):
-        one = fd_curvature_batch(h, rule16.charts[i : i + 1], rule16.coords[i : i + 1])
+        charts, coords = rule16.charts[i : i + 1], rule16.coords[i : i + 1]
+        one = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
         assert np.allclose(F[i], one[0], atol=1e-9)
 
 

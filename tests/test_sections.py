@@ -7,11 +7,19 @@ import pytest
 import scipy.linalg
 
 from _utils import at, rand_pd
-from hebundle.bundle import BundleSpec, fd_curvature_batch, transition_matrix, trivial_metric
+from hebundle.bundle import (
+    BundleSpec,
+    fd_curvature_batch,
+    fd_stencil,
+    transition_matrix,
+    trivial_metric,
+)
 from hebundle.geometry import CHART_W, CHART_Z, SpherePoint, point_arrays, sphere_point
 from hebundle.sections import (
     FSMetric,
     PositiveForm,
+    _equilibrated_inverse,
+    _mat_mul,
     basis,
     bergman_kernel,
     eval_matrix_batch,
@@ -106,7 +114,7 @@ def test_fs_closed_form_curvature_matches_fd(rule16):
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
     charts, coords = point_arrays([sphere_point(z) for z in (0.1, 0.5j, -0.4 + 0.3j)])
     closed = h.curvature_coeff(charts, coords)
-    fd = fd_curvature_batch(h, charts, coords)
+    fd = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
     for i in range(3):
         assert np.allclose(closed[i], fd[i], atol=1e-6)
 
@@ -194,3 +202,31 @@ def test_fs_metric_helper():
     h = FSMetric(sb, G=np.eye(2))
     assert isinstance(h, FSMetric)
     assert np.array_equal(h.G, np.eye(2))
+
+
+def _hpd_stack(rng, shape, r):
+    """Well-conditioned random hermitian positive matrices, (*shape, r, r)."""
+    X = rng.normal(size=shape + (r, r)) + 1j * rng.normal(size=shape + (r, r))
+    return X @ np.swapaxes(X, -1, -2).conj() + r * np.eye(r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_entrywise_kernels_match_numpy(r):
+    rng = np.random.default_rng(20 + r)
+    A, B = _hpd_stack(rng, (3, 5), r), _hpd_stack(rng, (3, 5), r)
+    for got, ref in ((_equilibrated_inverse(A), np.linalg.inv(A)), (_mat_mul(A, B), A @ B)):
+        assert got.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def test_equilibrated_inverse_raises_when_rank_deficient():
+    A = _hpd_stack(np.random.default_rng(30), (4,), 2)
+    zero_row = A.copy()
+    zero_row[2, 1, :] = zero_row[2, :, 1] = 0.0  # a zero diagonal entry
+    with pytest.raises(RuntimeError, match="rank-deficient"):
+        _equilibrated_inverse(zero_row)
+    singular = A.copy()
+    singular[1] = [[1.0, 1.0], [1.0, 1.0]]  # unit diagonal, zero pivot
+    with pytest.raises(RuntimeError, match="rank-deficient"):
+        _equilibrated_inverse(singular)
