@@ -22,13 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundle import BundleSpec
+from .bundle import BundleSpec, _hermitize
 from .geometry import QuadratureRule, gauss_legendre01, point_arrays
 from .quot import WeightSpec, _generic_rank, evaluation_drop_degree, filtration, generated_subsheaf
 from .sections import (
     FSMetric,
     SectionBasis,
-    _as_matrix,
     _fs_moments,
     _section_factor,
     basis as section_basis,
@@ -51,11 +50,11 @@ class OnePSRay:
     scale: float = field(init=False)
 
     def __post_init__(self):
-        self.G0 = _as_matrix(self.G0)
+        self.G0 = np.asarray(self.G0, dtype=complex)
         z = np.asarray(self.zeta, dtype=complex)
         if np.linalg.norm(z - z.conj().T, 2) > 1e-12 * max(1.0, np.linalg.norm(z, 2)):
             raise ValueError("ray generator must be hermitian")
-        z = 0.5 * (z + z.conj().T)
+        z = _hermitize(z)
         op = np.linalg.norm(z, 2)
         self.scale = float(op) if op > 1.0 + 1e-12 else 1.0
         self.zeta = z / self.scale
@@ -313,7 +312,7 @@ def coercivity_probe(
         rng = np.random.default_rng(seed + 1000 * k)
         sb = section_basis(spec, k)
         href = trivial_metric(spec)
-        G0 = l2_gram(sb, href, rule).matrix
+        G0 = l2_gram(sb, href, rule)
         ck = 0.0
         worst = None
         for _ in range(samples_per_k):
@@ -339,8 +338,7 @@ def rationalize_zeta(sb: SectionBasis, zeta: np.ndarray) -> WeightSpec:
     """
     tol = 1e-4
     z = np.asarray(zeta, dtype=complex)
-    z = 0.5 * (z + z.conj().T)
-    lam, U = np.linalg.eigh(z)
+    lam, U = np.linalg.eigh(_hermitize(z))
     order = np.argsort(-lam)
     lam, U = lam[order], U[:, order]
     clusters = []

@@ -16,13 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (
-    CHART_W,
-    CHART_Z,
-    QuadratureRule,
-    contract_batch,
-    tree_sum,
-)
+from .geometry import QuadratureRule, contract_batch, tree_sum
 
 # most points evaluated in one batched call by the stencil and the
 # energy-path helpers: the size of a 64x64 rule
@@ -57,13 +51,9 @@ def regularity(spec: BundleSpec) -> int:
     return max(-a for a in spec.degrees)
 
 
-def transition_matrix(spec: BundleSpec, z: complex) -> np.ndarray:
-    """Frame change diag(z^{a_i}) from chart Z to chart W components."""
-    return np.diag([complex(z) ** a for a in spec.degrees])
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    """Hermitian part (m + m*) / 2 of each matrix of an (..., r, r) stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 class MetricEvaluator:
@@ -86,23 +76,6 @@ class MetricEvaluator:
         coords = np.asarray(coords, dtype=complex)
         F = fd_curvature_batch(*fd_stencil(self.evaluate, charts, coords))
         return self.evaluate(charts, coords), contract_batch(F, coords)
-
-
-class ExplicitMetric(MetricEvaluator):
-    """Metric given by an explicit function (chart, coord) -> matrix,
-    called once per point."""
-
-    def __init__(self, bundle: BundleSpec, fn):
-        self.bundle = bundle
-        self.fn = fn
-
-    def evaluate(self, charts, coords) -> np.ndarray:
-        r = self.bundle.rank
-        out = np.empty((len(coords), r, r), dtype=complex)
-        for i, (cz, x) in enumerate(zip(charts, coords)):
-            m = self.fn(CHART_Z if cz else CHART_W, complex(x))
-            out[i] = np.asarray(m, dtype=complex).reshape((r, r))
-        return out
 
 
 class _StandardMetric(MetricEvaluator):
@@ -149,14 +122,12 @@ class ScaledMetric(MetricEvaluator):
 def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
     """Batched square roots and relative eigendecomposition of a metric
     pair; accepts (..., r, r) arrays."""
-    w0, v0 = np.linalg.eigh(0.5 * (h0 + np.swapaxes(h0, -1, -2).conj()))
+    w0, v0 = np.linalg.eigh(_hermitize(h0))
     if np.any(w0[..., 0] <= 0):
         raise RuntimeError("metric value not positive definite")
     rt = (v0 * np.sqrt(w0)[..., None, :]) @ np.swapaxes(v0, -1, -2).conj()
     irt = (v0 / np.sqrt(w0)[..., None, :]) @ np.swapaxes(v0, -1, -2).conj()
-    b = irt @ h1 @ irt
-    b = 0.5 * (b + np.swapaxes(b, -1, -2).conj())
-    wb, vb = np.linalg.eigh(b)
+    wb, vb = np.linalg.eigh(_hermitize(irt @ h1 @ irt))
     if np.any(wb[..., 0] <= 0):
         raise RuntimeError("metric pair not jointly positive definite")
     return rt, irt, wb, vb
@@ -171,15 +142,17 @@ def _geodesic_at(parts, s: float) -> np.ndarray:
     """The geodesic at s from the `_geodesic_parts` of its endpoints."""
     rt, _, wb, vb = parts
     bs = (vb * (wb**s)[..., None, :]) @ np.swapaxes(vb, -1, -2).conj()
-    out = rt @ bs @ rt
-    return 0.5 * (out + np.swapaxes(out, -1, -2).conj())
+    return _hermitize(rt @ bs @ rt)
 
 
 def geodesic_log_batch(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
-    """log(h1 h0^-1), batched over leading axes."""
+    """The velocity h_s^-1 dh_s/ds = log(h0^-1 h1) of the geodesic
+    h_s = exp(s log(h1 h0^-1)) h0, the same at every s; batched over
+    leading axes.  With b = h0^-1/2 h1 h0^-1/2 it is
+    h0^-1/2 log(b) h0^1/2."""
     rt, irt, wb, vb = _geodesic_parts(h0, h1)
     lb = (vb * np.log(wb)[..., None, :]) @ np.swapaxes(vb, -1, -2).conj()
-    return rt @ lb @ irt
+    return irt @ lb @ rt
 
 
 class GeodesicMetric(MetricEvaluator):
@@ -283,8 +256,8 @@ def _relative_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the metric values a relative to b at
     every node: with b = L L*, the eigenvalues of the whitened
     L^-1 a L^-*."""
-    Linv = np.linalg.inv(np.linalg.cholesky(0.5 * (b + np.swapaxes(b, -1, -2).conj())))
-    c = Linv @ (0.5 * (a + np.swapaxes(a, -1, -2).conj())) @ np.swapaxes(Linv, -1, -2).conj()
+    Linv = np.linalg.inv(np.linalg.cholesky(_hermitize(b)))
+    c = Linv @ _hermitize(a) @ np.swapaxes(Linv, -1, -2).conj()
     return np.linalg.eigvalsh(c)
 
 

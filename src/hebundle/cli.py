@@ -51,6 +51,11 @@ def _expect(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_config(path) -> dict:
     """Load and validate a config file; unknown keys are rejected, also
     inside the per-command blocks."""
@@ -65,17 +70,18 @@ def parse_config(path) -> dict:
     _expect("bundle" in cfg, "missing required field: bundle")
     b = cfg["bundle"]
     _expect(
-        isinstance(b, list) and b and all(isinstance(x, int) for x in b),
+        isinstance(b, list) and b and all(_is_int(x) for x in b),
         "bundle must be a nonempty list of integers",
     )
-    spec = BundleSpec(tuple(b))
-    if "k" in cfg:
-        _expect(isinstance(cfg["k"], int), "k must be an integer")
-        _expect(
-            cfg["k"] >= regularity(spec),
-            f"k={cfg['k']} is below the minimum level {regularity(spec)} "
-            f"for bundle {b}",
-        )
+    reg = regularity(BundleSpec(tuple(b)))
+    levels = [cfg["k"]] if "k" in cfg else []
+    if "k_list" in cfg:
+        ks = cfg["k_list"]
+        _expect(isinstance(ks, list) and ks, "k_list must be a nonempty list of integers")
+        levels += ks
+    for k in levels:
+        _expect(_is_int(k), "k and the k_list entries must be integers")
+        _expect(k >= reg, f"k={k} is below the minimum level {reg} for bundle {b}")
     for block, allowed in _BLOCK_KEYS.items():
         v = cfg.get(block, {})
         _expect(
@@ -88,7 +94,7 @@ def parse_config(path) -> dict:
         "n_angle": int(q.get("n_angle", 32)),
     }
     if "seed" in cfg:
-        _expect(isinstance(cfg["seed"], int), "seed must be an integer")
+        _expect(_is_int(cfg["seed"]), "seed must be an integer")
     return cfg
 
 
@@ -164,8 +170,8 @@ def _cmd_bergman(cfg, rule, outdir):
     h = trivial_metric(spec)
     rows = []
     for k in ks:
-        rep = bergman_kernel(h, int(k), rule)
-        rows.append((int(k), float(rep["sup_dev"]), float(rep["raw_sup_dev"])))
+        rep = bergman_kernel(h, k, rule)
+        rows.append((k, float(rep["sup_dev"]), float(rep["raw_sup_dev"])))
     _write_csv(outdir / "bergman.csv", ("k", "sup_dev", "raw_sup_dev"), rows)
     return {"rows": [{"k": k, "sup_dev": s, "raw_sup_dev": r} for k, s, r in rows]}, 0
 
@@ -176,7 +182,7 @@ def _cmd_mdon(cfg, rule, outdir):
 
     spec = BundleSpec(tuple(cfg["bundle"]))
     sb = basis(spec, cfg["k"])
-    G0 = l2_gram(sb, trivial_metric(spec), rule).matrix
+    G0 = l2_gram(sb, trivial_metric(spec), rule)
     zr = _zeta_from_config(cfg, sb)
     from .asymptotics import zeta_matrix
 
@@ -204,7 +210,7 @@ def _cmd_slope_test(cfg, rule, outdir):
     sl = cfg.get("slope", {})
     t_max = float(sl.get("t_max", 30.0))
     n_t = int(sl.get("n_t", 31))
-    G0 = l2_gram(sb, trivial_metric(spec), rule).matrix
+    G0 = l2_gram(sb, trivial_metric(spec), rule)
     ray = OnePSRay(sb, G0, zeta_matrix(zr))
     rep = slope_estimate(ray, zr, t_max, n_t, rule)
     mna_f = float(rep.mna_exact)
@@ -301,7 +307,7 @@ def _cmd_probe_coercivity(cfg, rule, outdir):
     _expect(ks, "probe-coercivity needs k_list")
     out = coercivity_probe(
         spec,
-        [int(k) for k in ks],
+        ks,
         int(pr.get("samples_per_k", 10)),
         float(pr.get("t_max", 15.0)),
         rule,

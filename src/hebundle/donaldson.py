@@ -45,12 +45,10 @@ class BergmanPath:
     dG/dt admit stable factorized expressions.
     """
 
-    def __init__(self, sb: SectionBasis, G0, G1):
-        from .sections import _as_matrix
-
+    def __init__(self, sb: SectionBasis, G0: np.ndarray, G1: np.ndarray):
         self.sb = sb
-        g0 = _as_matrix(G0)
-        g1 = _as_matrix(G1)
+        g0 = np.asarray(G0, dtype=complex)
+        g1 = np.asarray(G1, dtype=complex)
         w0, v0 = np.linalg.eigh(_hermitize(g0))
         if w0[0] <= 0:
             raise ValueError("G0 not positive definite")
@@ -130,22 +128,20 @@ class PointwiseExponentialPath:
         The endpoints are evaluated on the curvature stencil of every
         node, and their relative eigendecomposition taken, once per call;
         only the metric at t, a power of the relative eigenvalues, is
-        formed per t-node.  The stencil's zero shift is the node itself.
+        formed per t-node.  The velocity h_t^-1 dh_t/dt = log(h0^-1 h1)
+        does not depend on t, so it is formed once, at the stencil's zero
+        shift, the node itself.
         """
         ts = np.asarray(t, dtype=float)
         h0v, dl = fd_stencil(self.h0.evaluate, rule.charts, rule.coords)
         h1v, _ = fd_stencil(self.h1.evaluate, rule.charts, rule.coords)
         parts = _geodesic_parts(h0v, h1v)
-        v = geodesic_log_batch(h0v[2], h1v[2])
+        u = geodesic_log_batch(h0v[2], h1v[2])
         res_shift = float(self.h0.bundle.slope) * np.eye(self.h0.bundle.rank)
         out = []
         for s in ts.reshape(-1):
-            # C order, as fd_stencil returns values: einsum's summation
-            # order, and so its rounding, follows the memory layout
-            ht = np.ascontiguousarray(_geodesic_at(parts, s))
-            lam = contract_batch(fd_curvature_batch(ht, dl), rule.coords)
-            m = ht[2]
-            vals = np.einsum("nij,njk,nkl,nli->n", np.linalg.inv(m), v, m, lam - res_shift).real
+            lam = contract_batch(fd_curvature_batch(_geodesic_at(parts, s), dl), rule.coords)
+            vals = np.einsum("nij,nji->n", u, lam - res_shift).real
             out.append(float(tree_sum(vals * rule.weights)))
         return out[0] if ts.ndim == 0 else np.array(out)
 
@@ -278,8 +274,7 @@ def second_derivative_geodesic(
 
     def vfn(charts, coords):
         # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s
-        h = h0.evaluate(charts, coords)
-        return np.linalg.solve(h, geodesic_log_batch(h, h1.evaluate(charts, coords)) @ h)
+        return geodesic_log_batch(h0.evaluate(charts, coords), h1.evaluate(charts, coords))
 
     v, vz, vzb, _ = fd_derivatives(*fd_stencil(vfn, rule.charts, rule.coords))
     a_s = _connection_coeff(GeodesicMetric(h0, h1, s), rule.charts, rule.coords)

@@ -33,7 +33,6 @@ from sympy.polys.matrices import DomainMatrix
 from .bundle import BundleSpec
 from .sections import SectionBasis, basis
 
-X0, X1 = sp.symbols("x0 x1")
 # dehomogenised forms: x0 -> 1, x1 -> x
 RING = QQ_I[sp.Symbol("x")]
 
@@ -131,8 +130,7 @@ class HomogeneousSectionMatrix:
     Row i holds binary forms of degree d_i = (i-th summand degree) + k; a
     map from m copies of the k-fold negative line bundle into the bundle.
     `matrix` is an r x m DomainMatrix over RING holding each form as
-    f(1, x), of degree at most d_i.  A sympy Matrix of forms in x0, x1
-    is accepted and converted once, after a full homogeneity check.
+    f(1, x), of degree at most d_i.
     """
 
     bundle: BundleSpec
@@ -143,18 +141,7 @@ class HomogeneousSectionMatrix:
         mat, degs = self.matrix, self.row_degrees
         if mat.shape[0] != self.bundle.rank:
             raise ValueError("generator matrix row count differs from rank")
-        if isinstance(mat, sp.MatrixBase):
-            forms = [
-                [sp.Poly(e, X0, X1, domain=QQ_I) for e in mat.row(i)] for i in range(mat.rows)
-            ]
-            if any(p and p.homogeneous_order() != d for d, row in zip(degs, forms) for p in row):
-                raise ValueError(f"an entry of row degrees {degs} is not a homogeneous form")
-            mat = DomainMatrix(
-                [[RING({(b,): c for (_, b), c in p.terms()}) for p in row] for row in forms],
-                mat.shape, RING,
-            )
-            object.__setattr__(self, "matrix", mat)
-        if mat.domain != RING or any(
+        if not isinstance(mat, DomainMatrix) or mat.domain != RING or any(
             f.degree() > d for row, d in zip(mat.to_list(), degs) for f in row
         ):
             raise ValueError(f"generator matrix must be over {RING} with row degrees {degs}")

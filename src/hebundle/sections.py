@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, regularity
+from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, _hermitize, regularity
 from .geometry import (
     QuadratureRule,
     contract_batch,
@@ -63,47 +63,19 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
     return S, S1
 
 
-@dataclass(frozen=True)
-class PositiveForm:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", g)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("form must be a square matrix")
-        if np.linalg.norm(g - g.conj().T) > 1e-12 * max(1.0, np.linalg.norm(g)):
-            raise ValueError("form is not hermitian")
-        try:
-            np.linalg.cholesky(0.5 * (g + g.conj().T))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("form is not positive definite") from exc
-
-    @property
-    def N(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _as_matrix(G) -> np.ndarray:
-    if isinstance(G, PositiveForm):
-        return G.matrix
-    return np.asarray(G, dtype=complex)
-
-
-def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> PositiveForm:
-    """L2 form of the basis sections against h and the level-k line weight."""
+def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
+    """Hermitian L2 form of the basis sections against h and the level-k
+    line weight; RuntimeError when the rule leaves it degenerate."""
     S, _ = eval_matrix_batch(sb, rule.charts, rule.coords)
     hv = h.evaluate(rule.charts, rule.coords)
     wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
     vals = np.einsum("nji,njl,nlm->nim", S.conj(), hv, S) * wphi[:, None, None]
-    g = integrate_values(vals, rule)
-    g = 0.5 * (g + g.conj().T)
+    g = _hermitize(integrate_values(vals, rule))
     try:
-        return PositiveForm(g)
-    except ValueError as exc:
-        raise RuntimeError(
-            "degenerate L2 form; refine the quadrature rule"
-        ) from exc
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("degenerate L2 form; refine the quadrature rule") from exc
+    return g
 
 
 def _section_factor(S, W):
@@ -229,8 +201,8 @@ class FSMetric(MetricEvaluator):
             self.W = np.asarray(ginv_factor, dtype=complex)
             self._G = None
         else:
-            g = _as_matrix(G)
-            L = np.linalg.cholesky(0.5 * (g + g.conj().T))
+            g = np.asarray(G, dtype=complex)
+            L = np.linalg.cholesky(_hermitize(g))
             # G^-1 = L^-* L^-1, so W = L^-*
             self.W = np.linalg.inv(L).conj().T
             self._G = g
@@ -254,8 +226,7 @@ class FSMetric(MetricEvaluator):
 
     def _metric(self, Ainv, coords) -> np.ndarray:
         ekphi = (1.0 + np.abs(coords) ** 2) ** self.sb.k
-        h = Ainv * ekphi[:, None, None]
-        return 0.5 * (h + np.transpose(h, (0, 2, 1)).conj())
+        return _hermitize(Ainv * ekphi[:, None, None])
 
     def evaluate(self, charts, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
@@ -288,18 +259,25 @@ class FSMetric(MetricEvaluator):
         return self.sb.k * dphi[:, None, None] * eye - _mat_mul(A1, Ainv)
 
 
+def _bergman_raw(h: MetricEvaluator, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
+    """raw(p) = h(p) fs(p)^-1 at every node, for fs the FS metric of the
+    form G: fs^-1 = e^{-k phi} T T* with T = S W its section factor."""
+    S = eval_matrix_batch(sb, rule.charts, rule.coords)[0]
+    T = _section_factor(S, FSMetric(sb, G=G).W)
+    wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
+    fs_inv = (T @ np.swapaxes(T, -1, -2).conj()) * wphi[:, None, None]
+    return h.evaluate(rule.charts, rule.coords) @ fs_inv
+
+
 def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     """Kernel endomorphism comparing h with the FS metric of its L2 form.
 
-    raw(p) = h(p) fs(p)^-1; the normalized kernel multiplies by
-    r * Vol / N and tends to the identity as k grows.
+    The raw kernel (`_bergman_raw`) times r * Vol / N tends to the
+    identity as k grows.
     """
     sb = basis(h.bundle, k)
     G = l2_gram(sb, h, rule)
-    hfs = FSMetric(sb, G=G.matrix)
-    hv = h.evaluate(rule.charts, rule.coords)
-    fv = hfs.evaluate(rule.charts, rule.coords)
-    raw = hv @ np.linalg.inv(fv)
+    raw = _bergman_raw(h, sb, G, rule)
     r = h.bundle.rank
     norm_factor = r * 1.0 / sb.N  # volume is 1
     tilde = norm_factor * raw

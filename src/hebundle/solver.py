@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bundle import BundleSpec, he_residual, regularity, trivial_metric
+from .bundle import BundleSpec, _hermitize, he_residual, regularity, trivial_metric
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch, integrate_values
 from .sections import FSMetric, SectionBasis, _mat_mul, basis, l2_gram
@@ -47,10 +47,9 @@ def mdon_gradient(
     BS = sum(B[:, :, l, None] * S[:, None, l, :] for l in range(r))
     vals = sum(S[:, l, :, None].conj() * BS[:, l, None, :] for l in range(r))
     P = integrate_values(vals, rule)
-    P = 0.5 * (P + P.conj().T)
+    P = _hermitize(P)
     Ginv = hm.Ginv
-    g = P @ Ginv + Ginv @ P
-    g = 0.5 * (g + g.conj().T)
+    g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
     values = (hm._metric(Ainv, rule.coords), lamF)
     return g, he_residual(hm, rule, values)["sup"], values[0]
@@ -91,7 +90,7 @@ class SolveResult:
 
 
 def _log_opnorm(G: np.ndarray):
-    w, U = np.linalg.eigh(0.5 * (G + G.conj().T))
+    w, U = np.linalg.eigh(_hermitize(G))
     logG = (U * np.log(w)) @ U.conj().T
     return logG, float(np.max(np.abs(np.log(w))))
 
@@ -130,10 +129,7 @@ def minimize(
         raise ValueError(f"level {k} is below the regularity {regularity(spec)}")
     sb = basis(spec, k)
     h_ref = trivial_metric(spec)
-    G = np.asarray(
-        G_init if G_init is not None else l2_gram(sb, h_ref, rule).matrix,
-        dtype=complex,
-    )
+    G = np.asarray(G_init if G_init is not None else l2_gram(sb, h_ref, rule), dtype=complex)
     m_total = 0.0
     mdon_history = [m_total]
     history = []

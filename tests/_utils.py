@@ -3,6 +3,9 @@
 import numpy as np
 import scipy.linalg
 
+from hebundle.bundle import MetricEvaluator
+from hebundle.geometry import CHART_W, CHART_Z
+
 
 def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
     """Random hermitian positive-definite matrix e^{scale * sym(X)}."""
@@ -15,3 +18,25 @@ def at(h, p):
     from hebundle.geometry import point_arrays
 
     return h.evaluate(*point_arrays([p]))[0]
+
+
+def transition_matrix(spec, z: complex) -> np.ndarray:
+    """Frame change diag(z^{a_i}) from chart Z to chart W components."""
+    return np.diag([complex(z) ** a for a in spec.degrees])
+
+
+class ExplicitMetric(MetricEvaluator):
+    """Metric given by an explicit function (chart, coord) -> matrix,
+    called once per point."""
+
+    def __init__(self, bundle, fn):
+        self.bundle = bundle
+        self.fn = fn
+
+    def evaluate(self, charts, coords) -> np.ndarray:
+        r = self.bundle.rank
+        out = np.empty((len(coords), r, r), dtype=complex)
+        for i, (cz, x) in enumerate(zip(charts, coords)):
+            m = self.fn(CHART_Z if cz else CHART_W, complex(x))
+            out[i] = np.asarray(m, dtype=complex).reshape((r, r))
+        return out

@@ -177,7 +177,7 @@ def test_criterion_06_slope_match(rule24):
     t0 = time.time()
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)
-    G0 = l2_gram(sb, trivial_metric(spec), rule24).matrix
+    G0 = l2_gram(sb, trivial_metric(spec), rule24)
     e = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     zetas = [
         block_weightspec(sb, [(Fraction(1, 3), 3), (Fraction(-1), 1)]),

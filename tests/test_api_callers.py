@@ -16,8 +16,6 @@ SRC = ROOT / "src" / "hebundle"
 
 ALLOWED = {
     "renormalized_limit": "the paper's title object, the Quot-scheme limit of the FS rays",
-    "transition_matrix": "the chart-gluing oracle the tests check the metrics against",
-    "ExplicitMetric": "the tests' non-Fubini-Study evaluator",
 }
 
 

@@ -27,7 +27,7 @@ SB = basis(SPEC, 1)
 
 
 def _ray(rule, weights_and_dims, seed=0):
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule).matrix
+    G0 = l2_gram(SB, trivial_metric(SPEC), rule)
     zr = block_weightspec(SB, [(Fraction(w), d) for w, d in weights_and_dims])
     return OnePSRay(SB, G0, zeta_matrix(zr)), zr
 
@@ -41,7 +41,7 @@ def test_zeta_matrix_spectrum():
 
 
 def test_ray_construction_and_scaling(rule16):
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule16).matrix
+    G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
     z = np.diag([1.0, 1.0, 1.0, -3.0])
     ray = OnePSRay(SB, G0, z)
     # generators above unit operator norm are rescaled, factor recorded
@@ -56,7 +56,7 @@ def test_ray_construction_and_scaling(rule16):
 def test_ray_start_is_base_metric(rule16):
     from hebundle.sections import FSMetric
 
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule16).matrix
+    G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
     h = OnePSRay(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0])).metric_at(0.0)
     p = sphere_point(0.4 + 0.2j)
     assert np.allclose(at(h, p), at(FSMetric(SB, G=G0), p), atol=1e-10)
@@ -92,7 +92,7 @@ def test_slope_estimate_flags_concentration(rule16):
             (Fraction(-1), ((0, 1, 0, 0), (0, 0, 1, 0))),
         ),
     )
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule16).matrix
+    G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
     ray = OnePSRay(SB, G0, zeta_matrix(zr))
     rep = slope_estimate(ray, zr, t_max=10.0, n_t=6, rule=rule16)
     assert rep.concentration_degrees[0] > 0

@@ -14,21 +14,22 @@ import scipy.linalg
 
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
-from _utils import at, rand_pd
+from _utils import ExplicitMetric, at, rand_pd
 from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray
 from hebundle.bundle import (
     BundleSpec,
-    ExplicitMetric,
     GeodesicMetric,
     MetricEvaluator,
     ScaledMetric,
     _relative_eigs,
-    geodesic_log_batch,
+    fd_curvature_batch,
+    fd_stencil,
     he_residual,
     trivial_metric,
 )
 from hebundle.donaldson import (
     BergmanPath,
+    PointwiseExponentialPath,
     curvature_variation_check,
     second_derivative_geodesic,
 )
@@ -126,7 +127,7 @@ def _metric_pairs(rule):
     yield GeodesicMetric(h_a, std, 0.4), h_b
     spec3 = BundleSpec((2, 1, 0))
     sb3 = basis(spec3, 2)
-    yield FSMetric(sb3, G=l2_gram(sb3, trivial_metric(spec3), rule).matrix), trivial_metric(spec3)
+    yield FSMetric(sb3, G=l2_gram(sb3, trivial_metric(spec3), rule)), trivial_metric(spec3)
     # rank 3 against a non-diagonal reference exercises the full reduction
     yield FSMetric(sb3, G=rand_pd(rng, sb3.N, 0.3)), FSMetric(sb3, G=rand_pd(rng, sb3.N, 0.3))
 
@@ -166,14 +167,28 @@ def test_bergman_kernel_sups_equal_per_node_loop(rule16):
     for k in (1, 3):
         rep = bergman_kernel(h, k, rule16)
         sb = basis(h.bundle, k)
-        fv = FSMetric(sb, G=rep["gram"].matrix).evaluate(rule16.charts, rule16.coords)
-        raw = h.evaluate(rule16.charts, rule16.coords) @ np.linalg.inv(fv)
+        raw = sections_mod._bergman_raw(h, sb, rep["gram"], rule16)
         r = h.bundle.rank
         tilde = (r * 1.0 / sb.N) * raw
         assert rep["sup_dev"] == float(max(np.linalg.norm(m - np.eye(r), 2) for m in tilde))
         assert rep["raw_sup_dev"] == float(
             max(np.linalg.norm(m - (sb.N / r) * np.eye(r), 2) for m in raw)
         )
+
+
+@pytest.mark.parametrize("degs, k", [((2,), 3), ((1, 0), 2), ((1, 0, -1), 2)])
+def test_bergman_kernel_raw_matches_inverse_of_fs_metric(degs, k, rule16):
+    # raw = h fs^-1 from the section factor, against inverting fs itself
+    spec = BundleSpec(degs)
+    sb0 = basis(spec, 1)
+    h = FSMetric(sb0, G=rand_pd(np.random.default_rng(15), sb0.N, 0.3))
+    sb = basis(spec, k)
+    G = l2_gram(sb, h, rule16)
+    raw = sections_mod._bergman_raw(h, sb, G, rule16)
+    fv = FSMetric(sb, G=G).evaluate(rule16.charts, rule16.coords)
+    ref = h.evaluate(rule16.charts, rule16.coords) @ np.linalg.inv(fv)
+    gap = np.linalg.norm(raw - ref, axis=(1, 2))
+    assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
 
 
 def _subclasses(cls):
@@ -236,6 +251,14 @@ def _first_derivs(vx, vy, dl):
     return vx[2], 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
+def _logm(m):
+    """log of a matrix with positive eigenvalues from its eigendecomposition,
+    independent of the package's geodesic helpers; scipy.linalg.logm gives
+    the same to rounding at about 50 times the cost on a 2 x 2 matrix."""
+    w, V = np.linalg.eig(m)
+    return (V * np.log(w)) @ np.linalg.inv(V)
+
+
 def _formula_per_node(h0, h1, s, rule):
     """The convexity audit's formula as the per-node loop it replaced,
     from one-point evaluations at each node's stencil."""
@@ -243,8 +266,7 @@ def _formula_per_node(h0, h1, s, rule):
 
     def vfn(p):
         # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s
-        h = at(h0, p)
-        return np.linalg.solve(h, geodesic_log_batch(h, at(h1, p)) @ h)
+        return _logm(np.linalg.solve(at(h0, p), at(h1, p)))
 
     vals = np.empty(rule.n)
     for i, (chart, x) in enumerate(zip(rule.charts, rule.coords)):
@@ -268,6 +290,32 @@ def test_convexity_formula_matches_per_node_loop(degs, k, n):
     got = second_derivative_geodesic(h0, h1, 0.5, rule)["formula"]
     ref = _formula_per_node(h0, h1, 0.5, rule)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _pointwise_integrand_reference(h0, h1, t, rule):
+    """dM/dt along the pointwise geodesic at one t, through the metric
+    h_t at t: tr(h_t^-1 log(h1 h0^-1) h_t (contracted curvature - slope))."""
+    ht = GeodesicMetric(h0, h1, t)
+    F = fd_curvature_batch(*fd_stencil(ht.evaluate, rule.charts, rule.coords))
+    lam = contract_batch(F, rule.coords)
+    res = lam - float(h0.bundle.slope) * np.eye(h0.bundle.rank)
+    a, b, m = (h.evaluate(rule.charts, rule.coords) for h in (h0, h1, ht))
+    log = np.array([_logm(y @ np.linalg.inv(x)) for x, y in zip(a, b)])
+    vals = np.einsum("nij,njk,nkl,nli->n", np.linalg.inv(m), log, m, res).real
+    return float(tree_sum(vals * rule.weights))
+
+
+@pytest.mark.parametrize("degs, k, n", [((1, 0), 0, 20), ((1, -1), 1, 24), ((2, 1, 0), 1, 16)])
+def test_pointwise_integrand_matches_per_t_formula(degs, k, n):
+    rule = build_quadrature(n, n)
+    sb = basis(BundleSpec(degs), k)
+    rng = np.random.default_rng(9)
+    h0 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
+    h1 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
+    ts = np.array([0.0, 0.4, 0.45, 0.55, 0.6, 1.0])
+    got = PointwiseExponentialPath(h0, h1).deriv_integrand(ts, rule)
+    ref = np.array([_pointwise_integrand_reference(h0, h1, t, rule) for t in ts])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def _variation_per_point(path, t, p, step=1e-3):
@@ -318,7 +366,7 @@ def _ray(degs, k, rule, seed):
     sb = basis(BundleSpec(degs), k)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
-    G0 = l2_gram(sb, trivial_metric(sb.bundle), rule).matrix
+    G0 = l2_gram(sb, trivial_metric(sb.bundle), rule)
     return OnePSRay(sb, G0, 0.5 * (X + X.conj().T))
 
 

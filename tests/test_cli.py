@@ -73,6 +73,27 @@ def test_parse_config_rejects_low_level(tmp_path):
     assert "minimum level" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"bundle": [1, 0], "k_list": [1.9, 2]},  # 1.9 would run as k = 1
+        {"bundle": [1, 0], "k": True},  # JSON true would run as k = 1
+        {"bundle": [1, 0], "k": 1, "seed": True},
+        {"bundle": [True, 0], "k": 1},
+        {"bundle": [1, 0], "k_list": []},
+        {"bundle": [1, 0], "k_list": 2},
+        {"bundle": [1, 0], "k_list": [2, False]},
+        {"bundle": [1, -1], "k_list": [2, 0]},  # 0 is below the regularity 1
+    ],
+)
+def test_parse_config_rejects_non_integer_levels(tmp_path, cfg):
+    p = _write_cfg(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError):
+        parse_config(p)
+    if "k_list" in cfg:
+        assert _run("bergman", p, tmp_path / "out") == 1
+
+
 def test_cli_error_exit_code(tmp_path):
     p = _write_cfg(tmp_path, "c.json", {"bundle": [1, -1], "k": 0})
     assert _run("mna", p, tmp_path / "out") == 1

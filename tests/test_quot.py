@@ -113,9 +113,11 @@ def test_rank_found_below_the_regularity_level():
     # O(3)+O(-2) at k=1 has row degrees 4 and -1: this form vanishes at
     # x = 0, 1, 2, 3, so sampling only sum(row degrees) + 1 = 4 points
     # finds rank 0
-    x0, x1 = sp.symbols("x0 x1")
-    col = sp.Matrix([[x1 * (x1 - x0) * (x1 - 2 * x0) * (x1 - 3 * x0)], [0]])
-    m = HomogeneousSectionMatrix(bundle=BundleSpec((3, -2)), k=1, matrix=col)
+    x = RING.gens[0]
+    col = [[x * (x - 1) * (x - 2) * (x - 3)], [RING.zero]]
+    m = HomogeneousSectionMatrix(
+        bundle=BundleSpec((3, -2)), k=1, matrix=DomainMatrix(col, (2, 1), RING)
+    )
     assert saturate_rank_degree(m) == (1, 3)
     assert evaluation_drop_degree(m) == 4
 
@@ -212,14 +214,6 @@ def test_filtration_below_regularity_rejected():
         filtration(SPEC, z)
 
 
-def test_homogeneity_enforced():
-    bad = sp.Matrix([[sp.Symbol("x0") ** 2 + 1], [0]])
-    from hebundle.quot import HomogeneousSectionMatrix
-
-    with pytest.raises(ValueError):
-        HomogeneousSectionMatrix(bundle=SPEC, k=1, matrix=bad)
-
-
 def test_domain_matrix_degree_enforced():
     # row degrees are 2 and 0 for O(1)+O(-1) at k=1
     x = RING.gens[0]
@@ -309,7 +303,5 @@ def test_engine_matches_expr_reference(family):
     sb, vecs = family
     m = generated_subsheaf(sb, vecs)
     forms = ref.forms(sb, vecs)
-    # the Expr forms convert to the same dehomogenised matrix
-    assert HomogeneousSectionMatrix(bundle=sb.bundle, k=sb.k, matrix=forms).matrix == m.matrix
     assert saturate_rank_degree(m) == ref.saturate_rank_degree(forms, sb.bundle, sb.k)
     assert evaluation_drop_degree(m) == ref.evaluation_drop_degree(forms, sb.bundle, sb.k)

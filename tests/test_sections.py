@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _utils import at, rand_pd
+from _utils import at, rand_pd, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     fd_curvature_batch,
     fd_stencil,
-    transition_matrix,
     trivial_metric,
 )
-from hebundle.geometry import CHART_W, CHART_Z, SpherePoint, point_arrays, sphere_point
+from hebundle.geometry import (
+    CHART_W,
+    CHART_Z,
+    SpherePoint,
+    build_quadrature,
+    point_arrays,
+    sphere_point,
+)
 from hebundle.sections import (
     FSMetric,
-    PositiveForm,
     _equilibrated_inverse,
     _mat_mul,
     basis,
@@ -56,7 +61,7 @@ def test_l2_gram_exact_monomial_values(rule24):
     # <z^i, z^j> = delta_ij * i! (d-i)! / (d+1)!
     d = 4
     sb = basis(BundleSpec((0,)), d)
-    G = l2_gram(sb, trivial_metric(sb.bundle), rule24).matrix
+    G = l2_gram(sb, trivial_metric(sb.bundle), rule24)
     exact = [
         math.factorial(j) * math.factorial(d - j) / math.factorial(d + 1)
         for j in range(d + 1)
@@ -65,11 +70,11 @@ def test_l2_gram_exact_monomial_values(rule24):
     assert np.max(np.abs(G - np.diag(np.diag(G)))) < 1e-14
 
 
-def test_positive_form_validation():
-    with pytest.raises(ValueError):
-        PositiveForm(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not hermitian
-    with pytest.raises(ValueError):
-        PositiveForm(np.diag([1.0, -1.0]))  # not positive
+def test_l2_gram_rejects_degenerate_rule():
+    # O(0) at k = 20 has 21 sections; 16 nodes cannot separate them
+    sb = basis(BundleSpec((0,)), 20)
+    with pytest.raises(RuntimeError, match="degenerate L2 form"):
+        l2_gram(sb, trivial_metric(sb.bundle), build_quadrature(4, 4))
 
 
 def test_fs_metric_identity_form_closed_form():
@@ -162,7 +167,7 @@ def test_bergman_kernel_flat_line_bundle(rule24):
     # the raw kernel h fs^-1 at a point, with fs the FS metric of the L2 form
     p = sphere_point(0.3)
     h = trivial_metric(BundleSpec((0,)))
-    fs = FSMetric(basis(h.bundle, 4), G=rep["gram"].matrix)
+    fs = FSMetric(basis(h.bundle, 4), G=rep["gram"])
     raw = at(h, p) @ np.linalg.inv(at(fs, p))
     assert raw[0, 0].real == pytest.approx(5.0, abs=1e-9)
 
