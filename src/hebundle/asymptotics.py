@@ -62,10 +62,6 @@ class OnePSRay:
         L = np.linalg.cholesky(self.G0)
         self._W0 = np.linalg.inv(L).conj().T  # G0^-1 = W0 W0*
 
-    @property
-    def op_norm(self) -> float:
-        return float(np.linalg.norm(self.zeta, 2))
-
     def _exp(self, t: float) -> np.ndarray:
         return (self._U * np.exp(self._lam * t)) @ self._U.conj().T
 

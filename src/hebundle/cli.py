@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,22 +29,30 @@ from .bundle import BundleSpec, regularity, trivial_metric
 from .geometry import build_quadrature
 from .quot import WeightSpec, block_weightspec, report_to_json, _frac_str
 from .sections import FSMetric, basis, bergman_kernel, l2_gram
+from .solver import SolveOptions
 
 
 class ConfigError(ValueError):
     pass
 
 
-# the keys each per-command block allows
-_BLOCK_KEYS = {
-    "quadrature": {"n_colat", "n_angle"},
-    "solve": {"max_iter", "grad_tol", "he_tol", "divergence_op", "divergence_m"},
-    "delta_audit": {"n_samples", "scale"},
-    "probe": {"samples_per_k", "t_max"},
-    "slope": {"t_max", "n_t"},
-    "convexity": {"n_paths", "s_values"},
+# every key of the per-command blocks with its default; a given value
+# must be of its default's kind (`_KINDS`)
+_BLOCKS = {
+    "quadrature": {"n_colat": 32, "n_angle": 32},
+    "solve": {f.name: f.default for f in fields(SolveOptions) if f.name != "k"},
+    "delta_audit": {"n_samples": 10, "scale": 0.4},
+    "probe": {"samples_per_k": 10, "t_max": 15.0},
+    "slope": {"t_max": 30.0, "n_t": 31},
+    "convexity": {"n_paths": 3, "s_values": [0.0, 0.5, 1.0]},
 }
-_TOP_KEYS = {"bundle", "k", "k_list", "seed", "output_dir", "zeta", *_BLOCK_KEYS}
+_TOP_KEYS = {"bundle", "k", "k_list", "seed", "output_dir", "zeta", *_BLOCKS}
+_KINDS = {int: "an integer >= 1", float: "a number", list: "a nonempty list of numbers"}
+
+# the top-level inputs a command reads besides the bundle ("k" when not
+# listed); "a|b" takes either
+_NEEDS = {"bergman": ["k|k_list"], "probe-coercivity": ["k_list"],
+          **dict.fromkeys(("mdon", "mna", "slope-test"), ["k", "zeta"])}
 
 
 def _expect(cond, msg):
@@ -56,9 +65,47 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _fits(x, default) -> bool:
+    """Whether x is of the kind of `default` (see `_KINDS`)."""
+    if isinstance(default, list):
+        return isinstance(x, list) and len(x) > 0 and all(_fits(v, 0.0) for v in x)
+    if isinstance(default, float):
+        return _is_int(x) or isinstance(x, float)
+    return _is_int(x) and x >= 1
+
+
+def _is_weight(w) -> bool:
+    """An integer, or a string that `Fraction` parses ("1/3", "0.1")."""
+    try:
+        return _is_int(w) or isinstance(w, str) and Fraction(w) is not None
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _check_zeta(z):
+    _expect(
+        isinstance(z, dict) and ("blocks" in z or set(z) == {"weights", "dims"}),
+        "zeta must be {weights, dims} or a full {k, blocks} object",
+    )
+    if "blocks" in z:
+        _expect(_is_int(z.get("k")), "zeta k must be an integer")
+        return
+    ws, dims = z["weights"], z["dims"]
+    _expect(
+        isinstance(ws, list) and ws and all(_is_weight(w) for w in ws),
+        'zeta weights must be integers or strings such as "1/3"',
+    )
+    _expect(
+        isinstance(dims, list) and all(_is_int(d) and d >= 1 for d in dims),
+        "zeta dims must be integers >= 1",
+    )
+    _expect(len(ws) == len(dims), "zeta weights and dims must have equal length")
+
+
 def parse_config(path) -> dict:
-    """Load and validate a config file; unknown keys are rejected, also
-    inside the per-command blocks."""
+    """Load and validate a config file; unknown keys and values of the
+    wrong kind are rejected, also inside the per-command blocks, and
+    every block is filled with its defaults."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -82,37 +129,32 @@ def parse_config(path) -> dict:
     for k in levels:
         _expect(_is_int(k), "k and the k_list entries must be integers")
         _expect(k >= reg, f"k={k} is below the minimum level {reg} for bundle {b}")
-    for block, allowed in _BLOCK_KEYS.items():
-        v = cfg.get(block, {})
+    for block, defaults in _BLOCKS.items():
+        given = cfg.get(block, {})
         _expect(
-            isinstance(v, dict) and set(v) <= allowed,
-            f"{block} block allows {sorted(allowed)}",
+            isinstance(given, dict) and set(given) <= set(defaults),
+            f"{block} block allows {sorted(defaults)}",
         )
-    q = cfg.get("quadrature", {})
-    cfg["quadrature"] = {
-        "n_colat": int(q.get("n_colat", 32)),
-        "n_angle": int(q.get("n_angle", 32)),
-    }
+        for key, v in given.items():
+            d = defaults[key]
+            _expect(_fits(v, d), f"{block}.{key} must be {_KINDS[type(d)]}, not {v!r}")
+        cfg[block] = {**defaults, **given}
+    if "zeta" in cfg:
+        _check_zeta(cfg["zeta"])
     if "seed" in cfg:
         _expect(_is_int(cfg["seed"]), "seed must be an integer")
+    if "output_dir" in cfg:
+        _expect(isinstance(cfg["output_dir"], str), "output_dir must be a string")
     return cfg
 
 
 def _zeta_from_config(cfg, sb) -> WeightSpec:
-    z = cfg.get("zeta")
-    _expect(z is not None, "this command needs a zeta block")
+    z = cfg["zeta"]
     if "blocks" in z:
         from .quot import weightspec_from_json
 
         return weightspec_from_json(z)
-    _expect(
-        set(z) <= {"weights", "dims"} and "weights" in z and "dims" in z,
-        "zeta must be {weights, dims} or a full {k, blocks} object",
-    )
-    ws = [Fraction(w) for w in z["weights"]]
-    dims = [int(d) for d in z["dims"]]
-    _expect(len(ws) == len(dims), "zeta weights and dims must have equal length")
-    return block_weightspec(sb, list(zip(ws, dims)))
+    return block_weightspec(sb, [(Fraction(w), d) for w, d in zip(z["weights"], z["dims"])])
 
 
 def _fmt(x):
@@ -125,17 +167,10 @@ def _fmt(x):
         return _frac_str(x)
     if isinstance(x, (np.floating, float)):
         return float(f"{float(x):.17g}")
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_fmt(v) for v in x.tolist()]
-    if isinstance(x, complex):
-        return {"re": _fmt(x.real), "im": _fmt(x.imag)}
     return x
 
 
 def _write_report(outdir: Path, command, cfg, results, t0, exit_code):
-    outdir.mkdir(parents=True, exist_ok=True)
     report = {
         "command": command,
         "config": cfg,
@@ -163,24 +198,20 @@ def _write_csv(path, header, rows):
 # -- command implementations -----------------------------------------------
 
 
-def _cmd_bergman(cfg, rule, outdir):
-    spec = BundleSpec(tuple(cfg["bundle"]))
-    ks = cfg.get("k_list", [cfg["k"]] if "k" in cfg else None)
-    _expect(ks, "bergman needs k or k_list")
+def _cmd_bergman(cfg, spec, rule, outdir):
     h = trivial_metric(spec)
     rows = []
-    for k in ks:
+    for k in cfg.get("k_list") or [cfg["k"]]:
         rep = bergman_kernel(h, k, rule)
         rows.append((k, float(rep["sup_dev"]), float(rep["raw_sup_dev"])))
     _write_csv(outdir / "bergman.csv", ("k", "sup_dev", "raw_sup_dev"), rows)
     return {"rows": [{"k": k, "sup_dev": s, "raw_sup_dev": r} for k, s, r in rows]}, 0
 
 
-def _cmd_mdon(cfg, rule, outdir):
+def _cmd_mdon(cfg, spec, rule, outdir):
     from .donaldson import donaldson
     import scipy.linalg
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
     sb = basis(spec, cfg["k"])
     G0 = l2_gram(sb, trivial_metric(spec), rule)
     zr = _zeta_from_config(cfg, sb)
@@ -191,28 +222,23 @@ def _cmd_mdon(cfg, rule, outdir):
     return {"mdon": float(val)}, 0
 
 
-def _cmd_mna(cfg, rule, outdir):
+def _cmd_mna(cfg, spec, rule, outdir):
     from .quot import filtration
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
     rep = filtration(spec, zr)
     return report_to_json(rep), 0
 
 
-def _cmd_slope_test(cfg, rule, outdir):
+def _cmd_slope_test(cfg, spec, rule, outdir):
     from .asymptotics import OnePSRay, slope_estimate, zeta_matrix
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
-    sl = cfg.get("slope", {})
-    t_max = float(sl.get("t_max", 30.0))
-    n_t = int(sl.get("n_t", 31))
     G0 = l2_gram(sb, trivial_metric(spec), rule)
     ray = OnePSRay(sb, G0, zeta_matrix(zr))
-    rep = slope_estimate(ray, zr, t_max, n_t, rule)
+    rep = slope_estimate(ray, zr, cfg["slope"]["t_max"], cfg["slope"]["n_t"], rule)
     mna_f = float(rep.mna_exact)
     _write_csv(
         outdir / "slope.csv",
@@ -230,12 +256,10 @@ def _cmd_slope_test(cfg, rule, outdir):
     }, (0 if ok else 2)
 
 
-def _cmd_solve(cfg, rule, outdir):
-    from .solver import SolveOptions, destabilizer_extract, minimize
+def _cmd_solve(cfg, spec, rule, outdir):
+    from .solver import destabilizer_extract, minimize
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
-    opts = SolveOptions(k=cfg["k"], **cfg.get("solve", {}))
-    res = minimize(spec, opts, rule)
+    res = minimize(spec, SolveOptions(k=cfg["k"], **cfg["solve"]), rule)
     _write_csv(
         outdir / "solve_history.csv",
         ("iter", "mdon", "he_residual", "log_op_norm"),
@@ -261,13 +285,10 @@ def _rand_pd(rng, n: int, scale: float) -> np.ndarray:
     return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
 
 
-def _cmd_audit_deltabound(cfg, rule, outdir):
+def _cmd_audit_deltabound(cfg, spec, rule, outdir):
     from .donaldson import delta_lower_bound_audit, poincare_constant
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
-    da = cfg.get("delta_audit", {})
-    n = int(da.get("n_samples", 10))
-    scale = float(da.get("scale", 0.4))
+    n = cfg["delta_audit"]["n_samples"]
     sb = basis(spec, cfg["k"])
     h0 = trivial_metric(spec)
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -275,20 +296,12 @@ def _cmd_audit_deltabound(cfg, rule, outdir):
     rows = []
     worst = None
     for i in range(n):
-        h = FSMetric(sb, G=_rand_pd(rng, sb.N, scale))
-        rep = delta_lower_bound_audit(
-            h, h0, rule, pc["constant"], allow_reducible=(spec.rank > 1)
-        )
-        rows.append(
-            (i, float(rep.delta), float(rep.mdon), float(rep.bound), rep.passes)
-        )
+        h = FSMetric(sb, G=_rand_pd(rng, sb.N, cfg["delta_audit"]["scale"]))
+        rep = delta_lower_bound_audit(h, h0, rule, pc["constant"], allow_reducible=spec.rank > 1)
+        rows.append((i, float(rep.delta), float(rep.mdon), float(rep.bound), rep.passes))
         if worst is None or rep.mdon - rep.bound < worst:
             worst = rep.mdon - rep.bound
-    _write_csv(
-        outdir / "delta_audit.csv",
-        ("sample", "delta", "mdon", "bound", "passes"),
-        rows,
-    )
+    _write_csv(outdir / "delta_audit.csv", ("sample", "delta", "mdon", "bound", "passes"), rows)
     ok = all(r[-1] for r in rows)
     return {
         "samples": n,
@@ -298,38 +311,22 @@ def _cmd_audit_deltabound(cfg, rule, outdir):
     }, (0 if ok else 2)
 
 
-def _cmd_probe_coercivity(cfg, rule, outdir):
+def _cmd_probe_coercivity(cfg, spec, rule, outdir):
     from .asymptotics import coercivity_probe
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
-    pr = cfg.get("probe", {})
-    ks = cfg.get("k_list")
-    _expect(ks, "probe-coercivity needs k_list")
+    pr = cfg["probe"]
     out = coercivity_probe(
-        spec,
-        ks,
-        int(pr.get("samples_per_k", 10)),
-        float(pr.get("t_max", 15.0)),
-        rule,
-        seed=cfg.get("seed", 0),
+        spec, cfg["k_list"], pr["samples_per_k"], pr["t_max"], rule, seed=cfg.get("seed", 0)
     )
-    _write_csv(
-        outdir / "coercivity.csv",
-        ("k", "c_k"),
-        [(r["k"], float(r["c_k"])) for r in out["table"]],
-    )
-    return {
-        "table": [{"k": r["k"], "c_k": float(r["c_k"])} for r in out["table"]]
-    }, 0
+    table = [{"k": r["k"], "c_k": float(r["c_k"])} for r in out["table"]]
+    _write_csv(outdir / "coercivity.csv", ("k", "c_k"), [(r["k"], r["c_k"]) for r in table])
+    return {"table": table}, 0
 
 
-def _cmd_convexity_audit(cfg, rule, outdir):
+def _cmd_convexity_audit(cfg, spec, rule, outdir):
     from .donaldson import second_derivative_geodesic
 
-    spec = BundleSpec(tuple(cfg["bundle"]))
-    cv = cfg.get("convexity", {})
-    n = int(cv.get("n_paths", 3))
-    s_values = [float(s) for s in cv.get("s_values", [0.0, 0.5, 1.0])]
+    n = cfg["convexity"]["n_paths"]
     sb = basis(spec, cfg["k"])
     rng = np.random.default_rng(cfg.get("seed", 0))
     rows = []
@@ -337,17 +334,14 @@ def _cmd_convexity_audit(cfg, rule, outdir):
     for i in range(n):
         h0 = FSMetric(sb, G=_rand_pd(rng, sb.N, 0.5))
         h1 = FSMetric(sb, G=_rand_pd(rng, sb.N, 0.5))
-        for s in s_values:
+        for s in cfg["convexity"]["s_values"]:
             r = second_derivative_geodesic(h0, h1, s, rule)
             rel = abs(r["formula"] - r["fd"]) / max(1e-12, abs(r["formula"]))
             good = r["fd"] >= -1e-8 and rel < 1e-4
             ok = ok and good
             rows.append((i, s, float(r["formula"]), float(r["fd"]), good))
-    _write_csv(
-        outdir / "convexity.csv",
-        ("path", "s", "second_deriv_formula", "second_deriv_fd", "passes"),
-        rows,
-    )
+    header = ("path", "s", "second_deriv_formula", "second_deriv_fd", "passes")
+    _write_csv(outdir / "convexity.csv", header, rows)
     return {"paths": n, "passes": bool(ok)}, (0 if ok else 2)
 
 
@@ -364,37 +358,37 @@ _IMPL = {
 
 
 def run(command: str, cfg: dict, outdir: Path) -> int:
+    """Run a command on a config from `parse_config`, once its inputs
+    (`_NEEDS`) are checked."""
+    for need in _NEEDS.get(command, ["k"]):
+        keys = need.split("|")
+        _expect(any(x in cfg for x in keys), f"{command} needs {' or '.join(keys)}")
     t0 = time.time()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rule = build_quadrature(
-        cfg["quadrature"]["n_colat"], cfg["quadrature"]["n_angle"]
-    )
-    results, code = _IMPL[command](cfg, rule, outdir)
+    rule = build_quadrature(**cfg["quadrature"])
+    results, code = _IMPL[command](cfg, BundleSpec(tuple(cfg["bundle"])), rule, outdir)
     _write_report(outdir, command, cfg, results, t0, code)
     return code
 
 
-def _self_test(outdir: Path) -> int:
+def _self_test() -> int:
     """Small end-to-end exercise of the easy example paths."""
+    import math
+    from .bundle import ScaledMetric
+    from .donaldson import c_delta, donaldson
+    from .quot import filtration
+
     checks = []
     rule = build_quadrature(16, 16)
     rep = bergman_kernel(trivial_metric(BundleSpec((0,))), 5, rule)
     checks.append(("bergman O(0) k=5", rep["raw_sup_dev"] < 1e-8))
-    from .quot import filtration
-
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)
     zr = block_weightspec(sb, [(Fraction(1), 3), (Fraction(-3), 1)])
     f = filtration(spec, zr)
     checks.append(("mna exact", f.mna == -8 and f.jna == 4))
-    from .donaldson import c_delta
-    import math
-
     checks.append(("c_delta", abs(c_delta(math.exp(-1)) - math.exp(-1)) < 1e-12))
-    from .donaldson import donaldson
-    from .bundle import ScaledMetric
-
     h = FSMetric(sb, G=np.eye(sb.N))
     m = donaldson(ScaledMetric(h, math.e), h, rule=rule)
     checks.append(("scale invariance", abs(m) < 1e-8))
@@ -415,12 +409,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--self-test", action="store_true")
     args = p.parse_args(argv)
-    outdir = Path(
-        args.out
-        or os.environ.get("HEBUNDLE_OUT", "hebundle-out")
-    )
+    outdir = Path(args.out or os.environ.get("HEBUNDLE_OUT", "hebundle-out"))
     if args.self_test:
-        return _self_test(outdir)
+        return _self_test()
     if not args.command:
         p.error("a command or --self-test is required")
     if not args.config:

@@ -47,16 +47,9 @@ class BergmanPath:
 
     def __init__(self, sb: SectionBasis, G0: np.ndarray, G1: np.ndarray):
         self.sb = sb
-        g0 = np.asarray(G0, dtype=complex)
-        g1 = np.asarray(G1, dtype=complex)
-        w0, v0 = np.linalg.eigh(_hermitize(g0))
-        if w0[0] <= 0:
-            raise ValueError("G0 not positive definite")
-        i0 = (v0 / np.sqrt(w0)) @ v0.conj().T  # G0^(-1/2)
-        m = _hermitize(i0 @ g1 @ i0)
-        lam, u = np.linalg.eigh(m)
-        if lam[0] <= 0:
-            raise ValueError("G1 not positive definite relative to G0")
+        # i0 = G0^(-1/2), and u, lam diagonalize G0^(-1/2) G1 G0^(-1/2)
+        g0, g1 = np.asarray(G0, dtype=complex), np.asarray(G1, dtype=complex)
+        _, i0, lam, u = _geodesic_parts(g0, g1)
         self._base = i0 @ u  # columns: G0^(-1/2) u_i
         self._lam = lam
         self._loglam = np.log(lam)

@@ -1,14 +1,18 @@
 """Every public module-level function or class of the package has a
-caller, and every defaulted parameter has a caller that overrides it.
+caller, every public method or property of a package class is read, and
+every defaulted parameter has a caller that overrides it.
 
 A name counts as used when it is read bare (and not shadowed by a local
 name), imported, or read off a package module (`quot.filtration`) in
 another package module, in another top-level statement of its own
-module, in the acceptance tests or in the benchmark harness.
+module, in the acceptance tests or in the benchmark harness.  A method
+or property counts as read when `obj.name` appears in the same places,
+outside its own definition.
 Unit tests alone do not keep a name alive, and docstrings do not count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +74,27 @@ def test_every_public_name_has_a_caller():
                 uncalled.append(f"{mod}.{name}")
     assert set(ALLOWED) <= defined, "an allowlisted name no longer exists"
     assert not uncalled, f"public names with no caller outside the unit tests: {uncalled}"
+
+
+def _attributes(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_is_read():
+    """`obj.name` is read for every public method and property of a
+    package class, outside that member's own body; matching is by name
+    alone, whatever `obj` is."""
+    paths = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
+             *(ROOT / "perfbench").rglob("*.py")]
+    reads = sum((_attributes(_tree(p)) for p in paths), Counter())
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in (s for s in _tree(path).body if isinstance(s, ast.ClassDef)):
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    if reads[f.name] <= _attributes(f)[f.name]:
+                        unread.append(f"{path.stem}.{cls.name}.{f.name}")
+    assert not unread, f"public methods read by nothing outside the unit tests: {unread}"
 
 
 # "module.function(parameter)" -> why the default stays without a caller

@@ -46,7 +46,7 @@ def test_ray_construction_and_scaling(rule16):
     ray = OnePSRay(SB, G0, z)
     # generators above unit operator norm are rescaled, factor recorded
     assert ray.scale == pytest.approx(3.0)
-    assert ray.op_norm <= 1.0 + 1e-12
+    assert np.linalg.norm(ray.zeta, 2) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         OnePSRay(SB, G0, np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):

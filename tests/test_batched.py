@@ -171,9 +171,10 @@ def test_bergman_kernel_sups_equal_per_node_loop(rule16):
         r = h.bundle.rank
         tilde = (r * 1.0 / sb.N) * raw
         assert rep["sup_dev"] == float(max(np.linalg.norm(m - np.eye(r), 2) for m in tilde))
-        assert rep["raw_sup_dev"] == float(
-            max(np.linalg.norm(m - (sb.N / r) * np.eye(r), 2) for m in raw)
-        )
+        # raw_sup_dev is read off the same norm: raw = (N / r) tilde
+        assert rep["raw_sup_dev"] == (sb.N / r) * rep["sup_dev"]
+        raw_ref = float(max(np.linalg.norm(m - (sb.N / r) * np.eye(r), 2) for m in raw))
+        assert rep["raw_sup_dev"] == pytest.approx(raw_ref, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("degs, k", [((2,), 3), ((1, 0), 2), ((1, 0, -1), 2)])

@@ -214,3 +214,82 @@ def test_env_output_dir(tmp_path, monkeypatch):
     )
     assert main(["mna", "--config", p]) == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+_Q8 = {"n_colat": 8, "n_angle": 8}
+_MNA_BASE = {"bundle": [1, -1], "k": 1, "quadrature": _Q8}
+_CONVEXITY_BASE = {"bundle": [1, 0], "k": 0, "quadrature": _Q8}
+# the full form of the weights 1 (on e0) and -3 (on e1, e2, e3) at k = 1
+_BLOCKS_13 = [
+    {"w": "1", "vectors": [[["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]]},
+    {"w": "-3", "vectors": [[[str(int(i == j)), "0"] for i in range(4)] for j in (1, 2, 3)]},
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("solve", {**_MNA_BASE, "solve": {"max_iter": True}}, "max_iter"),
+        ("mna", {**_MNA_BASE, "quadrature": {"n_colat": 8.9},
+                 "zeta": {"weights": ["1", "-3"], "dims": [3, 1]}}, "n_colat"),
+        ("slope-test", {**_MNA_BASE, "zeta": {"weights": ["1/3", "-1"], "dims": [3, 1]},
+                        "slope": {"t_max": 12, "n_t": 4.7}}, "n_t"),
+        ("convexity-audit", {**_CONVEXITY_BASE, "convexity": {"n_paths": "2"}}, "n_paths"),
+        ("convexity-audit", {**_CONVEXITY_BASE, "convexity": {"s_values": ["0.5"]}}, "s_values"),
+        ("convexity-audit", {**_CONVEXITY_BASE, "convexity": {"n_paths": True}}, "n_paths"),
+        ("convexity-audit", {**_CONVEXITY_BASE, "convexity": {"s_values": 0.5}}, "s_values"),
+        ("mna", {**_MNA_BASE, "zeta": {"weights": ["1", "-3"], "dims": [3.7, 1]}}, "dims"),
+        ("mna", {**_MNA_BASE, "zeta": {"weights": ["1", "-3"], "dims": [3, True]}}, "dims"),
+        ("mna", {**_MNA_BASE, "zeta": {"weights": [0.1, -1], "dims": [3, 1]}}, "weights"),
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1.9, "blocks": _BLOCKS_13}}, "k"),
+        ("audit-deltabound", {"bundle": [0], "k": 2, "quadrature": _Q8,
+                              "delta_audit": {"n_samples": 0}}, "n_samples"),
+        ("mna", {**_MNA_BASE, "output_dir": 5,
+                 "zeta": {"weights": ["1", "-3"], "dims": [3, 1]}}, "output_dir"),
+        # missing inputs
+        ("mdon", {"bundle": [1, -1], "quadrature": _Q8,
+                  "zeta": {"weights": ["1/2", "-1/2"], "dims": [2, 2]}}, "k"),
+        ("mna", _MNA_BASE, "zeta"),
+        ("probe-coercivity", {"bundle": [1, 1], "k": 1, "quadrature": _Q8}, "k_list"),
+    ],
+)
+def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    # refused before any numerics: no output directory is made
+    out = tmp_path / "out"
+    assert _run(command, _write_cfg(tmp_path, "c.json", cfg), out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err, err
+    assert not out.exists()
+
+
+def test_report_config_records_every_block(tmp_path):
+    p = _write_cfg(tmp_path, "c.json", {**_MDON_CFG, "slope": {"n_t": 7}})
+    assert _run("mna", p, tmp_path / "out") == 0
+    cfg = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert cfg["slope"] == {"t_max": 30.0, "n_t": 7}
+    assert cfg["solve"]["max_iter"] == 200
+    assert set(cfg) >= {"quadrature", "solve", "delta_audit", "probe", "slope", "convexity"}
+
+
+def test_audit_deltabound_command(tmp_path):
+    p = _write_cfg(tmp_path, "c.json", {"bundle": [0], "k": 2, "quadrature": {
+        "n_colat": 12, "n_angle": 12}, "delta_audit": {"n_samples": 2}})
+    out = tmp_path / "out"
+    assert _run("audit-deltabound", p, out) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["results"]["passes"] is True and rep["results"]["samples"] == 2
+    lines = (out / "delta_audit.csv").read_text().strip().splitlines()
+    assert lines[0] == "sample,delta,mdon,bound,passes"
+    assert len(lines) == 3
+
+
+def test_probe_coercivity_command(tmp_path):
+    p = _write_cfg(tmp_path, "c.json", {"bundle": [1, 1], "k_list": [1, 2], "quadrature": {
+        "n_colat": 12, "n_angle": 12}, "probe": {"samples_per_k": 2, "t_max": 10}})
+    out = tmp_path / "out"
+    assert _run("probe-coercivity", p, out) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert [row["k"] for row in rep["results"]["table"]] == [1, 2]
+    lines = (out / "coercivity.csv").read_text().strip().splitlines()
+    assert lines[0] == "k,c_k"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
