@@ -80,7 +80,9 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     array of t.
 
     h^-1 dh/dt = (Z Y* + Y Z*) A^-1 with Y = S W_t and Z = -S zeta W_t;
-    the sections are evaluated once.
+    the sections are evaluated once.  V = Z Y* + Y Z* stays a stacked
+    numpy product, as `fs_path_rate`'s V A^-1 does, until the ray
+    evaluator is made exact (ROADMAP item 1).
     """
     S, S1 = eval_matrix_batch(ray.sb, rule.charts, rule.coords)
     SZ = _section_factor(S, -ray.zeta)

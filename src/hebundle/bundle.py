@@ -119,15 +119,38 @@ class ScaledMetric(MetricEvaluator):
         return self.factor * h, lam
 
 
+# numpy's stacked matmul makes one BLAS call per small matrix, which for
+# r <= 3 costs many times the arithmetic; `_mat_mul` loops over the
+# matrix indices instead, each step one array operation over all batch
+# axes, so no matrix's result depends on the others
+def _mat_mul(X, Y):
+    """X @ Y over (..., p, m) and (..., m, q) stacks, entry by entry; a
+    plain product when neither has a batch axis."""
+    if X.ndim == 2 and Y.ndim == 2:
+        return X @ Y
+    m = X.shape[-1]
+    shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2]) + (X.shape[-2], Y.shape[-1])
+    out = np.empty(shape, dtype=np.result_type(X, Y))
+    for i in range(X.shape[-2]):
+        for j in range(Y.shape[-1]):
+            acc = X[..., i, 0] * Y[..., 0, j]
+            for l in range(1, m):
+                acc += X[..., i, l] * Y[..., l, j]
+            out[..., i, j] = acc
+    return out
+
+
 def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
     """Batched square roots and relative eigendecomposition of a metric
-    pair; accepts (..., r, r) arrays."""
+    pair; accepts (..., r, r) arrays.  The eigendecompositions stay
+    batched LAPACK calls."""
     w0, v0 = np.linalg.eigh(_hermitize(h0))
     if np.any(w0[..., 0] <= 0):
         raise RuntimeError("metric value not positive definite")
-    rt = (v0 * np.sqrt(w0)[..., None, :]) @ np.swapaxes(v0, -1, -2).conj()
-    irt = (v0 / np.sqrt(w0)[..., None, :]) @ np.swapaxes(v0, -1, -2).conj()
-    wb, vb = np.linalg.eigh(_hermitize(irt @ h1 @ irt))
+    v0h = np.swapaxes(v0, -1, -2).conj()
+    rt = _mat_mul(v0 * np.sqrt(w0)[..., None, :], v0h)
+    irt = _mat_mul(v0 / np.sqrt(w0)[..., None, :], v0h)
+    wb, vb = np.linalg.eigh(_hermitize(_mat_mul(_mat_mul(irt, h1), irt)))
     if np.any(wb[..., 0] <= 0):
         raise RuntimeError("metric pair not jointly positive definite")
     return rt, irt, wb, vb
@@ -141,8 +164,8 @@ def geodesic_interpolate_batch(h0: np.ndarray, h1: np.ndarray, s: float) -> np.n
 def _geodesic_at(parts, s: float) -> np.ndarray:
     """The geodesic at s from the `_geodesic_parts` of its endpoints."""
     rt, _, wb, vb = parts
-    bs = (vb * (wb**s)[..., None, :]) @ np.swapaxes(vb, -1, -2).conj()
-    return _hermitize(rt @ bs @ rt)
+    bs = _mat_mul(vb * (wb**s)[..., None, :], np.swapaxes(vb, -1, -2).conj())
+    return _hermitize(_mat_mul(_mat_mul(rt, bs), rt))
 
 
 def geodesic_log_batch(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
@@ -151,8 +174,8 @@ def geodesic_log_batch(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     leading axes.  With b = h0^-1/2 h1 h0^-1/2 it is
     h0^-1/2 log(b) h0^1/2."""
     rt, irt, wb, vb = _geodesic_parts(h0, h1)
-    lb = (vb * np.log(wb)[..., None, :]) @ np.swapaxes(vb, -1, -2).conj()
-    return irt @ lb @ rt
+    lb = _mat_mul(vb * np.log(wb)[..., None, :], np.swapaxes(vb, -1, -2).conj())
+    return _mat_mul(_mat_mul(irt, lb), rt)
 
 
 class GeodesicMetric(MetricEvaluator):
@@ -221,11 +244,11 @@ def fd_derivatives(vals, dl):
 def fd_curvature_batch(vals: np.ndarray, dl: np.ndarray) -> np.ndarray:
     """Finite-difference coefficients F of (i/2pi) F dz^dz-bar of the
     curvature of a metric from its `fd_stencil` values, shape (n, r, r):
-    F = d/dz-bar (h^-1 dh/dz), with a sign making the area form's own
-    contraction +1."""
+    F = h^-1 (h_zb h^-1 h_z - h_zzb) = -d/dz-bar (h^-1 dh/dz), the sign
+    making the area form's own contraction +1."""
     hc, hz, hzb, hzzb = fd_derivatives(vals, dl)
     hinv = np.linalg.inv(hc)
-    return hinv @ hzb @ hinv @ hz - hinv @ hzzb
+    return _mat_mul(hinv, _mat_mul(_mat_mul(hzb, hinv), hz) - hzzb)
 
 
 def _he_defect(h: MetricEvaluator, rule: QuadratureRule, values=None) -> np.ndarray:
@@ -244,7 +267,8 @@ def _he_defect(h: MetricEvaluator, rule: QuadratureRule, values=None) -> np.ndar
 
 def he_residual(h: MetricEvaluator, rule: QuadratureRule, values=None) -> dict:
     """Sup and L2 norms of the Einstein defect; `values` as for
-    `_he_defect`."""
+    `_he_defect`.  The pointwise 2-norm is numpy's batched SVD, which
+    equals the per-node `np.linalg.norm(m, 2)` bit for bit."""
     res_h = _he_defect(h, rule, values)
     sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
     tr_sq = np.einsum("nij,nji->n", res_h, res_h).real

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bundle import BundleSpec, regularity, trivial_metric
 from .geometry import build_quadrature
-from .quot import WeightSpec, block_weightspec, report_to_json, _frac_str
+from .quot import WeightSpec, block_weightspec, report_to_json, weightspec_from_json, _frac_str
 from .sections import FSMetric, basis, bergman_kernel, l2_gram
 from .solver import SolveOptions
 
@@ -88,8 +88,7 @@ def _check_zeta(z):
         "zeta must be {weights, dims} or a full {k, blocks} object",
     )
     if "blocks" in z:
-        _expect(_is_int(z.get("k")), "zeta k must be an integer")
-        return
+        return  # `weightspec_from_json` checks the full form
     ws, dims = z["weights"], z["dims"]
     _expect(
         isinstance(ws, list) and ws and all(_is_weight(w) for w in ws),
@@ -141,6 +140,11 @@ def parse_config(path) -> dict:
         cfg[block] = {**defaults, **given}
     if "zeta" in cfg:
         _check_zeta(cfg["zeta"])
+        if "k" in cfg:  # every command that reads zeta needs k (`_NEEDS`)
+            try:
+                _zeta_from_config(cfg, basis(BundleSpec(tuple(b)), cfg["k"]))
+            except ValueError as exc:
+                raise ConfigError(f"zeta: {exc}") from exc
     if "seed" in cfg:
         _expect(_is_int(cfg["seed"]), "seed must be an integer")
     if "output_dir" in cfg:
@@ -149,11 +153,13 @@ def parse_config(path) -> dict:
 
 
 def _zeta_from_config(cfg, sb) -> WeightSpec:
+    """The config's zeta as a weight decomposition of sb's section space;
+    ValueError when it is not one."""
     z = cfg["zeta"]
     if "blocks" in z:
-        from .quot import weightspec_from_json
-
-        return weightspec_from_json(z)
+        zr = weightspec_from_json(z)
+        zr.validate_against(sb)
+        return zr
     return block_weightspec(sb, [(Fraction(w), d) for w, d in zip(z["weights"], z["dims"])])
 
 

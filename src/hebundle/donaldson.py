@@ -23,6 +23,7 @@ from .bundle import (
     _geodesic_parts,
     _he_defect,
     _hermitize,
+    _mat_mul,
     fd_curvature_batch,
     fd_derivatives,
     fd_stencil,
@@ -271,8 +272,8 @@ def second_derivative_geodesic(
 
     v, vz, vzb, _ = fd_derivatives(*fd_stencil(vfn, rule.charts, rule.coords))
     a_s = _connection_coeff(GeodesicMetric(h0, h1, s), rule.charts, rule.coords)
-    grad = vz + a_s @ v - v @ a_s
-    coeff = np.trace(grad @ vzb, axis1=1, axis2=2).real
+    grad = vz + _mat_mul(a_s, v) - _mat_mul(v, a_s)
+    coeff = np.einsum("nij,nji->n", grad, vzb).real
     vals = coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2
     formula = float(tree_sum(vals * rule.weights))
 

@@ -349,8 +349,13 @@ def _frac_str(f: Fraction) -> str:
 
 
 def weightspec_from_json(obj: dict) -> WeightSpec:
+    """The weight decomposition {"k": level, "blocks": [{"w": weight,
+    "vectors": [[[re, im], ...], ...]}, ...]}; ValueError naming the key
+    when `obj` is not of that form."""
+    k = obj.get("k") if isinstance(obj, dict) else None
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"malformed weight decomposition: k must be an integer, not {k!r}")
     try:
-        k = int(obj["k"])
         blocks = []
         for b in obj["blocks"]:
             vecs = tuple(
@@ -359,7 +364,10 @@ def weightspec_from_json(obj: dict) -> WeightSpec:
             )
             blocks.append((Fraction(b["w"]), vecs))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed weight decomposition: {exc}") from exc
+        raise ValueError(
+            'malformed weight decomposition: blocks must be a list of {"w", "vectors"} '
+            f"objects, each vector a list of [re, im] pairs ({exc})"
+        ) from exc
     return WeightSpec(k=k, blocks=tuple(blocks))
 
 

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, _hermitize, regularity
-from .geometry import (
-    QuadratureRule,
-    contract_batch,
-    integrate_values,
-    tree_sum,
-)
+from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, _hermitize, _mat_mul, regularity
+from .geometry import QuadratureRule, contract_batch, tree_sum
 
 
 @dataclass(frozen=True)
@@ -43,20 +38,28 @@ def basis(spec: BundleSpec, k: int) -> SectionBasis:
     return SectionBasis(bundle=spec, k=int(k), entries=entries)
 
 
+def _exponents(sb: SectionBasis, charts: np.ndarray):
+    """The row of each basis section's one nonzero entry, shape (N,), and
+    its exponent at every point, shape (n, N): chart Z places x^j in row
+    i, chart W places x^{a_i+k-j}."""
+    rows, ez = np.array(sb.entries).reshape(-1, 2).T
+    ew = np.array(sb.bundle.degrees)[rows] + sb.k - ez
+    return rows, np.where(np.asarray(charts, dtype=bool)[:, None], ez, ew)
+
+
 def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
     """Section values and first coordinate derivatives at many points.
 
-    Returns (S, S1) of shape (n, r, N) in each point's own chart frame:
-    chart Z places x^j in row i, chart W places x^{a_i+k-j}.
+    Returns (S, S1) of shape (n, r, N) in each point's own chart frame;
+    column c holds one monomial, in the row and of the exponent given by
+    `_exponents`.
     """
     n = len(coords)
     r = sb.bundle.rank
     S = np.zeros((n, r, sb.N), dtype=complex)
     S1 = np.zeros((n, r, sb.N), dtype=complex)
     x = np.asarray(coords, dtype=complex)[:, None]
-    rows, ez = np.array(sb.entries).reshape(-1, 2).T
-    ew = np.array(sb.bundle.degrees)[rows] + sb.k - ez
-    e = np.where(np.asarray(charts, dtype=bool)[:, None], ez, ew)  # (n, N)
+    rows, e = _exponents(sb, charts)
     cols = np.arange(sb.N)
     S[:, rows, cols] = x**e
     S1[:, rows, cols] = e * x ** np.maximum(e - 1, 0)  # 0 where e = 0
@@ -65,12 +68,26 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
 
 def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
     """Hermitian L2 form of the basis sections against h and the level-k
-    line weight; RuntimeError when the rule leaves it degenerate."""
-    S, _ = eval_matrix_batch(sb, rule.charts, rule.coords)
-    hv = h.evaluate(rule.charts, rule.coords)
-    wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
-    vals = np.einsum("nji,njl,nlm->nim", S.conj(), hv, S) * wphi[:, None, None]
-    g = _hermitize(integrate_values(vals, rule))
+    line weight; RuntimeError when the rule leaves it degenerate.
+
+    Column c of the section matrix has one nonzero, the monomial s_c, in
+    row rows[c] (`_exponents`), so entry (c, d) integrates
+    conj(s_c) h[rows[c], rows[d]] s_d e^{-k phi}, with no dense
+    contraction.  The weights and e^{-k phi} are folded into s_c, and the
+    rows of each summand are summed over the nodes on their own by the
+    tree reduction, so no (n, N, N) array is formed.
+    """
+    rows, e = _exponents(sb, rule.charts)
+    s = np.asarray(rule.coords, dtype=complex)[:, None] ** e  # (n, N)
+    w = rule.weights * (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
+    ws = (s * w[:, None]).conj()
+    hs = h.evaluate(rule.charts, rule.coords)[:, :, rows] * s[:, None, :]  # h S, (n, r, N)
+    g = np.concatenate(
+        [tree_sum(ws[:, rows == i, None] * hs[:, i, None, :]) for i in range(sb.bundle.rank)]
+    )
+    if not np.all(np.isfinite(g)):
+        raise RuntimeError("non-finite integrand value")
+    g = _hermitize(g)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -93,29 +110,34 @@ def _section_factor(S, W):
 
 def _fs_moments(T, T1):
     """A = T T*, A' = T' T* and A'' = T' T'* over any leading batch
-    axes."""
-    Tc = np.swapaxes(T, -1, -2).conj()
-    return T @ Tc, T1 @ Tc, T1 @ np.swapaxes(T1, -1, -2).conj()
+    axes, entry by entry.
+
+    In an (r, N, batch) layout each entry is (t[i] * t[j].conj()).sum(0),
+    which numpy sums over N one row after another, so a matrix gets the
+    same bits whatever the batch shape.  numpy would sum a lone column
+    pairwise, so a single matrix gets a zero partner.  A and A'' are
+    hermitian: their lower triangles are the conjugated upper ones.
+    """
+    lead, (r, N) = T.shape[:-2], T.shape[-2:]
+    t, t1 = (np.moveaxis(M.reshape(-1, r, N), 0, -1) for M in (T, T1))
+    n = t.shape[-1]
+    if n == 1:
+        t, t1 = (np.concatenate([x, np.zeros_like(x)], axis=-1) for x in (t, t1))
+    t, t1 = np.ascontiguousarray(t), np.ascontiguousarray(t1)
+    out = np.empty((3, r, r, t.shape[-1]), dtype=complex)
+    for j in reversed(range(r)):  # right to left: for i > j, out[:, j, i] is summed
+        tc, t1c = t[j].conj(), t1[j].conj()
+        for i in range(r):
+            out[1, i, j] = (t1[i] * tc).sum(0)
+            if i > j:
+                out[0, i, j], out[2, i, j] = out[0, j, i].conj(), out[2, j, i].conj()
+            else:
+                out[0, i, j], out[2, i, j] = (t[i] * tc).sum(0), (t1[i] * t1c).sum(0)
+    return tuple(np.moveaxis(out[..., :n], (1, 2), (-2, -1)).reshape((3,) + lead + (r, r)))
 
 
-# numpy's stacked matmul and inv make one BLAS or LAPACK call per r x r
-# matrix, which for r <= 3 costs many times the arithmetic; the two
-# kernels below loop over the matrix indices instead, each step one
-# array operation over all batch axes, so no matrix's result depends on
-# the others
-def _mat_mul(X, Y):
-    """X @ Y over (..., r, r) stacks, entry by entry."""
-    r = X.shape[-1]
-    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=np.result_type(X, Y))
-    for i in range(r):
-        for j in range(r):
-            acc = X[..., i, 0] * Y[..., 0, j]
-            for l in range(1, r):
-                acc += X[..., i, l] * Y[..., l, j]
-            out[..., i, j] = acc
-    return out
-
-
+# numpy's stacked inv makes one LAPACK call per r x r matrix; this kernel,
+# like `bundle._mat_mul`, loops over the matrix indices instead
 def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of hermitian positive A over any leading batch axes: the
     diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then
@@ -170,7 +192,10 @@ def fs_path_rate(sb: SectionBasis, rule: QuadratureRule, t, factors):
     T = S W_t, where G_t^-1 = W_t W_t*, and V = -S (dG_t^-1/dt) S*, each
     of shape (m, n, r, r).  The t-nodes go in chunks of at most
     _MAX_POINTS (t-node, sphere-node) points; the values do not depend on
-    the chunking.
+    the chunking.  V A^-1 stays a stacked numpy product: along a ray the
+    integrand is ill-conditioned at large t, and an entrywise product
+    moves it past the per-t reference's bound until the ray evaluator is
+    made exact (ROADMAP item 1).
     """
     ts = np.asarray(t, dtype=float)
     res_shift = float(sb.bundle.slope) * np.eye(sb.bundle.rank)
@@ -261,7 +286,10 @@ class FSMetric(MetricEvaluator):
 
 def _bergman_raw(h: MetricEvaluator, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
     """raw(p) = h(p) fs(p)^-1 at every node, for fs the FS metric of the
-    form G: fs^-1 = e^{-k phi} T T* with T = S W its section factor."""
+    form G: fs^-1 = e^{-k phi} T T* with T = S W its section factor.
+    The products stay stacked numpy ones: an entrywise T T* copies T's
+    conjugate and costs the `bergman` command memory with no gain in
+    time."""
     S = eval_matrix_batch(sb, rule.charts, rule.coords)[0]
     T = _section_factor(S, FSMetric(sb, G=G).W)
     wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
@@ -273,7 +301,8 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     """Kernel endomorphism comparing h with the FS metric of its L2 form.
 
     The raw kernel (`_bergman_raw`) times r * Vol / N tends to the
-    identity as k grows.
+    identity as k grows.  The pointwise 2-norm is numpy's batched SVD,
+    which equals the per-node `np.linalg.norm(m, 2)` bit for bit.
     """
     sb = basis(h.bundle, k)
     G = l2_gram(sb, h, rule)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bundle import BundleSpec, _hermitize, he_residual, regularity, trivial_metric
+from .bundle import BundleSpec, _hermitize, _mat_mul, he_residual, regularity, trivial_metric
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch, integrate_values
-from .sections import FSMetric, SectionBasis, _mat_mul, basis, l2_gram
+from .sections import FSMetric, SectionBasis, basis, l2_gram
 
 
 def mdon_gradient(

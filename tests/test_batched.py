@@ -23,7 +23,10 @@ from hebundle.bundle import (
     ScaledMetric,
     _relative_eigs,
     fd_curvature_batch,
+    fd_derivatives,
     fd_stencil,
+    geodesic_interpolate_batch,
+    geodesic_log_batch,
     he_residual,
     trivial_metric,
 )
@@ -38,11 +41,12 @@ from hebundle.geometry import (
     build_quadrature,
     contract_batch,
     gauss_legendre01,
+    integrate_values,
     point_arrays,
     sphere_point,
     tree_sum,
 )
-from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram
+from hebundle.sections import FSMetric, basis, bergman_kernel, eval_matrix_batch, l2_gram
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -147,6 +151,57 @@ def test_standard_metric_batch_matches_pointwise(rule16):
         degs = np.array(h.bundle.degrees, dtype=float)
         assert np.array_equal(batched[i], np.diag((1.0 + abs(p.coord) ** 2) ** -degs))
         assert np.array_equal(at(h, p), batched[i])
+
+
+def _l2_gram_reference(sb, h, rule):
+    """The L2 form by the dense 3-operand contraction S* h S e^{-k phi}."""
+    S, _ = eval_matrix_batch(sb, rule.charts, rule.coords)
+    hv = h.evaluate(rule.charts, rule.coords)
+    wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
+    vals = np.einsum("nji,njl,nlm->nim", S.conj(), hv, S) * wphi[:, None, None]
+    g = integrate_values(vals, rule)
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [16, 64])
+def test_l2_gram_matches_dense_contraction(k, n):
+    rule = build_quadrature(n, n)
+    spec = BundleSpec((1, 0, -1))
+    sb1 = basis(spec, 1)
+    fs = FSMetric(sb1, G=rand_pd(np.random.default_rng(11), sb1.N, 0.3))
+    sb = basis(spec, k)
+    for h in (trivial_metric(spec), fs):
+        got, ref = l2_gram(sb, h, rule), _l2_gram_reference(sb, h, rule)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_geodesic_helpers_match_numpy_products(rule16):
+    """The entrywise products of the pointwise geodesic against the same
+    formulas with numpy's stacked products."""
+    herm = lambda m: 0.5 * (m + np.swapaxes(m, -1, -2).conj())
+    rng = np.random.default_rng(12)
+    sb = basis(BundleSpec((2, 1, 0)), 1)
+    h0, h1 = (FSMetric(sb, G=rand_pd(rng, sb.N, 0.4)) for _ in "ab")
+    a, b = (h.evaluate(rule16.charts, rule16.coords) for h in (h0, h1))
+    w0, v0 = np.linalg.eigh(a)
+    v0h = np.swapaxes(v0, -1, -2).conj()
+    rt, irt = (v0 * np.sqrt(w0)[:, None, :]) @ v0h, (v0 / np.sqrt(w0)[:, None, :]) @ v0h
+    wb, vb = np.linalg.eigh(herm(irt @ b @ irt))
+    vbh = np.swapaxes(vb, -1, -2).conj()
+    scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    for s in (0.0, 0.3, 1.0):
+        ref = herm(rt @ ((vb * (wb**s)[:, None, :]) @ vbh) @ rt)
+        assert np.all(np.abs(geodesic_interpolate_batch(a, b, s) - ref) <= 1e-13 * scale)
+    ref = irt @ ((vb * np.log(wb)[:, None, :]) @ vbh) @ rt
+    got = geodesic_log_batch(a, b)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
+    vals, dl = fd_stencil(h0.evaluate, rule16.charts, rule16.coords)
+    hc, hz, hzb, hzzb = fd_derivatives(vals, dl)
+    hinv = np.linalg.inv(hc)
+    ref = hinv @ hzb @ hinv @ hz - hinv @ hzzb
+    got = fd_curvature_batch(vals, dl)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
 
 
 def test_he_residual_sup_equals_per_node_loop(rule16):

@@ -32,6 +32,19 @@ _MDON_CFG = {
     "quadrature": {"n_colat": 16, "n_angle": 16},
     "zeta": {"weights": ["1/2", "-1/2"], "dims": [2, 2]},
 }
+_CONVEXITY_CFG = {
+    "bundle": [1, 0],
+    "k": 0,
+    "quadrature": {"n_colat": 20, "n_angle": 20},
+    "convexity": {"n_paths": 1, "s_values": [0.5]},
+}
+_SLOPE_CFG = {
+    "bundle": [1, -1],
+    "k": 1,
+    "quadrature": {"n_colat": 16, "n_angle": 16},
+    "zeta": {"weights": ["1/3", "-1"], "dims": [3, 1]},
+    "slope": {"t_max": 12, "n_t": 7},
+}
 
 
 def test_self_test(tmp_path, capsys):
@@ -159,7 +172,12 @@ def test_reports_are_independent_of_blas_threads(tmp_path):
     import hebundle
 
     src = str(Path(hebundle.__file__).resolve().parents[1])
-    for cmd, cfg in (("bergman", _BERGMAN_CFG), ("mdon", _MDON_CFG)):
+    for cmd, cfg in (
+        ("bergman", _BERGMAN_CFG),
+        ("mdon", _MDON_CFG),
+        ("convexity-audit", _CONVEXITY_CFG),
+        ("slope-test", _SLOPE_CFG),
+    ):
         p = _write_cfg(tmp_path, f"{cmd}.json", cfg)
         reports = []
         for threads in ("1", "2"):
@@ -251,6 +269,12 @@ _BLOCKS_13 = [
                   "zeta": {"weights": ["1/2", "-1/2"], "dims": [2, 2]}}, "k"),
         ("mna", _MNA_BASE, "zeta"),
         ("probe-coercivity", {"bundle": [1, 1], "k": 1, "quadrature": _Q8}, "k_list"),
+        # malformed full zeta forms, refused before the rule is built
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": 3}}, "blocks"),
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": [[b["w"], b["vectors"]]
+                                                          for b in _BLOCKS_13]}}, "blocks"),
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": _BLOCKS_13[:1]}}, "vectors"),
+        ("mna", {**_MNA_BASE, "zeta": {"weights": ["1", "-3"], "dims": [2, 1]}}, "zeta"),
     ],
 )
 def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):

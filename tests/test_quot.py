@@ -264,6 +264,14 @@ def test_json_roundtrip():
         weightspec_from_json({"k": 1})
 
 
+@pytest.mark.parametrize("k", [1.9, True, "2"])
+def test_weightspec_from_json_rejects_non_integer_level(k):
+    # int() would read these as the levels 1, 1 and 2
+    obj = {"k": k, "blocks": [{"w": "1", "vectors": [[["1", "0"], ["0", "0"]]]}]}
+    with pytest.raises(ValueError, match="k must be an integer"):
+        weightspec_from_json(obj)
+
+
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
 def test_invariants_shift_invariant_property(d, num, den):

@@ -9,6 +9,7 @@ import scipy.linalg
 from _utils import at, rand_pd, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
+    _mat_mul,
     fd_curvature_batch,
     fd_stencil,
     trivial_metric,
@@ -24,7 +25,7 @@ from hebundle.geometry import (
 from hebundle.sections import (
     FSMetric,
     _equilibrated_inverse,
-    _mat_mul,
+    _fs_moments,
     basis,
     bergman_kernel,
     eval_matrix_batch,
@@ -223,6 +224,37 @@ def test_entrywise_kernels_match_numpy(r):
         assert got.shape == ref.shape
         scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def _close_to(got, ref, rtol):
+    """Each matrix of `got` within rtol of its reference's largest entry."""
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
+
+
+def test_mat_mul_plain_and_rectangular_products():
+    rng = np.random.default_rng(31)
+    X, Y = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in ((2, 4), (4, 3)))
+    assert np.array_equal(_mat_mul(X, Y), X @ Y)  # no batch axis: numpy's own product
+    Xs = rng.normal(size=(6, 2, 4)) + 1j * rng.normal(size=(6, 2, 4))
+    _close_to(_mat_mul(Xs, Y), Xs @ Y, 1e-13)
+    _close_to(_mat_mul(Y.T, Xs.swapaxes(-1, -2)), Y.T @ Xs.swapaxes(-1, -2), 1e-13)
+
+
+@pytest.mark.parametrize("r, N", [(1, 2), (1, 18), (2, 6), (2, 10), (3, 9), (3, 18)])
+def test_fs_moments_match_numpy_and_do_not_depend_on_the_batch(r, N):
+    rng = np.random.default_rng(40 + 3 * r + N)
+    T, T1 = (rng.normal(size=(4, 7, r, N)) + 1j * rng.normal(size=(4, 7, r, N)) for _ in "ab")
+    got = _fs_moments(T, T1)
+    Tc, T1c = (np.swapaxes(M, -1, -2).conj() for M in (T, T1))
+    for g, ref in zip(got, (T @ Tc, T1 @ Tc, T1 @ T1c)):
+        _close_to(g, ref, 1e-13)
+    # the per-t slices, and a lone matrix, which takes the zero-partner path
+    for m in range(4):
+        assert all(np.array_equal(g[m], p) for g, p in zip(got, _fs_moments(T[m], T1[m])))
+    lone = _fs_moments(T[2, 5:6], T1[2, 5:6])
+    assert all(np.array_equal(g[2, 5:6], p) for g, p in zip(got, lone))
 
 
 def test_equilibrated_inverse_raises_when_rank_deficient():
