@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bundle import BundleSpec, _hermitize
-from .geometry import QuadratureRule, gauss_legendre01, point_arrays
+from .geometry import QuadratureRule, gauss_legendre01
 from .quot import WeightSpec, _generic_rank, evaluation_drop_degree, filtration, generated_subsheaf
 from .sections import (
     FSMetric,
@@ -232,21 +232,21 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
     return tuple(out)
 
 
-def renormalized_limit(ray: OnePSRay, zeta_rational: WeightSpec, t_list, points) -> dict:
+def renormalized_limit(ray: OnePSRay, zeta_rational: WeightSpec, t_list, charts, coords) -> dict:
     """Large-time limit of the ray metric in the weight-adapted frame.
 
     Conjugates h_t by diag(e^{w_i t}) with per-summand filtration
-    weights, evaluates at the sample points for increasing t (`values`,
-    shape (t, point, r, r)), and reports successive sup differences (a
-    Cauchy check) together with positive-definiteness flags.  On the
-    projective line the divided minors of a saturation have no common
-    zero, so every point is regular and admissible.
+    weights, evaluates at the sample points (charts, coords) for
+    increasing t (`values`, shape (t, point, r, r)), and reports
+    successive sup differences (a Cauchy check) together with
+    positive-definiteness flags.  On the projective line the divided
+    minors of a saturation have no common zero, so every point is
+    regular and admissible.
     """
     spec = ray.sb.bundle
     _weights_match(ray, zeta_rational)
     frame_w = np.array([float(w) for w in frame_weights(spec, zeta_rational)]) / ray.scale
     t_list = sorted(float(t) for t in t_list)
-    charts, coords = point_arrays(points)
     h = np.array([ray.metric_at(t).evaluate(charts, coords) for t in t_list])
     conj = np.exp(np.outer(t_list, frame_w))[:, None]
     values = conj[..., :, None] * h * conj[..., None, :]

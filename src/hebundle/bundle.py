@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import QuadratureRule, contract_batch, tree_sum
+from .geometry import QuadratureRule, contract_batch, integrate_values
 
 # most points evaluated in one batched call by the stencil and the
 # energy-path helpers: the size of a 64x64 rule
@@ -272,7 +272,7 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule, values=None) -> dict:
     res_h = _he_defect(h, rule, values)
     sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
     tr_sq = np.einsum("nij,nji->n", res_h, res_h).real
-    l2 = float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))
+    l2 = float(np.sqrt(max(0.0, integrate_values(tr_sq, rule))))
     return {"sup": float(sup), "l2": l2}
 
 

@@ -29,7 +29,7 @@ from .bundle import (
     fd_stencil,
     geodesic_log_batch,
 )
-from .geometry import QuadratureRule, contract_batch, point_arrays, tree_sum
+from .geometry import QuadratureRule, contract_batch, integrate_values
 from .sections import (
     FSMetric,
     SectionBasis,
@@ -136,7 +136,7 @@ class PointwiseExponentialPath:
         for s in ts.reshape(-1):
             lam = contract_batch(fd_curvature_batch(_geodesic_at(parts, s), dl), rule.coords)
             vals = np.einsum("nij,nji->n", u, lam - res_shift).real
-            out.append(float(tree_sum(vals * rule.weights)))
+            out.append(float(integrate_values(vals, rule)))
         return out[0] if ts.ndim == 0 else np.array(out)
 
 
@@ -245,15 +245,6 @@ def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:
     return abs(m20 - m21 - m10)
 
 
-def _connection_coeff(h: MetricEvaluator, charts, coords) -> np.ndarray:
-    """a = h^-1 dh/dx in each point's chart, (n, r, r); closed form for
-    FS metrics."""
-    if isinstance(h, FSMetric):
-        return h.connection_coeff(charts, coords)
-    hc, hz, _, _ = fd_derivatives(*fd_stencil(h.evaluate, charts, coords))
-    return np.linalg.solve(hc, hz)
-
-
 def second_derivative_geodesic(
     h0: MetricEvaluator, h1: MetricEvaluator, s: float, rule: QuadratureRule
 ) -> dict:
@@ -271,11 +262,12 @@ def second_derivative_geodesic(
         return geodesic_log_batch(h0.evaluate(charts, coords), h1.evaluate(charts, coords))
 
     v, vz, vzb, _ = fd_derivatives(*fd_stencil(vfn, rule.charts, rule.coords))
-    a_s = _connection_coeff(GeodesicMetric(h0, h1, s), rule.charts, rule.coords)
+    hs = GeodesicMetric(h0, h1, s)
+    hc, hz, _, _ = fd_derivatives(*fd_stencil(hs.evaluate, rule.charts, rule.coords))
+    a_s = np.linalg.solve(hc, hz)
     grad = vz + _mat_mul(a_s, v) - _mat_mul(v, a_s)
     coeff = np.einsum("nij,nji->n", grad, vzb).real
-    vals = coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2
-    formula = float(tree_sum(vals * rule.weights))
+    formula = float(integrate_values(coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2, rule))
 
     eps = 0.05
     nz = _D1 != 0.0
@@ -284,13 +276,13 @@ def second_derivative_geodesic(
     return {"formula": formula, "fd": float(fd)}
 
 
-def curvature_variation_check(path, t: float, points) -> float:
+def curvature_variation_check(path, t: float, charts, coords) -> float:
     """Defect between the t-derivative of the curvature and the
-    covariant-derivative formula d-bar grad (h^-1 dh/dt), at sample
-    points; both sides as coefficients of (i/2pi) dz^dz-bar."""
+    covariant-derivative formula d-bar grad (h^-1 dh/dt), at the sample
+    points (charts, coords); both sides as coefficients of
+    (i/2pi) dz^dz-bar."""
     if not isinstance(path, BergmanPath):
         raise ValueError("analytic variation check needs a form-space path")
-    charts, coords = point_arrays(points)
     # LHS: dF/dt by 4th-order differences in t
     step = 1e-3
     curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF]
@@ -319,10 +311,10 @@ def he_defect_norm(h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """L2 size of the Einstein defect with its scalar average removed."""
     r = h0.bundle.rank
     res = _he_defect(h0, rule)
-    avg = tree_sum(np.einsum("nii->n", res).real * rule.weights) / r
+    avg = integrate_values(np.einsum("nii->n", res).real, rule) / r
     res = res - avg * np.eye(r)
     tr_sq = np.einsum("nij,nji->n", res, res).real
-    return float(np.sqrt(max(0.0, tree_sum(tr_sq * rule.weights))))
+    return float(np.sqrt(max(0.0, integrate_values(tr_sq, rule))))
 
 
 def _harmonic_family(max_deg: int, charts, coords):

@@ -13,42 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CHART_Z = "Z"
-CHART_W = "W"
 
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the sphere, held in one of the two charts.
-
-    Canonical representation keeps |coord| <= 1 (ties go to chart Z);
-    non-canonical points are allowed as scratch values for finite
-    differencing near the chart boundary.
-    """
-
-    chart: str
-    coord: complex
-
-    def __post_init__(self):
-        if self.chart not in (CHART_Z, CHART_W):
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if not np.isfinite(self.coord):
-            raise ValueError("non-finite chart coordinate")
-
-
-def sphere_point(z: complex) -> SpherePoint:
-    """Canonical point from a chart-Z coordinate (may be inf)."""
-    z = complex(z)
-    if abs(z) <= 1.0:
-        return SpherePoint(CHART_Z, z)
-    return SpherePoint(CHART_W, 1.0 / z)
-
-
-def point_arrays(points):
-    """(charts, coords) arrays of a sequence of points, as taken by the
-    metric evaluators: charts is True where chart Z."""
-    charts = np.array([p.chart == CHART_Z for p in points], dtype=bool)
-    coords = np.array([p.coord for p in points], dtype=complex)
+def canonical_points(z):
+    """(charts, coords) arrays of the points with chart-Z coordinates z
+    (inf allowed), held canonically: chart Z where |z| <= 1, ties
+    included, otherwise chart W with coordinate 1/z.  charts is True
+    where chart Z; ValueError on a non-finite coordinate."""
+    coords = np.array(z, dtype=complex, ndmin=1)
+    # hypot rounds as the scalar abs(z) does; np.abs can differ in the last bit
+    charts = np.hypot(coords.real, coords.imag) <= 1.0
+    # the scalar complex reciprocal; numpy's 1/z can differ in the last bit
+    coords[~charts] = [1.0 / x for x in coords[~charts].tolist()]
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("non-finite chart coordinate")
     return charts, coords
 
 
@@ -86,21 +63,16 @@ def build_quadrature(n_colat: int, n_angle: int) -> QuadratureRule:
     Gauss-Legendre with n_colat points in u = |z|^2/(1+|z|^2) on [0,1],
     uniform (trapezoid on the periodic circle) with n_angle points in the
     angle.  In these variables the area form is du dtheta / 2pi, so the
-    weights are gl_weight / n_angle.  Each node is held canonically, as
-    `sphere_point` holds it.
+    weights are gl_weight / n_angle.  Each node is held canonically
+    (`canonical_points`).
     """
     if n_colat < 4 or n_angle < 4:
         raise ValueError("need n_colat >= 4 and n_angle >= 4")
     u, wu = gauss_legendre01(n_colat)
     theta = 2.0 * np.pi * np.arange(n_angle) / n_angle
     r = np.sqrt(u / (1.0 - u))
-    z = (r[:, None] * np.exp(1j * theta)).reshape(-1)
-    # hypot rounds as the scalar abs(z) does; np.abs can differ in the last bit
-    charts = np.hypot(z.real, z.imag) <= 1.0
-    # the scalar complex reciprocal of sphere_point: numpy's 1/z can differ
-    # from it in the last bit
-    z[~charts] = [1.0 / x for x in z[~charts].tolist()]
-    return QuadratureRule(coords=z, charts=charts, weights=np.repeat(wu / n_angle, n_angle))
+    charts, coords = canonical_points((r[:, None] * np.exp(1j * theta)).reshape(-1))
+    return QuadratureRule(coords=coords, charts=charts, weights=np.repeat(wu / n_angle, n_angle))
 
 
 def gauss_legendre01(order: int):

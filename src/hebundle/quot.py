@@ -102,10 +102,6 @@ class WeightSpec:
     def dimension(self) -> int:
         return sum(len(vecs) for _, vecs in self.blocks)
 
-    @property
-    def trace(self) -> Fraction:
-        return sum((w * len(vecs) for w, vecs in self.blocks), Fraction(0))
-
     def all_vectors(self):
         return [v for _, vecs in self.blocks for v in vecs]
 

@@ -19,8 +19,8 @@ import scipy.linalg
 
 from .bundle import BundleSpec, _hermitize, _mat_mul, he_residual, regularity, trivial_metric
 from .donaldson import BergmanPath, donaldson
-from .geometry import QuadratureRule, contract_batch, integrate_values
-from .sections import FSMetric, SectionBasis, basis, l2_gram
+from .geometry import QuadratureRule, contract_batch
+from .sections import FSMetric, SectionBasis, _section_pairing, basis, l2_gram
 
 
 def mdon_gradient(
@@ -32,22 +32,16 @@ def mdon_gradient(
 
     The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
     energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
-    g = P G^-1 + G^-1 P with P the curvature-residual moment matrix.
+    g = P G^-1 + G^-1 P with P the curvature-residual moment matrix,
+    the pairing of S* A^-1 res S (`sections._section_pairing`).
     The trace component vanishes by scale invariance; projecting it
     out suppresses quadrature noise in that direction.
     """
     hm = FSMetric(sb, G=G)
-    S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
+    _, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
     lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
-    mu = float(sb.bundle.slope)
-    r = sb.bundle.rank
-    res = lamF - mu * np.eye(r)
-    # S* (A^-1 res) S at every node, as sums over the r rows of S
-    B = _mat_mul(Ainv, res)
-    BS = sum(B[:, :, l, None] * S[:, None, l, :] for l in range(r))
-    vals = sum(S[:, l, :, None].conj() * BS[:, l, None, :] for l in range(r))
-    P = integrate_values(vals, rule)
-    P = _hermitize(P)
+    res = lamF - float(sb.bundle.slope) * np.eye(sb.bundle.rank)
+    P = _section_pairing(sb, rule, _mat_mul(Ainv, res))
     Ginv = hm.Ginv
     g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from hebundle.bundle import MetricEvaluator
-from hebundle.geometry import CHART_W, CHART_Z
+from hebundle.geometry import canonical_points
 
 
 def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
@@ -13,11 +13,10 @@ def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
     return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
 
 
-def at(h, p):
-    """Value of a batched metric evaluator at one SpherePoint."""
-    from hebundle.geometry import point_arrays
-
-    return h.evaluate(*point_arrays([p]))[0]
+def at(h, z):
+    """Value of a batched metric evaluator at the canonical point of the
+    chart-Z coordinate z, in a one-point call."""
+    return h.evaluate(*canonical_points([z]))[0]
 
 
 def transition_matrix(spec, z: complex) -> np.ndarray:
@@ -27,7 +26,7 @@ def transition_matrix(spec, z: complex) -> np.ndarray:
 
 class ExplicitMetric(MetricEvaluator):
     """Metric given by an explicit function (chart, coord) -> matrix,
-    called once per point."""
+    chart True where chart Z, called once per point."""
 
     def __init__(self, bundle, fn):
         self.bundle = bundle
@@ -37,6 +36,6 @@ class ExplicitMetric(MetricEvaluator):
         r = self.bundle.rank
         out = np.empty((len(coords), r, r), dtype=complex)
         for i, (cz, x) in enumerate(zip(charts, coords)):
-            m = self.fn(CHART_Z if cz else CHART_W, complex(x))
+            m = self.fn(bool(cz), complex(x))
             out[i] = np.asarray(m, dtype=complex).reshape((r, r))
         return out

@@ -32,7 +32,7 @@ from hebundle.donaldson import (
     poincare_constant,
     second_derivative_geodesic,
 )
-from hebundle.geometry import sphere_point
+from hebundle.geometry import canonical_points
 from hebundle.quot import WeightSpec, block_weightspec, filtration
 from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram
 from hebundle.solver import SolveOptions, destabilizer_extract, minimize
@@ -407,7 +407,8 @@ def test_criterion_11_geodesic_and_curvature_variation(rule24):
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)
     rng = np.random.default_rng(55)
-    pts = [sphere_point(z) for z in (0.1, 0.5, 0.8j, -0.4 + 0.3j)]
+    pts = (0.1, 0.5, 0.8j, -0.4 + 0.3j)
+    charts, coords = canonical_points(pts)
     worst_geo = 0.0
     worst_var = 0.0
     for _ in range(3):
@@ -415,7 +416,7 @@ def test_criterion_11_geodesic_and_curvature_variation(rule24):
         h1 = FSMetric(sb, G=rand_pd(rng, sb.N, scale=0.3))
         worst_geo = max(worst_geo, _geodesic_equation_residual(h0, h1, pts))
         path = BergmanPath(sb, h0.G, h1.G)
-        worst_var = max(worst_var, curvature_variation_check(path, 0.5, pts))
+        worst_var = max(worst_var, curvature_variation_check(path, 0.5, charts, coords))
     dt = time.time() - t0
     ok = worst_geo < 1e-6 and worst_var < 1e-4 and dt < 120.0
     _verdict(

@@ -76,6 +76,24 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"public names with no caller outside the unit tests: {uncalled}"
 
 
+def test_node_sums_go_through_integrate_values():
+    """`tree_sum` is read only in `geometry` and in
+    `sections._section_pairing`, which folds the quadrature weights into
+    its factors to save memory; every other integral of node values goes
+    through `integrate_values`.  Imports are not reads."""
+    bypass = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "geometry":
+            continue
+        for stmt in _tree(path).body:
+            name = getattr(stmt, "name", f"line {stmt.lineno}")
+            if (path.stem, name) == ("sections", "_section_pairing"):
+                continue
+            if any(getattr(n, "id", getattr(n, "attr", None)) == "tree_sum" for n in ast.walk(stmt)):
+                bypass.append(f"{path.stem}.{name}")
+    assert not bypass, f"node sums that bypass integrate_values: {bypass}"
+
+
 def _attributes(node) -> Counter:
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 

@@ -18,7 +18,7 @@ from hebundle.asymptotics import (
     zeta_matrix,
 )
 from hebundle.bundle import BundleSpec, trivial_metric
-from hebundle.geometry import sphere_point
+from hebundle.geometry import canonical_points
 from hebundle.quot import WeightSpec, block_weightspec, filtration
 from hebundle.sections import basis, l2_gram
 
@@ -58,8 +58,8 @@ def test_ray_start_is_base_metric(rule16):
 
     G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
     h = OnePSRay(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0])).metric_at(0.0)
-    p = sphere_point(0.4 + 0.2j)
-    assert np.allclose(at(h, p), at(FSMetric(SB, G=G0), p), atol=1e-10)
+    z = 0.4 + 0.2j
+    assert np.allclose(at(h, z), at(FSMetric(SB, G=G0), z), atol=1e-10)
 
 
 def test_mdon_along_ray_grid_validation(rule16):
@@ -138,8 +138,7 @@ def test_frame_weights_non_aligned_case():
 
 def test_renormalized_limit_is_cauchy_and_positive(rule16):
     ray, zr = _ray(rule16, [(Fraction(1, 3), 3), (-1, 1)])
-    pts = [sphere_point(z) for z in (0.0, 0.5, 0.8j)]
-    out = renormalized_limit(ray, zr, [4.0, 8.0, 12.0, 16.0], pts)
+    out = renormalized_limit(ray, zr, [4.0, 8.0, 12.0, 16.0], *canonical_points([0.0, 0.5, 0.8j]))
     assert all(out["pd_flags"])
     d = out["cauchy_defects"]
     assert d[-1] <= d[0]

@@ -14,7 +14,7 @@ import scipy.linalg
 
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
-from _utils import ExplicitMetric, at, rand_pd
+from _utils import ExplicitMetric, rand_pd
 from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray
 from hebundle.bundle import (
     BundleSpec,
@@ -37,13 +37,11 @@ from hebundle.donaldson import (
     second_derivative_geodesic,
 )
 from hebundle.geometry import (
-    SpherePoint,
     build_quadrature,
+    canonical_points,
     contract_batch,
     gauss_legendre01,
     integrate_values,
-    point_arrays,
-    sphere_point,
     tree_sum,
 )
 from hebundle.sections import FSMetric, basis, bergman_kernel, eval_matrix_batch, l2_gram
@@ -147,10 +145,9 @@ def test_standard_metric_batch_matches_pointwise(rule16):
     h = trivial_metric(BundleSpec((2, -1, 0)))
     batched = h.evaluate(rule16.charts, rule16.coords)
     for i, (chart, x) in enumerate(zip(rule16.charts, rule16.coords)):
-        p = SpherePoint("Z" if chart else "W", complex(x))
         degs = np.array(h.bundle.degrees, dtype=float)
-        assert np.array_equal(batched[i], np.diag((1.0 + abs(p.coord) ** 2) ** -degs))
-        assert np.array_equal(at(h, p), batched[i])
+        assert np.array_equal(batched[i], np.diag((1.0 + abs(complex(x)) ** 2) ** -degs))
+        assert np.array_equal(h.evaluate(np.array([chart]), np.array([x]))[0], batched[i])
 
 
 def _l2_gram_reference(sb, h, rule):
@@ -161,6 +158,17 @@ def _l2_gram_reference(sb, h, rule):
     vals = np.einsum("nji,njl,nlm->nim", S.conj(), hv, S) * wphi[:, None, None]
     g = integrate_values(vals, rule)
     return 0.5 * (g + g.conj().T)
+
+
+def _pairing_references(sb, X, rule):
+    """The hermitian part of the integral of S* X S, by the r-term
+    outer-product sums `mdon_gradient` used and by the dense einsum."""
+    S, _ = eval_matrix_batch(sb, rule.charts, rule.coords)
+    r = sb.bundle.rank
+    XS = sum(X[:, :, l, None] * S[:, None, l, :] for l in range(r))
+    outer = sum(S[:, l, :, None].conj() * XS[:, l, None, :] for l in range(r))
+    dense = np.einsum("nji,njl,nlm->nim", S.conj(), X, S)
+    return [0.5 * (g + g.conj().T) for g in (integrate_values(v, rule) for v in (outer, dense))]
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -174,6 +182,17 @@ def test_l2_gram_matches_dense_contraction(k, n):
     for h in (trivial_metric(spec), fs):
         got, ref = l2_gram(sb, h, rule), _l2_gram_reference(sb, h, rule)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the same pairing on a non-hermitian field, mdon_gradient's A^-1 res
+    rng = np.random.default_rng(16)
+    for degs in ((2,), (1, -1), (1, 0, -1)):
+        sb = basis(BundleSpec(degs), k)
+        hm = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
+        _, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
+        lam = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
+        X = Ainv @ (lam - float(sb.bundle.slope) * np.eye(len(degs)))
+        got = sections_mod._section_pairing(sb, rule, X)
+        for ref in _pairing_references(sb, X, rule):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), degs
 
 
 def test_geodesic_helpers_match_numpy_products(rule16):
@@ -292,12 +311,14 @@ def test_fs_metric_batch_equals_one_point_calls_at_every_rank(degs, k, rule16):
             assert np.array_equal(part, np.concatenate(ones)), name
 
 
-def _stencil(fn, p):
-    """The old per-point 5-point x- and y-stencils of a one-point field
-    fn(SpherePoint), with their step."""
-    dl = 1e-3 * (1.0 + abs(p.coord))
-    vx = np.array([fn(SpherePoint(p.chart, p.coord + o * dl)) for o in _OFF])
-    vy = np.array([fn(SpherePoint(p.chart, p.coord + 1j * o * dl)) for o in _OFF])
+def _stencil(fn, chart, x):
+    """The old per-point 5-point x- and y-stencils of a batched field
+    fn(charts, coords) around the point of chart `chart` (True where
+    chart Z) and coordinate x, in one-point calls, with their step."""
+    dl = 1e-3 * (1.0 + abs(x))
+    charts = np.array([chart])
+    vx = np.array([fn(charts, np.array([x + o * dl], dtype=complex))[0] for o in _OFF])
+    vy = np.array([fn(charts, np.array([x + 1j * o * dl], dtype=complex))[0] for o in _OFF])
     return vx, vy, dl
 
 
@@ -320,15 +341,16 @@ def _formula_per_node(h0, h1, s, rule):
     from one-point evaluations at each node's stencil."""
     hs = GeodesicMetric(h0, h1, s)
 
-    def vfn(p):
-        # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s
-        return _logm(np.linalg.solve(at(h0, p), at(h1, p)))
+    def vfn(charts, coords):
+        # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s,
+        # at one point
+        a, b = (h.evaluate(charts, coords)[0] for h in (h0, h1))
+        return _logm(np.linalg.solve(a, b))[None]
 
     vals = np.empty(rule.n)
     for i, (chart, x) in enumerate(zip(rule.charts, rule.coords)):
-        p = SpherePoint("Z" if chart else "W", complex(x))
-        v, vz, vzb = _first_derivs(*_stencil(vfn, p))
-        hc, hz, _ = _first_derivs(*_stencil(lambda q: at(hs, q), p))
+        v, vz, vzb = _first_derivs(*_stencil(vfn, chart, complex(x)))
+        hc, hz, _ = _first_derivs(*_stencil(hs.evaluate, chart, complex(x)))
         a_s = np.linalg.solve(hc, hz)
         grad = vz + a_s @ v - v @ a_s
         vals[i] = np.trace(grad @ vzb).real * (1.0 + abs(x) ** 2) ** 2
@@ -374,16 +396,15 @@ def test_pointwise_integrand_matches_per_t_formula(degs, k, n):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
-def _variation_per_point(path, t, p, step=1e-3):
+def _variation_per_point(path, t, chart, x, step=1e-3):
     """Per-point curvature-variation defect, and the size of dF/dt."""
-    curv = [path.metric_at(t + o * step).curvature_coeff(*point_arrays([p]))[0] for o in _OFF]
+    point = np.array([chart]), np.array([x], dtype=complex)
+    curv = [path.metric_at(t + o * step).curvature_coeff(*point)[0] for o in _OFF]
     lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
-    vfn = path.vfield_at(t)
-    afn = path.metric_at(t).connection_coeff
-    vx, vy, dl = _stencil(lambda q: vfn(*point_arrays([q]))[0], p)
+    vx, vy, dl = _stencil(path.vfield_at(t), chart, x)
     v, _, vzb = _first_derivs(vx, vy, dl)
     vzzb = 0.25 * (np.tensordot(_D2, vx, axes=(0, 0)) + np.tensordot(_D2, vy, axes=(0, 0))) / dl**2
-    a, _, azb = _first_derivs(*_stencil(lambda q: afn(*point_arrays([q]))[0], p))
+    a, _, azb = _first_derivs(*_stencil(path.metric_at(t).connection_coeff, chart, x))
     rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
     return float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs)))
 
@@ -395,13 +416,14 @@ def test_curvature_variation_matches_per_point_loop(degs):
     sb = basis(BundleSpec(degs), 1)
     rng = np.random.default_rng(10)
     path = BergmanPath(sb, rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3))
-    pts = [sphere_point(z) for z in (0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j)]
-    assert {p.chart for p in pts} == {"Z", "W"}
-    ref = [_variation_per_point(path, 0.5, p) for p in pts]
-    for p, (defect, scale) in zip(pts, ref):
-        assert abs(curvature_variation_check(path, 0.5, [p]) - defect) <= 1e-12 * scale
-    assert curvature_variation_check(path, 0.5, pts) == max(
-        curvature_variation_check(path, 0.5, [p]) for p in pts
+    charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j])
+    assert set(charts.tolist()) == {True, False}
+    one = [(charts[i : i + 1], coords[i : i + 1]) for i in range(len(coords))]
+    ref = [_variation_per_point(path, 0.5, c[0], complex(x[0])) for c, x in one]
+    for (c, x), (defect, scale) in zip(one, ref):
+        assert abs(curvature_variation_check(path, 0.5, c, x) - defect) <= 1e-12 * scale
+    assert curvature_variation_check(path, 0.5, charts, coords) == max(
+        curvature_variation_check(path, 0.5, c, x) for c, x in one
     )
 
 

@@ -21,7 +21,7 @@ from hebundle.bundle import (
     regularity,
     trivial_metric,
 )
-from hebundle.geometry import CHART_Z, SpherePoint, contract_batch, point_arrays, sphere_point
+from hebundle.geometry import canonical_points, contract_batch
 from hebundle.sections import basis
 from hebundle.solver import _normalize
 
@@ -58,8 +58,8 @@ def test_trivial_metric_glues_across_charts():
     spec = BundleSpec((2, -1))
     h = trivial_metric(spec)
     z = 0.8 + 0.3j
-    hz = at(h, SpherePoint(CHART_Z, z))
-    hw = at(h, SpherePoint("W", 1.0 / z))
+    hz = h.evaluate(np.array([True]), np.array([z]))[0]
+    hw = h.evaluate(np.array([False]), np.array([1.0 / z]))[0]
     T = transition_matrix(spec, z)
     assert np.allclose(hw, T.conj().T @ hz @ T, atol=1e-12)
 
@@ -69,7 +69,7 @@ def test_trivial_metric_curvature():
     for a in (0, 1, 3, -2):
         h = trivial_metric(BundleSpec((a,)))
         for z in (0.0, 0.5, 0.3 - 0.6j):
-            charts, coords = point_arrays([sphere_point(z)])
+            charts, coords = canonical_points([z])
             F = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
             lam = contract_batch(F, coords)[0]
             assert lam[0, 0].real == pytest.approx(a, abs=5e-8)
@@ -101,8 +101,7 @@ def test_fd_curvature_batch_matches_pointwise(rule16):
 def test_scaled_metric():
     h = trivial_metric(BundleSpec((1,)))
     s = ScaledMetric(h, 2.5)
-    p = sphere_point(0.4)
-    assert np.allclose(at(s, p), 2.5 * at(h, p))
+    assert np.allclose(at(s, 0.4), 2.5 * at(h, 0.4))
     with pytest.raises(ValueError):
         ScaledMetric(h, -1.0)
 

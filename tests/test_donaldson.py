@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from _utils import at, rand_pd
+from _utils import ExplicitMetric, at, rand_pd
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
@@ -30,7 +30,7 @@ from hebundle.donaldson import (
     poincare_constant,
     second_derivative_geodesic,
 )
-from hebundle.geometry import sphere_point
+from hebundle.geometry import canonical_points
 from hebundle.sections import FSMetric, basis
 
 
@@ -105,8 +105,7 @@ def test_first_derivative_consistency(rule24):
 def test_geodesic_factory():
     h0, h1 = _fs_pair(7)
     g = GeodesicMetric(h0, h1, 0.25)
-    p = sphere_point(0.3)
-    assert np.allclose(at(g, p), at(g, p).conj().T)
+    assert np.allclose(at(g, 0.3), at(g, 0.3).conj().T)
 
 
 def test_second_derivative_formula_matches_fd(rule24):
@@ -128,10 +127,10 @@ def test_second_derivative_trivial_geodesic(rule24):
 def test_curvature_variation_identity():
     h0, h1 = _fs_pair(10, scale=0.3)
     path = BergmanPath(SB, h0.G, h1.G)
-    pts = [sphere_point(z) for z in (0.2, 0.5j, -0.3 + 0.4j)]
-    assert curvature_variation_check(path, 0.5, pts) < 1e-5
+    charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j])
+    assert curvature_variation_check(path, 0.5, charts, coords) < 1e-5
     with pytest.raises(ValueError):
-        curvature_variation_check(PointwiseExponentialPath(h0, h1), 0.5, pts)
+        curvature_variation_check(PointwiseExponentialPath(h0, h1), 0.5, charts, coords)
 
 
 def test_c_delta_values():
@@ -153,6 +152,17 @@ def test_he_defect_norm_split(rule24):
 
 def test_he_defect_norm_vanishes_at_he_point(rule24):
     assert he_defect_norm(trivial_metric(BundleSpec((3,))), rule24) < 1e-7
+
+
+def test_nonfinite_node_value_raises(rule16):
+    # a metric undefined at one node: the integrals reject its value
+    # rather than return nan
+    node = complex(rule16.coords[0])
+    h = ExplicitMetric(SPEC, lambda chart, x: np.diag([np.nan if x == node else 1.0, 1.0]))
+    with pytest.raises(RuntimeError, match="non-finite integrand value"):
+        he_defect_norm(h, rule16)
+    with pytest.raises(RuntimeError, match="non-finite integrand value"):
+        PointwiseExponentialPath(trivial_metric(SPEC), h).deriv_integrand(0.5, rule16)
 
 
 def test_poincare_line_bundle(rule24):

@@ -8,45 +8,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hebundle.geometry import (
-    CHART_W,
-    CHART_Z,
-    SpherePoint,
     build_quadrature,
+    canonical_points,
     contract_batch,
     integrate_values,
-    point_arrays,
-    sphere_point,
     tree_sum,
 )
 
 
-def _points(rule):
-    """The rule's nodes as SpherePoints."""
-    return [
-        SpherePoint(CHART_Z if c else CHART_W, complex(x))
-        for c, x in zip(rule.charts, rule.coords)
-    ]
+def _sphere_point(z):
+    """The per-point canonical chart rule with Python scalars: (True where
+    chart Z, coordinate)."""
+    z = complex(z)
+    return (True, z) if abs(z) <= 1.0 else (False, 1.0 / z)
 
 
 def test_sphere_point_canonicalization():
-    p = sphere_point(0.5 + 0.1j)
-    assert p.chart == CHART_Z and p.coord == 0.5 + 0.1j
-    q = sphere_point(4.0)
-    assert q.chart == CHART_W and q.coord == 0.25
-    # tie |z| = 1 goes to chart Z
-    assert sphere_point(1.0).chart == CHART_Z
+    zs = [0.5 + 0.1j, 4.0, 1.0, -1j, 0.6 + 0.8j, 0.0, 1.0 + 1e-16j, -2.0 + 1.1j, complex(np.inf)]
+    charts, coords = canonical_points(zs)
+    assert charts[:2].tolist() == [True, False]
+    assert coords[0] == 0.5 + 0.1j and coords[1] == 0.25
+    # ties |z| = 1 go to chart Z
+    assert charts[2:5].all() and coords[2:5].tolist() == [1.0, -1j, 0.6 + 0.8j]
+    # every point bit for bit as the scalar rule holds it
+    ref = [_sphere_point(z) for z in zs]
+    assert charts.tolist() == [c for c, _ in ref]
+    assert coords.tobytes() == np.array([x for _, x in ref]).tobytes()
 
 
 def test_sphere_point_infinity():
-    q = sphere_point(complex(np.inf))
-    assert q.chart == CHART_W and q.coord == 0.0
+    charts, coords = canonical_points(complex(np.inf))
+    assert charts.tolist() == [False] and coords.tolist() == [0.0]
 
 
 def test_invalid_points_rejected():
     with pytest.raises(ValueError):
-        SpherePoint("Q", 0.0)
-    with pytest.raises(ValueError):
-        SpherePoint(CHART_Z, complex(np.nan))
+        canonical_points([0.5, complex(np.nan)])
 
 
 def test_area_form_contracts_to_one():
@@ -97,26 +94,30 @@ def test_quadrature_nodes_canonical(rule16):
     assert np.all(np.abs(rule16.coords) <= 1.0 + 1e-12)
 
 
-def _quadrature_per_node(n_colat, n_angle):
-    """The per-node construction of a rule: one sphere_point per node."""
+def _product_nodes(n_colat, n_angle):
+    """The radii, angles and weights of the product rule."""
     x, wu = np.polynomial.legendre.leggauss(n_colat)
     u, wu = 0.5 * (x + 1.0), 0.5 * wu
     theta = 2.0 * np.pi * np.arange(n_angle) / n_angle
-    r = np.sqrt(u / (1.0 - u))
-    charts, coords = point_arrays([sphere_point(ri * np.exp(1j * th)) for ri in r for th in theta])
-    return charts, coords, np.array([wi / n_angle for wi in wu for _ in theta])
+    return np.sqrt(u / (1.0 - u)), theta, np.array([wi / n_angle for wi in wu for _ in theta])
 
 
 @pytest.mark.parametrize("n_colat, n_angle", [(4, 4), (7, 5), (24, 24), (33, 12), (64, 64)])
 def test_build_quadrature_matches_per_node_sphere_point(n_colat, n_angle):
-    # bit for bit, signed zeros included: chart-W nodes hold the scalar
-    # complex reciprocal, which numpy's 1/z misses in the last bit
+    # bit for bit, signed zeros included, against the scalar chart rule at
+    # each node (chart-W nodes hold the scalar complex reciprocal, which
+    # numpy's 1/z misses in the last bit) and against canonical_points of
+    # the raw product nodes
     rule = build_quadrature(n_colat, n_angle)
-    charts, coords, weights = _quadrature_per_node(n_colat, n_angle)
+    r, theta, weights = _product_nodes(n_colat, n_angle)
+    charts, coords = zip(*[_sphere_point(ri * np.exp(1j * th)) for ri in r for th in theta])
+    charts, coords = np.array(charts), np.array(coords)
     assert not charts.all()
     assert np.array_equal(rule.charts, charts)
     assert rule.coords.dtype == coords.dtype and rule.coords.tobytes() == coords.tobytes()
     assert rule.weights.tobytes() == weights.tobytes()
+    charts, coords = canonical_points((r[:, None] * np.exp(1j * theta)).reshape(-1))
+    assert np.array_equal(rule.charts, charts) and rule.coords.tobytes() == coords.tobytes()
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
@@ -134,10 +135,10 @@ def test_tree_sum_deterministic():
 
 def test_integrate_values_matches_integrate(rule16):
     # against the per-node weighted sum of the pointwise values
-    points = _points(rule16)
-    vals = np.array([abs(p.coord) ** 2 for p in points])
+    coords = rule16.coords.tolist()
+    vals = np.array([abs(x) ** 2 for x in coords])
     assert integrate_values(vals, rule16) == pytest.approx(
-        math.fsum(w * abs(p.coord) ** 2 for w, p in zip(rule16.weights, points))
+        math.fsum(w * abs(x) ** 2 for w, x in zip(rule16.weights, coords))
     )
     with pytest.raises(ValueError):
         integrate_values(vals[:-1], rule16)

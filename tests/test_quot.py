@@ -195,9 +195,8 @@ def test_inexact_coefficients_rejected():
         WeightSpec(k=1, blocks=((Fraction(1), ((sp.sqrt(2), 0, 0, 0),)),))
 
 
-def test_weightspec_trace():
+def test_weightspec_dimension():
     z = _ws([(1, 3), (-3, 1)])
-    assert z.trace == Fraction(0)
     assert z.dimension == 4
 
 

@@ -14,14 +14,7 @@ from hebundle.bundle import (
     fd_stencil,
     trivial_metric,
 )
-from hebundle.geometry import (
-    CHART_W,
-    CHART_Z,
-    SpherePoint,
-    build_quadrature,
-    point_arrays,
-    sphere_point,
-)
+from hebundle.geometry import build_quadrature, canonical_points
 from hebundle.sections import (
     FSMetric,
     _equilibrated_inverse,
@@ -86,7 +79,7 @@ def test_fs_metric_identity_form_closed_form():
     for z in (0.0, 0.5, 0.2 - 0.7j):
         denom = sum(abs(z) ** (2 * j) for j in range(k + 1))
         want = (1.0 + abs(z) ** 2) ** k / denom
-        got = at(h, SpherePoint(CHART_Z, z))[0, 0].real
+        got = at(h, z)[0, 0].real
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -96,8 +89,8 @@ def test_fs_metric_glues_across_charts():
     rng = np.random.default_rng(11)
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
     z = 0.6 + 0.5j
-    hz = at(h, SpherePoint(CHART_Z, z))
-    hw = at(h, SpherePoint(CHART_W, 1.0 / z))
+    hz = h.evaluate(np.array([True]), np.array([z]))[0]
+    hw = h.evaluate(np.array([False]), np.array([1.0 / z]))[0]
     T = transition_matrix(spec, z)
     assert np.allclose(hw, T.conj().T @ hz @ T, atol=1e-10)
 
@@ -108,8 +101,7 @@ def test_fs_metric_ginv_factor_roundtrip():
     G = rand_pd(rng, sb.N)
     h1 = FSMetric(sb, G=G)
     h2 = FSMetric(sb, ginv_factor=h1.W)
-    p = sphere_point(0.3 + 0.1j)
-    assert np.allclose(at(h1, p), at(h2, p), atol=1e-12)
+    assert np.allclose(at(h1, 0.3 + 0.1j), at(h2, 0.3 + 0.1j), atol=1e-12)
     assert np.allclose(h2.G, G, atol=1e-12)
 
 
@@ -118,7 +110,7 @@ def test_fs_closed_form_curvature_matches_fd(rule16):
     sb = basis(spec, 2)
     rng = np.random.default_rng(9)
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
-    charts, coords = point_arrays([sphere_point(z) for z in (0.1, 0.5j, -0.4 + 0.3j)])
+    charts, coords = canonical_points([0.1, 0.5j, -0.4 + 0.3j])
     closed = h.curvature_coeff(charts, coords)
     fd = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
     for i in range(3):
@@ -129,15 +121,15 @@ def test_fs_connection_matches_fd():
     sb = basis(BundleSpec((2,)), 1)
     rng = np.random.default_rng(13)
     h = FSMetric(sb, G=rand_pd(rng, sb.N))
-    p = sphere_point(0.35 - 0.2j)
-    closed = h.connection_coeff(*point_arrays([p]))[0]
+    charts, coords = canonical_points([0.35 - 0.2j])
+    closed = h.connection_coeff(charts, coords)[0]
     # compare the closed form against finite differences of the metric
-    x0 = p.coord
+    x0 = complex(coords[0])
     dl = 1e-4
     offs = np.array([-2, -1, 0, 1, 2])
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    vx = np.array([at(h, SpherePoint(p.chart, x0 + o * dl)) for o in offs])
-    vy = np.array([at(h, SpherePoint(p.chart, x0 + 1j * o * dl)) for o in offs])
+    vx = np.array([h.evaluate(charts, np.array([x0 + o * dl]))[0] for o in offs])
+    vy = np.array([h.evaluate(charts, np.array([x0 + 1j * o * dl]))[0] for o in offs])
     hz = 0.5 * (
         np.tensordot(w1, vx, axes=(0, 0)) - 1j * np.tensordot(w1, vy, axes=(0, 0))
     ) / dl
@@ -150,7 +142,7 @@ def test_fs_identity_defect_small():
     sb = basis(BundleSpec((1, -1)), 1)
     rng = np.random.default_rng(2)
     G = rand_pd(rng, sb.N)
-    charts, coords = point_arrays([sphere_point(z) for z in (0.0, 0.7, 0.4j)])
+    charts, coords = canonical_points([0.0, 0.7, 0.4j])
     S, _ = eval_matrix_batch(sb, charts, coords)
     ekphi = (1.0 + np.abs(coords) ** 2) ** sb.k
     hk = FSMetric(sb, G=G).evaluate(charts, coords) / ekphi[:, None, None]
@@ -166,10 +158,9 @@ def test_bergman_kernel_flat_line_bundle(rule24):
     assert rep["raw_sup_dev"] < 1e-9
     assert rep["sup_dev"] < 1e-9
     # the raw kernel h fs^-1 at a point, with fs the FS metric of the L2 form
-    p = sphere_point(0.3)
     h = trivial_metric(BundleSpec((0,)))
     fs = FSMetric(basis(h.bundle, 4), G=rep["gram"])
-    raw = at(h, p) @ np.linalg.inv(at(fs, p))
+    raw = at(h, 0.3) @ np.linalg.inv(at(fs, 0.3))
     assert raw[0, 0].real == pytest.approx(5.0, abs=1e-9)
 
 
@@ -194,7 +185,7 @@ def test_fs_pointwise_bound_audit():
     ez = scipy.linalg.expm(zeta)
     gz = ez.conj().T @ G0 @ ez
     opn = np.linalg.norm(zeta, 2)
-    charts, coords = point_arrays([sphere_point(z) for z in (0.0, 0.5, 0.9j, -0.6 + 0.2j)])
+    charts, coords = canonical_points([0.0, 0.5, 0.9j, -0.6 + 0.2j])
     d0, dz = (
         np.diagonal(FSMetric(sb, G=g).evaluate(charts, coords), axis1=1, axis2=2).real
         for g in (G0, 0.5 * (gz + gz.conj().T))
