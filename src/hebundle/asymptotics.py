@@ -126,28 +126,18 @@ class SlopeReport:
     concentration_degrees: tuple
 
 
-def _weights_match(ray: OnePSRay, zeta_rational: WeightSpec):
-    got = np.sort(ray._lam * ray.scale)
-    want = []
-    for w, vecs in zeta_rational.blocks:
-        want.extend([float(w)] * len(vecs))
-    want = np.sort(np.array(want))
-    if len(got) != len(want) or np.max(np.abs(got - want)) > 1e-6:
-        raise ValueError(
-            "rational weight data does not match the ray generator spectrum"
-        )
-
-
 def slope_estimate(
-    ray: OnePSRay,
+    sb: SectionBasis,
+    G0: np.ndarray,
     zeta_rational: WeightSpec,
     t_max: float,
     n_t: int,
     rule: QuadratureRule,
 ) -> SlopeReport:
-    """Fit the asymptotic slope of the energy and compare it with the
-    exact invariant; the fit uses the tail half of the grid since the
-    bounded offset pollutes small times.
+    """Fit the asymptotic slope of the energy along the ray from the form
+    G0 generated by the weight datum (`zeta_matrix`), and compare it with
+    the datum's exact invariant; the fit uses the tail half of the grid
+    of `n_t` times since the bounded offset pollutes small times.
 
     When a weight block's sections share a common zero, the curvature
     along the ray concentrates in a shrinking bubble that fixed
@@ -158,14 +148,15 @@ def slope_estimate(
     """
     if t_max < 10:
         raise ValueError("slope fitting needs t_max >= 10")
-    _weights_match(ray, zeta_rational)
-    spec = ray.sb.bundle
-    rep = filtration(spec, zeta_rational)
+    if n_t < 3:
+        raise ValueError(f"slope fitting needs n_t >= 3 (two tail times), got n_t = {n_t}")
+    rep = filtration(sb.bundle, zeta_rational)
+    ray = OnePSRay(sb, G0, zeta_matrix(zeta_rational))
     conc = []
     cum = []
     for _, vecs in zeta_rational.blocks[:-1]:
         cum.extend(vecs)
-        conc.append(evaluation_drop_degree(generated_subsheaf(ray.sb, cum)))
+        conc.append(evaluation_drop_degree(generated_subsheaf(sb, cum)))
     mna_exact = rep.mna / Fraction(ray.scale).limit_denominator(10**9) if ray.scale != 1.0 else rep.mna
     t_grid = np.linspace(0.0, float(t_max), int(n_t))
     vals = mdon_along_ray(ray, t_grid, rule)
@@ -232,8 +223,12 @@ def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
     return tuple(out)
 
 
-def renormalized_limit(ray: OnePSRay, zeta_rational: WeightSpec, t_list, charts, coords) -> dict:
-    """Large-time limit of the ray metric in the weight-adapted frame.
+def renormalized_limit(
+    sb: SectionBasis, G0: np.ndarray, zeta_rational: WeightSpec, t_list, charts, coords
+) -> dict:
+    """Large-time limit of the metric along the ray from the form G0
+    generated by the weight datum (`zeta_matrix`), in the weight-adapted
+    frame.
 
     Conjugates h_t by diag(e^{w_i t}) with per-summand filtration
     weights, evaluates at the sample points (charts, coords) for
@@ -243,9 +238,8 @@ def renormalized_limit(ray: OnePSRay, zeta_rational: WeightSpec, t_list, charts,
     minors of a saturation have no common zero, so every point is
     regular and admissible.
     """
-    spec = ray.sb.bundle
-    _weights_match(ray, zeta_rational)
-    frame_w = np.array([float(w) for w in frame_weights(spec, zeta_rational)]) / ray.scale
+    ray = OnePSRay(sb, G0, zeta_matrix(zeta_rational))
+    frame_w = np.array([float(w) for w in frame_weights(sb.bundle, zeta_rational)]) / ray.scale
     t_list = sorted(float(t) for t in t_list)
     h = np.array([ray.metric_at(t).evaluate(charts, coords) for t in t_list])
     conj = np.exp(np.outer(t_list, frame_w))[:, None]
@@ -312,19 +306,15 @@ def coercivity_probe(
         href = trivial_metric(spec)
         G0 = l2_gram(sb, href, rule)
         ck = 0.0
-        worst = None
         for _ in range(samples_per_k):
             zr = random_block_weightspec(sb, rng)
             ray = OnePSRay(sb, G0, zeta_matrix(zr))
             rep = filtration(spec, zr)
             t_grid = np.linspace(0.0, float(t_max), 13)
             vals = mdon_along_ray(ray, t_grid, rule)
-            defect = float(np.max(float(rep.mna) * t_grid - vals))
-            if defect > ck:
-                ck = defect
-                worst = zr.weights
-        rows.append({"k": k, "c_k": ck, "worst_weights": worst})
-    return {"bundle": spec.degrees, "table": rows}
+            ck = max(ck, float(np.max(float(rep.mna) * t_grid - vals)))
+        rows.append({"k": k, "c_k": ck})
+    return {"table": rows}
 
 
 def rationalize_zeta(sb: SectionBasis, zeta: np.ndarray) -> WeightSpec:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import QuadratureRule, contract_batch, integrate_values
+from .geometry import QuadratureRule, contract_batch
 
 # most points evaluated in one batched call by the stencil and the
 # energy-path helpers: the size of a 64x64 rule
@@ -100,23 +100,6 @@ def trivial_metric(bundle: BundleSpec) -> MetricEvaluator:
     homogeneous metric (1+|coord|^2)^(-a) on degree-a summands so the
     two charts glue."""
     return _StandardMetric(bundle)
-
-
-class ScaledMetric(MetricEvaluator):
-    def __init__(self, base: MetricEvaluator, factor: float):
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        self.bundle = base.bundle
-        self.base = base
-        self.factor = float(factor)
-
-    def evaluate(self, charts, coords):
-        return self.factor * self.base.evaluate(charts, coords)
-
-    def evaluate_with_curvature(self, charts, coords):
-        # constant scaling leaves the curvature unchanged
-        h, lam = self.base.evaluate_with_curvature(charts, coords)
-        return self.factor * h, lam
 
 
 # numpy's stacked matmul makes one BLAS call per small matrix, which for
@@ -251,29 +234,27 @@ def fd_curvature_batch(vals: np.ndarray, dl: np.ndarray) -> np.ndarray:
     return _mat_mul(hinv, _mat_mul(_mat_mul(hzb, hinv), hz) - hzzb)
 
 
-def _he_defect(h: MetricEvaluator, rule: QuadratureRule, values=None) -> np.ndarray:
-    """Einstein defect res = contracted curvature - slope at every node,
-    made hermitian with respect to h: 0.5 (res + h^-1 res* h).  `values`
-    is h's (metric, contracted curvature) pair on the rule's nodes, when
-    the caller has it already."""
-    mu = float(h.bundle.slope)
-    if values is None:
-        values = h.evaluate_with_curvature(rule.charts, rule.coords)
-    hv, lam = values
-    res = lam - mu * np.eye(h.bundle.rank)
+def _he_defect(hv: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
+    """Einstein defect res = lam - mu of the contracted curvature values
+    lam at every node, made hermitian with respect to the metric values
+    hv: 0.5 (res + hv^-1 res* hv)."""
+    res = lam - mu * np.eye(hv.shape[-1])
     hinv = np.linalg.inv(hv)
     return 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
 
 
-def he_residual(h: MetricEvaluator, rule: QuadratureRule, values=None) -> dict:
-    """Sup and L2 norms of the Einstein defect; `values` as for
-    `_he_defect`.  The pointwise 2-norm is numpy's batched SVD, which
-    equals the per-node `np.linalg.norm(m, 2)` bit for bit."""
-    res_h = _he_defect(h, rule, values)
-    sup = np.linalg.norm(res_h, 2, axis=(1, 2)).max()
-    tr_sq = np.einsum("nij,nji->n", res_h, res_h).real
-    l2 = float(np.sqrt(max(0.0, integrate_values(tr_sq, rule))))
-    return {"sup": float(sup), "l2": l2}
+def _defect_sup(hv: np.ndarray, lam: np.ndarray, mu: float) -> float:
+    """Node-supremum of the pointwise 2-norm of `_he_defect`.  The norm
+    is numpy's batched SVD, which equals the per-node
+    `np.linalg.norm(m, 2)` bit for bit."""
+    return float(np.linalg.norm(_he_defect(hv, lam, mu), 2, axis=(1, 2)).max())
+
+
+def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> float:
+    """Sup over the rule's nodes of the pointwise 2-norm of the Einstein
+    defect of h."""
+    hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
+    return _defect_sup(hv, lam, float(h.bundle.slope))
 
 
 def _relative_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -238,13 +238,12 @@ def _cmd_mna(cfg, spec, rule, outdir):
 
 
 def _cmd_slope_test(cfg, spec, rule, outdir):
-    from .asymptotics import OnePSRay, slope_estimate, zeta_matrix
+    from .asymptotics import slope_estimate
 
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
     G0 = l2_gram(sb, trivial_metric(spec), rule)
-    ray = OnePSRay(sb, G0, zeta_matrix(zr))
-    rep = slope_estimate(ray, zr, cfg["slope"]["t_max"], cfg["slope"]["n_t"], rule)
+    rep = slope_estimate(sb, G0, zr, cfg["slope"]["t_max"], cfg["slope"]["n_t"], rule)
     mna_f = float(rep.mna_exact)
     _write_csv(
         outdir / "slope.csv",
@@ -303,7 +302,7 @@ def _cmd_audit_deltabound(cfg, spec, rule, outdir):
     worst = None
     for i in range(n):
         h = FSMetric(sb, G=_rand_pd(rng, sb.N, cfg["delta_audit"]["scale"]))
-        rep = delta_lower_bound_audit(h, h0, rule, pc["constant"], allow_reducible=spec.rank > 1)
+        rep = delta_lower_bound_audit(h, h0, rule, pc["constant"])
         rows.append((i, float(rep.delta), float(rep.mdon), float(rep.bound), rep.passes))
         if worst is None or rep.mdon - rep.bound < worst:
             worst = rep.mdon - rep.bound
@@ -381,7 +380,6 @@ def run(command: str, cfg: dict, outdir: Path) -> int:
 def _self_test() -> int:
     """Small end-to-end exercise of the easy example paths."""
     import math
-    from .bundle import ScaledMetric
     from .donaldson import c_delta, donaldson
     from .quot import filtration
 
@@ -396,7 +394,7 @@ def _self_test() -> int:
     checks.append(("mna exact", f.mna == -8 and f.jna == 4))
     checks.append(("c_delta", abs(c_delta(math.exp(-1)) - math.exp(-1)) < 1e-12))
     h = FSMetric(sb, G=np.eye(sb.N))
-    m = donaldson(ScaledMetric(h, math.e), h, rule=rule)
+    m = donaldson(FSMetric(sb, G=math.e * h.G), h, rule=rule)
     checks.append(("scale invariance", abs(m) < 1e-8))
     for name, ok in checks:
         print(f"{name}: {'ok' if ok else 'FAIL'}")

@@ -141,13 +141,6 @@ class PointwiseExponentialPath:
 
 
 def _path_for(h1: MetricEvaluator, h0: MetricEvaluator):
-    from .bundle import ScaledMetric
-
-    # a constant rescaling of an FS metric is the FS metric of the scaled form
-    if isinstance(h1, ScaledMetric) and isinstance(h1.base, FSMetric):
-        h1 = FSMetric(h1.base.sb, G=h1.factor * h1.base.G)
-    if isinstance(h0, ScaledMetric) and isinstance(h0.base, FSMetric):
-        h0 = FSMetric(h0.base.sb, G=h0.factor * h0.base.G)
     if (
         isinstance(h1, FSMetric)
         and isinstance(h0, FSMetric)
@@ -310,7 +303,8 @@ def c_delta(delta: float) -> float:
 def he_defect_norm(h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """L2 size of the Einstein defect with its scalar average removed."""
     r = h0.bundle.rank
-    res = _he_defect(h0, rule)
+    hv, lam = h0.evaluate_with_curvature(rule.charts, rule.coords)
+    res = _he_defect(hv, lam, float(h0.bundle.slope))
     avg = integrate_values(np.einsum("nii->n", res).real, rule) / r
     res = res - avg * np.eye(r)
     tr_sq = np.einsum("nij,nji->n", res, res).real
@@ -370,17 +364,16 @@ def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) 
 def poincare_constant(h0: MetricEvaluator, rule: QuadratureRule) -> dict:
     """1/lambda_1 of the del-bar energy on endomorphism fields, by
     Rayleigh-Ritz on harmonics of degree up to 3, enriched to degree 6
-    until stable to 1%."""
-    lam_prev = _poincare_rayleigh(h0, rule, 3)
-    stable = False
-    lam = lam_prev
+    until stable to 1%; raises RuntimeError when degree 6 is not."""
+    lams = [_poincare_rayleigh(h0, rule, 3)]
     for max_deg in range(4, 7):
-        lam = _poincare_rayleigh(h0, rule, max_deg)
-        if abs(lam - lam_prev) <= 0.01 * abs(lam_prev):
-            stable = True
-            break
-        lam_prev = lam
-    return {"constant": 1.0 / lam, "lambda1": lam, "stable": stable}
+        lams.append(_poincare_rayleigh(h0, rule, max_deg))
+        if abs(lams[-1] - lams[-2]) <= 0.01 * abs(lams[-2]):
+            return {"constant": 1.0 / lams[-1], "lambda1": lams[-1]}
+    raise RuntimeError(
+        "Poincare estimate not stable to 1% by degree 6: degrees 5 and 6 "
+        f"gave lambda1 = {lams[-2]!r} and {lams[-1]!r}"
+    )
 
 
 @dataclass
@@ -399,18 +392,12 @@ def delta_lower_bound_audit(
     h0: MetricEvaluator,
     rule: QuadratureRule,
     poincare: float,
-    allow_reducible: bool = False,
 ) -> DeltaBoundReport:
     """Audit of the eigenvalue-ratio lower bound on the energy, with the
     Poincare constant of h0 (`poincare_constant`), to a tolerance of
     1e-6."""
     from .bundle import delta_boundedness
 
-    if h0.bundle.rank >= 2 and not allow_reducible:
-        raise ValueError(
-            "split bundles of rank >= 2 are reducible; pass allow_reducible=True "
-            "to run the audit anyway"
-        )
     delta = delta_boundedness(h, h0, rule)
     cd = c_delta(min(1.0, delta))
     cbar = he_defect_norm(h0, rule)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bundle import BundleSpec, _hermitize, _mat_mul, he_residual, regularity, trivial_metric
+from .bundle import (BundleSpec, _defect_sup, _hermitize, _mat_mul, _relative_eigs, he_residual,
+                     regularity, trivial_metric)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
 from .sections import FSMetric, SectionBasis, _section_pairing, basis, l2_gram
@@ -40,13 +41,14 @@ def mdon_gradient(
     hm = FSMetric(sb, G=G)
     _, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
     lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
-    res = lamF - float(sb.bundle.slope) * np.eye(sb.bundle.rank)
+    mu = float(sb.bundle.slope)
+    res = lamF - mu * np.eye(sb.bundle.rank)
     P = _section_pairing(sb, rule, _mat_mul(Ainv, res))
     Ginv = hm.Ginv
     g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
-    values = (hm._metric(Ainv, rule.coords), lamF)
-    return g, he_residual(hm, rule, values)["sup"], values[0]
+    hv = hm._metric(Ainv, rule.coords)
+    return g, _defect_sup(hv, lamF, mu), hv
 
 
 # line search: first step, Armijo constant, backtracking and growth
@@ -89,16 +91,11 @@ def _log_opnorm(G: np.ndarray):
     return logG, float(np.max(np.abs(np.log(w))))
 
 
-def _normalize(sb, G, h_ref, rule, values=None) -> np.ndarray:
-    """Rescale the form so the node-infimum of the least relative
-    eigenvalue of FS(G) against the reference is one; the energy is
-    scale invariant, so this is free.  `values` is FS(G) on the rule's
-    nodes, when the caller has it already."""
-    from .bundle import _relative_eigs
-
-    if values is None:
-        values = FSMetric(sb, G=G).evaluate(rule.charts, rule.coords)
-    c = float(_relative_eigs(values, h_ref.evaluate(rule.charts, rule.coords))[:, 0].min())
+def _normalize(G: np.ndarray, values: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Rescale the form so the node-infimum of the least eigenvalue of
+    its metric values `values` relative to the reference values `ref`
+    is one; the energy is scale invariant, so this is free."""
+    c = float(_relative_eigs(values, ref)[:, 0].min())
     if c <= 0:
         raise RuntimeError("iterate lost positivity against the reference")
     return G / c
@@ -124,6 +121,7 @@ def minimize(
     sb = basis(spec, k)
     h_ref = trivial_metric(spec)
     G = np.asarray(G_init if G_init is not None else l2_gram(sb, h_ref, rule), dtype=complex)
+    ref = h_ref.evaluate(rule.charts, rule.coords)
     m_total = 0.0
     mdon_history = [m_total]
     history = []
@@ -138,7 +136,7 @@ def minimize(
         g, res_sup, values = mdon_gradient(sb, G, rule)
         # the gradient and the residual are scale free, so the form is
         # normalized from the metric values they came from
-        G = _normalize(sb, G, h_ref, rule, values)
+        G = _normalize(G, values, ref)
         gnorm2 = float(np.real(np.trace(g @ g)))
         gnorm = np.sqrt(max(gnorm2, 0.0))
         logG, opn = _log_opnorm(G)
@@ -208,18 +206,17 @@ def minimize(
         alpha = min(a * _GROW, _MAX_STEP)
     else:
         # every iteration took a step: the last form is not normalized yet
-        G = _normalize(sb, G, h_ref, rule)
+        G = _normalize(G, FSMetric(sb, G=G).evaluate(rule.charts, rule.coords), ref)
 
     if status == "diverging":
         m_total, mdon_history = _extend_along_ray(
             sb, G, zeta_limit, m_total, mdon_history, rule, opts
         )
 
-    res_sup = he_residual(FSMetric(sb, G=G), rule)["sup"]
     return SolveResult(
         status=status,
         G_final=G,
-        he_residual_sup=float(res_sup),
+        he_residual_sup=he_residual(FSMetric(sb, G=G), rule),
         mdon_history=mdon_history,
         history=history,
         zeta_limit=zeta_limit,

@@ -14,10 +14,9 @@ import pytest
 import scipy.linalg
 
 from _utils import at, rand_pd
-from hebundle.asymptotics import OnePSRay, slope_estimate, zeta_matrix
+from hebundle.asymptotics import slope_estimate
 from hebundle.bundle import (
     BundleSpec,
-    ScaledMetric,
     he_residual,
     trivial_metric,
 )
@@ -128,7 +127,7 @@ def test_criterion_04_cocycle_and_scale_invariance(rule24):
         worst_cocycle = max(worst_cocycle, cocycle_defect(hs[2], hs[1], hs[0], rule24))
     h = FSMetric(sb, G=rand_pd(rng, sb.N, scale=0.4))
     worst_scale = max(
-        abs(donaldson(ScaledMetric(h, math.exp(c)), h, rule=rule24))
+        abs(donaldson(FSMetric(h.sb, G=math.exp(c) * h.G), h, rule=rule24))
         for c in (1.0, -1.0, 5.0, -5.0)
     )
     dt = time.time() - t0
@@ -192,8 +191,7 @@ def test_criterion_06_slope_match(rule24):
     ]
     results = []
     for zr in zetas:
-        ray = OnePSRay(sb, G0, zeta_matrix(zr))
-        rep = slope_estimate(ray, zr, t_max=30.0, n_t=16, rule=rule24)
+        rep = slope_estimate(sb, G0, zr, t_max=30.0, n_t=16, rule=rule24)
         assert not any(rep.concentration_degrees)
         results.append(rep)
     dt = time.time() - t0

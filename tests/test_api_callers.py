@@ -193,3 +193,37 @@ def test_every_keyword_default_is_overridden():
     assert not unused, (
         f"defaulted parameters that no call outside the unit tests overrides: {unused}"
     )
+
+
+# settable values of the package as it stands; a change that needs a new
+# option raises this ceiling in the same change and says why in CHANGES.md
+SETTABLE_CEILING = 13
+
+
+def _settable_values() -> list:
+    """Defaulted parameters of every function and method, and dataclass
+    fields that `__init__` accepts with a default."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                pos = [x.arg for x in [*a.posonlyargs, *a.args]]
+                out += [f"{path.stem}.{node.name}({x})" for x in pos[len(pos) - len(a.defaults):]]
+                out += [f"{path.stem}.{node.name}({x.arg})"
+                        for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                out += [
+                    f"{path.stem}.{node.name}.{s.target.id}"
+                    for s in node.body
+                    if isinstance(s, ast.AnnAssign) and s.value is not None
+                    and "init=False" not in ast.unparse(s.value)
+                ]
+    return out
+
+
+def test_settable_values_do_not_grow():
+    values = _settable_values()
+    assert len(values) <= SETTABLE_CEILING, f"{len(values)} settable values: {values}"

@@ -26,10 +26,10 @@ SPEC = BundleSpec((1, -1))
 SB = basis(SPEC, 1)
 
 
-def _ray(rule, weights_and_dims, seed=0):
+def _datum(rule, weights_and_dims):
+    """The L2 form of the standard metric and block weight data."""
     G0 = l2_gram(SB, trivial_metric(SPEC), rule)
-    zr = block_weightspec(SB, [(Fraction(w), d) for w, d in weights_and_dims])
-    return OnePSRay(SB, G0, zeta_matrix(zr)), zr
+    return G0, block_weightspec(SB, [(Fraction(w), d) for w, d in weights_and_dims])
 
 
 def test_zeta_matrix_spectrum():
@@ -63,7 +63,8 @@ def test_ray_start_is_base_metric(rule16):
 
 
 def test_mdon_along_ray_grid_validation(rule16):
-    ray, _ = _ray(rule16, [(Fraction(1, 3), 3), (-1, 1)])
+    G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
+    ray = OnePSRay(SB, G0, zeta_matrix(zr))
     with pytest.raises(ValueError):
         mdon_along_ray(ray, [1.0, 2.0], rule16)
     with pytest.raises(ValueError):
@@ -72,8 +73,8 @@ def test_mdon_along_ray_grid_validation(rule16):
 
 def test_slope_matches_exact_invariant(rule24):
     # concentration-free datum: fitted slope equals the exact value
-    ray, zr = _ray(rule24, [(Fraction(1, 3), 3), (-1, 1)])
-    rep = slope_estimate(ray, zr, t_max=15.0, n_t=9, rule=rule24)
+    G0, zr = _datum(rule24, [(Fraction(1, 3), 3), (-1, 1)])
+    rep = slope_estimate(SB, G0, zr, t_max=15.0, n_t=9, rule=rule24)
     assert rep.mna_exact == Fraction(-8, 3)
     assert rep.concentration_degrees == (0,)
     assert rep.fitted_slope == pytest.approx(-8.0 / 3.0, rel=1e-6)
@@ -93,18 +94,22 @@ def test_slope_estimate_flags_concentration(rule16):
         ),
     )
     G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
-    ray = OnePSRay(SB, G0, zeta_matrix(zr))
-    rep = slope_estimate(ray, zr, t_max=10.0, n_t=6, rule=rule16)
+    rep = slope_estimate(SB, G0, zr, t_max=10.0, n_t=6, rule=rule16)
     assert rep.concentration_degrees[0] > 0
 
 
 def test_slope_estimate_input_checks(rule16):
-    ray, zr = _ray(rule16, [(Fraction(1, 3), 3), (-1, 1)])
+    G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
     with pytest.raises(ValueError):
-        slope_estimate(ray, zr, t_max=5.0, n_t=4, rule=rule16)  # too short
-    other = block_weightspec(SB, [(Fraction(1), 2), (Fraction(-1), 2)])
-    with pytest.raises(ValueError):
-        slope_estimate(ray, other, t_max=15.0, n_t=6, rule=rule16)
+        slope_estimate(SB, G0, zr, t_max=5.0, n_t=4, rule=rule16)  # too short
+
+
+def test_slope_estimate_needs_two_tail_times(rule16):
+    # the fit reads the times t >= t_max / 2; two grid times leave one,
+    # where a least-squares line is not determined
+    G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
+    with pytest.raises(ValueError, match="n_t = 2"):
+        slope_estimate(SB, G0, zr, t_max=30.0, n_t=2, rule=rule16)
 
 
 def test_frame_weights_aligned_case():
@@ -137,8 +142,9 @@ def test_frame_weights_non_aligned_case():
 
 
 def test_renormalized_limit_is_cauchy_and_positive(rule16):
-    ray, zr = _ray(rule16, [(Fraction(1, 3), 3), (-1, 1)])
-    out = renormalized_limit(ray, zr, [4.0, 8.0, 12.0, 16.0], *canonical_points([0.0, 0.5, 0.8j]))
+    G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
+    points = canonical_points([0.0, 0.5, 0.8j])
+    out = renormalized_limit(SB, G0, zr, [4.0, 8.0, 12.0, 16.0], *points)
     assert all(out["pd_flags"])
     d = out["cauchy_defects"]
     assert d[-1] <= d[0]

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _utils import ExplicitMetric, at, rand_pd, transition_matrix
+from _utils import ExplicitMetric, rand_pd, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
-    ScaledMetric,
     delta_boundedness,
     fd_curvature_batch,
     fd_stencil,
@@ -22,7 +21,7 @@ from hebundle.bundle import (
     trivial_metric,
 )
 from hebundle.geometry import canonical_points, contract_batch
-from hebundle.sections import basis
+from hebundle.sections import FSMetric, basis
 from hebundle.solver import _normalize
 
 
@@ -76,17 +75,14 @@ def test_trivial_metric_curvature():
 
 
 def test_trivial_metric_is_hermitian_einstein(rule24):
-    res = he_residual(trivial_metric(BundleSpec((3,))), rule24)
-    assert res["sup"] < 1e-7
-    assert res["l2"] < 1e-7
+    assert he_residual(trivial_metric(BundleSpec((3,))), rule24) < 1e-7
 
 
 def test_he_residual_of_unbalanced_split(rule24):
     # O(1) + O(-1) has contracted curvature diag(1, -1) and slope 0,
-    # so the defect field has pointwise norm sqrt(2) in L2
+    # so the defect field has pointwise 2-norm 1
     res = he_residual(trivial_metric(BundleSpec((1, -1))), rule24)
-    assert res["sup"] == pytest.approx(1.0, abs=1e-6)
-    assert res["l2"] == pytest.approx(np.sqrt(2.0), abs=1e-6)
+    assert res == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fd_curvature_batch_matches_pointwise(rule16):
@@ -98,21 +94,11 @@ def test_fd_curvature_batch_matches_pointwise(rule16):
         assert np.allclose(F[i], one[0], atol=1e-9)
 
 
-def test_scaled_metric():
-    h = trivial_metric(BundleSpec((1,)))
-    s = ScaledMetric(h, 2.5)
-    assert np.allclose(at(s, 0.4), 2.5 * at(h, 0.4))
-    with pytest.raises(ValueError):
-        ScaledMetric(h, -1.0)
-
-
 def test_scaled_metric_curvature_unchanged(rule16):
     # constant rescaling does not change the curvature
-    from hebundle.sections import FSMetric, basis
-
     sb = basis(BundleSpec((0,)), 2)
     h = FSMetric(sb, G=np.eye(sb.N))
-    s = ScaledMetric(h, 7.0)
+    s = FSMetric(sb, G=7.0 * h.G)
     a = h.evaluate_with_curvature(rule16.charts, rule16.coords)[1]
     b = s.evaluate_with_curvature(rule16.charts, rule16.coords)[1]
     assert np.allclose(a, b)
@@ -182,8 +168,10 @@ def test_scale_normalize_and_delta(rule16):
     h0 = trivial_metric(spec)
     # on (0, 0) at k = 0 the sections are the frame, so FS(G0) = Id
     sb, G0 = basis(spec, 0), np.eye(2)
-    assert np.allclose(_normalize(sb, 3.0 * G0, h0, rule16), G0, rtol=0, atol=1e-12)
-    h = ScaledMetric(h0, 3.0)
+    values = FSMetric(sb, G=3.0 * G0).evaluate(rule16.charts, rule16.coords)
+    ref = h0.evaluate(rule16.charts, rule16.coords)
+    assert np.allclose(_normalize(3.0 * G0, values, ref), G0, rtol=0, atol=1e-12)
+    h = ExplicitMetric(spec, lambda chart, x: 3.0 * np.eye(2))
     # constant multiples have delta-ratio 1
     assert delta_boundedness(h, h0, rule16) == pytest.approx(1.0, abs=1e-12)
 

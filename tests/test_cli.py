@@ -212,6 +212,15 @@ def test_slope_test_command(tmp_path):
     assert (out / "slope.csv").exists()
 
 
+def test_slope_test_needs_two_tail_times(tmp_path, capsys):
+    # n_t = 2 leaves one time in the fitted tail; the fit would be the
+    # minimum-norm solution, not a slope
+    p = _write_cfg(tmp_path, "c.json", {**_SLOPE_CFG, "slope": {"t_max": 30, "n_t": 2}})
+    assert _run("slope-test", p, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_t" in err, err
+
+
 def test_missing_arguments():
     with pytest.raises(SystemExit):
         main([])

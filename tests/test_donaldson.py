@@ -7,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
+import hebundle.donaldson as donaldson_mod
 from _utils import ExplicitMetric, at, rand_pd
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
-    ScaledMetric,
     geodesic_log_batch,
     trivial_metric,
 )
@@ -61,7 +61,7 @@ def test_energy_vanishes_on_equal_endpoints(rule24):
 def test_scale_invariance(rule24):
     h, _ = _fs_pair(1)
     for c in (math.e, 1.0 / math.e):
-        assert abs(donaldson(ScaledMetric(h, c), h, rule=rule24)) < 1e-8
+        assert abs(donaldson(FSMetric(h.sb, G=c * h.G), h, rule=rule24)) < 1e-8
 
 
 def test_antisymmetry(rule24):
@@ -170,7 +170,16 @@ def test_poincare_line_bundle(rule24):
     out = poincare_constant(trivial_metric(BundleSpec((0,))), rule24)
     assert out["lambda1"] == pytest.approx(2.0, abs=1e-6)
     assert out["constant"] == pytest.approx(0.5, abs=1e-6)
-    assert out["stable"]
+
+
+def test_poincare_raises_when_not_settled(rule16, monkeypatch):
+    # Rayleigh-Ritz estimates that keep moving by 10% per degree
+    monkeypatch.setattr(
+        donaldson_mod, "_poincare_rayleigh", lambda h0, rule, max_deg: 1.1**max_deg
+    )
+    with pytest.raises(RuntimeError, match="not stable to 1% by degree 6") as exc:
+        poincare_constant(trivial_metric(SPEC), rule16)
+    assert repr(1.1**5) in str(exc.value) and repr(1.1**6) in str(exc.value)
 
 
 def test_poincare_split_bundle_frozen(rule24):
@@ -191,13 +200,6 @@ def test_delta_audit_line_bundle(rule24):
     assert 0 < rep.delta <= 1.0 + 1e-9
     assert rep.passes
     assert rep.mdon >= rep.bound - 1e-6
-
-
-def test_delta_audit_requires_flag_for_reducible(rule24):
-    h0 = trivial_metric(SPEC)
-    h = ScaledMetric(h0, 2.0)
-    with pytest.raises(ValueError):
-        delta_lower_bound_audit(h, h0, rule24, poincare=1.0)
 
 
 def test_donaldson_requires_rule():
