@@ -11,6 +11,7 @@ differences otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,6 +121,40 @@ def _mat_mul(X, Y):
             for l in range(1, m):
                 acc += X[..., i, l] * Y[..., l, j]
             out[..., i, j] = acc
+    return out
+
+
+# numpy's stacked inv, like its stacked matmul, makes one LAPACK call per
+# r x r matrix; this kernel loops over the matrix indices as `_mat_mul` does
+def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of hermitian positive A over any leading batch axes: the
+    diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then
+    Gauss-Jordan in place without pivoting, entry by entry.  The pivots
+    are diagonal entries of Schur complements of a hermitian positive
+    matrix with unit diagonal: real, in (0, 1] and no smaller than its
+    least eigenvalue, while no Schur complement entry exceeds 1 in
+    modulus, so pivoting would gain nothing."""
+    diag = np.diagonal(A, axis1=-2, axis2=-1).real
+    if np.any(diag <= 0):
+        raise RuntimeError("matrix is rank-deficient or not positive definite")
+    dinv = 1.0 / np.sqrt(diag)
+    r = A.shape[-1]
+    scale = [[dinv[..., i] * dinv[..., j] for j in range(r)] for i in range(r)]
+    a = [[A[..., i, j] * scale[i][j] for j in range(r)] for i in range(r)]
+    for k in range(r):
+        piv = a[k][k].real
+        if np.any(piv == 0):
+            raise RuntimeError("matrix is rank-deficient or not positive definite")
+        p = 1.0 / piv
+        a[k] = [p if j == k else a[k][j] * p for j in range(r)]
+        for i in range(r):
+            if i != k:
+                f = a[i][k]
+                a[i] = [-f * p if j == k else a[i][j] - f * a[k][j] for j in range(r)]
+    out = np.empty(A.shape, dtype=complex)
+    for i in range(r):
+        for j in range(r):
+            out[..., i, j] = a[i][j] * scale[i][j]
     return out
 
 
@@ -239,15 +274,41 @@ def _he_defect(hv: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
     lam at every node, made hermitian with respect to the metric values
     hv: 0.5 (res + hv^-1 res* hv)."""
     res = lam - mu * np.eye(hv.shape[-1])
-    hinv = np.linalg.inv(hv)
-    return 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
+    res_h = _mat_mul(_mat_mul(_equilibrated_inverse(hv), np.swapaxes(res, -1, -2).conj()), hv)
+    return 0.5 * (res + res_h)
+
+
+def _node_sup_norm(M: np.ndarray) -> float:
+    """Largest pointwise 2-norm over an (n, r, r) stack: the largest
+    entry modulus at r = 1, else the square root of the largest
+    eigenvalue of M* M, formed entry by entry.  At r = 2 that eigenvalue
+    is (a + d)/2 + hypot((a - d)/2, |b|) for M* M = [[a, b], [b*, d]],
+    a sum of two nonnegative terms; at r >= 3 it is a batched
+    `eigvalsh`.  The stack is first scaled, exactly, by the power of two
+    that brings its largest entry near 1, so M* M neither overflows nor
+    loses the sup to underflow (the sup is at least the largest entry),
+    and the result does not depend on the scaling.  RuntimeError on a
+    non-finite entry."""
+    top = float(np.max(np.abs(M), initial=0.0))
+    if not np.isfinite(top):
+        raise RuntimeError("non-finite matrix value")
+    if top == 0.0 or M.shape[-1] == 1:
+        return top
+    e = min(max(math.frexp(top)[1], -1021), 1023)
+    M = M * math.ldexp(1.0, -e)
+    Q = _mat_mul(np.swapaxes(M, -1, -2).conj(), M)
+    if M.shape[-1] == 2:
+        a, d = Q[..., 0, 0].real, Q[..., 1, 1].real
+        lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(Q[..., 0, 1]))
+    else:
+        lam = np.linalg.eigvalsh(_hermitize(Q))[..., -1]
+    return math.ldexp(math.sqrt(lam.max()), e)
 
 
 def _defect_sup(hv: np.ndarray, lam: np.ndarray, mu: float) -> float:
-    """Node-supremum of the pointwise 2-norm of `_he_defect`.  The norm
-    is numpy's batched SVD, which equals the per-node
-    `np.linalg.norm(m, 2)` bit for bit."""
-    return float(np.linalg.norm(_he_defect(hv, lam, mu), 2, axis=(1, 2)).max())
+    """Node-supremum of the pointwise 2-norm of `_he_defect`
+    (`_node_sup_norm`)."""
+    return _node_sup_norm(_he_defect(hv, lam, mu))
 
 
 def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> float:
@@ -262,7 +323,7 @@ def _relative_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every node: with b = L L*, the eigenvalues of the whitened
     L^-1 a L^-*."""
     Linv = np.linalg.inv(np.linalg.cholesky(_hermitize(b)))
-    c = Linv @ _hermitize(a) @ np.swapaxes(Linv, -1, -2).conj()
+    c = _mat_mul(_mat_mul(Linv, _hermitize(a)), np.swapaxes(Linv, -1, -2).conj())
     return np.linalg.eigvalsh(c)
 
 

@@ -180,37 +180,60 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-# the pair on [0, 1], nodes ascending: the G7 nodes are _GK_T[1::2]
-_GK_T = np.concatenate([0.5 - 0.5 * np.array(_XGK), 0.5 + 0.5 * np.array(_XGK[-2::-1])])
-_GK_WK = 0.5 * np.array(_WGK + _WGK[-2::-1])
-_GK_WG = 0.5 * np.array(_WG + _WG[-2::-1])
+# The Gauss-Kronrod 3/7 pair (Kronrod, Nodes and Weights of Quadrature
+# Formulas, 1965), laid out as above: the G3 abscissae sqrt(3/5) and 0
+# are every second Kronrod one.
+_XK7 = (
+    0.960491268708020283423507092629080,
+    0.774596669241483377035853079956480,
+    0.434243749346802558002071502844628,
+    0.000000000000000000000000000000000,
+)
+_WK7 = (
+    0.104656226026467265193823857192073,
+    0.268488089868333440728569280666710,
+    0.401397414775962222905051818618432,
+    0.450916538658474142345110087045571,
+)
+_WG3 = (5.0 / 9.0, 8.0 / 9.0)
+
+
+def _on_unit_interval(x, wk, wg):
+    """A Gauss-Kronrod pair laid out as above, moved to [0, 1]: the
+    Kronrod nodes ascending, their weights, and the weights of the Gauss
+    nodes, which are the odd-index Kronrod ones."""
+    t = np.concatenate([0.5 - 0.5 * np.array(x), 0.5 + 0.5 * np.array(x[-2::-1])])
+    return t, 0.5 * np.array(wk + wk[-2::-1]), 0.5 * np.array(wg + wg[-2::-1])
+
+
+_GK_T, _GK_WK, _GK_WG = _on_unit_interval(_XGK, _WGK, _WG)
+_K7_T, _K7_WK, _K7_WG = _on_unit_interval(_XK7, _WK7, _WG3)
 # bisection levels: the finest panels have width 2^-(_GK_LEVELS - 1)
 _GK_LEVELS = 5
 
 
-def donaldson(
-    h1: MetricEvaluator,
-    h0: MetricEvaluator,
-    rule: QuadratureRule,
-    path=None,
-    tol: float = 1e-8,
-) -> float:
-    """Energy of h1 relative to h0 (path independent).
+def path_energy(path, rule: QuadratureRule, tol: float) -> float:
+    """Integral over t in [0, 1] of the path's dM/dt.
 
-    The path's dM/dt is integrated over t in [0, 1] by the Gauss-Kronrod
-    7/15 pair: |K15 - G7| estimates the error of each panel's K15 value.
-    While the summed estimate exceeds `tol`, the panels whose estimate
-    exceeds their share tol * width are bisected, down to width 1/16; every
-    t-node's integrand is evaluated once, all nodes of a level in one
-    call.  Returns the sum of the panels' K15 values.  Raises RuntimeError,
-    naming the value, the estimate, `tol` and the t-node count, when the
-    finest level still misses `tol`.
+    First rung: the Gauss-Kronrod 3/7 pair on [0, 1], whose K7 value is
+    returned when |K7 - G3| <= `tol`.  Otherwise the 7/15 pair takes
+    over, with |K15 - G7| as each panel's error estimate: while the
+    summed estimate exceeds `tol`, the panels whose estimate exceeds
+    their share tol * width are bisected, down to width 1/16.  The rung
+    nodes are not among the 7/15 nodes, and no 7/15 t-node's integrand is
+    evaluated twice; all nodes of a level go in one call.  Returns the
+    rung's K7 value or the sum of the panels' K15 values.  Raises
+    RuntimeError, naming the
+    value, the estimate, `tol` and the t-node count (the 7 rung nodes
+    included), when the finest level still misses `tol`.
     """
-    if path is None:
-        path = _path_for(h1, h0)
+    f = np.asarray(path.deriv_integrand(_K7_T, rule))
+    value = float(f @ _K7_WK)
+    if abs(value - float(f[1::2] @ _K7_WG)) <= tol:
+        return value
+    nodes = len(_K7_T)
     lo, width = np.zeros(1), 1.0
     done_val = done_err = 0.0  # accepted panels
-    nodes = 0
     for _ in range(_GK_LEVELS):
         ts = (lo[:, None] + width * _GK_T).reshape(-1)
         f = np.asarray(path.deriv_integrand(ts, rule)).reshape(len(lo), len(_GK_T))
@@ -229,6 +252,21 @@ def donaldson(
         f"energy integral missed its tolerance: value {value:.17g}, error "
         f"estimate {estimate:.3e} > tol {tol:.3e} after {nodes} t-nodes"
     )
+
+
+def donaldson(
+    h1: MetricEvaluator,
+    h0: MetricEvaluator,
+    rule: QuadratureRule,
+    path=None,
+    tol: float = 1e-8,
+) -> float:
+    """Energy of h1 relative to h0 (path independent): `path_energy`
+    along `path`, by default the form-space geodesic when both metrics
+    are FS metrics of one section basis and the pointwise geodesic
+    otherwise.  The metrics are read only to choose that default, so a
+    caller holding the path may pass None for them."""
+    return path_energy(_path_for(h1, h0) if path is None else path, rule, tol)
 
 
 def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:

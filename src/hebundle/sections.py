@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import _MAX_POINTS, BundleSpec, MetricEvaluator, _hermitize, _mat_mul, regularity
+from .bundle import (_MAX_POINTS, BundleSpec, MetricEvaluator, _equilibrated_inverse, _hermitize,
+                     _mat_mul, _node_sup_norm, regularity)
 from .geometry import QuadratureRule, contract_batch, integrate_values, tree_sum
 
 
@@ -66,9 +67,11 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
     return S, S1
 
 
-def _section_pairing(sb: SectionBasis, rule: QuadratureRule, X: np.ndarray, density=1.0):
+def _section_pairing(sb: SectionBasis, rule: QuadratureRule, X: np.ndarray, density, S=None):
     """Hermitian part of the integral of S* X S density, for X an
-    (n, r, r) field on the rule's nodes and S the section matrix.
+    (n, r, r) field and `density` a scalar or a value per node of the
+    rule.  S is the section matrix on the rule's nodes: the caller's
+    `eval_matrix_batch` array when it has one, formed here otherwise.
 
     Column c of S has one nonzero, the monomial s_c, in row rows[c]
     (`_exponents`), so entry (c, d) integrates
@@ -81,7 +84,10 @@ def _section_pairing(sb: SectionBasis, rule: QuadratureRule, X: np.ndarray, dens
     time on a 64 x 64 rule.  RuntimeError on a non-finite value.
     """
     rows, e = _exponents(sb, rule.charts)
-    s = np.asarray(rule.coords, dtype=complex)[:, None] ** e  # (n, N)
+    if S is None:
+        s = np.asarray(rule.coords, dtype=complex)[:, None] ** e  # (n, N)
+    else:
+        s = S[:, rows, np.arange(sb.N)]
     ws = (s * (rule.weights * density)[:, None]).conj()
     xs = X[:, :, rows] * s[:, None, :]  # X S, (n, r, N)
     g = np.concatenate(
@@ -146,40 +152,6 @@ def _fs_moments(T, T1):
     return tuple(np.moveaxis(out[..., :n], (1, 2), (-2, -1)).reshape((3,) + lead + (r, r)))
 
 
-# numpy's stacked inv makes one LAPACK call per r x r matrix; this kernel,
-# like `bundle._mat_mul`, loops over the matrix indices instead
-def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of hermitian positive A over any leading batch axes: the
-    diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then
-    Gauss-Jordan in place without pivoting, entry by entry.  The pivots
-    are diagonal entries of Schur complements of a hermitian positive
-    matrix with unit diagonal: real, in (0, 1] and no smaller than its
-    least eigenvalue, while no Schur complement entry exceeds 1 in
-    modulus, so pivoting would gain nothing."""
-    diag = np.diagonal(A, axis1=-2, axis2=-1).real
-    if np.any(diag <= 0):
-        raise RuntimeError("section evaluation matrix is rank-deficient")
-    dinv = 1.0 / np.sqrt(diag)
-    r = A.shape[-1]
-    scale = [[dinv[..., i] * dinv[..., j] for j in range(r)] for i in range(r)]
-    a = [[A[..., i, j] * scale[i][j] for j in range(r)] for i in range(r)]
-    for k in range(r):
-        piv = a[k][k].real
-        if np.any(piv == 0):
-            raise RuntimeError("section evaluation matrix is rank-deficient")
-        p = 1.0 / piv
-        a[k] = [p if j == k else a[k][j] * p for j in range(r)]
-        for i in range(r):
-            if i != k:
-                f = a[i][k]
-                a[i] = [-f * p if j == k else a[i][j] - f * a[k][j] for j in range(r)]
-    out = np.empty(A.shape, dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            out[..., i, j] = a[i][j] * scale[i][j]
-    return out
-
-
 def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
     """Closed-form curvature coefficient of (i/2pi) dz^dz-bar of the FS
     metric with moments A' = T' T*, A'' = T' T'* and Ainv = (T T*)^-1 of
@@ -202,10 +174,12 @@ def fs_path_rate(sb: SectionBasis, rule: QuadratureRule, t, factors):
     T = S W_t, where G_t^-1 = W_t W_t*, and V = -S (dG_t^-1/dt) S*, each
     of shape (m, n, r, r).  The t-nodes go in chunks of at most
     _MAX_POINTS (t-node, sphere-node) points; the values do not depend on
-    the chunking.  V A^-1 stays a stacked numpy product: along a ray the
-    integrand is ill-conditioned at large t, and an entrywise product
-    moves it past the per-t reference's bound until the ray evaluator is
-    made exact (ROADMAP item 1).
+    the chunking, so the 7 t-nodes of the energy integral's first rung
+    and the 15 of each later panel (`donaldson.path_energy`) give the
+    same value at a t.  V A^-1 stays a stacked numpy product: along a
+    ray the integrand is ill-conditioned at large t, and an entrywise
+    product moves it past the per-t reference's bound until the ray
+    evaluator is made exact (ROADMAP item 1).
     """
     ts = np.asarray(t, dtype=float)
     res_shift = float(sb.bundle.slope) * np.eye(sb.bundle.rank)
@@ -311,8 +285,8 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     """Kernel endomorphism comparing h with the FS metric of its L2 form.
 
     The raw kernel (`_bergman_raw`) times r * Vol / N tends to the
-    identity as k grows.  The pointwise 2-norm is numpy's batched SVD,
-    which equals the per-node `np.linalg.norm(m, 2)` bit for bit.
+    identity as k grows.  The node sup of the pointwise 2-norm of
+    tilde - Id is `bundle._node_sup_norm`, the Einstein defect's sup.
     """
     sb = basis(h.bundle, k)
     G = l2_gram(sb, h, rule)
@@ -320,7 +294,7 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
     r = h.bundle.rank
     tilde = (r * 1.0 / sb.N) * raw  # volume is 1
     # raw = (N / r) tilde, so one 2-norm gives both sups
-    sup_dev = float(np.linalg.norm(tilde - np.eye(r), 2, axis=(1, 2)).max())
+    sup_dev = _node_sup_norm(tilde - np.eye(r))
     return {
         "sup_dev": sup_dev,
         "raw_sup_dev": (sb.N / r) * sup_dev,

@@ -20,6 +20,7 @@ from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
     MetricEvaluator,
+    _node_sup_norm,
     _relative_eigs,
     fd_curvature_batch,
     fd_derivatives,
@@ -186,10 +187,12 @@ def test_l2_gram_matches_dense_contraction(k, n):
     for degs in ((2,), (1, -1), (1, 0, -1)):
         sb = basis(BundleSpec(degs), k)
         hm = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
-        _, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
+        S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
         lam = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
         X = Ainv @ (lam - float(sb.bundle.slope) * np.eye(len(degs)))
-        got = sections_mod._section_pairing(sb, rule, X)
+        got = sections_mod._section_pairing(sb, rule, X, 1.0, S=S)
+        # the monomials read off S are the ones the pairing forms itself
+        assert np.array_equal(got, sections_mod._section_pairing(sb, rule, X, 1.0))
         for ref in _pairing_references(sb, X, rule):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), degs
 
@@ -222,6 +225,13 @@ def test_geodesic_helpers_match_numpy_products(rule16):
     assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
 
 
+# the sups are sqrt(lambda_max(M* M)) (`bundle._node_sup_norm`), which
+# rounds apart from the per-node SVD of `np.linalg.norm(m, 2)` by a few
+# ulps: at most 3.9 eps relative over 3,000 random matrices for each
+# r <= 4, entries spread over 1e-100..1e100 in a third of them
+_SUP_RTOL = 8 * np.finfo(float).eps
+
+
 def test_he_residual_sup_equals_per_node_loop(rule16):
     for h, _ in _metric_pairs(rule16):
         lam = h.evaluate_with_curvature(rule16.charts, rule16.coords)[1]
@@ -230,7 +240,7 @@ def test_he_residual_sup_equals_per_node_loop(rule16):
         hinv = np.linalg.inv(hv)
         res_h = 0.5 * (res + hinv @ np.transpose(res, (0, 2, 1)).conj() @ hv)
         ref = float(max(np.linalg.norm(m, 2) for m in res_h))
-        assert he_residual(h, rule16) == ref
+        assert he_residual(h, rule16) == pytest.approx(ref, rel=_SUP_RTOL, abs=0)
 
 
 def test_bergman_kernel_sups_equal_per_node_loop(rule16):
@@ -243,11 +253,34 @@ def test_bergman_kernel_sups_equal_per_node_loop(rule16):
         raw = sections_mod._bergman_raw(h, sb, rep["gram"], rule16)
         r = h.bundle.rank
         tilde = (r * 1.0 / sb.N) * raw
-        assert rep["sup_dev"] == float(max(np.linalg.norm(m - np.eye(r), 2) for m in tilde))
+        ref = float(max(np.linalg.norm(m - np.eye(r), 2) for m in tilde))
+        assert rep["sup_dev"] == pytest.approx(ref, rel=_SUP_RTOL, abs=0)
         # raw_sup_dev is read off the same norm: raw = (N / r) tilde
         assert rep["raw_sup_dev"] == (sb.N / r) * rep["sup_dev"]
         raw_ref = float(max(np.linalg.norm(m - (sb.N / r) * np.eye(r), 2) for m in raw))
         assert rep["raw_sup_dev"] == pytest.approx(raw_ref, rel=1e-15, abs=0)
+
+
+def _sup_norm_cases(rng, r):
+    """Stacks of r x r matrices: generic, with a zero matrix and a unitary
+    multiple (equal singular values) among them, and entries spread from
+    1e-100 to 1e100."""
+    X = rng.normal(size=(6, r, r)) + 1j * rng.normal(size=(6, r, r))
+    X[1] = 0.0
+    X[2] = 3.0 * np.linalg.qr(X[3])[0]
+    spread = 10.0 ** rng.uniform(-100, 100, size=(6, r, r))
+    return [X, np.zeros((4, r, r), dtype=complex), X[2:3], X * spread, X * 1e-100, X * 1e100,
+            X[:1] * spread[:1]]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_node_sup_norm_matches_per_node_svd(r):
+    rng = np.random.default_rng(50 + r)
+    for M in _sup_norm_cases(rng, r):
+        ref = float(max(np.linalg.norm(m, 2) for m in M))
+        assert _node_sup_norm(M) == pytest.approx(ref, rel=_SUP_RTOL, abs=0)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        _node_sup_norm(np.full((2, r, r), np.nan + 0j))
 
 
 @pytest.mark.parametrize("degs, k", [((2,), 3), ((1, 0), 2), ((1, 0, -1), 2)])

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hebundle.donaldson as donaldson_mod
 from _utils import ExplicitMetric, at, rand_pd
@@ -19,6 +20,9 @@ from hebundle.donaldson import (
     _GK_T,
     _GK_WG,
     _GK_WK,
+    _K7_T,
+    _K7_WG,
+    _K7_WK,
     BergmanPath,
     PointwiseExponentialPath,
     c_delta,
@@ -27,6 +31,7 @@ from hebundle.donaldson import (
     delta_lower_bound_audit,
     donaldson,
     he_defect_norm,
+    path_energy,
     poincare_constant,
     second_derivative_geodesic,
 )
@@ -80,12 +85,8 @@ def test_cocycle(rule24):
 def test_path_independence(rule24):
     # form-space geodesic and pointwise exponential give the same value
     h0, h1 = _fs_pair(5, scale=0.3)
-    m_bergman = donaldson(
-        h1, h0, path=BergmanPath(SB, h0.G, h1.G), rule=rule24
-    )
-    m_pointwise = donaldson(
-        h1, h0, path=PointwiseExponentialPath(h0, h1), rule=rule24
-    )
+    m_bergman = path_energy(BergmanPath(SB, h0.G, h1.G), rule24, 1e-8)
+    m_pointwise = path_energy(PointwiseExponentialPath(h0, h1), rule24, 1e-8)
     assert m_bergman == pytest.approx(m_pointwise, abs=5e-6)
 
 
@@ -224,6 +225,70 @@ def test_gauss_kronrod_table():
         assert abs(w.sum() - 1.0) < 1e-15
 
 
+def test_gauss_kronrod_3_7_table():
+    # the first rung: K7 is exact to degree 11 and G3 to degree 5 on [0, 1]
+    for d in range(12):
+        assert abs(_K7_WK @ _K7_T**d - 1.0 / (d + 1)) < 1e-15
+    for d in range(6):
+        assert abs(_K7_WG @ _K7_T[1::2] ** d - 1.0 / (d + 1)) < 1e-15
+    # the G3 nodes are the odd-index K7 nodes: Gauss-Legendre 3 on [0, 1]
+    x3, w3 = np.polynomial.legendre.leggauss(3)
+    assert np.allclose(_K7_T[1::2], 0.5 * (x3 + 1.0), rtol=0.0, atol=1e-15)
+    assert np.allclose(_K7_WG, 0.5 * w3, rtol=0.0, atol=1e-15)
+    assert np.all(np.diff(_K7_T) > 0) and 0.0 < _K7_T[0] and _K7_T[-1] < 1.0
+    for w in (_K7_WK, _K7_WG):
+        assert np.all(w > 0)
+        assert abs(w.sum() - 1.0) < 1e-15
+
+
+class _RecordingPath:
+    """A path that records the t-nodes of every integrand call."""
+
+    def __init__(self, path):
+        self.path, self.calls = path, []
+
+    def deriv_integrand(self, t, rule):
+        self.calls.append(np.array(t))
+        return self.path.deriv_integrand(t, rule)
+
+
+def _composite_k15(path, rule, panels=16):
+    """K15 summed over equal panels of [0, 1]: the reference value."""
+    lo = np.arange(panels) / panels
+    f = path.deriv_integrand((lo[:, None] + _GK_T / panels).reshape(-1), rule)
+    return float(f.reshape(panels, -1).sum(0) @ _GK_WK) / panels
+
+
+def _rung_gap(path, rule):
+    f = path.deriv_integrand(_K7_T, rule)
+    return abs(f @ _K7_WK - f[1::2] @ _K7_WG)
+
+
+def test_energy_first_rung_accepts_a_short_step(rule16):
+    # a solver-sized step: K7 meets tol after its 7 t-nodes
+    h0, _ = _fs_pair(12)
+    X = np.random.default_rng(12).normal(size=(SB.N, SB.N))
+    E = scipy.linalg.expm(0.01 * (X + X.T))
+    path = BergmanPath(SB, h0.G, E @ h0.G @ E)
+    assert _rung_gap(path, rule16) <= 1e-9
+    rec = _RecordingPath(path)
+    value = path_energy(rec, rule16, 1e-9)
+    assert len(rec.calls) == 1 and np.array_equal(rec.calls[0], _K7_T)
+    assert abs(value - _composite_k15(path, rule16)) <= 1e-9
+
+
+def test_energy_falls_through_the_first_rung(rule16):
+    # K7 misses tol: the 7/15 bisection runs as it would without the rung
+    h0, h1 = _fs_pair(12)
+    path = BergmanPath(SB, h0.G, h1.G)
+    assert _rung_gap(path, rule16) > 1e-8
+    rec = _RecordingPath(path)
+    value = donaldson(h1, h0, rule16, path=rec)
+    assert np.array_equal(rec.calls[0], _K7_T) and np.array_equal(rec.calls[1], _GK_T)
+    assert value == donaldson(h1, h0, rule=rule16)
+    assert abs(value - _composite_k15(path, rule16)) <= 1e-8
+
+
 def test_donaldson_raises_when_tolerance_missed(rule16):
     h0, h1 = _fs_pair(11)
     value = donaldson(h1, h0, rule=rule16)
@@ -237,4 +302,6 @@ def test_donaldson_raises_when_tolerance_missed(rule16):
     assert float(m.group(1)) == pytest.approx(value, abs=1e-12)
     assert 0.0 < float(m.group(2)) < 1e-6
     assert float(m.group(3)) == 1e-300
-    assert int(m.group(4)) > 15
+    # the 7 rung nodes, then 15 per panel over more than one level
+    nodes = int(m.group(4))
+    assert nodes > 7 + 15 and (nodes - 7) % 15 == 0

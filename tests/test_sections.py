@@ -9,6 +9,7 @@ import scipy.linalg
 from _utils import at, rand_pd, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
+    _equilibrated_inverse,
     _mat_mul,
     fd_curvature_batch,
     fd_stencil,
@@ -17,7 +18,6 @@ from hebundle.bundle import (
 from hebundle.geometry import build_quadrature, canonical_points
 from hebundle.sections import (
     FSMetric,
-    _equilibrated_inverse,
     _fs_moments,
     basis,
     bergman_kernel,

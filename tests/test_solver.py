@@ -12,7 +12,7 @@ import scipy.linalg
 
 from _utils import rand_pd
 from hebundle.bundle import BundleSpec, he_residual, trivial_metric
-from hebundle.donaldson import donaldson
+from hebundle.donaldson import BergmanPath, path_energy
 from hebundle.geometry import build_quadrature
 from hebundle.sections import FSMetric, basis, l2_gram
 from hebundle.solver import (
@@ -27,9 +27,7 @@ def _fd_directional_energy(sb, G, rule, dzeta, eps=1e-4) -> float:
     """Finite-difference directional derivative of the energy."""
     def m_at(s):
         E = scipy.linalg.expm(s * dzeta)
-        return donaldson(
-            FSMetric(sb, G=E @ G @ E), FSMetric(sb, G=G), rule=rule
-        )
+        return path_energy(BergmanPath(sb, G, E @ G @ E), rule, 1e-8)
 
     return (m_at(-2 * eps) - 8 * m_at(-eps) + 8 * m_at(eps) - m_at(2 * eps)) / (
         12 * eps
