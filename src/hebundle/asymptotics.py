@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import sympy as sp
 
-from .bundle import BundleSpec, _hermitize
+from .bundle import BundleSpec, _hermitize, trivial_metric
 from .geometry import QuadratureRule, gauss_legendre01
-from .quot import WeightSpec, _generic_rank, evaluation_drop_degree, filtration, generated_subsheaf
+from .quot import (WeightSpec, _generic_rank, block_weightspec, evaluation_drop_degree, filtration,
+                   generated_subsheaf)
 from .sections import (
     FSMetric,
     SectionBasis,
@@ -33,6 +35,7 @@ from .sections import (
     basis as section_basis,
     eval_matrix_batch,
     fs_path_rate,
+    l2_gram,
 )
 
 
@@ -258,8 +261,6 @@ def random_block_weightspec(sb: SectionBasis, rng) -> WeightSpec:
     """Random rational block weight data over the standard basis order,
     numerators in [-8, 8] and denominators in [1, 4], rescaled to unit sup
     weight."""
-    from .quot import block_weightspec
-
     n = sb.N
     n_blocks = int(rng.integers(1, min(n, 3) + 1))
     cuts = sorted(rng.choice(np.arange(1, n), size=n_blocks - 1, replace=False).tolist())
@@ -296,9 +297,6 @@ def coercivity_probe(
     level-uniform linear lower bound; growth is evidence against it in
     the sampled regime.  No claim is asserted either way.
     """
-    from .bundle import trivial_metric
-    from .sections import l2_gram
-
     rows = []
     for k in k_list:
         rng = np.random.default_rng(seed + 1000 * k)
@@ -342,8 +340,6 @@ def rationalize_zeta(sb: SectionBasis, zeta: np.ndarray) -> WeightSpec:
         if abs(float(f) - x) <= tol:
             return f
         return Fraction(x).limit_denominator(10**6)
-
-    import sympy as sp
 
     blocks = []
     for c in clusters:

@@ -244,16 +244,23 @@ def fd_stencil(fn, charts, coords):
     return np.concatenate(vals), dl
 
 
+def _stencil_sum(coeffs, vals):
+    """Sum of c * v over the nonzero coefficients, left to right: one order
+    for every entry, where a gemv's would depend on the batch size."""
+    terms = [c * v for c, v in zip(coeffs, vals) if c != 0.0]
+    return sum(terms[1:], terms[0])
+
+
 def fd_derivatives(vals, dl):
-    """4th-order finite differences of stencil values from `fd_stencil`:
-    the value f and the Wirtinger derivatives df/dz, df/dz-bar and
-    d2f/dz dz-bar, shape (n, m, m) each."""
+    """4th-order finite differences (`_stencil_sum`) of `fd_stencil`
+    values: f and its Wirtinger derivatives df/dz, df/dz-bar and
+    d2f/dz dz-bar, shape (n, m, m) each, the same bits in any batch."""
     vals_x, vals_y = vals[_X_IDX], vals[_Y_IDX]
     inv_dl = (1.0 / dl)[:, None, None]
-    fx = np.tensordot(_D1, vals_x, axes=(0, 0)) * inv_dl
-    fy = np.tensordot(_D1, vals_y, axes=(0, 0)) * inv_dl
-    fxx = np.tensordot(_D2, vals_x, axes=(0, 0)) * inv_dl**2
-    fyy = np.tensordot(_D2, vals_y, axes=(0, 0)) * inv_dl**2
+    fx = _stencil_sum(_D1, vals_x) * inv_dl
+    fy = _stencil_sum(_D1, vals_y) * inv_dl
+    fxx = _stencil_sum(_D2, vals_x) * inv_dl**2
+    fyy = _stencil_sum(_D2, vals_y) * inv_dl**2
     fz = 0.5 * (fx - 1j * fy)
     fzb = 0.5 * (fx + 1j * fy)
     return vals_x[2], fz, fzb, 0.25 * (fxx + fyy)
@@ -263,9 +270,10 @@ def fd_curvature_batch(vals: np.ndarray, dl: np.ndarray) -> np.ndarray:
     """Finite-difference coefficients F of (i/2pi) F dz^dz-bar of the
     curvature of a metric from its `fd_stencil` values, shape (n, r, r):
     F = h^-1 (h_zb h^-1 h_z - h_zzb) = -d/dz-bar (h^-1 dh/dz), the sign
-    making the area form's own contraction +1."""
+    making the area form's own contraction +1; per-node kernels only, so
+    a point's F is the same bits in any batch."""
     hc, hz, hzb, hzzb = fd_derivatives(vals, dl)
-    hinv = np.linalg.inv(hc)
+    hinv = _equilibrated_inverse(hc)
     return _mat_mul(hinv, _mat_mul(_mat_mul(hzb, hinv), hz) - hzzb)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -23,13 +24,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from . import __version__
+from .asymptotics import coercivity_probe, slope_estimate, zeta_matrix
 from .bundle import BundleSpec, regularity, trivial_metric
+from .donaldson import (c_delta, delta_lower_bound_audit, donaldson, poincare_constant,
+                        second_derivative_geodesic)
 from .geometry import build_quadrature
-from .quot import WeightSpec, block_weightspec, report_to_json, weightspec_from_json, _frac_str
+from .quot import (WeightSpec, block_weightspec, filtration, report_to_json, weightspec_from_json,
+                   _frac_str)
 from .sections import FSMetric, basis, bergman_kernel, l2_gram
-from .solver import SolveOptions
+from .solver import SolveOptions, destabilizer_extract, minimize
 
 
 class ConfigError(ValueError):
@@ -215,22 +221,15 @@ def _cmd_bergman(cfg, spec, rule, outdir):
 
 
 def _cmd_mdon(cfg, spec, rule, outdir):
-    from .donaldson import donaldson
-    import scipy.linalg
-
     sb = basis(spec, cfg["k"])
     G0 = l2_gram(sb, trivial_metric(spec), rule)
     zr = _zeta_from_config(cfg, sb)
-    from .asymptotics import zeta_matrix
-
     E = scipy.linalg.expm(zeta_matrix(zr))
     val = donaldson(FSMetric(sb, G=E @ G0 @ E), FSMetric(sb, G=G0), rule=rule)
     return {"mdon": float(val)}, 0
 
 
 def _cmd_mna(cfg, spec, rule, outdir):
-    from .quot import filtration
-
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
     rep = filtration(spec, zr)
@@ -238,8 +237,6 @@ def _cmd_mna(cfg, spec, rule, outdir):
 
 
 def _cmd_slope_test(cfg, spec, rule, outdir):
-    from .asymptotics import slope_estimate
-
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
     G0 = l2_gram(sb, trivial_metric(spec), rule)
@@ -262,8 +259,6 @@ def _cmd_slope_test(cfg, spec, rule, outdir):
 
 
 def _cmd_solve(cfg, spec, rule, outdir):
-    from .solver import destabilizer_extract, minimize
-
     res = minimize(spec, SolveOptions(k=cfg["k"], **cfg["solve"]), rule)
     _write_csv(
         outdir / "solve_history.csv",
@@ -284,15 +279,11 @@ def _cmd_solve(cfg, spec, rule, outdir):
 
 def _rand_pd(rng, n: int, scale: float) -> np.ndarray:
     """e^{scale (X + X*) / 2} for X with standard complex normal entries."""
-    import scipy.linalg
-
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
 
 
 def _cmd_audit_deltabound(cfg, spec, rule, outdir):
-    from .donaldson import delta_lower_bound_audit, poincare_constant
-
     n = cfg["delta_audit"]["n_samples"]
     sb = basis(spec, cfg["k"])
     h0 = trivial_metric(spec)
@@ -317,8 +308,6 @@ def _cmd_audit_deltabound(cfg, spec, rule, outdir):
 
 
 def _cmd_probe_coercivity(cfg, spec, rule, outdir):
-    from .asymptotics import coercivity_probe
-
     pr = cfg["probe"]
     out = coercivity_probe(
         spec, cfg["k_list"], pr["samples_per_k"], pr["t_max"], rule, seed=cfg.get("seed", 0)
@@ -329,8 +318,6 @@ def _cmd_probe_coercivity(cfg, spec, rule, outdir):
 
 
 def _cmd_convexity_audit(cfg, spec, rule, outdir):
-    from .donaldson import second_derivative_geodesic
-
     n = cfg["convexity"]["n_paths"]
     sb = basis(spec, cfg["k"])
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -379,10 +366,6 @@ def run(command: str, cfg: dict, outdir: Path) -> int:
 
 def _self_test() -> int:
     """Small end-to-end exercise of the easy example paths."""
-    import math
-    from .donaldson import c_delta, donaldson
-    from .quot import filtration
-
     checks = []
     rule = build_quadrature(16, 16)
     rep = bergman_kernel(trivial_metric(BundleSpec((0,))), 5, rule)

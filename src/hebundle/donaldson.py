@@ -19,11 +19,14 @@ from .bundle import (
     _OFF,
     GeodesicMetric,
     MetricEvaluator,
+    _equilibrated_inverse,
     _geodesic_at,
     _geodesic_parts,
     _he_defect,
     _hermitize,
     _mat_mul,
+    _stencil_sum,
+    delta_boundedness,
     fd_curvature_batch,
     fd_derivatives,
     fd_stencil,
@@ -101,7 +104,7 @@ class BergmanPath:
 
         def v(charts, coords):
             S, _, _, Ainv = hm._core(charts, coords)
-            return S @ K @ np.swapaxes(S, -1, -2).conj() @ Ainv
+            return _mat_mul(_mat_mul(_section_factor(S, K), np.swapaxes(S, -1, -2).conj()), Ainv)
 
         return v
 
@@ -295,15 +298,14 @@ def second_derivative_geodesic(
     v, vz, vzb, _ = fd_derivatives(*fd_stencil(vfn, rule.charts, rule.coords))
     hs = GeodesicMetric(h0, h1, s)
     hc, hz, _, _ = fd_derivatives(*fd_stencil(hs.evaluate, rule.charts, rule.coords))
-    a_s = np.linalg.solve(hc, hz)
+    a_s = _mat_mul(_equilibrated_inverse(hc), hz)
     grad = vz + _mat_mul(a_s, v) - _mat_mul(v, a_s)
     coeff = np.einsum("nij,nji->n", grad, vzb).real
     formula = float(integrate_values(coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2, rule))
 
-    eps = 0.05
-    nz = _D1 != 0.0
+    eps, nz = 0.05, _D1 != 0.0
     derivs = PointwiseExponentialPath(h0, h1).deriv_integrand(s + _OFF[nz] * eps, rule)
-    fd = sum(c * d for c, d in zip(_D1[nz], derivs)) / eps
+    fd = _stencil_sum(_D1[nz], derivs) / eps
     return {"formula": formula, "fd": float(fd)}
 
 
@@ -315,13 +317,13 @@ def curvature_variation_check(path, t: float, charts, coords) -> float:
     if not isinstance(path, BergmanPath):
         raise ValueError("analytic variation check needs a form-space path")
     # LHS: dF/dt by 4th-order differences in t
-    step = 1e-3
-    curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF]
-    lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
+    step, nz = 1e-3, _D1 != 0.0
+    curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF[nz]]
+    lhs = _stencil_sum(_D1[nz], curv) / step
     # RHS: -(d/dz-bar)(dv/dz + [a, v]) expanded by the product rule
     v, _, vzb, vzzb = fd_derivatives(*fd_stencil(path.vfield_at(t), charts, coords))
     a, _, azb, _ = fd_derivatives(*fd_stencil(path.metric_at(t).connection_coeff, charts, coords))
-    rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
+    rhs = -(vzzb + _mat_mul(azb, v) + _mat_mul(a, vzb) - _mat_mul(vzb, a) - _mat_mul(v, azb))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -378,7 +380,7 @@ def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) 
     fvals, dvals = _harmonic_family(max_deg, rule.charts, rule.coords)
     dim = len(fvals) * r * r
     hv = h0.evaluate(rule.charts, rule.coords)
-    hinv = np.linalg.inv(hv)
+    hinv = _equilibrated_inverse(hv)
     gup = (1.0 + np.abs(rule.coords) ** 2) ** 2
     # pairing of the elementary matrices E_pq and E_st at every node:
     # tr(E_pq h^-1 E_st^* h) = (h^-1)_qt h_sp
@@ -434,8 +436,6 @@ def delta_lower_bound_audit(
     """Audit of the eigenvalue-ratio lower bound on the energy, with the
     Poincare constant of h0 (`poincare_constant`), to a tolerance of
     1e-6."""
-    from .bundle import delta_boundedness
-
     delta = delta_boundedness(h, h0, rule)
     cd = c_delta(min(1.0, delta))
     cbar = he_defect_norm(h0, rule)

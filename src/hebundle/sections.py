@@ -271,14 +271,14 @@ class FSMetric(MetricEvaluator):
 def _bergman_raw(h: MetricEvaluator, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
     """raw(p) = h(p) fs(p)^-1 at every node, for fs the FS metric of the
     form G: fs^-1 = e^{-k phi} T T* with T = S W its section factor.
-    The products stay stacked numpy ones: an entrywise T T* copies T's
+    T T* stays a stacked numpy product: an entrywise one copies T's
     conjugate and costs the `bergman` command memory with no gain in
     time."""
     S = eval_matrix_batch(sb, rule.charts, rule.coords)[0]
     T = _section_factor(S, FSMetric(sb, G=G).W)
     wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
     fs_inv = (T @ np.swapaxes(T, -1, -2).conj()) * wphi[:, None, None]
-    return h.evaluate(rule.charts, rule.coords) @ fs_inv
+    return _mat_mul(h.evaluate(rule.charts, rule.coords), fs_inv)
 
 
 def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:

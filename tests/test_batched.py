@@ -353,9 +353,15 @@ def _stencil(fn, chart, x):
     return vx, vy, dl
 
 
+def _fixed_order_sum(coeffs, vals):
+    """c * v summed over the nonzero coefficients, left to right, as the
+    package's stencil differences sum them."""
+    return sum(c * v for c, v in zip(coeffs, vals) if c != 0.0)
+
+
 def _first_derivs(vx, vy, dl):
-    fx = np.tensordot(_D1, vx, axes=(0, 0)) / dl
-    fy = np.tensordot(_D1, vy, axes=(0, 0)) / dl
+    fx = _fixed_order_sum(_D1, vx) / dl
+    fy = _fixed_order_sum(_D1, vy) / dl
     return vx[2], 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
@@ -431,24 +437,30 @@ def _variation_per_point(path, t, chart, x, step=1e-3):
     """Per-point curvature-variation defect, and the size of dF/dt."""
     point = np.array([chart]), np.array([x], dtype=complex)
     curv = [path.metric_at(t + o * step).curvature_coeff(*point)[0] for o in _OFF]
-    lhs = np.tensordot(_D1, np.array(curv), axes=(0, 0)) / step
+    lhs = _fixed_order_sum(_D1, curv) / step
     vx, vy, dl = _stencil(path.vfield_at(t), chart, x)
     v, _, vzb = _first_derivs(vx, vy, dl)
-    vzzb = 0.25 * (np.tensordot(_D2, vx, axes=(0, 0)) + np.tensordot(_D2, vy, axes=(0, 0))) / dl**2
+    vzzb = 0.25 * (_fixed_order_sum(_D2, vx) + _fixed_order_sum(_D2, vy)) / dl**2
     a, _, azb = _first_derivs(*_stencil(path.metric_at(t).connection_coeff, chart, x))
     rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
     return float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs)))
+
+
+def _variation_case(degs):
+    """A level-1 Bergman path of `degs` and six points in both charts."""
+    sb = basis(BundleSpec(degs), 1)
+    rng = np.random.default_rng(10)
+    path = BergmanPath(sb, rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3))
+    charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j])
+    assert set(charts.tolist()) == {True, False}
+    return path, charts, coords
 
 
 @pytest.mark.parametrize("degs", [(1, -1), (2, 1, 0)])
 def test_curvature_variation_matches_per_point_loop(degs):
     # the defect is rounding noise of the second differences (about
     # 1e-10), so the two are compared on the scale of dF/dt
-    sb = basis(BundleSpec(degs), 1)
-    rng = np.random.default_rng(10)
-    path = BergmanPath(sb, rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3))
-    charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j])
-    assert set(charts.tolist()) == {True, False}
+    path, charts, coords = _variation_case(degs)
     one = [(charts[i : i + 1], coords[i : i + 1]) for i in range(len(coords))]
     ref = [_variation_per_point(path, 0.5, c[0], complex(x[0])) for c, x in one]
     for (c, x), (defect, scale) in zip(one, ref):
@@ -456,6 +468,26 @@ def test_curvature_variation_matches_per_point_loop(degs):
     assert curvature_variation_check(path, 0.5, charts, coords) == max(
         curvature_variation_check(path, 0.5, c, x) for c, x in one
     )
+
+
+@pytest.mark.parametrize("degs", [(1, -1), (2, 1, 0)])
+def test_stencil_audits_give_a_point_the_same_bits_in_any_batch(degs):
+    # the stencil differences of the variation check's velocity field and
+    # the difference curvature of the metric: each one-point call equals
+    # its row of the six-point call exactly
+    path, charts, coords = _variation_case(degs)
+    audits = {
+        "fd_derivatives": lambda c, x: fd_derivatives(*fd_stencil(path.vfield_at(0.5), c, x)),
+        "fd_curvature_batch": lambda c, x: [
+            fd_curvature_batch(*fd_stencil(path.metric_at(0.5).evaluate, c, x))
+        ],
+    }
+    for name, audit in audits.items():
+        batched = audit(charts, coords)
+        for i in range(len(coords)):
+            one = audit(charts[i : i + 1], coords[i : i + 1])
+            for j, (part, row) in enumerate(zip(batched, one)):
+                assert np.array_equal(part[i], row[0]), (name, i, j)
 
 
 def _ray_deriv_reference(ray, t, rule):

@@ -91,7 +91,7 @@ def test_fd_curvature_batch_matches_pointwise(rule16):
     for i in range(5):
         charts, coords = rule16.charts[i : i + 1], rule16.coords[i : i + 1]
         one = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
-        assert np.allclose(F[i], one[0], atol=1e-9)
+        assert np.array_equal(F[i], one[0])
 
 
 def test_scaled_metric_curvature_unchanged(rule16):
