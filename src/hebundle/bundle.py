@@ -326,11 +326,15 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> float:
     return _defect_sup(hv, lam, float(h.bundle.slope))
 
 
-def _relative_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the metric values a relative to b at
-    every node: with b = L L*, the eigenvalues of the whitened
-    L^-1 a L^-*."""
-    Linv = np.linalg.inv(np.linalg.cholesky(_hermitize(b)))
+def _whitening(b: np.ndarray) -> np.ndarray:
+    """L^-1 at every node, for b = L L* the Cholesky factor of metric values b."""
+    return np.linalg.inv(np.linalg.cholesky(_hermitize(b)))
+
+
+def _relative_eigs(a: np.ndarray, Linv: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the metric values a relative to b at every
+    node, those of L^-1 a L^-* for Linv = `_whitening(b)`, which a solve
+    forms once for its reference."""
     c = _mat_mul(_mat_mul(Linv, _hermitize(a)), np.swapaxes(Linv, -1, -2).conj())
     return np.linalg.eigvalsh(c)
 
@@ -338,5 +342,5 @@ def _relative_eigs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def delta_boundedness(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """Node-infimum of lambda_min/lambda_max of h relative to h0."""
     a, b = (m.evaluate(rule.charts, rule.coords) for m in (h, h0))
-    eigs = _relative_eigs(a, b)
+    eigs = _relative_eigs(a, _whitening(b))
     return float((eigs[:, 0] / eigs[:, -1]).min())

@@ -144,6 +144,10 @@ def parse_config(path) -> dict:
             d = defaults[key]
             _expect(_fits(v, d), f"{block}.{key} must be {_KINDS[type(d)]}, not {v!r}")
         cfg[block] = {**defaults, **given}
+    try:  # the solver's own checks, before any numerics
+        SolveOptions(k=reg, **cfg["solve"])
+    except ValueError as exc:
+        raise ConfigError(f"solve: {exc}") from exc
     if "zeta" in cfg:
         _check_zeta(cfg["zeta"])
         if "k" in cfg:  # every command that reads zeta needs k (`_NEEDS`)

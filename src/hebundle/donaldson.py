@@ -37,8 +37,8 @@ from .sections import (
     FSMetric,
     SectionBasis,
     _section_factor,
-    eval_matrix_batch,
     fs_path_rate,
+    node_sections,
 )
 
 
@@ -49,14 +49,21 @@ class BergmanPath:
     dG/dt admit stable factorized expressions.
     """
 
-    def __init__(self, sb: SectionBasis, G0: np.ndarray, G1: np.ndarray):
+    def __init__(self, sb: SectionBasis, G0: np.ndarray, G1: np.ndarray, sections):
+        """`sections`: `node_sections` on the rule of `deriv_integrand`."""
         self.sb = sb
-        # i0 = G0^(-1/2), and u, lam diagonalize G0^(-1/2) G1 G0^(-1/2)
+        # i0 = G0^(-1/2), and v, lam diagonalize G0^(-1/2) G1 G0^(-1/2)
         g0, g1 = np.asarray(G0, dtype=complex), np.asarray(G1, dtype=complex)
-        _, i0, lam, u = _geodesic_parts(g0, g1)
-        self._base = i0 @ u  # columns: G0^(-1/2) u_i
+        _, i0, lam, v = _geodesic_parts(g0, g1)
+        self._base = i0 @ v  # columns: G0^(-1/2) v_i
         self._lam = lam
         self._loglam = np.log(lam)
+        # columns of S B and S' B, (N, n, r, 1), and their rank-one
+        # moments, (N, 3, n, r, r)
+        u, u1 = (np.moveaxis(_section_factor(S, self._base), -1, 0)[..., None]
+                 for S in sections[:2])
+        uc, u1c = np.swapaxes(u, -1, -2).conj(), np.swapaxes(u1, -1, -2).conj()
+        self._mom = np.ascontiguousarray(np.stack([u * uc, u1 * uc, u1 * u1c], axis=1))
 
     def metric_at(self, t: float) -> FSMetric:
         w = self._base * self._lam ** (-0.5 * t)
@@ -67,31 +74,25 @@ class BergmanPath:
         return (self._base * (self._lam ** (-t) * self._loglam)) @ self._base.conj().T
 
     def deriv_integrand(self, t, rule: QuadratureRule):
-        """dM/dt along the path: a float for a scalar t, an array for a
-        1-D array of t.
+        """dM/dt along the path on the nodes of its sections: a float for
+        a scalar t, an array for a 1-D array of t.
 
         G_t^-1 = B diag(lam^-t) B*, so with the columns u_j of S B and
         u'_j of S' B, A_t = sum_j lam_j^-t u_j u_j*, and likewise
         A' = T' T* and A'' = T' T'* from u'_j u_j* and u'_j u'_j*; V is
-        A_t with weights lam^-t log lam.  The sections and the rank-one
-        moments are formed once; the moments of all t-nodes of a chunk
-        then come from one real GEMM against [lam^-t; lam^-t log lam],
-        which has at least two rows, so each t-node's row does not
-        depend on the others.
+        A_t with weights lam^-t log lam.  The constructor forms the
+        rank-one moments, so the energy integral's rung and panels share
+        them; the moments of all t-nodes of a chunk then come from one
+        real GEMM against [lam^-t; lam^-t log lam], which has at least two
+        rows, so each t-node's row does not depend on the others.
         """
-        S, S1 = eval_matrix_batch(self.sb, rule.charts, rule.coords)
-        u = np.moveaxis(_section_factor(S, self._base), -1, 0)[..., :, None]  # (N, n, r, 1)
-        u1 = np.moveaxis(_section_factor(S1, self._base), -1, 0)[..., :, None]
-        uc, u1c = np.swapaxes(u, -1, -2).conj(), np.swapaxes(u1, -1, -2).conj()
-        mom = np.stack([u * uc, u1 * uc, u1 * u1c], axis=1)  # (N, 3, n, r, r)
-        shape = mom.shape[1:]
-        mom = np.ascontiguousarray(mom).view(float).reshape(len(self._lam), -1)
 
         def factors(ts):
             e = self._lam ** (-ts[:, None])
             m = len(ts)
+            mom = self._mom.view(float).reshape(len(self._lam), -1)
             out = (np.concatenate([e, e * self._loglam]) @ mom).view(complex)
-            out = out.reshape((2 * m,) + shape)
+            out = out.reshape((2 * m,) + self._mom.shape[1:])
             return out[:m, 0], out[:m, 1], out[:m, 2], out[m:, 0]
 
         return fs_path_rate(self.sb, rule, t, factors)
@@ -143,13 +144,9 @@ class PointwiseExponentialPath:
         return out[0] if ts.ndim == 0 else np.array(out)
 
 
-def _path_for(h1: MetricEvaluator, h0: MetricEvaluator):
-    if (
-        isinstance(h1, FSMetric)
-        and isinstance(h0, FSMetric)
-        and h1.sb.entries == h0.sb.entries
-    ):
-        return BergmanPath(h0.sb, h0.G, h1.G)
+def _path_for(h1: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule):
+    if isinstance(h1, FSMetric) and isinstance(h0, FSMetric) and h1.sb.entries == h0.sb.entries:
+        return BergmanPath(h0.sb, h0.G, h1.G, node_sections(h0.sb, rule))
     return PointwiseExponentialPath(h0, h1)
 
 
@@ -269,7 +266,7 @@ def donaldson(
     are FS metrics of one section basis and the pointwise geodesic
     otherwise.  The metrics are read only to choose that default, so a
     caller holding the path may pass None for them."""
-    return path_energy(_path_for(h1, h0) if path is None else path, rule, tol)
+    return path_energy(_path_for(h1, h0, rule) if path is None else path, rule, tol)
 
 
 def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:

@@ -67,14 +67,20 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
     return S, S1
 
 
-def _section_pairing(sb: SectionBasis, rule: QuadratureRule, X: np.ndarray, density, S=None):
+def node_sections(sb: SectionBasis, rule: QuadratureRule):
+    """S and S' on the rule's nodes (`eval_matrix_batch`), and the row of
+    each section's one nonzero entry with its values there, (n, N), for
+    `_section_pairing`; a solve forms them once (`solver.minimize`)."""
+    S, S1 = eval_matrix_batch(sb, rule.charts, rule.coords)
+    rows = _exponents(sb, rule.charts)[0]
+    return S, S1, rows, S[:, rows, np.arange(sb.N)]
+
+
+def _section_pairing(rule: QuadratureRule, X: np.ndarray, density, rows, s):
     """Hermitian part of the integral of S* X S density, for X an
     (n, r, r) field and `density` a scalar or a value per node of the
-    rule.  S is the section matrix on the rule's nodes: the caller's
-    `eval_matrix_batch` array when it has one, formed here otherwise.
-
-    Column c of S has one nonzero, the monomial s_c, in row rows[c]
-    (`_exponents`), so entry (c, d) integrates
+    rule.  Column c of S has one nonzero, the monomial s[:, c], in row
+    rows[c] (`node_sections`), so entry (c, d) integrates
     conj(s_c) X[rows[c], rows[d]] s_d density, with no dense
     contraction.  The weights and the density are folded into conj(s_c),
     and the rows of each summand are summed over the nodes on their own
@@ -83,15 +89,10 @@ def _section_pairing(sb: SectionBasis, rule: QuadratureRule, X: np.ndarray, dens
     second (n, N_i, N) array per summand: about 30% more peak memory and
     time on a 64 x 64 rule.  RuntimeError on a non-finite value.
     """
-    rows, e = _exponents(sb, rule.charts)
-    if S is None:
-        s = np.asarray(rule.coords, dtype=complex)[:, None] ** e  # (n, N)
-    else:
-        s = S[:, rows, np.arange(sb.N)]
     ws = (s * (rule.weights * density)[:, None]).conj()
     xs = X[:, :, rows] * s[:, None, :]  # X S, (n, r, N)
     g = np.concatenate(
-        [tree_sum(ws[:, rows == i, None] * xs[:, i, None, :]) for i in range(sb.bundle.rank)]
+        [tree_sum(ws[:, rows == i, None] * xs[:, i, None, :]) for i in range(X.shape[-1])]
     )
     if not np.all(np.isfinite(g)):
         raise RuntimeError("non-finite integrand value")
@@ -103,7 +104,9 @@ def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> np.nd
     line weight e^{-k phi} (`_section_pairing`); RuntimeError when the
     rule leaves it degenerate."""
     density = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
-    g = _section_pairing(sb, rule, h.evaluate(rule.charts, rule.coords), density)
+    hv, (rows, e) = h.evaluate(rule.charts, rule.coords), _exponents(sb, rule.charts)
+    s = np.asarray(rule.coords, dtype=complex)[:, None] ** e  # (n, N)
+    g = _section_pairing(rule, hv, density, rows, s)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -227,11 +230,15 @@ class FSMetric(MetricEvaluator):
         return self.W @ self.W.conj().T
 
     def _core(self, charts, coords):
-        """Per-node S, the moments A' = T' T* and A'' = T' T'* of T = S W,
-        and the equilibrated inverse of A = T T*."""
+        """Per-node S and the `_moments` of the sections at the points."""
         S, S1 = eval_matrix_batch(self.sb, charts, coords)
+        return (S,) + self._moments(S, S1)
+
+    def _moments(self, S, S1):
+        """The moments A' = T' T* and A'' = T' T'* of T = S W, and the
+        equilibrated inverse of A = T T*, from given section values."""
         A, A1, A11 = _fs_moments(_section_factor(S, self.W), _section_factor(S1, self.W))
-        return S, A1, A11, _equilibrated_inverse(A)
+        return A1, A11, _equilibrated_inverse(A)
 
     def _metric(self, Ainv, coords) -> np.ndarray:
         ekphi = (1.0 + np.abs(coords) ** 2) ** self.sb.k

@@ -17,20 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bundle import (BundleSpec, _defect_sup, _hermitize, _mat_mul, _relative_eigs, he_residual,
-                     regularity, trivial_metric)
+from .bundle import (BundleSpec, _defect_sup, _hermitize, _mat_mul, _relative_eigs, _whitening,
+                     he_residual, regularity, trivial_metric)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
-from .sections import FSMetric, SectionBasis, _section_pairing, basis, l2_gram
+from .sections import FSMetric, SectionBasis, _section_pairing, basis, l2_gram, node_sections
 
 
 def mdon_gradient(
-    sb: SectionBasis, G: np.ndarray, rule: QuadratureRule
+    sb: SectionBasis, G: np.ndarray, rule: QuadratureRule, sections
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Gradient of the energy in log-coordinates on the form space, the
     sup of the Einstein defect of FS(G) from the same sections and
     curvature, and FS(G) on the rule's nodes.
 
+    The moments come from `sections` (`node_sections`), formed once per solve.
     The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
     energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
     g = P G^-1 + G^-1 P with P the curvature-residual moment matrix,
@@ -39,11 +40,11 @@ def mdon_gradient(
     out suppresses quadrature noise in that direction.
     """
     hm = FSMetric(sb, G=G)
-    S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
+    A1, A11, Ainv = hm._moments(*sections[:2])
     lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
-    P = _section_pairing(sb, rule, _mat_mul(Ainv, res), 1.0, S=S)
+    P = _section_pairing(rule, _mat_mul(Ainv, res), 1.0, *sections[2:])
     Ginv = hm.Ginv
     g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
@@ -70,8 +71,9 @@ class SolveOptions:
     divergence_m: float = -1.0e3
 
     def __post_init__(self):
-        if min(self.grad_tol, self.he_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("grad_tol", "he_tol", "divergence_op"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -91,11 +93,11 @@ def _log_opnorm(G: np.ndarray):
     return logG, float(np.max(np.abs(np.log(w))))
 
 
-def _normalize(G: np.ndarray, values: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rescale the form so the node-infimum of the least eigenvalue of
-    its metric values `values` relative to the reference values `ref`
-    is one; the energy is scale invariant, so this is free."""
-    c = float(_relative_eigs(values, ref)[:, 0].min())
+def _normalize(G: np.ndarray, values: np.ndarray, white: np.ndarray) -> np.ndarray:
+    """Rescale the form so the node-infimum of the least eigenvalue of its
+    metric values relative to the reference, whose `_whitening` is
+    `white`, is one; the energy is scale invariant, so this is free."""
+    c = float(_relative_eigs(values, white)[:, 0].min())
     if c <= 0:
         raise RuntimeError("iterate lost positivity against the reference")
     return G / c
@@ -110,6 +112,9 @@ def minimize(
     """Descend the energy over the form space at level k, from the L2
     form of the trivial metric unless `G_init` is given.
 
+    What no iterate changes, the `node_sections` and the `_whitening` of
+    the reference metric values, is formed once, before the loop.
+
     Converges on polystable split bundles; on unstable ones detects
     divergence (operator-norm blowup of log G with decreasing energy),
     freezes the escape direction, and extends the energy history along
@@ -121,7 +126,8 @@ def minimize(
     sb = basis(spec, k)
     h_ref = trivial_metric(spec)
     G = np.asarray(G_init if G_init is not None else l2_gram(sb, h_ref, rule), dtype=complex)
-    ref = h_ref.evaluate(rule.charts, rule.coords)
+    sections = node_sections(sb, rule)
+    white = _whitening(h_ref.evaluate(rule.charts, rule.coords))
     m_total = 0.0
     mdon_history = [m_total]
     history = []
@@ -133,10 +139,10 @@ def minimize(
     last_dm = None
 
     for it in range(opts.max_iter):
-        g, res_sup, values = mdon_gradient(sb, G, rule)
+        g, res_sup, values = mdon_gradient(sb, G, rule, sections)
         # the gradient and the residual are scale free, so the form is
         # normalized from the metric values they came from
-        G = _normalize(G, values, ref)
+        G = _normalize(G, values, white)
         gnorm2 = float(np.real(np.trace(g @ g)))
         gnorm = np.sqrt(max(gnorm2, 0.0))
         logG, opn = _log_opnorm(G)
@@ -178,7 +184,8 @@ def minimize(
             # call goes through `donaldson`, whose spans the benchmark's
             # tracer (perfbench/tracing.py) counts as line-search trials
             try:
-                dm = donaldson(None, None, rule, path=BergmanPath(sb, G, G_new), tol=1e-9)
+                dm = donaldson(None, None, rule, path=BergmanPath(sb, G, G_new, sections),
+                               tol=1e-9)
             except RuntimeError:
                 a *= _BACKTRACK
                 continue
@@ -203,8 +210,9 @@ def minimize(
         alpha = min(a * _GROW, _MAX_STEP)
     else:
         # every iteration took a step: the last form is not normalized yet
-        G = _normalize(G, FSMetric(sb, G=G).evaluate(rule.charts, rule.coords), ref)
+        G = _normalize(G, FSMetric(sb, G=G).evaluate(rule.charts, rule.coords), white)
 
+    del sections, white  # the ray extension, the memory peak of a solve, needs neither
     if status == "diverging":
         m_total, mdon_history = _extend_along_ray(
             sb, G, zeta_limit, m_total, mdon_history, rule, opts

@@ -33,7 +33,7 @@ from hebundle.donaldson import (
 )
 from hebundle.geometry import canonical_points
 from hebundle.quot import WeightSpec, block_weightspec, filtration
-from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram
+from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram, node_sections
 from hebundle.solver import SolveOptions, destabilizer_extract, minimize
 
 
@@ -413,7 +413,7 @@ def test_criterion_11_geodesic_and_curvature_variation(rule24):
         h0 = FSMetric(sb, G=rand_pd(rng, sb.N, scale=0.3))
         h1 = FSMetric(sb, G=rand_pd(rng, sb.N, scale=0.3))
         worst_geo = max(worst_geo, _geodesic_equation_residual(h0, h1, pts))
-        path = BergmanPath(sb, h0.G, h1.G)
+        path = BergmanPath(sb, h0.G, h1.G, node_sections(sb, rule24))
         worst_var = max(worst_var, curvature_variation_check(path, 0.5, charts, coords))
     dt = time.time() - t0
     ok = worst_geo < 1e-6 and worst_var < 1e-4 and dt < 120.0

@@ -99,7 +99,7 @@ def test_node_sums_go_through_integrate_values():
 DENSE_INVERSE_ALLOWED = {
     ("sections", "FSMetric"): "inverts the N x N section form and its Cholesky factor",
     ("asymptotics", "OnePSRay"): "inverts the Cholesky factor of the N x N base form",
-    ("bundle", "_relative_eigs"): "inverts a triangular Cholesky factor, not a metric value",
+    ("bundle", "_whitening"): "inverts a triangular Cholesky factor, not a metric value",
 }
 
 

@@ -22,6 +22,7 @@ from hebundle.bundle import (
     MetricEvaluator,
     _node_sup_norm,
     _relative_eigs,
+    _whitening,
     fd_curvature_batch,
     fd_derivatives,
     fd_stencil,
@@ -44,7 +45,8 @@ from hebundle.geometry import (
     integrate_values,
     tree_sum,
 )
-from hebundle.sections import FSMetric, basis, bergman_kernel, eval_matrix_batch, l2_gram
+from hebundle.sections import (FSMetric, basis, bergman_kernel, eval_matrix_batch, l2_gram,
+                               node_sections)
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -71,10 +73,11 @@ def _relative_eigs_reference(h, h0, rule):
     )
 
 
-def _path(degs, k, seed, scale=0.4):
+def _path(degs, k, seed, rule, scale=0.4):
     sb = basis(BundleSpec(degs), k)
     rng = np.random.default_rng(seed)
-    return BergmanPath(sb, rand_pd(rng, sb.N, scale), rand_pd(rng, sb.N, scale))
+    G0, G1 = rand_pd(rng, sb.N, scale), rand_pd(rng, sb.N, scale)
+    return BergmanPath(sb, G0, G1, node_sections(sb, rule))
 
 
 # bundle -> log-scale of the random forms and relative tolerance.  The
@@ -87,7 +90,7 @@ _REFERENCE_CASES = {(2, 2): (0.4, 1e-12), (2, 1, 0): (0.4, 1e-12), (1, -1): (2.0
 @pytest.mark.parametrize("degs", list(_REFERENCE_CASES))
 def test_bergman_integrand_matches_einsum_reference(degs, rule16):
     scale, rtol = _REFERENCE_CASES[degs]
-    path = _path(degs, 2, 3, scale)
+    path = _path(degs, 2, 3, rule16, scale)
     ts = np.concatenate([[0.0, 1.0], gauss_legendre01(8)[0]])
     got = path.deriv_integrand(ts, rule16)
     ref = np.array([_deriv_integrand_reference(path, t, rule16) for t in ts])
@@ -95,7 +98,7 @@ def test_bergman_integrand_matches_einsum_reference(degs, rule16):
 
 
 def test_bergman_integrand_scalar_equals_batched_entry(rule16):
-    path = _path((2, 2), 2, 4)
+    path = _path((2, 2), 2, 4, rule16)
     ts = gauss_legendre01(8)[0]
     batched = path.deriv_integrand(ts, rule16)
     for t, v in zip(ts, batched):
@@ -106,7 +109,7 @@ def test_bergman_integrand_scalar_equals_batched_entry(rule16):
 
 def test_bergman_integrand_chunking_is_bitwise(rule24, monkeypatch):
     # 576 nodes: 4096 // 576 = 7 t-nodes per chunk, so 16 nodes take 3
-    path = _path((2, 1, 0), 2, 5)
+    path = _path((2, 1, 0), 2, 5, rule24)
     ts = gauss_legendre01(16)[0]
     assert len(ts) > sections_mod._MAX_POINTS // rule24.n
     chunked = path.deriv_integrand(ts, rule24)
@@ -136,7 +139,8 @@ def _metric_pairs(rule):
 
 def test_relative_eigs_match_scipy(rule16):
     for h, h0 in _metric_pairs(rule16):
-        got = _relative_eigs(*(m.evaluate(rule16.charts, rule16.coords) for m in (h, h0)))
+        a, b = (m.evaluate(rule16.charts, rule16.coords) for m in (h, h0))
+        got = _relative_eigs(a, _whitening(b))
         ref = _relative_eigs_reference(h, h0, rule16)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -190,9 +194,12 @@ def test_l2_gram_matches_dense_contraction(k, n):
         S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
         lam = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
         X = Ainv @ (lam - float(sb.bundle.slope) * np.eye(len(degs)))
-        got = sections_mod._section_pairing(sb, rule, X, 1.0, S=S)
-        # the monomials read off S are the ones the pairing forms itself
-        assert np.array_equal(got, sections_mod._section_pairing(sb, rule, X, 1.0))
+        rows, s = node_sections(sb, rule)[2:]
+        assert np.array_equal(s, S[:, rows, np.arange(sb.N)])
+        got = sections_mod._section_pairing(rule, X, 1.0, rows, s)
+        # the monomials read off S are the ones l2_gram forms from the coordinates
+        e = sections_mod._exponents(sb, rule.charts)[1]
+        assert np.array_equal(s, np.asarray(rule.coords, dtype=complex)[:, None] ** e)
         for ref in _pairing_references(sb, X, rule):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), degs
 
@@ -450,7 +457,9 @@ def _variation_case(degs):
     """A level-1 Bergman path of `degs` and six points in both charts."""
     sb = basis(BundleSpec(degs), 1)
     rng = np.random.default_rng(10)
-    path = BergmanPath(sb, rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3))
+    G0, G1 = rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3)
+    # the check never integrates along the path, so any rule's sections do
+    path = BergmanPath(sb, G0, G1, node_sections(sb, build_quadrature(4, 4)))
     charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j])
     assert set(charts.tolist()) == {True, False}
     return path, charts, coords

@@ -11,6 +11,7 @@ from _utils import ExplicitMetric, rand_pd, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
+    _whitening,
     delta_boundedness,
     fd_curvature_batch,
     fd_stencil,
@@ -170,7 +171,7 @@ def test_scale_normalize_and_delta(rule16):
     sb, G0 = basis(spec, 0), np.eye(2)
     values = FSMetric(sb, G=3.0 * G0).evaluate(rule16.charts, rule16.coords)
     ref = h0.evaluate(rule16.charts, rule16.coords)
-    assert np.allclose(_normalize(3.0 * G0, values, ref), G0, rtol=0, atol=1e-12)
+    assert np.allclose(_normalize(3.0 * G0, values, _whitening(ref)), G0, rtol=0, atol=1e-12)
     h = ExplicitMetric(spec, lambda chart, x: 3.0 * np.eye(2))
     # constant multiples have delta-ratio 1
     assert delta_boundedness(h, h0, rule16) == pytest.approx(1.0, abs=1e-12)

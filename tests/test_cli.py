@@ -284,6 +284,9 @@ _BLOCKS_13 = [
                                                           for b in _BLOCKS_13]}}, "blocks"),
         ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": _BLOCKS_13[:1]}}, "vectors"),
         ("mna", {**_MNA_BASE, "zeta": {"weights": ["1", "-3"], "dims": [2, 1]}}, "zeta"),
+        # values of the right kind that the solver refuses
+        ("solve", {**_MNA_BASE, "solve": {"grad_tol": 0}}, "grad_tol"),
+        ("solve", {**_MNA_BASE, "solve": {"divergence_op": 0}}, "divergence_op"),
     ],
 )
 def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):

@@ -36,7 +36,7 @@ from hebundle.donaldson import (
     second_derivative_geodesic,
 )
 from hebundle.geometry import canonical_points
-from hebundle.sections import FSMetric, basis
+from hebundle.sections import FSMetric, basis, node_sections
 
 
 SPEC = BundleSpec((1, -1))
@@ -85,7 +85,7 @@ def test_cocycle(rule24):
 def test_path_independence(rule24):
     # form-space geodesic and pointwise exponential give the same value
     h0, h1 = _fs_pair(5, scale=0.3)
-    m_bergman = path_energy(BergmanPath(SB, h0.G, h1.G), rule24, 1e-8)
+    m_bergman = path_energy(BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule24)), rule24, 1e-8)
     m_pointwise = path_energy(PointwiseExponentialPath(h0, h1), rule24, 1e-8)
     assert m_bergman == pytest.approx(m_pointwise, abs=5e-6)
 
@@ -93,7 +93,7 @@ def test_path_independence(rule24):
 def test_first_derivative_consistency(rule24):
     # the t-derivative of the cumulative energy equals the integrand
     h0, h1 = _fs_pair(6, scale=0.3)
-    path = BergmanPath(SB, h0.G, h1.G)
+    path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule24))
     eps = 1e-3
 
     def m_at(t):
@@ -125,9 +125,9 @@ def test_second_derivative_trivial_geodesic(rule24):
     assert abs(out["fd"]) < 1e-6
 
 
-def test_curvature_variation_identity():
+def test_curvature_variation_identity(rule16):
     h0, h1 = _fs_pair(10, scale=0.3)
-    path = BergmanPath(SB, h0.G, h1.G)
+    path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
     charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j])
     assert curvature_variation_check(path, 0.5, charts, coords) < 1e-5
     with pytest.raises(ValueError):
@@ -242,14 +242,16 @@ def test_gauss_kronrod_3_7_table():
 
 
 class _RecordingPath:
-    """A path that records the t-nodes of every integrand call."""
+    """A path that records the t-nodes and the values of every integrand
+    call."""
 
     def __init__(self, path):
-        self.path, self.calls = path, []
+        self.path, self.calls, self.values = path, [], []
 
     def deriv_integrand(self, t, rule):
         self.calls.append(np.array(t))
-        return self.path.deriv_integrand(t, rule)
+        self.values.append(self.path.deriv_integrand(t, rule))
+        return self.values[-1]
 
 
 def _composite_k15(path, rule, panels=16):
@@ -269,7 +271,7 @@ def test_energy_first_rung_accepts_a_short_step(rule16):
     h0, _ = _fs_pair(12)
     X = np.random.default_rng(12).normal(size=(SB.N, SB.N))
     E = scipy.linalg.expm(0.01 * (X + X.T))
-    path = BergmanPath(SB, h0.G, E @ h0.G @ E)
+    path = BergmanPath(SB, h0.G, E @ h0.G @ E, node_sections(SB, rule16))
     assert _rung_gap(path, rule16) <= 1e-9
     rec = _RecordingPath(path)
     value = path_energy(rec, rule16, 1e-9)
@@ -280,13 +282,27 @@ def test_energy_first_rung_accepts_a_short_step(rule16):
 def test_energy_falls_through_the_first_rung(rule16):
     # K7 misses tol: the 7/15 bisection runs as it would without the rung
     h0, h1 = _fs_pair(12)
-    path = BergmanPath(SB, h0.G, h1.G)
+    path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
     assert _rung_gap(path, rule16) > 1e-8
     rec = _RecordingPath(path)
     value = donaldson(h1, h0, rule16, path=rec)
     assert np.array_equal(rec.calls[0], _K7_T) and np.array_equal(rec.calls[1], _GK_T)
     assert value == donaldson(h1, h0, rule=rule16)
     assert abs(value - _composite_k15(path, rule16)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_shared_path_setup_gives_the_bits_of_a_fresh_one(rule16, seed):
+    # an integral that misses the rung: its rung and its panels share one
+    # path's set-up, and each call's values equal a fresh path's
+    h0, h1 = _fs_pair(seed)
+    path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
+    rec = _RecordingPath(path)
+    path_energy(rec, rule16, 1e-8)
+    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
+    for ts, got in zip(rec.calls, rec.values):
+        fresh = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
+        assert np.array_equal(got, fresh.deriv_integrand(ts, rule16))
 
 
 def test_donaldson_raises_when_tolerance_missed(rule16):

@@ -8,9 +8,13 @@ and fails on the rename at once.
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -50,3 +54,22 @@ def test_known_bindings_exist():
         assert callable(vars(_module(module)).get(attr)), f"{module}.{attr}"
     for module, cls_name, home in tr.KNOWN_CLASS_BINDINGS:
         assert getattr(_module(module), cls_name) is getattr(_module(home), cls_name)
+
+
+def test_traced_he_solve_run_records_every_traced_callable():
+    """A traced run fails when a callable traced on he_solve records no
+    call, when it is called in a form its wrapper does not take (the
+    `eval_matrix_batch` wrapper takes (sb, charts, coords)), or when
+    `solver` stops binding a traced name; run one, as perfbench/smoke.py
+    does."""
+    proc = subprocess.run(
+        [sys.executable, str(Path("perfbench") / "run.py"), "--workload", "he_solve",
+         "--seed", "1", "--seconds", "0.5", "--trace", "1", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] >= 1
+    m = {name: v["value"] for name, v in result["metrics"].items()}
+    # each solve forms its sections once for the loop, once for its final residual
+    assert m["sections.eval_matrix_batch.calls"] == 2 * m["bundle.he_residual.calls"] > 0
