@@ -174,24 +174,19 @@ def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
     return rt, irt, wb, vb
 
 
-def geodesic_interpolate_batch(h0: np.ndarray, h1: np.ndarray, s: float) -> np.ndarray:
-    """exp(s log(h1 h0^-1)) h0, batched over leading axes."""
-    return _geodesic_at(_geodesic_parts(h0, h1), s)
-
-
 def _geodesic_at(parts, s: float) -> np.ndarray:
-    """The geodesic at s from the `_geodesic_parts` of its endpoints."""
+    """The geodesic exp(s log(h1 h0^-1)) h0 at s, from `_geodesic_parts`."""
     rt, _, wb, vb = parts
     bs = _mat_mul(vb * (wb**s)[..., None, :], np.swapaxes(vb, -1, -2).conj())
     return _hermitize(_mat_mul(_mat_mul(rt, bs), rt))
 
 
-def geodesic_log_batch(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+def geodesic_log_batch(parts) -> np.ndarray:
     """The velocity h_s^-1 dh_s/ds = log(h0^-1 h1) of the geodesic
-    h_s = exp(s log(h1 h0^-1)) h0, the same at every s; batched over
-    leading axes.  With b = h0^-1/2 h1 h0^-1/2 it is
-    h0^-1/2 log(b) h0^1/2."""
-    rt, irt, wb, vb = _geodesic_parts(h0, h1)
+    h_s = exp(s log(h1 h0^-1)) h0, the same at every s, from the
+    `_geodesic_parts` of its endpoints.  With b = h0^-1/2 h1 h0^-1/2 it
+    is h0^-1/2 log(b) h0^1/2."""
+    rt, irt, wb, vb = parts
     lb = _mat_mul(vb * np.log(wb)[..., None, :], np.swapaxes(vb, -1, -2).conj())
     return _mat_mul(_mat_mul(irt, lb), rt)
 
@@ -206,11 +201,8 @@ class GeodesicMetric(MetricEvaluator):
         self.s = float(s)
 
     def evaluate(self, charts, coords):
-        return geodesic_interpolate_batch(
-            self.h0.evaluate(charts, coords),
-            self.h1.evaluate(charts, coords),
-            self.s,
-        )
+        parts = _geodesic_parts(self.h0.evaluate(charts, coords), self.h1.evaluate(charts, coords))
+        return _geodesic_at(parts, self.s)
 
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -313,17 +305,11 @@ def _node_sup_norm(M: np.ndarray) -> float:
     return math.ldexp(math.sqrt(lam.max()), e)
 
 
-def _defect_sup(hv: np.ndarray, lam: np.ndarray, mu: float) -> float:
-    """Node-supremum of the pointwise 2-norm of `_he_defect`
-    (`_node_sup_norm`)."""
-    return _node_sup_norm(_he_defect(hv, lam, mu))
-
-
 def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> float:
     """Sup over the rule's nodes of the pointwise 2-norm of the Einstein
     defect of h."""
     hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
-    return _defect_sup(hv, lam, float(h.bundle.slope))
+    return _node_sup_norm(_he_defect(hv, lam, float(h.bundle.slope)))
 
 
 def _whitening(b: np.ndarray) -> np.ndarray:

@@ -42,40 +42,33 @@ from .sections import (
 )
 
 
-class BergmanPath:
-    """Form-space geodesic between two positive forms on H0(E(k)).
+def _form_geodesic(G0: np.ndarray, G1: np.ndarray):
+    """B = G0^(-1/2) v and lam, for v, lam the eigenvectors and values of
+    G0^(-1/2) G1 G0^(-1/2): the form-space geodesic
+    G_t = G0^(1/2) (G0^(-1/2) G1 G0^(-1/2))^t G0^(1/2) has G_t^-1 = B diag(lam^-t) B*."""
+    _, i0, lam, v = _geodesic_parts(np.asarray(G0, dtype=complex), np.asarray(G1, dtype=complex))
+    return i0 @ v, lam
 
-    G_t = G0^(1/2) (G0^(-1/2) G1 G0^(-1/2))^t G0^(1/2); both G_t^-1 and
-    dG/dt admit stable factorized expressions.
-    """
+
+class BergmanPath:
+    """Form-space geodesic between two positive forms on H0(E(k))
+    (`_form_geodesic`), on the rule of its `sections` (`node_sections`),
+    where its constructor forms all that t does not change."""
 
     def __init__(self, sb: SectionBasis, G0: np.ndarray, G1: np.ndarray, sections):
-        """`sections`: `node_sections` on the rule of `deriv_integrand`."""
         self.sb = sb
-        # i0 = G0^(-1/2), and v, lam diagonalize G0^(-1/2) G1 G0^(-1/2)
-        g0, g1 = np.asarray(G0, dtype=complex), np.asarray(G1, dtype=complex)
-        _, i0, lam, v = _geodesic_parts(g0, g1)
-        self._base = i0 @ v  # columns: G0^(-1/2) v_i
-        self._lam = lam
-        self._loglam = np.log(lam)
+        self._rule = sections[0]
+        base, self._lam = _form_geodesic(G0, G1)
+        self._loglam = np.log(self._lam)
         # columns of S B and S' B, (N, n, r, 1), and their rank-one
         # moments, (N, 3, n, r, r)
-        u, u1 = (np.moveaxis(_section_factor(S, self._base), -1, 0)[..., None]
-                 for S in sections[:2])
+        u, u1 = (np.moveaxis(_section_factor(S, base), -1, 0)[..., None] for S in sections[1:3])
         uc, u1c = np.swapaxes(u, -1, -2).conj(), np.swapaxes(u1, -1, -2).conj()
         self._mom = np.ascontiguousarray(np.stack([u * uc, u1 * uc, u1 * u1c], axis=1))
 
-    def metric_at(self, t: float) -> FSMetric:
-        w = self._base * self._lam ** (-0.5 * t)
-        return FSMetric(self.sb, ginv_factor=w)
-
-    def k_matrix(self, t: float) -> np.ndarray:
-        """K_t = G_t^-1 dG_t/dt G_t^-1 (hermitian)."""
-        return (self._base * (self._lam ** (-t) * self._loglam)) @ self._base.conj().T
-
-    def deriv_integrand(self, t, rule: QuadratureRule):
-        """dM/dt along the path on the nodes of its sections: a float for
-        a scalar t, an array for a 1-D array of t.
+    def deriv_integrand(self, t):
+        """dM/dt along the path on the nodes of its rule: a float for a
+        scalar t, an array for a 1-D array of t.
 
         G_t^-1 = B diag(lam^-t) B*, so with the columns u_j of S B and
         u'_j of S' B, A_t = sum_j lam_j^-t u_j u_j*, and likewise
@@ -95,51 +88,40 @@ class BergmanPath:
             out = out.reshape((2 * m,) + self._mom.shape[1:])
             return out[:m, 0], out[:m, 1], out[:m, 2], out[m:, 0]
 
-        return fs_path_rate(self.sb, rule, t, factors)
-
-    def vfield_at(self, t: float):
-        """The velocity h^-1 dh/dt = S K_t S* A^-1 at t, as a batched
-        field (charts, coords) -> (n, r, r)."""
-        hm = self.metric_at(t)
-        K = self.k_matrix(t)
-
-        def v(charts, coords):
-            S, _, _, Ainv = hm._core(charts, coords)
-            return _mat_mul(_mat_mul(_section_factor(S, K), np.swapaxes(S, -1, -2).conj()), Ainv)
-
-        return v
+        return fs_path_rate(self.sb, self._rule, t, factors)
 
 
 class PointwiseExponentialPath:
-    """Pointwise geodesic between two arbitrary metric evaluators."""
+    """Pointwise geodesic between two arbitrary metric evaluators, on the
+    nodes of `rule`.
 
-    def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator):
+    The constructor evaluates the endpoints on the curvature stencil of
+    every node (`fd_stencil`) and takes their `_geodesic_parts` there,
+    once: the stencil values of the velocity h_t^-1 dh_t/dt =
+    log(h0^-1 h1), which does not depend on t (`geodesic_log_batch`), and
+    the stencil steps.
+    """
+
+    def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, rule: QuadratureRule):
         if h0.bundle.degrees != h1.bundle.degrees:
             raise ValueError("path endpoints live on different bundles")
-        self.h0 = h0
-        self.h1 = h1
+        self._rule = rule
+        self._res_shift = float(h0.bundle.slope) * np.eye(h0.bundle.rank)
+        h0v, self._dl = fd_stencil(h0.evaluate, rule.charts, rule.coords)
+        self._parts = _geodesic_parts(h0v, fd_stencil(h1.evaluate, rule.charts, rule.coords)[0])
+        self._velocity = geodesic_log_batch(self._parts)
 
-    def deriv_integrand(self, t, rule: QuadratureRule):
+    def deriv_integrand(self, t):
         """dM/dt along the path: a float for a scalar t, an array for a
-        1-D array of t.
-
-        The endpoints are evaluated on the curvature stencil of every
-        node, and their relative eigendecomposition taken, once per call;
-        only the metric at t, a power of the relative eigenvalues, is
-        formed per t-node.  The velocity h_t^-1 dh_t/dt = log(h0^-1 h1)
-        does not depend on t, so it is formed once, at the stencil's zero
-        shift, the node itself.
-        """
-        ts = np.asarray(t, dtype=float)
-        h0v, dl = fd_stencil(self.h0.evaluate, rule.charts, rule.coords)
-        h1v, _ = fd_stencil(self.h1.evaluate, rule.charts, rule.coords)
-        parts = _geodesic_parts(h0v, h1v)
-        u = geodesic_log_batch(h0v[2], h1v[2])
-        res_shift = float(self.h0.bundle.slope) * np.eye(self.h0.bundle.rank)
+        1-D array of t.  Only the metric at t, a power of the relative
+        eigenvalues, is formed per t-node; the velocity is read at the
+        stencil's zero shift, the node itself."""
+        ts, rule = np.asarray(t, dtype=float), self._rule
         out = []
         for s in ts.reshape(-1):
-            lam = contract_batch(fd_curvature_batch(_geodesic_at(parts, s), dl), rule.coords)
-            vals = np.einsum("nij,nji->n", u, lam - res_shift).real
+            hs = _geodesic_at(self._parts, s)
+            lam = contract_batch(fd_curvature_batch(hs, self._dl), rule.coords)
+            vals = np.einsum("nij,nji->n", self._velocity[2], lam - self._res_shift).real
             out.append(float(integrate_values(vals, rule)))
         return out[0] if ts.ndim == 0 else np.array(out)
 
@@ -147,7 +129,7 @@ class PointwiseExponentialPath:
 def _path_for(h1: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule):
     if isinstance(h1, FSMetric) and isinstance(h0, FSMetric) and h1.sb.entries == h0.sb.entries:
         return BergmanPath(h0.sb, h0.G, h1.G, node_sections(h0.sb, rule))
-    return PointwiseExponentialPath(h0, h1)
+    return PointwiseExponentialPath(h0, h1, rule)
 
 
 # The Gauss-Kronrod 7/15 pair of QUADPACK's qk15 on [-1, 1] (Piessens,
@@ -212,8 +194,9 @@ _K7_T, _K7_WK, _K7_WG = _on_unit_interval(_XK7, _WK7, _WG3)
 _GK_LEVELS = 5
 
 
-def path_energy(path, rule: QuadratureRule, tol: float) -> float:
-    """Integral over t in [0, 1] of the path's dM/dt.
+def path_energy(path, tol: float) -> float:
+    """Integral over t in [0, 1] of the path's dM/dt, on the rule the
+    path was built on.
 
     First rung: the Gauss-Kronrod 3/7 pair on [0, 1], whose K7 value is
     returned when |K7 - G3| <= `tol`.  Otherwise the 7/15 pair takes
@@ -227,7 +210,7 @@ def path_energy(path, rule: QuadratureRule, tol: float) -> float:
     value, the estimate, `tol` and the t-node count (the 7 rung nodes
     included), when the finest level still misses `tol`.
     """
-    f = np.asarray(path.deriv_integrand(_K7_T, rule))
+    f = np.asarray(path.deriv_integrand(_K7_T))
     value = float(f @ _K7_WK)
     if abs(value - float(f[1::2] @ _K7_WG)) <= tol:
         return value
@@ -236,7 +219,7 @@ def path_energy(path, rule: QuadratureRule, tol: float) -> float:
     done_val = done_err = 0.0  # accepted panels
     for _ in range(_GK_LEVELS):
         ts = (lo[:, None] + width * _GK_T).reshape(-1)
-        f = np.asarray(path.deriv_integrand(ts, rule)).reshape(len(lo), len(_GK_T))
+        f = np.asarray(path.deriv_integrand(ts)).reshape(len(lo), len(_GK_T))
         nodes += ts.size
         k15 = width * (f @ _GK_WK)
         err = np.abs(k15 - width * (f[:, 1::2] @ _GK_WG))
@@ -262,11 +245,12 @@ def donaldson(
     tol: float = 1e-8,
 ) -> float:
     """Energy of h1 relative to h0 (path independent): `path_energy`
-    along `path`, by default the form-space geodesic when both metrics
-    are FS metrics of one section basis and the pointwise geodesic
-    otherwise.  The metrics are read only to choose that default, so a
-    caller holding the path may pass None for them."""
-    return path_energy(_path_for(h1, h0, rule) if path is None else path, rule, tol)
+    along `path`, by default the form-space geodesic on `rule` when both
+    metrics are FS metrics of one section basis and the pointwise
+    geodesic on `rule` otherwise.  The metrics and the rule are read only
+    to build that default: a given path integrates on its own rule, and
+    a caller holding one may pass None for the metrics."""
+    return path_energy(_path_for(h1, h0, rule) if path is None else path, tol)
 
 
 def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:
@@ -279,20 +263,18 @@ def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:
 def second_derivative_geodesic(
     h0: MetricEvaluator, h1: MetricEvaluator, s: float, rule: QuadratureRule
 ) -> dict:
-    """Second s-derivative of the energy along the pointwise geodesic.
+    """Second s-derivative of the energy along the pointwise geodesic,
+    from one `PointwiseExponentialPath` on `rule`.
 
     `formula`: the squared norm of d-bar v in the metric at parameter s,
     written as the integral of tr((dv/dz + [a_s, v]) dv/dz-bar) against
-    the contracted area element, where a_s is the connection of the
-    interpolated metric.  `fd`: centered differences of the first
-    derivative along the path.
+    the contracted area element, where v is the path's velocity, with
+    its stencil derivatives, and a_s is the connection of the metric at
+    s (`GeodesicMetric`).  `fd`: centered differences of the path's
+    first derivative.
     """
-
-    def vfn(charts, coords):
-        # velocity endomorphism h^-1 dh/ds = log(h0^-1 h1), constant in s
-        return geodesic_log_batch(h0.evaluate(charts, coords), h1.evaluate(charts, coords))
-
-    v, vz, vzb, _ = fd_derivatives(*fd_stencil(vfn, rule.charts, rule.coords))
+    path = PointwiseExponentialPath(h0, h1, rule)
+    v, vz, vzb, _ = fd_derivatives(path._velocity, path._dl)
     hs = GeodesicMetric(h0, h1, s)
     hc, hz, _, _ = fd_derivatives(*fd_stencil(hs.evaluate, rule.charts, rule.coords))
     a_s = _mat_mul(_equilibrated_inverse(hc), hz)
@@ -301,25 +283,38 @@ def second_derivative_geodesic(
     formula = float(integrate_values(coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2, rule))
 
     eps, nz = 0.05, _D1 != 0.0
-    derivs = PointwiseExponentialPath(h0, h1).deriv_integrand(s + _OFF[nz] * eps, rule)
-    fd = _stencil_sum(_D1[nz], derivs) / eps
+    fd = _stencil_sum(_D1[nz], path.deriv_integrand(s + _OFF[nz] * eps)) / eps
     return {"formula": formula, "fd": float(fd)}
 
 
-def curvature_variation_check(path, t: float, charts, coords) -> float:
-    """Defect between the t-derivative of the curvature and the
+def curvature_variation_check(h0: FSMetric, h1: FSMetric, t: float, charts, coords) -> float:
+    """Defect, along the form-space geodesic from h0 to h1 at t
+    (`_form_geodesic`), between the t-derivative of the curvature and the
     covariant-derivative formula d-bar grad (h^-1 dh/dt), at the sample
     points (charts, coords); both sides as coefficients of
-    (i/2pi) dz^dz-bar."""
-    if not isinstance(path, BergmanPath):
-        raise ValueError("analytic variation check needs a form-space path")
+    (i/2pi) dz^dz-bar.  The velocity is S K_t S* A^-1, for K_t the form
+    G_t^-1 dG_t/dt G_t^-1 = B diag(lam^-t log lam) B*."""
+    if not (isinstance(h0, FSMetric) and isinstance(h1, FSMetric) and h0.sb == h1.sb):
+        raise ValueError("analytic variation check needs two FS metrics of one section basis")
+    base, lam = _form_geodesic(h0.G, h1.G)
+
+    def metric_at(u):
+        return FSMetric(h0.sb, ginv_factor=base * lam ** (-0.5 * u))
+
+    hm = metric_at(t)
+    K = (base * (lam ** (-t) * np.log(lam))) @ base.conj().T
+
+    def vfield(charts, coords):
+        S, _, _, Ainv = hm._core(charts, coords)
+        return _mat_mul(_mat_mul(_section_factor(S, K), np.swapaxes(S, -1, -2).conj()), Ainv)
+
     # LHS: dF/dt by 4th-order differences in t
     step, nz = 1e-3, _D1 != 0.0
-    curv = [path.metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF[nz]]
+    curv = [metric_at(t + o * step).curvature_coeff(charts, coords) for o in _OFF[nz]]
     lhs = _stencil_sum(_D1[nz], curv) / step
     # RHS: -(d/dz-bar)(dv/dz + [a, v]) expanded by the product rule
-    v, _, vzb, vzzb = fd_derivatives(*fd_stencil(path.vfield_at(t), charts, coords))
-    a, _, azb, _ = fd_derivatives(*fd_stencil(path.metric_at(t).connection_coeff, charts, coords))
+    v, _, vzb, vzzb = fd_derivatives(*fd_stencil(vfield, charts, coords))
+    a, _, azb, _ = fd_derivatives(*fd_stencil(hm.connection_coeff, charts, coords))
     rhs = -(vzzb + _mat_mul(azb, v) + _mat_mul(a, vzb) - _mat_mul(vzb, a) - _mat_mul(v, azb))
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 

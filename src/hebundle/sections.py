@@ -68,12 +68,13 @@ def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
 
 
 def node_sections(sb: SectionBasis, rule: QuadratureRule):
-    """S and S' on the rule's nodes (`eval_matrix_batch`), and the row of
-    each section's one nonzero entry with its values there, (n, N), for
-    `_section_pairing`; a solve forms them once (`solver.minimize`)."""
+    """The rule, with S and S' on its nodes (`eval_matrix_batch`) and the
+    row of each section's one nonzero entry with its values there, (n, N),
+    for `_section_pairing`; a solve forms them once (`solver.minimize`),
+    and whoever takes them integrates on this rule and no other."""
     S, S1 = eval_matrix_batch(sb, rule.charts, rule.coords)
     rows = _exponents(sb, rule.charts)[0]
-    return S, S1, rows, S[:, rows, np.arange(sb.N)]
+    return rule, S, S1, rows, S[:, rows, np.arange(sb.N)]
 
 
 def _section_pairing(rule: QuadratureRule, X: np.ndarray, density, rows, s):

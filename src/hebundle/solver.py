@@ -17,21 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bundle import (BundleSpec, _defect_sup, _hermitize, _mat_mul, _relative_eigs, _whitening,
-                     he_residual, regularity, trivial_metric)
+from .bundle import (BundleSpec, _he_defect, _hermitize, _mat_mul, _node_sup_norm, _relative_eigs,
+                     _whitening, he_residual, regularity, trivial_metric)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
 from .sections import FSMetric, SectionBasis, _section_pairing, basis, l2_gram, node_sections
 
 
 def mdon_gradient(
-    sb: SectionBasis, G: np.ndarray, rule: QuadratureRule, sections
+    sb: SectionBasis, G: np.ndarray, sections
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Gradient of the energy in log-coordinates on the form space, the
     sup of the Einstein defect of FS(G) from the same sections and
-    curvature, and FS(G) on the rule's nodes.
+    curvature, and FS(G) on the nodes of the sections' rule.
 
-    The moments come from `sections` (`node_sections`), formed once per solve.
+    The moments come from `sections` (`node_sections`), formed once per
+    solve, and the integrals are on their rule.
     The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
     energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
     g = P G^-1 + G^-1 P with P the curvature-residual moment matrix,
@@ -39,17 +40,18 @@ def mdon_gradient(
     The trace component vanishes by scale invariance; projecting it
     out suppresses quadrature noise in that direction.
     """
+    rule, S, S1, rows, s = sections
     hm = FSMetric(sb, G=G)
-    A1, A11, Ainv = hm._moments(*sections[:2])
+    A1, A11, Ainv = hm._moments(S, S1)
     lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
-    P = _section_pairing(rule, _mat_mul(Ainv, res), 1.0, *sections[2:])
+    P = _section_pairing(rule, _mat_mul(Ainv, res), 1.0, rows, s)
     Ginv = hm.Ginv
     g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
     hv = hm._metric(Ainv, rule.coords)
-    return g, _defect_sup(hv, lamF, mu), hv
+    return g, _node_sup_norm(_he_defect(hv, lamF, mu)), hv
 
 
 # line search: first step, Armijo constant, backtracking and growth
@@ -139,7 +141,7 @@ def minimize(
     last_dm = None
 
     for it in range(opts.max_iter):
-        g, res_sup, values = mdon_gradient(sb, G, rule, sections)
+        g, res_sup, values = mdon_gradient(sb, G, sections)
         # the gradient and the residual are scale free, so the form is
         # normalized from the metric values they came from
         G = _normalize(G, values, white)

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import scipy.linalg
 
+import hebundle
 from hebundle.bundle import MetricEvaluator
 from hebundle.geometry import canonical_points
 
@@ -11,6 +15,26 @@ def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
     """Random hermitian positive-definite matrix e^{scale * sym(X)}."""
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
+
+
+def count_calls(monkeypatch, home, name):
+    """Replace `home.name`, a function of a module or a method of an
+    object, by a counting wrapper there and in every hebundle module
+    namespace that binds it, and return the list that each call appends
+    its positional arguments to."""
+    orig, calls = getattr(home, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(home, name, counted)
+    for info in pkgutil.iter_modules(hebundle.__path__):
+        mod = importlib.import_module(f"hebundle.{info.name}")
+        for key, val in list(vars(mod).items()):
+            if val is orig:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def at(h, z):

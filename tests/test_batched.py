@@ -20,13 +20,15 @@ from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
     MetricEvaluator,
+    _geodesic_at,
+    _geodesic_parts,
+    _mat_mul,
     _node_sup_norm,
     _relative_eigs,
     _whitening,
     fd_curvature_batch,
     fd_derivatives,
     fd_stencil,
-    geodesic_interpolate_batch,
     geodesic_log_batch,
     he_residual,
     trivial_metric,
@@ -53,14 +55,29 @@ _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFF = np.array([-2, -1, 0, 1, 2])
 
 
-def _deriv_integrand_reference(path, t, rule):
+def _form_path(sb, G0, G1):
+    """The FS metric at u of the form geodesic from G0 to G1, and the form
+    K_u = G_u^-1 dG_u/du G_u^-1, as `curvature_variation_check` forms
+    them."""
+    base, lam = donaldson_mod._form_geodesic(G0, G1)
+
+    def metric_at(u):
+        return FSMetric(sb, ginv_factor=base * lam ** (-0.5 * u))
+
+    def k_matrix(u):
+        return (base * (lam ** (-u) * np.log(lam))) @ base.conj().T
+
+    return metric_at, k_matrix
+
+
+def _deriv_integrand_reference(sb, G0, G1, t, rule):
     """Per-t integrand through the metric at t and the 5-operand einsum."""
-    hm = path.metric_at(t)
+    metric_at, k_matrix = _form_path(sb, G0, G1)
+    hm = metric_at(t)
     S, _, _, Ainv = hm._core(rule.charts, rule.coords)
     lamF = hm.evaluate_with_curvature(rule.charts, rule.coords)[1]
-    res = lamF - float(path.sb.bundle.slope) * np.eye(path.sb.bundle.rank)
-    K = path.k_matrix(t)
-    vals = np.einsum("nij,jk,nlk,nlm,nmi->n", S, K, S.conj(), Ainv, res)
+    res = lamF - float(sb.bundle.slope) * np.eye(sb.bundle.rank)
+    vals = np.einsum("nij,jk,nlk,nlm,nmi->n", S, k_matrix(t), S.conj(), Ainv, res)
     return float(tree_sum(vals.real * rule.weights))
 
 
@@ -73,10 +90,14 @@ def _relative_eigs_reference(h, h0, rule):
     )
 
 
-def _path(degs, k, seed, rule, scale=0.4):
+def _forms(degs, k, seed, scale=0.4):
     sb = basis(BundleSpec(degs), k)
     rng = np.random.default_rng(seed)
-    G0, G1 = rand_pd(rng, sb.N, scale), rand_pd(rng, sb.N, scale)
+    return sb, rand_pd(rng, sb.N, scale), rand_pd(rng, sb.N, scale)
+
+
+def _path(degs, k, seed, rule):
+    sb, G0, G1 = _forms(degs, k, seed)
     return BergmanPath(sb, G0, G1, node_sections(sb, rule))
 
 
@@ -90,19 +111,19 @@ _REFERENCE_CASES = {(2, 2): (0.4, 1e-12), (2, 1, 0): (0.4, 1e-12), (1, -1): (2.0
 @pytest.mark.parametrize("degs", list(_REFERENCE_CASES))
 def test_bergman_integrand_matches_einsum_reference(degs, rule16):
     scale, rtol = _REFERENCE_CASES[degs]
-    path = _path(degs, 2, 3, rule16, scale)
+    sb, G0, G1 = _forms(degs, 2, 3, scale)
     ts = np.concatenate([[0.0, 1.0], gauss_legendre01(8)[0]])
-    got = path.deriv_integrand(ts, rule16)
-    ref = np.array([_deriv_integrand_reference(path, t, rule16) for t in ts])
+    got = BergmanPath(sb, G0, G1, node_sections(sb, rule16)).deriv_integrand(ts)
+    ref = np.array([_deriv_integrand_reference(sb, G0, G1, t, rule16) for t in ts])
     assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
 
 
 def test_bergman_integrand_scalar_equals_batched_entry(rule16):
     path = _path((2, 2), 2, 4, rule16)
     ts = gauss_legendre01(8)[0]
-    batched = path.deriv_integrand(ts, rule16)
+    batched = path.deriv_integrand(ts)
     for t, v in zip(ts, batched):
-        scalar = path.deriv_integrand(t, rule16)
+        scalar = path.deriv_integrand(t)
         assert isinstance(scalar, float)
         assert scalar == v
 
@@ -112,10 +133,10 @@ def test_bergman_integrand_chunking_is_bitwise(rule24, monkeypatch):
     path = _path((2, 1, 0), 2, 5, rule24)
     ts = gauss_legendre01(16)[0]
     assert len(ts) > sections_mod._MAX_POINTS // rule24.n
-    chunked = path.deriv_integrand(ts, rule24)
-    per_t = np.array([path.deriv_integrand(t, rule24) for t in ts])
+    chunked = path.deriv_integrand(ts)
+    per_t = np.array([path.deriv_integrand(t) for t in ts])
     monkeypatch.setattr(sections_mod, "_MAX_POINTS", len(ts) * rule24.n)
-    unchunked = path.deriv_integrand(ts, rule24)
+    unchunked = path.deriv_integrand(ts)
     assert np.array_equal(chunked, per_t)
     assert np.array_equal(chunked, unchunked)
 
@@ -194,7 +215,7 @@ def test_l2_gram_matches_dense_contraction(k, n):
         S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
         lam = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
         X = Ainv @ (lam - float(sb.bundle.slope) * np.eye(len(degs)))
-        rows, s = node_sections(sb, rule)[2:]
+        rows, s = node_sections(sb, rule)[3:]
         assert np.array_equal(s, S[:, rows, np.arange(sb.N)])
         got = sections_mod._section_pairing(rule, X, 1.0, rows, s)
         # the monomials read off S are the ones l2_gram forms from the coordinates
@@ -220,9 +241,9 @@ def test_geodesic_helpers_match_numpy_products(rule16):
     scale = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
     for s in (0.0, 0.3, 1.0):
         ref = herm(rt @ ((vb * (wb**s)[:, None, :]) @ vbh) @ rt)
-        assert np.all(np.abs(geodesic_interpolate_batch(a, b, s) - ref) <= 1e-13 * scale)
+        assert np.all(np.abs(_geodesic_at(_geodesic_parts(a, b), s) - ref) <= 1e-13 * scale)
     ref = irt @ ((vb * np.log(wb)[:, None, :]) @ vbh) @ rt
-    got = geodesic_log_batch(a, b)
+    got = geodesic_log_batch(_geodesic_parts(a, b))
     assert np.all(np.abs(got - ref) <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
     vals, dl = fd_stencil(h0.evaluate, rule16.charts, rule16.coords)
     hc, hz, hzb, hzzb = fd_derivatives(vals, dl)
@@ -435,47 +456,61 @@ def test_pointwise_integrand_matches_per_t_formula(degs, k, n):
     h0 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
     h1 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
     ts = np.array([0.0, 0.4, 0.45, 0.55, 0.6, 1.0])
-    got = PointwiseExponentialPath(h0, h1).deriv_integrand(ts, rule)
+    got = PointwiseExponentialPath(h0, h1, rule).deriv_integrand(ts)
     ref = np.array([_pointwise_integrand_reference(h0, h1, t, rule) for t in ts])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
-def _variation_per_point(path, t, chart, x, step=1e-3):
+def _vfield_at(h0, h1, t):
+    """The velocity h^-1 dh/dt = S K_t S* A^-1 at t along the form
+    geodesic from h0 to h1, as a batched field (charts, coords) ->
+    (n, r, r), with the kernels of `curvature_variation_check`."""
+    metric_at, k_matrix = _form_path(h0.sb, h0.G, h1.G)
+    hm, K = metric_at(t), k_matrix(t)
+
+    def v(charts, coords):
+        S, _, _, Ainv = hm._core(charts, coords)
+        SK = sections_mod._section_factor(S, K)
+        return _mat_mul(_mat_mul(SK, np.swapaxes(S, -1, -2).conj()), Ainv)
+
+    return v
+
+
+def _variation_per_point(h0, h1, t, chart, x, step=1e-3):
     """Per-point curvature-variation defect, and the size of dF/dt."""
     point = np.array([chart]), np.array([x], dtype=complex)
-    curv = [path.metric_at(t + o * step).curvature_coeff(*point)[0] for o in _OFF]
+    metric_at = _form_path(h0.sb, h0.G, h1.G)[0]
+    curv = [metric_at(t + o * step).curvature_coeff(*point)[0] for o in _OFF]
     lhs = _fixed_order_sum(_D1, curv) / step
-    vx, vy, dl = _stencil(path.vfield_at(t), chart, x)
+    vx, vy, dl = _stencil(_vfield_at(h0, h1, t), chart, x)
     v, _, vzb = _first_derivs(vx, vy, dl)
     vzzb = 0.25 * (_fixed_order_sum(_D2, vx) + _fixed_order_sum(_D2, vy)) / dl**2
-    a, _, azb = _first_derivs(*_stencil(path.metric_at(t).connection_coeff, chart, x))
+    a, _, azb = _first_derivs(*_stencil(metric_at(t).connection_coeff, chart, x))
     rhs = -(vzzb + azb @ v + a @ vzb - vzb @ a - v @ azb)
     return float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs)))
 
 
 def _variation_case(degs):
-    """A level-1 Bergman path of `degs` and six points in both charts."""
+    """Two level-1 FS metrics of `degs` and six points in both charts."""
     sb = basis(BundleSpec(degs), 1)
     rng = np.random.default_rng(10)
-    G0, G1 = rand_pd(rng, sb.N, 0.3), rand_pd(rng, sb.N, 0.3)
-    # the check never integrates along the path, so any rule's sections do
-    path = BergmanPath(sb, G0, G1, node_sections(sb, build_quadrature(4, 4)))
+    h0, h1 = FSMetric(sb, G=rand_pd(rng, sb.N, 0.3)), FSMetric(sb, G=rand_pd(rng, sb.N, 0.3))
     charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j, 1.7, -2.0 + 1.1j, 3j])
     assert set(charts.tolist()) == {True, False}
-    return path, charts, coords
+    return h0, h1, charts, coords
 
 
 @pytest.mark.parametrize("degs", [(1, -1), (2, 1, 0)])
 def test_curvature_variation_matches_per_point_loop(degs):
     # the defect is rounding noise of the second differences (about
     # 1e-10), so the two are compared on the scale of dF/dt
-    path, charts, coords = _variation_case(degs)
+    h0, h1, charts, coords = _variation_case(degs)
     one = [(charts[i : i + 1], coords[i : i + 1]) for i in range(len(coords))]
-    ref = [_variation_per_point(path, 0.5, c[0], complex(x[0])) for c, x in one]
+    ref = [_variation_per_point(h0, h1, 0.5, c[0], complex(x[0])) for c, x in one]
     for (c, x), (defect, scale) in zip(one, ref):
-        assert abs(curvature_variation_check(path, 0.5, c, x) - defect) <= 1e-12 * scale
-    assert curvature_variation_check(path, 0.5, charts, coords) == max(
-        curvature_variation_check(path, 0.5, c, x) for c, x in one
+        assert abs(curvature_variation_check(h0, h1, 0.5, c, x) - defect) <= 1e-12 * scale
+    assert curvature_variation_check(h0, h1, 0.5, charts, coords) == max(
+        curvature_variation_check(h0, h1, 0.5, c, x) for c, x in one
     )
 
 
@@ -484,12 +519,12 @@ def test_stencil_audits_give_a_point_the_same_bits_in_any_batch(degs):
     # the stencil differences of the variation check's velocity field and
     # the difference curvature of the metric: each one-point call equals
     # its row of the six-point call exactly
-    path, charts, coords = _variation_case(degs)
+    h0, h1, charts, coords = _variation_case(degs)
+    vfield = _vfield_at(h0, h1, 0.5)
+    hm = _form_path(h0.sb, h0.G, h1.G)[0](0.5)
     audits = {
-        "fd_derivatives": lambda c, x: fd_derivatives(*fd_stencil(path.vfield_at(0.5), c, x)),
-        "fd_curvature_batch": lambda c, x: [
-            fd_curvature_batch(*fd_stencil(path.metric_at(0.5).evaluate, c, x))
-        ],
+        "fd_derivatives": lambda c, x: fd_derivatives(*fd_stencil(vfield, c, x)),
+        "fd_curvature_batch": lambda c, x: [fd_curvature_batch(*fd_stencil(hm.evaluate, c, x))],
     }
     for name, audit in audits.items():
         batched = audit(charts, coords)

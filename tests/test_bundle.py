@@ -11,11 +11,12 @@ from _utils import ExplicitMetric, rand_pd, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
+    _geodesic_at,
+    _geodesic_parts,
     _whitening,
     delta_boundedness,
     fd_curvature_batch,
     fd_stencil,
-    geodesic_interpolate_batch,
     geodesic_log_batch,
     he_residual,
     regularity,
@@ -105,16 +106,21 @@ def test_scaled_metric_curvature_unchanged(rule16):
     assert np.allclose(a, b)
 
 
+def _interpolate(h0, h1, s):
+    """exp(s log(h1 h0^-1)) h0, batched over leading axes."""
+    return _geodesic_at(_geodesic_parts(h0, h1), s)
+
+
 def test_geodesic_endpoints_and_midpoint():
     rng = np.random.default_rng(3)
     h0 = rand_pd(rng, 3)
     h1 = rand_pd(rng, 3)
-    assert np.allclose(geodesic_interpolate_batch(h0, h1, 0.0), h0, atol=1e-12)
-    assert np.allclose(geodesic_interpolate_batch(h0, h1, 1.0), h1, atol=1e-12)
+    assert np.allclose(_interpolate(h0, h1, 0.0), h0, atol=1e-12)
+    assert np.allclose(_interpolate(h0, h1, 1.0), h1, atol=1e-12)
     # the path is symmetric under (h0, h1, s) -> (h1, h0, 1-s)
     assert np.allclose(
-        geodesic_interpolate_batch(h0, h1, 0.3),
-        geodesic_interpolate_batch(h1, h0, 0.7),
+        _interpolate(h0, h1, 0.3),
+        _interpolate(h1, h0, 0.7),
         atol=1e-12,
     )
 
@@ -122,7 +128,7 @@ def test_geodesic_endpoints_and_midpoint():
 def test_geodesic_commuting_case():
     d0 = np.diag([1.0, 2.0])
     d1 = np.diag([4.0, 3.0])
-    got = geodesic_interpolate_batch(d0, d1, 0.5)
+    got = _interpolate(d0, d1, 0.5)
     assert np.allclose(got, np.diag([2.0, np.sqrt(6.0)]), atol=1e-12)
 
 
@@ -130,16 +136,16 @@ def test_geodesic_batch_matches_pointwise():
     rng = np.random.default_rng(5)
     h0 = np.stack([rand_pd(rng, 2) for _ in range(4)])
     h1 = np.stack([rand_pd(rng, 2) for _ in range(4)])
-    got = geodesic_interpolate_batch(h0, h1, 0.4)
+    got = _interpolate(h0, h1, 0.4)
     for i in range(4):
-        assert np.allclose(got[i], geodesic_interpolate_batch(h0[i], h1[i], 0.4), atol=1e-12)
+        assert np.allclose(got[i], _interpolate(h0[i], h1[i], 0.4), atol=1e-12)
 
 
 def test_geodesic_log_batch_recovers_endpoint():
     rng = np.random.default_rng(6)
     h0 = np.stack([rand_pd(rng, 3) for _ in range(3)])
     h1 = np.stack([rand_pd(rng, 3) for _ in range(3)])
-    v = geodesic_log_batch(h0, h1)
+    v = geodesic_log_batch(_geodesic_parts(h0, h1))
     import scipy.linalg
 
     for i in range(3):
@@ -152,7 +158,7 @@ def test_geodesic_stays_positive_definite(seed, s):
     rng = np.random.default_rng(seed)
     h0 = rand_pd(rng, 3, scale=0.6)
     h1 = rand_pd(rng, 3, scale=0.6)
-    hs = geodesic_interpolate_batch(h0, h1, s)
+    hs = _interpolate(h0, h1, s)
     assert np.allclose(hs, hs.conj().T)
     assert np.min(np.linalg.eigvalsh(hs)) > 0
 

@@ -9,10 +9,12 @@ import pytest
 import scipy.linalg
 
 import hebundle.donaldson as donaldson_mod
-from _utils import ExplicitMetric, at, rand_pd
+import hebundle.sections as sections_mod
+from _utils import ExplicitMetric, at, count_calls, rand_pd
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
+    _geodesic_parts,
     geodesic_log_batch,
     trivial_metric,
 )
@@ -35,7 +37,7 @@ from hebundle.donaldson import (
     poincare_constant,
     second_derivative_geodesic,
 )
-from hebundle.geometry import canonical_points
+from hebundle.geometry import build_quadrature, canonical_points
 from hebundle.sections import FSMetric, basis, node_sections
 
 
@@ -54,8 +56,8 @@ def _fs_pair(seed, scale=0.4):
 def test_geodesic_log_identity():
     rng = np.random.default_rng(1)
     h = rand_pd(rng, 3)
-    assert np.allclose(geodesic_log_batch(h, h), 0.0, atol=1e-12)
-    assert np.allclose(geodesic_log_batch(h, math.e * h), np.eye(3), atol=1e-12)
+    assert np.allclose(geodesic_log_batch(_geodesic_parts(h, h)), 0.0, atol=1e-12)
+    assert np.allclose(geodesic_log_batch(_geodesic_parts(h, math.e * h)), np.eye(3), atol=1e-12)
 
 
 def test_energy_vanishes_on_equal_endpoints(rule24):
@@ -85,8 +87,8 @@ def test_cocycle(rule24):
 def test_path_independence(rule24):
     # form-space geodesic and pointwise exponential give the same value
     h0, h1 = _fs_pair(5, scale=0.3)
-    m_bergman = path_energy(BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule24)), rule24, 1e-8)
-    m_pointwise = path_energy(PointwiseExponentialPath(h0, h1), rule24, 1e-8)
+    m_bergman = path_energy(BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule24)), 1e-8)
+    m_pointwise = path_energy(PointwiseExponentialPath(h0, h1, rule24), 1e-8)
     assert m_bergman == pytest.approx(m_pointwise, abs=5e-6)
 
 
@@ -94,13 +96,14 @@ def test_first_derivative_consistency(rule24):
     # the t-derivative of the cumulative energy equals the integrand
     h0, h1 = _fs_pair(6, scale=0.3)
     path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule24))
+    base, lam = donaldson_mod._form_geodesic(h0.G, h1.G)
     eps = 1e-3
 
     def m_at(t):
-        return donaldson(path.metric_at(t), h0, rule=rule24)
+        return donaldson(FSMetric(SB, ginv_factor=base * lam ** (-0.5 * t)), h0, rule=rule24)
 
     fd = (m_at(0.5 + eps) - m_at(0.5 - eps)) / (2 * eps)
-    assert path.deriv_integrand(0.5, rule24) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    assert path.deriv_integrand(0.5) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_geodesic_factory():
@@ -125,13 +128,12 @@ def test_second_derivative_trivial_geodesic(rule24):
     assert abs(out["fd"]) < 1e-6
 
 
-def test_curvature_variation_identity(rule16):
+def test_curvature_variation_identity():
     h0, h1 = _fs_pair(10, scale=0.3)
-    path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
     charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j])
-    assert curvature_variation_check(path, 0.5, charts, coords) < 1e-5
+    assert curvature_variation_check(h0, h1, 0.5, charts, coords) < 1e-5
     with pytest.raises(ValueError):
-        curvature_variation_check(PointwiseExponentialPath(h0, h1), 0.5, charts, coords)
+        curvature_variation_check(trivial_metric(SPEC), h1, 0.5, charts, coords)
 
 
 def test_c_delta_values():
@@ -163,7 +165,7 @@ def test_nonfinite_node_value_raises(rule16):
     with pytest.raises(RuntimeError, match="non-finite integrand value"):
         he_defect_norm(h, rule16)
     with pytest.raises(RuntimeError, match="non-finite integrand value"):
-        PointwiseExponentialPath(trivial_metric(SPEC), h).deriv_integrand(0.5, rule16)
+        PointwiseExponentialPath(trivial_metric(SPEC), h, rule16).deriv_integrand(0.5)
 
 
 def test_poincare_line_bundle(rule24):
@@ -248,21 +250,21 @@ class _RecordingPath:
     def __init__(self, path):
         self.path, self.calls, self.values = path, [], []
 
-    def deriv_integrand(self, t, rule):
+    def deriv_integrand(self, t):
         self.calls.append(np.array(t))
-        self.values.append(self.path.deriv_integrand(t, rule))
+        self.values.append(self.path.deriv_integrand(t))
         return self.values[-1]
 
 
-def _composite_k15(path, rule, panels=16):
+def _composite_k15(path, panels=16):
     """K15 summed over equal panels of [0, 1]: the reference value."""
     lo = np.arange(panels) / panels
-    f = path.deriv_integrand((lo[:, None] + _GK_T / panels).reshape(-1), rule)
+    f = path.deriv_integrand((lo[:, None] + _GK_T / panels).reshape(-1))
     return float(f.reshape(panels, -1).sum(0) @ _GK_WK) / panels
 
 
-def _rung_gap(path, rule):
-    f = path.deriv_integrand(_K7_T, rule)
+def _rung_gap(path):
+    f = path.deriv_integrand(_K7_T)
     return abs(f @ _K7_WK - f[1::2] @ _K7_WG)
 
 
@@ -272,23 +274,23 @@ def test_energy_first_rung_accepts_a_short_step(rule16):
     X = np.random.default_rng(12).normal(size=(SB.N, SB.N))
     E = scipy.linalg.expm(0.01 * (X + X.T))
     path = BergmanPath(SB, h0.G, E @ h0.G @ E, node_sections(SB, rule16))
-    assert _rung_gap(path, rule16) <= 1e-9
+    assert _rung_gap(path) <= 1e-9
     rec = _RecordingPath(path)
-    value = path_energy(rec, rule16, 1e-9)
+    value = path_energy(rec, 1e-9)
     assert len(rec.calls) == 1 and np.array_equal(rec.calls[0], _K7_T)
-    assert abs(value - _composite_k15(path, rule16)) <= 1e-9
+    assert abs(value - _composite_k15(path)) <= 1e-9
 
 
 def test_energy_falls_through_the_first_rung(rule16):
     # K7 misses tol: the 7/15 bisection runs as it would without the rung
     h0, h1 = _fs_pair(12)
     path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
-    assert _rung_gap(path, rule16) > 1e-8
+    assert _rung_gap(path) > 1e-8
     rec = _RecordingPath(path)
     value = donaldson(h1, h0, rule16, path=rec)
     assert np.array_equal(rec.calls[0], _K7_T) and np.array_equal(rec.calls[1], _GK_T)
     assert value == donaldson(h1, h0, rule=rule16)
-    assert abs(value - _composite_k15(path, rule16)) <= 1e-8
+    assert abs(value - _composite_k15(path)) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [3, 12])
@@ -298,11 +300,55 @@ def test_shared_path_setup_gives_the_bits_of_a_fresh_one(rule16, seed):
     h0, h1 = _fs_pair(seed)
     path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
     rec = _RecordingPath(path)
-    path_energy(rec, rule16, 1e-8)
+    path_energy(rec, 1e-8)
     assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
     for ts, got in zip(rec.calls, rec.values):
         fresh = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
-        assert np.array_equal(got, fresh.deriv_integrand(ts, rule16))
+        assert np.array_equal(got, fresh.deriv_integrand(ts))
+
+
+def _evaluated_points(monkeypatch, *metrics):
+    """A function that reads how many points each metric's `evaluate`
+    has been called on and, last, `eval_matrix_batch` through every
+    package module that binds it (`count_calls`)."""
+    calls = [count_calls(monkeypatch, h, "evaluate") for h in metrics]
+    calls.append(count_calls(monkeypatch, sections_mod, "eval_matrix_batch"))
+    return lambda: [sum(len(args[-1]) for args in c) for c in calls]
+
+
+def test_second_derivative_evaluates_each_endpoint_on_two_stencils(rule16, monkeypatch):
+    # one stencil for the path (velocity and energy rate), one for the
+    # metric at s; nothing evaluates sections past the endpoints
+    h0, h1 = _fs_pair(8, scale=0.3)
+    points = _evaluated_points(monkeypatch, h0, h1)
+    second_derivative_geodesic(h0, h1, 0.5, rule16)
+    stencil = 9 * rule16.n
+    assert points() == [2 * stencil, 2 * stencil, 4 * stencil]
+
+
+def test_pointwise_energy_evaluates_each_endpoint_once(rule24, monkeypatch):
+    # against the standard metric, (1, -1) at k = 1 misses the 3/7 rung:
+    # the rung and the panels share one stencil evaluation of each
+    # endpoint, and each call's values equal a fresh path's
+    h0, h1 = trivial_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
+    points = _evaluated_points(monkeypatch, h0, h1)
+    rec = _RecordingPath(PointwiseExponentialPath(h0, h1, rule24))
+    path_energy(rec, 1e-8)
+    assert points() == [9 * rule24.n, 9 * rule24.n, 9 * rule24.n]
+    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
+    for ts, got in zip(rec.calls, rec.values):
+        assert np.array_equal(got, PointwiseExponentialPath(h0, h1, rule24).deriv_integrand(ts))
+
+
+def test_bergman_path_integrates_on_the_rule_of_its_sections(rule16):
+    # an 8 x 32 rule has as many nodes as a 16 x 16 one, and the path
+    # built on its sections integrates on it
+    rule = build_quadrature(8, 32)
+    assert rule.n == rule16.n
+    h0, h1 = _fs_pair(2)
+    value = path_energy(BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule)), 1e-8)
+    assert value == donaldson(h1, h0, rule)
+    assert value != donaldson(h1, h0, rule16)
 
 
 def test_donaldson_raises_when_tolerance_missed(rule16):

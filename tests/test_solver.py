@@ -1,8 +1,6 @@
 """Energy minimization: gradient correctness, convergence, divergence."""
 
-import importlib
 import os
-import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,11 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import hebundle
 import hebundle.bundle as bundle_mod
 import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
-from _utils import rand_pd
+from _utils import count_calls, rand_pd
 from hebundle.bundle import BundleSpec, he_residual, trivial_metric
 from hebundle.donaldson import BergmanPath, path_energy
 from hebundle.geometry import build_quadrature
@@ -33,7 +30,7 @@ def _fd_directional_energy(sb, G, rule, dzeta, eps=1e-4) -> float:
     """Finite-difference directional derivative of the energy."""
     def m_at(s):
         E = scipy.linalg.expm(s * dzeta)
-        return path_energy(BergmanPath(sb, G, E @ G @ E, node_sections(sb, rule)), rule, 1e-8)
+        return path_energy(BergmanPath(sb, G, E @ G @ E, node_sections(sb, rule)), 1e-8)
 
     return (m_at(-2 * eps) - 8 * m_at(-eps) + 8 * m_at(eps) - m_at(2 * eps)) / (
         12 * eps
@@ -45,7 +42,7 @@ def test_gradient_matches_finite_differences(rule24):
     sb = basis(spec, 1)
     rng = np.random.default_rng(5)
     G = rand_pd(rng, sb.N, scale=0.3)
-    g, res_sup, _ = mdon_gradient(sb, G, rule24, node_sections(sb, rule24))
+    g, res_sup, _ = mdon_gradient(sb, G, node_sections(sb, rule24))
     # the defect comes from the gradient's own sections and curvature
     assert res_sup == he_residual(FSMetric(sb, G=G), rule24)
     X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
@@ -62,7 +59,7 @@ def test_gradient_vanishes_at_critical_point(rule24):
     spec = BundleSpec((0,))
     sb = basis(spec, 3)
     G = l2_gram(sb, trivial_metric(spec), rule24)
-    g, _, _ = mdon_gradient(sb, G, rule24, node_sections(sb, rule24))
+    g, _, _ = mdon_gradient(sb, G, node_sections(sb, rule24))
     assert np.linalg.norm(g) < 1e-10
 
 
@@ -128,7 +125,7 @@ def test_minimize_random_init_reaches_he(rule24):
 _SOLVE_HASH = """
 import hashlib, sys
 import numpy as np
-from _utils import rand_pd
+from _utils import count_calls, rand_pd
 from hebundle.bundle import BundleSpec
 from hebundle.geometry import build_quadrature
 from hebundle.sections import basis
@@ -185,32 +182,14 @@ def test_diverging_solve_ignores_last_bit_of_normalization(monkeypatch, ulps):
     assert np.allclose(got.mdon_history, ref.mdon_history, rtol=1e-12, atol=0.0)
 
 
-def _count_calls(monkeypatch, home, name):
-    """Replace the function `home.name` by a counting wrapper in every
-    hebundle module namespace that binds it, and return the list that
-    each call appends to."""
-    orig, calls = getattr(home, name), []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    for info in pkgutil.iter_modules(hebundle.__path__):
-        mod = importlib.import_module(f"hebundle.{info.name}")
-        for key, val in list(vars(mod).items()):
-            if val is orig:
-                monkeypatch.setattr(mod, key, counted)
-    return calls
-
-
 def test_solve_forms_sections_and_reference_whitening_once(monkeypatch):
     # an he_solve-shaped solve: the sections on the nodes are formed once
     # for the loop and once by the final `he_residual`, and the reference
     # metric is factored once, whatever the number of iterations
     spec, rule = BundleSpec((2, 2)), build_quadrature(12, 12)
-    sections = _count_calls(monkeypatch, sections_mod, "eval_matrix_batch")
-    factors = _count_calls(monkeypatch, bundle_mod, "_whitening")
-    eigs = _count_calls(monkeypatch, bundle_mod, "_relative_eigs")
+    sections = count_calls(monkeypatch, sections_mod, "eval_matrix_batch")
+    factors = count_calls(monkeypatch, bundle_mod, "_whitening")
+    eigs = count_calls(monkeypatch, bundle_mod, "_relative_eigs")
     G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
     res = minimize(spec, SolveOptions(k=0, max_iter=300), rule, G_init=G)
     assert res.status == "converged" and len(res.history) > 2
@@ -228,9 +207,9 @@ def test_gradient_from_shared_sections_has_fresh_bits(rule16):
     shared = node_sections(sb, rule16)
     for _ in range(3):
         G = rand_pd(rng, sb.N, scale=0.3)
-        BergmanPath(sb, G, rand_pd(rng, sb.N, scale=0.3), shared).deriv_integrand(0.5, rule16)
-        got = mdon_gradient(sb, G, rule16, shared)
-        fresh = mdon_gradient(sb, G, rule16, node_sections(sb, rule16))
+        BergmanPath(sb, G, rand_pd(rng, sb.N, scale=0.3), shared).deriv_integrand(0.5)
+        got = mdon_gradient(sb, G, shared)
+        fresh = mdon_gradient(sb, G, node_sections(sb, rule16))
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
         assert np.array_equal(got[2], FSMetric(sb, G=G).evaluate(rule16.charts, rule16.coords))
         assert got[1] == he_residual(FSMetric(sb, G=G), rule16)

@@ -56,20 +56,30 @@ def test_known_bindings_exist():
         assert getattr(_module(module), cls_name) is getattr(_module(home), cls_name)
 
 
-def test_traced_he_solve_run_records_every_traced_callable():
-    """A traced run fails when a callable traced on he_solve records no
-    call, when it is called in a form its wrapper does not take (the
-    `eval_matrix_batch` wrapper takes (sb, charts, coords)), or when
-    `solver` stops binding a traced name; run one, as perfbench/smoke.py
-    does."""
+def _traced_run(workload):
+    """The result of a one-round traced run of a workload on tiny inputs,
+    as perfbench/smoke.py runs it; a run fails when a callable traced on
+    the workload records no call, when it is called in a form its wrapper
+    does not take (the `eval_matrix_batch` wrapper takes (sb, charts,
+    coords)), or when a module stops binding a traced name."""
     proc = subprocess.run(
-        [sys.executable, str(Path("perfbench") / "run.py"), "--workload", "he_solve",
+        [sys.executable, str(Path("perfbench") / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", "1", "--tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] >= 1
-    m = {name: v["value"] for name, v in result["metrics"].items()}
+    return result
+
+
+def test_traced_he_solve_run_records_every_traced_callable():
+    m = {name: v["value"] for name, v in _traced_run("he_solve")["metrics"].items()}
     # each solve forms its sections once for the loop, once for its final residual
     assert m["sections.eval_matrix_batch.calls"] == 2 * m["bundle.he_residual.calls"] > 0
+
+
+def test_traced_cli_audits_run_records_every_traced_callable():
+    # the convexity audit must still call the traced `GeodesicMetric.evaluate`
+    # and `geodesic_log_batch`, which this workload expects to see
+    _traced_run("cli_audits")
