@@ -3,8 +3,9 @@
 A hermitian generator on the section space drives a ray of positive
 forms; along the ray the energy grows linearly with slope equal to the
 exact invariant computed by the sheaf engine.  This module evaluates
-metrics along such rays in a numerically stable inverse-factor form,
-fits asymptotic slopes, takes renormalized large-time limits in a
+the energy rate along such rays in a factor graded by weight, in the
+frame of a QR of the section factor, which stays exact at large times;
+it fits asymptotic slopes, takes renormalized large-time limits in a
 weight-adapted frame, and probes the uniformity of the linear lower
 bound across twist levels.
 
@@ -23,18 +24,16 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .bundle import BundleSpec, _hermitize, trivial_metric
+from .bundle import BundleSpec, _chunked_rate, _hermitize, trivial_metric
 from .geometry import QuadratureRule, gauss_legendre01
 from .quot import (WeightSpec, _generic_rank, block_weightspec, evaluation_drop_degree, filtration,
                    generated_subsheaf)
 from .sections import (
     FSMetric,
     SectionBasis,
-    _fs_moments,
     _section_factor,
     basis as section_basis,
     eval_matrix_batch,
-    fs_path_rate,
     l2_gram,
 )
 
@@ -44,7 +43,11 @@ class OnePSRay:
     """Ray of positive forms G_t = e^{-zeta t} G0 e^{-zeta t}.
 
     The generator is rescaled to operator norm at most 1 on
-    construction; `scale` records the factor taken out.
+    construction; `scale` records the factor taken out.  The constructor
+    forms the graded factor: zeta = U Lambda U* with the eigenvalues
+    `_lam` descending, C lower triangular with C C* = U* G0^-1 U, and
+    M = C^-1 Lambda C.  Then G_t^-1 = W_t W_t* for W_t = U e^{Lambda t} C,
+    whose columns grow at most like e^{lam_j t}, and dW_t/dt = W_t M.
     """
 
     sb: SectionBasis
@@ -61,16 +64,16 @@ class OnePSRay:
         op = np.linalg.norm(z, 2)
         self.scale = float(op) if op > 1.0 + 1e-12 else 1.0
         self.zeta = z / self.scale
-        self._lam, self._U = np.linalg.eigh(self.zeta)
-        L = np.linalg.cholesky(self.G0)
-        self._W0 = np.linalg.inv(L).conj().T  # G0^-1 = W0 W0*
-
-    def _exp(self, t: float) -> np.ndarray:
-        return (self._U * np.exp(self._lam * t)) @ self._U.conj().T
+        lam, U = np.linalg.eigh(self.zeta)
+        self._lam, self._U = lam[::-1], U[:, ::-1]
+        # U* G0^-1 U = K* K for K = L^-1 U, G0 = L L*
+        K = np.linalg.solve(np.linalg.cholesky(self.G0), self._U)
+        self._C = np.linalg.cholesky(_hermitize(K.conj().T @ K))
+        self._M = np.linalg.solve(self._C, self._lam[:, None] * self._C)
 
     def gram_factor(self, t: float) -> np.ndarray:
         """W_t with G_t^-1 = W_t W_t*."""
-        return self._exp(t) @ self._W0
+        return (self._U * np.exp(self._lam * t)) @ self._C
 
     def metric_at(self, t: float) -> FSMetric:
         if t < 0:
@@ -78,25 +81,104 @@ class OnePSRay:
         return FSMetric(self.sb, ginv_factor=self.gram_factor(t))
 
 
+def _reflect(v, vc, tau, col):
+    """col <- (I - tau v v*) col in place, over the trailing batch axis."""
+    col -= v * (tau * (vc * col).sum(0))
+
+
+def _columns(rows):
+    """Section-factor rows, (batch, r, N), in the (r, N, batch) layout of
+    `_fs_moments`, contiguous."""
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+
+
+def _graded_rate(y, y1, M, c, kmu: float) -> np.ndarray:
+    """The ray's integrand at every (t-node, sphere-node) point of a batch,
+    from the columns of Y* and Y'* in an (r, N, batch) layout, rows
+    sorted by weight (`_deriv_at`).
+
+    An entrywise Householder QR Y* = Q R (each sum over N runs one row
+    after another, so a point gets the same bits in any batch) reflects
+    Y'* alongside; with Yh' its rows outside Q's span, Z = Yh' R^-1 and
+    K = Q* M Q, the integrand c tr(Vh Z* Z) - (k + mu) tr(Vh) with
+    Vh = -(K + K*) is -2 Re tr(K (c Z* Z - (k + mu))).  M Q is a
+    `_section_factor` product, row by row.  RuntimeError on a zero or
+    non-finite pivot of R.
+    """
+    r = y.shape[0]
+    R = np.empty((r, r) + y.shape[2:], dtype=complex)
+    refl = []
+    for j in range(r):
+        a = y[j, j:]
+        sigma = np.sqrt((a.real**2 + a.imag**2).sum(0))
+        if not np.all(np.isfinite(sigma) & (sigma > 0)):
+            raise RuntimeError("ray factor is rank-deficient or not finite")
+        alpha = a[0]
+        mod = np.abs(alpha)
+        phase = np.where(mod > 0, alpha / np.where(mod > 0, mod, 1.0), 1.0)
+        v = a.copy()
+        v[0] = alpha + phase * sigma
+        refl.append((v, v.conj(), 1.0 / (sigma * (sigma + mod))))
+        R[j, j] = -phase * sigma
+        for col in range(j + 1, r):
+            _reflect(*refl[j], y[col, j:])
+            R[j, col] = y[col, j]
+        for col in range(r):
+            _reflect(*refl[j], y1[col, j:])
+    q = np.zeros_like(y)
+    for i in range(r):
+        q[i, i] = 1.0
+        for j in reversed(range(i + 1)):
+            _reflect(*refl[j], q[i, j:])
+    mq = _columns(_section_factor(np.moveaxis(q, -1, 0), M.T))
+    z = []
+    for j in range(r):
+        acc = y1[j, r:].copy()
+        for i in range(j):
+            acc -= z[i] * R[i, j]
+        z.append(acc / R[j, j])
+    tot = 0.0
+    for i in range(r):
+        for j in range(r):
+            kij = (q[i].conj() * mq[j]).sum(0)
+            g = c * (z[j].conj() * z[i]).sum(0)
+            tot = tot + (kij * (g - kmu if i == j else g)).real
+    return -2.0 * tot
+
+
 def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     """dM/dt along the ray: a float for a scalar t, an array for a 1-D
     array of t.
 
-    h^-1 dh/dt = (Z Y* + Y Z*) A^-1 with Y = S W_t and Z = -S zeta W_t;
-    the sections are evaluated once.  V = Z Y* + Y Z* stays a stacked
-    numpy product, as `fs_path_rate`'s V A^-1 does, until the ray
-    evaluator is made exact (ROADMAP item 1).
+    The integral of tr(h^-1 dh/dt (contracted curvature - mu)), taken in
+    the graded factor of the ray: Y = S U e^{(Lambda - lam_1) t} C is
+    S W_t up to the scalar e^{-lam_1 t}, which cancels in the integrand
+    and keeps every entry bounded by its value at t = 0, while its
+    columns fall off by weight.  Y' likewise from S'.  The sections are
+    evaluated once; each chunk of t-nodes (`_chunked_rate`) forms
+    conj(Y) and conj(Y'), whose rows are the columns of Y* and Y'*, with
+    one `_section_factor` product by conj(C) each, and `_graded_rate`
+    takes the integrand in their QR frame, with no moment matrix and no
+    inverse of one.  A lone node gets a twin:
+    numpy sums a lone column pairwise, and a point's value must not
+    depend on its batch.
     """
-    S, S1 = eval_matrix_batch(ray.sb, rule.charts, rule.coords)
-    SZ = _section_factor(S, -ray.zeta)
+    sb, r, N = ray.sb, ray.sb.bundle.rank, ray.sb.N
+    pad = rule.n == 1
+    charts, coords = (np.concatenate([x, x]) if pad else x for x in (rule.charts, rule.coords))
+    S, S1 = eval_matrix_batch(sb, charts, coords)
+    P, P1 = (_section_factor(X, ray._U).conj() for X in (S, S1))
+    Cc = ray._C.conj()
+    c = (1.0 + np.abs(coords) ** 2) ** 2
+    kmu = sb.k + float(sb.bundle.slope)
 
-    def factors(ts):
-        Wt = [ray.gram_factor(tt) for tt in ts]
-        Y, Y1, Z = (np.array([_section_factor(M, W) for W in Wt]) for M in (S, S1, SZ))
-        V = Z @ np.swapaxes(Y, -1, -2).conj() + Y @ np.swapaxes(Z, -1, -2).conj()
-        return (*_fs_moments(Y, Y1), V)
+    def node_values(ts):
+        d = np.exp(np.outer(ts, ray._lam - ray._lam[0]))[:, None, None, :]
+        y, y1 = (_columns(_section_factor((X * d).reshape(-1, r, N), Cc)) for X in (P, P1))
+        vals = _graded_rate(y, y1, ray._M, np.tile(c, len(ts)), kmu)
+        return vals.reshape(len(ts), -1)[:, : rule.n]
 
-    return fs_path_rate(ray.sb, rule, t, factors)
+    return _chunked_rate(t, rule, node_values)
 
 
 def mdon_along_ray(ray: OnePSRay, t_grid, rule: QuadratureRule) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import QuadratureRule, contract_batch
+from .geometry import QuadratureRule, contract_batch, integrate_values
 
 # most points evaluated in one batched call by the stencil and the
 # energy-path helpers: the size of a 64x64 rule
@@ -236,6 +236,22 @@ def fd_stencil(fn, charts, coords):
     return np.concatenate(vals), dl
 
 
+def _chunked_rate(t, rule: QuadratureRule, node_values):
+    """dM/dt along a path on the nodes of `rule`: a float for a scalar t,
+    an array for a 1-D array of t.  `node_values(ts)` gives the integrand
+    at every node for a 1-D array of t, shape (len(ts), n); the t-nodes
+    go to it in chunks of at most _MAX_POINTS (t-node, sphere-node)
+    points, and a path whose values do not depend on the chunking gives
+    the same value at a t in any call."""
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    out = np.empty(flat.shape)
+    step = max(1, _MAX_POINTS // rule.n)
+    for lo in range(0, len(flat), step):
+        out[lo : lo + step] = integrate_values(node_values(flat[lo : lo + step]).T, rule)
+    return float(out[0]) if ts.ndim == 0 else out
+
+
 def _stencil_sum(coeffs, vals):
     """Sum of c * v over the nonzero coefficients, left to right: one order
     for every entry, where a gemv's would depend on the batch size."""
@@ -269,12 +285,12 @@ def fd_curvature_batch(vals: np.ndarray, dl: np.ndarray) -> np.ndarray:
     return _mat_mul(hinv, _mat_mul(_mat_mul(hzb, hinv), hz) - hzzb)
 
 
-def _he_defect(hv: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
+def _he_defect(hv: np.ndarray, hv_inv: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
     """Einstein defect res = lam - mu of the contracted curvature values
     lam at every node, made hermitian with respect to the metric values
-    hv: 0.5 (res + hv^-1 res* hv)."""
+    hv, whose inverses are hv_inv: 0.5 (res + hv^-1 res* hv)."""
     res = lam - mu * np.eye(hv.shape[-1])
-    res_h = _mat_mul(_mat_mul(_equilibrated_inverse(hv), np.swapaxes(res, -1, -2).conj()), hv)
+    res_h = _mat_mul(_mat_mul(hv_inv, np.swapaxes(res, -1, -2).conj()), hv)
     return 0.5 * (res + res_h)
 
 
@@ -309,7 +325,7 @@ def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> float:
     """Sup over the rule's nodes of the pointwise 2-norm of the Einstein
     defect of h."""
     hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
-    return _node_sup_norm(_he_defect(hv, lam, float(h.bundle.slope)))
+    return _node_sup_norm(_he_defect(hv, _equilibrated_inverse(hv), lam, float(h.bundle.slope)))
 
 
 def _whitening(b: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .bundle import (
     _OFF,
     GeodesicMetric,
     MetricEvaluator,
+    _chunked_rate,
     _equilibrated_inverse,
     _geodesic_at,
     _geodesic_parts,
@@ -33,13 +34,7 @@ from .bundle import (
     geodesic_log_batch,
 )
 from .geometry import QuadratureRule, contract_batch, integrate_values
-from .sections import (
-    FSMetric,
-    SectionBasis,
-    _section_factor,
-    fs_path_rate,
-    node_sections,
-)
+from .sections import FSMetric, SectionBasis, _fs_curvature, _section_factor, node_sections
 
 
 def _form_geodesic(G0: np.ndarray, G1: np.ndarray):
@@ -70,25 +65,35 @@ class BergmanPath:
         """dM/dt along the path on the nodes of its rule: a float for a
         scalar t, an array for a 1-D array of t.
 
-        G_t^-1 = B diag(lam^-t) B*, so with the columns u_j of S B and
-        u'_j of S' B, A_t = sum_j lam_j^-t u_j u_j*, and likewise
-        A' = T' T* and A'' = T' T'* from u'_j u_j* and u'_j u'_j*; V is
-        A_t with weights lam^-t log lam.  The constructor forms the
-        rank-one moments, so the energy integral's rung and panels share
-        them; the moments of all t-nodes of a chunk then come from one
-        real GEMM against [lam^-t; lam^-t log lam], which has at least two
-        rows, so each t-node's row does not depend on the others.
+        The integral of tr(h^-1 dh/dt (contracted curvature - mu)) with
+        h^-1 dh/dt = V A^-1.  G_t^-1 = B diag(lam^-t) B*, so with the
+        columns u_j of S B and u'_j of S' B, A_t = sum_j lam_j^-t u_j u_j*,
+        and likewise A' = T' T* and A'' = T' T'* from u'_j u_j* and
+        u'_j u'_j*; V is A_t with weights lam^-t log lam.  The constructor
+        forms the rank-one moments, so the energy integral's rung and
+        panels share them; the moments of all t-nodes of a chunk
+        (`_chunked_rate`) then come from one real GEMM against
+        [lam^-t; lam^-t log lam], which has at least two rows, and every
+        later step is a per-node kernel, so a t-node's value does not
+        depend on the chunking: the 7 t-nodes of the energy integral's
+        first rung and the 15 of each later panel (`path_energy`) give
+        the same value at a t.
         """
+        rule = self._rule
+        res_shift = float(self.sb.bundle.slope) * np.eye(self.sb.bundle.rank)
+        mom = self._mom.view(float).reshape(len(self._lam), -1)
 
-        def factors(ts):
+        def node_values(ts):
             e = self._lam ** (-ts[:, None])
             m = len(ts)
-            mom = self._mom.view(float).reshape(len(self._lam), -1)
-            out = (np.concatenate([e, e * self._loglam]) @ mom).view(complex)
-            out = out.reshape((2 * m,) + self._mom.shape[1:])
-            return out[:m, 0], out[:m, 1], out[:m, 2], out[m:, 0]
+            mo = (np.concatenate([e, e * self._loglam]) @ mom).view(complex)
+            mo = mo.reshape((2 * m,) + self._mom.shape[1:])
+            A, A1, A11, V = mo[:m, 0], mo[:m, 1], mo[:m, 2], mo[m:, 0]
+            Ainv = _equilibrated_inverse(A)
+            res = contract_batch(_fs_curvature(A1, A11, Ainv, rule.coords, self.sb.k), rule.coords)
+            return np.einsum("...ij,...ji->...", _mat_mul(V, Ainv), res - res_shift).real
 
-        return fs_path_rate(self.sb, self._rule, t, factors)
+        return _chunked_rate(t, rule, node_values)
 
 
 class PointwiseExponentialPath:
@@ -97,9 +102,9 @@ class PointwiseExponentialPath:
 
     The constructor evaluates the endpoints on the curvature stencil of
     every node (`fd_stencil`) and takes their `_geodesic_parts` there,
-    once: the stencil values of the velocity h_t^-1 dh_t/dt =
-    log(h0^-1 h1), which does not depend on t (`geodesic_log_batch`), and
-    the stencil steps.
+    once, with the stencil steps, and the velocity h_t^-1 dh_t/dt =
+    log(h0^-1 h1) at the nodes themselves, the stencil's zero shift; it
+    does not depend on t (`geodesic_log_batch`).
     """
 
     def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, rule: QuadratureRule):
@@ -109,19 +114,18 @@ class PointwiseExponentialPath:
         self._res_shift = float(h0.bundle.slope) * np.eye(h0.bundle.rank)
         h0v, self._dl = fd_stencil(h0.evaluate, rule.charts, rule.coords)
         self._parts = _geodesic_parts(h0v, fd_stencil(h1.evaluate, rule.charts, rule.coords)[0])
-        self._velocity = geodesic_log_batch(self._parts)
+        self._velocity = geodesic_log_batch(tuple(p[2] for p in self._parts))
 
     def deriv_integrand(self, t):
         """dM/dt along the path: a float for a scalar t, an array for a
         1-D array of t.  Only the metric at t, a power of the relative
-        eigenvalues, is formed per t-node; the velocity is read at the
-        stencil's zero shift, the node itself."""
+        eigenvalues, is formed per t-node."""
         ts, rule = np.asarray(t, dtype=float), self._rule
         out = []
         for s in ts.reshape(-1):
             hs = _geodesic_at(self._parts, s)
             lam = contract_batch(fd_curvature_batch(hs, self._dl), rule.coords)
-            vals = np.einsum("nij,nji->n", self._velocity[2], lam - self._res_shift).real
+            vals = np.einsum("nij,nji->n", self._velocity, lam - self._res_shift).real
             out.append(float(integrate_values(vals, rule)))
         return out[0] if ts.ndim == 0 else np.array(out)
 
@@ -268,13 +272,13 @@ def second_derivative_geodesic(
 
     `formula`: the squared norm of d-bar v in the metric at parameter s,
     written as the integral of tr((dv/dz + [a_s, v]) dv/dz-bar) against
-    the contracted area element, where v is the path's velocity, with
-    its stencil derivatives, and a_s is the connection of the metric at
-    s (`GeodesicMetric`).  `fd`: centered differences of the path's
-    first derivative.
+    the contracted area element, where v is the path's velocity, formed
+    here on the path's stencil for its derivatives, and a_s is the
+    connection of the metric at s (`GeodesicMetric`).  `fd`: centered
+    differences of the path's first derivative.
     """
     path = PointwiseExponentialPath(h0, h1, rule)
-    v, vz, vzb, _ = fd_derivatives(path._velocity, path._dl)
+    v, vz, vzb, _ = fd_derivatives(geodesic_log_batch(path._parts), path._dl)
     hs = GeodesicMetric(h0, h1, s)
     hc, hz, _, _ = fd_derivatives(*fd_stencil(hs.evaluate, rule.charts, rule.coords))
     a_s = _mat_mul(_equilibrated_inverse(hc), hz)
@@ -336,7 +340,7 @@ def he_defect_norm(h0: MetricEvaluator, rule: QuadratureRule) -> float:
     """L2 size of the Einstein defect with its scalar average removed."""
     r = h0.bundle.rank
     hv, lam = h0.evaluate_with_curvature(rule.charts, rule.coords)
-    res = _he_defect(hv, lam, float(h0.bundle.slope))
+    res = _he_defect(hv, _equilibrated_inverse(hv), lam, float(h0.bundle.slope))
     avg = integrate_values(np.einsum("nii->n", res).real, rule) / r
     res = res - avg * np.eye(r)
     tr_sq = np.einsum("nij,nji->n", res, res).real

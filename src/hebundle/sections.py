@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (_MAX_POINTS, BundleSpec, MetricEvaluator, _equilibrated_inverse, _hermitize,
-                     _mat_mul, _node_sup_norm, regularity)
-from .geometry import QuadratureRule, contract_batch, integrate_values, tree_sum
+from .bundle import (BundleSpec, MetricEvaluator, _equilibrated_inverse, _hermitize, _mat_mul,
+                     _node_sup_norm, regularity)
+from .geometry import QuadratureRule, contract_batch, tree_sum
 
 
 @dataclass(frozen=True)
@@ -168,38 +168,6 @@ def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
     return term - k * omega_c[:, None, None] * np.eye(r)
 
 
-def fs_path_rate(sb: SectionBasis, rule: QuadratureRule, t, factors):
-    """dM/dt along a path of FS metrics G_t: a float for a scalar t, an
-    array for a 1-D array of t.
-
-    The integral of tr(h^-1 dh/dt (contracted curvature - slope)) with
-    h^-1 dh/dt = V A^-1.  `factors(ts)` returns, for a 1-D array of t and
-    every node, the moments A = T T*, A' = T' T* and A'' = T' T'* of
-    T = S W_t, where G_t^-1 = W_t W_t*, and V = -S (dG_t^-1/dt) S*, each
-    of shape (m, n, r, r).  The t-nodes go in chunks of at most
-    _MAX_POINTS (t-node, sphere-node) points; the values do not depend on
-    the chunking, so the 7 t-nodes of the energy integral's first rung
-    and the 15 of each later panel (`donaldson.path_energy`) give the
-    same value at a t.  V A^-1 stays a stacked numpy product: along a
-    ray the integrand is ill-conditioned at large t, and an entrywise
-    product moves it past the per-t reference's bound until the ray
-    evaluator is made exact (ROADMAP item 1).
-    """
-    ts = np.asarray(t, dtype=float)
-    res_shift = float(sb.bundle.slope) * np.eye(sb.bundle.rank)
-    flat = ts.reshape(-1)
-    out = np.empty(flat.shape)
-    step = max(1, _MAX_POINTS // rule.n)
-    for lo in range(0, len(flat), step):
-        A, A1, A11, V = factors(flat[lo : lo + step])
-        Ainv = _equilibrated_inverse(A)
-        F = _fs_curvature(A1, A11, Ainv, rule.coords, sb.k)
-        res = contract_batch(F, rule.coords) - res_shift
-        vals = np.einsum("...ij,...ji->...", V @ Ainv, res).real
-        out[lo : lo + step] = integrate_values(vals.T, rule)
-    return float(out[0]) if ts.ndim == 0 else out
-
-
 class FSMetric(MetricEvaluator):
     """Metric induced by a positive form on the level-k section space.
 
@@ -231,15 +199,16 @@ class FSMetric(MetricEvaluator):
         return self.W @ self.W.conj().T
 
     def _core(self, charts, coords):
-        """Per-node S and the `_moments` of the sections at the points."""
+        """Per-node S and the `_moments` of the sections at the points,
+        A itself left out."""
         S, S1 = eval_matrix_batch(self.sb, charts, coords)
-        return (S,) + self._moments(S, S1)
+        return (S,) + self._moments(S, S1)[1:]
 
     def _moments(self, S, S1):
-        """The moments A' = T' T* and A'' = T' T'* of T = S W, and the
-        equilibrated inverse of A = T T*, from given section values."""
+        """The moments A = T T*, A' = T' T* and A'' = T' T'* of T = S W,
+        and the equilibrated inverse of A, from given section values."""
         A, A1, A11 = _fs_moments(_section_factor(S, self.W), _section_factor(S1, self.W))
-        return A1, A11, _equilibrated_inverse(A)
+        return A, A1, A11, _equilibrated_inverse(A)
 
     def _metric(self, Ainv, coords) -> np.ndarray:
         ekphi = (1.0 + np.abs(coords) ** 2) ** self.sb.k

@@ -42,7 +42,7 @@ def mdon_gradient(
     """
     rule, S, S1, rows, s = sections
     hm = FSMetric(sb, G=G)
-    A1, A11, Ainv = hm._moments(S, S1)
+    A, A1, A11, Ainv = hm._moments(S, S1)
     lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
@@ -51,7 +51,9 @@ def mdon_gradient(
     g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
     hv = hm._metric(Ainv, rule.coords)
-    return g, _node_sup_norm(_he_defect(hv, lamF, mu)), hv
+    # hv^-1 = e^{-k phi} A, which the moments have formed already
+    hv_inv = A * ((1.0 + np.abs(rule.coords) ** 2) ** (-sb.k))[:, None, None]
+    return g, _node_sup_norm(_he_defect(hv, hv_inv, lamF, mu)), hv
 
 
 # line search: first step, Armijo constant, backtracking and growth

@@ -94,19 +94,22 @@ def test_node_sums_go_through_integrate_values():
     assert not bypass, f"node sums that bypass integrate_values: {bypass}"
 
 
-# (module, top-level name) -> why it may call a dense `inv` or `solve`;
-# per-node metric values go through `bundle._equilibrated_inverse`
+# (module, top-level name) -> why it may call a dense `inv`, `solve` or
+# `qr`; per-node metric values go through `bundle._equilibrated_inverse`,
+# and the ray's per-node QR is `asymptotics._graded_rate`'s entrywise one
 DENSE_INVERSE_ALLOWED = {
     ("sections", "FSMetric"): "inverts the N x N section form and its Cholesky factor",
-    ("asymptotics", "OnePSRay"): "inverts the Cholesky factor of the N x N base form",
+    ("asymptotics", "OnePSRay"): "solves with the Cholesky factor of the N x N base form and C",
+    ("asymptotics", "zeta_matrix"): "orthonormalizes the weight datum's N vectors once",
     ("bundle", "_whitening"): "inverts a triangular Cholesky factor, not a metric value",
 }
 
 
 def test_stencils_inverses_and_products_go_through_the_per_node_kernels():
     """No `tensordot` anywhere in the package: a stencil is summed by
-    `bundle._stencil_sum`, in one order whatever the batch.  `inv` and
-    `solve` only in the allowlisted places."""
+    `bundle._stencil_sum`, in one order whatever the batch.  `inv`,
+    `solve` and `qr` only in the allowlisted places: a stacked LAPACK QR
+    makes one call per small matrix, as stacked `inv` does."""
     bypass, found = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in _tree(path).body:
@@ -115,9 +118,9 @@ def test_stencils_inverses_and_products_go_through_the_per_node_kernels():
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in ("inv", "solve") and place in DENSE_INVERSE_ALLOWED:
+                if name in ("inv", "solve", "qr") and place in DENSE_INVERSE_ALLOWED:
                     found.add(place)
-                elif name in ("tensordot", "inv", "solve"):
+                elif name in ("tensordot", "inv", "solve", "qr"):
                     bypass.add(f"{'.'.join(place)}: {name}")
     assert found == set(DENSE_INVERSE_ALLOWED), "an allowlisted place no longer inverts"
     assert not bypass, f"calls that bypass the per-node kernels: {sorted(bypass)}"

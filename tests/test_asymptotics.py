@@ -83,6 +83,18 @@ def test_slope_matches_exact_invariant(rule24):
     assert rep.c_offset < 1e-6
 
 
+def test_slope_matches_exact_invariant_on_a_non_aligned_datum(rule24):
+    # weight 1 on (1, 2, 0, 1) and -1/3 on e1, e2, e0: the flag is not
+    # spanned by monomials, and the sections of no level share a zero
+    e1, e2, e0 = (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)
+    zr = WeightSpec(k=1, blocks=((Fraction(1), ((1, 2, 0, 1),)), (Fraction(-1, 3), (e1, e2, e0))))
+    G0 = l2_gram(SB, trivial_metric(SPEC), rule24)
+    rep = slope_estimate(SB, G0, zr, t_max=20.0, n_t=11, rule=rule24)
+    assert rep.mna_exact == Fraction(8, 3)
+    assert rep.concentration_degrees == (0,)
+    assert abs(rep.fitted_slope - 8 / 3) <= 1e-3
+
+
 def test_slope_estimate_flags_concentration(rule16):
     # weights separating {x0^2-section, other-summand section} from the
     # rest: the leading block has a base point, which must be reported

@@ -1,21 +1,25 @@
 """Batched kernels against the per-node and per-t formulas they replace.
 
 The reference functions below are the loop and einsum forms of the
-energy integrands, the relative eigenvalues, the sup norms, the
-convexity audit, the curvature-variation check and the Poincare
-Rayleigh quotient; the batched code
-must agree with them to 1e-12 relative where the arithmetic changed,
-and exactly where it did not.
+Bergman path's energy integrand, the relative eigenvalues, the sup
+norms, the convexity audit, the curvature-variation check and the
+Poincare Rayleigh quotient; the batched code must agree with them to
+1e-12 relative where the arithmetic changed, and exactly where it did
+not.  The ray's integrand is checked against frozen high-precision
+values instead: its per-t moment formula cancels at large t.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
 from _utils import ExplicitMetric, rand_pd
-from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray
+from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray, zeta_matrix
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
@@ -47,6 +51,7 @@ from hebundle.geometry import (
     integrate_values,
     tree_sum,
 )
+from hebundle.quot import WeightSpec
 from hebundle.sections import (FSMetric, basis, bergman_kernel, eval_matrix_batch, l2_gram,
                                node_sections)
 
@@ -132,10 +137,10 @@ def test_bergman_integrand_chunking_is_bitwise(rule24, monkeypatch):
     # 576 nodes: 4096 // 576 = 7 t-nodes per chunk, so 16 nodes take 3
     path = _path((2, 1, 0), 2, 5, rule24)
     ts = gauss_legendre01(16)[0]
-    assert len(ts) > sections_mod._MAX_POINTS // rule24.n
+    assert len(ts) > bundle_mod._MAX_POINTS // rule24.n
     chunked = path.deriv_integrand(ts)
     per_t = np.array([path.deriv_integrand(t) for t in ts])
-    monkeypatch.setattr(sections_mod, "_MAX_POINTS", len(ts) * rule24.n)
+    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", len(ts) * rule24.n)
     unchunked = path.deriv_integrand(ts)
     assert np.array_equal(chunked, per_t)
     assert np.array_equal(chunked, unchunked)
@@ -534,19 +539,6 @@ def test_stencil_audits_give_a_point_the_same_bits_in_any_batch(degs):
                 assert np.array_equal(part[i], row[0]), (name, i, j)
 
 
-def _ray_deriv_reference(ray, t, rule):
-    """The ray's energy derivative at one t through the metric at t."""
-    hm = ray.metric_at(t)
-    S, A1, A11, Ainv = hm._core(rule.charts, rule.coords)
-    lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
-    res = lamF - float(ray.sb.bundle.slope) * np.eye(ray.sb.bundle.rank)
-    Y = S @ ray.gram_factor(t)
-    Z = (S @ (-ray.zeta)) @ ray.gram_factor(t)
-    u = (Z @ np.transpose(Y, (0, 2, 1)).conj() + Y @ np.transpose(Z, (0, 2, 1)).conj()) @ Ainv
-    vals = np.einsum("nij,nji->n", u, res).real
-    return float(tree_sum(vals * rule.weights))
-
-
 def _ray(degs, k, rule, seed):
     sb = basis(BundleSpec(degs), k)
     rng = np.random.default_rng(seed)
@@ -555,29 +547,79 @@ def _ray(degs, k, rule, seed):
     return OnePSRay(sb, G0, 0.5 * (X + X.conj().T))
 
 
-@pytest.mark.parametrize("degs, k", [((1, -1), 1), ((2, 1, 0), 2)])
-def test_ray_derivative_matches_per_t_loop(degs, k, rule16, monkeypatch):
-    ray = _ray(degs, k, rule16, 12)
+def _nonaligned_ray(rule):
+    """(1, -1), k = 1: weight 1 on (1, 2, 0, 1) and -1/3 on e1, e2, e0, a
+    datum not aligned with the monomial basis; its invariant is 8/3."""
+    sb = basis(BundleSpec((1, -1)), 1)
+    e1, e2, e0 = (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)
+    zr = WeightSpec(k=1, blocks=((Fraction(1), ((1, 2, 0, 1),)), (Fraction(-1, 3), (e1, e2, e0))))
+    return OnePSRay(sb, l2_gram(sb, trivial_metric(sb.bundle), rule), zeta_matrix(zr))
+
+
+# dM/dt of each ray at three times, frozen from an 80-digit mpmath
+# evaluation of the moment formula: at every node of the rule,
+# tr(V A^-1 ((1+|x|^2)^2 (A'' - A' A^-1 A'*) A^-1 - (k + mu))) with
+# Y = S W_t, Y' = S' W_t, A = Y Y*, A' = Y' Y*, A'' = Y' Y'* and
+# V = Z Y* + Y Z* for Z = -S zeta W_t, summed with the rule's weights.
+# Every matrix is formed in mpmath from the same float inputs: the
+# sections S and S' of `eval_matrix_batch`, the rescaled generator
+# `ray.zeta`, and W0 = L^-* for the Cholesky factor L of the float G0
+# (inverted in floats), with W_t = expm(zeta t) W0 by mpmath's `expm`.
+# 110 digits give the same twelve decimals; at 50 digits mpmath's expm
+# leaves the non-aligned value at t = 20 3e-10 low.  The moment formula
+# cancels catastrophically in floats past t = 9 on these rays.
+_RAY_FROZEN = {
+    ((1, -1), 1): ((6.0, 12.0, 20.0), (2.248600153376, 2.650533415116, 2.651565517303)),
+    ((2, 1, 0), 2): ((6.0, 12.0, 20.0), (2.932436068634, 7.802237921687, 13.501126507938)),
+    "non-aligned": ((10.0, 15.0, 20.0), (2.666671141785, 2.666666672362, 2.666666666674)),
+}
+
+
+def _ray_checks(ray, rule, frozen, monkeypatch):
+    """The frozen values to 1e-9 relative; a scalar call, chunks of 5
+    t-nodes and one chunk give the same bits; `mdon_along_ray` against
+    per-segment Gauss-Legendre sums of the batched derivative."""
+    ts_frozen, want_frozen = frozen
+    got_frozen = _deriv_at(ray, np.array(ts_frozen), rule)
+    assert np.all(np.abs(got_frozen - want_frozen) <= 1e-9 * np.abs(want_frozen))
     t_grid = np.linspace(0.0, 12.0, 5)
-    u = gauss_legendre01(6)[0]
+    u, w = gauss_legendre01(6)
     ts = (t_grid[:-1, None] + np.diff(t_grid)[:, None] * u).reshape(-1)
-    got = _deriv_at(ray, ts, rule16)
-    ref = np.array([_ray_deriv_reference(ray, t, rule16) for t in ts])
-    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
-    assert _deriv_at(ray, ts[3], rule16) == got[3]
-    # chunks of 5 t-nodes give the same bits as one chunk
-    monkeypatch.setattr(sections_mod, "_MAX_POINTS", 5 * rule16.n)
-    assert np.array_equal(_deriv_at(ray, ts, rule16), got)
-    # the cumulative energy against per-node sums of the reference
-    w = gauss_legendre01(6)[1]
+    got = _deriv_at(ray, ts, rule)
+    assert _deriv_at(ray, ts[3], rule) == got[3]
+    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", 5 * rule.n)
+    assert np.array_equal(_deriv_at(ray, ts, rule), got)
+    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", len(ts) * rule.n)
+    assert np.array_equal(_deriv_at(ray, ts, rule), got)
     acc, want = 0.0, [0.0]
     for i in range(len(t_grid) - 1):
         acc += (t_grid[i + 1] - t_grid[i]) * sum(
-            wi * r for wi, r in zip(w, ref[6 * i : 6 * i + 6])
+            wi * r for wi, r in zip(w, got[6 * i : 6 * i + 6])
         )
         want.append(acc)
-    got_m = mdon_along_ray(ray, t_grid, rule16)
+    got_m = mdon_along_ray(ray, t_grid, rule)
     assert np.all(np.abs(got_m - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("degs, k", [((1, -1), 1), ((2, 1, 0), 2)])
+def test_ray_derivative_matches_per_t_loop(degs, k, rule16, monkeypatch):
+    _ray_checks(_ray(degs, k, rule16, 12), rule16, _RAY_FROZEN[degs, k], monkeypatch)
+
+
+def test_ray_derivative_non_aligned_datum(rule24, monkeypatch):
+    _ray_checks(_nonaligned_ray(rule24), rule24, _RAY_FROZEN["non-aligned"], monkeypatch)
+
+
+def test_ray_derivative_bits_on_an_odd_rule(monkeypatch):
+    # 35 nodes: a batch of odd width, where a GEMM with the constant
+    # factor on the left rounds its remainder columns apart
+    rule = build_quadrature(7, 5)
+    ray = _ray((2, 1, 0), 2, rule, 12)
+    ts = np.linspace(0.5, 19.5, 23)
+    got = _deriv_at(ray, ts, rule)
+    assert all(_deriv_at(ray, t, rule) == g for t, g in zip(ts, got))
+    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", 3 * rule.n)
+    assert np.array_equal(_deriv_at(ray, ts, rule), got)
 
 
 def _poincare_rayleigh_reference(h0, rule, max_deg):

@@ -212,6 +212,28 @@ def test_slope_test_command(tmp_path):
     assert (out / "slope.csv").exists()
 
 
+def test_slope_test_non_aligned_datum(tmp_path):
+    # the full form of weight 1 on (1, 2, 0, 1) and -1/3 on e1, e2, e0 at
+    # k = 1: not aligned with the monomial basis, no concentration, and
+    # the invariant 8/3; the ray runs to the default t_max 30
+    def vec(*xs):
+        return [[str(x), "0"] for x in xs]
+
+    blocks = [
+        {"w": "1", "vectors": [vec(1, 2, 0, 1)]},
+        {"w": "-1/3", "vectors": [vec(0, 1, 0, 0), vec(0, 0, 1, 0), vec(1, 0, 0, 0)]},
+    ]
+    cfg = {"bundle": [1, -1], "k": 1, "quadrature": {"n_colat": 24, "n_angle": 24},
+           "zeta": {"k": 1, "blocks": blocks}}
+    out = tmp_path / "out"
+    assert _run("slope-test", _write_cfg(tmp_path, "c.json", cfg), out) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["passes"] is True
+    assert res["mna_exact"] == "8/3"
+    assert res["concentration_degrees"] == [0]
+    assert res["relative_gap"] < 1e-6
+
+
 def test_slope_test_needs_two_tail_times(tmp_path, capsys):
     # n_t = 2 leaves one time in the fitted tail; the fit would be the
     # minimum-norm solution, not a slope

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
 from _utils import ExplicitMetric, at, count_calls, rand_pd
@@ -338,6 +339,19 @@ def test_pointwise_energy_evaluates_each_endpoint_once(rule24, monkeypatch):
     assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
     for ts, got in zip(rec.calls, rec.values):
         assert np.array_equal(got, PointwiseExponentialPath(h0, h1, rule24).deriv_integrand(ts))
+
+
+def test_pointwise_energy_forms_the_velocity_at_the_nodes_alone(rule24, monkeypatch):
+    # the energy reads the velocity at the nodes; only the convexity
+    # audit's formula differences it, and forms it on the stencil itself
+    h0, h1 = trivial_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
+    calls = count_calls(monkeypatch, bundle_mod, "geodesic_log_batch")
+    donaldson(h1, h0, rule24)
+    # the points are every axis of the relative eigenvalues but the last
+    assert [math.prod(args[0][2].shape[:-1]) for args in calls] == [rule24.n]
+    calls.clear()
+    second_derivative_geodesic(h0, h1, 0.5, rule24)
+    assert [math.prod(args[0][2].shape[:-1]) for args in calls] == [rule24.n, 9 * rule24.n]
 
 
 def test_bergman_path_integrates_on_the_rule_of_its_sections(rule16):
