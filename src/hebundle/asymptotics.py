@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .bundle import BundleSpec, _chunked_rate, _hermitize, trivial_metric
+from .bundle import BundleSpec, _chunked_rate, _hermitize
 from .geometry import QuadratureRule, gauss_legendre01
 from .quot import (WeightSpec, _generic_rank, block_weightspec, evaluation_drop_degree, filtration,
                    generated_subsheaf)
@@ -35,6 +35,7 @@ from .sections import (
     basis as section_basis,
     eval_matrix_batch,
     l2_gram,
+    trivial_metric,
 )
 
 
@@ -383,8 +384,7 @@ def coercivity_probe(
     for k in k_list:
         rng = np.random.default_rng(seed + 1000 * k)
         sb = section_basis(spec, k)
-        href = trivial_metric(spec)
-        G0 = l2_gram(sb, href, rule)
+        G0 = l2_gram(sb, trivial_metric(sb), rule)
         ck = 0.0
         for _ in range(samples_per_k):
             zr = random_block_weightspec(sb, rng)

@@ -4,9 +4,10 @@ A bundle is a direct sum of degree-a_i line bundles.  Metrics are
 batched evaluators: `evaluate(charts, coords)` returns the matrix
 components at every point in that point's chart frame; the chart-Z and
 chart-W components are related by conjugation with diag(z^{a_i}) on the
-overlap.  Curvature is computed in closed form when the evaluator
-provides it (the Fubini-Study family does) and by 4th-order finite
-differences otherwise.
+overlap.  Every metric the package solves for or measures against is a
+Fubini-Study metric (`sections.FSMetric`), whose curvature is closed
+form; the 4th-order finite differences here serve only the pointwise
+geodesic and the difference audits of `donaldson`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import QuadratureRule, contract_batch, integrate_values
+from .geometry import QuadratureRule, integrate_values
 
 # most points evaluated in one batched call by the stencil and the
 # energy-path helpers: the size of a 64x64 rule
@@ -70,37 +71,6 @@ class MetricEvaluator:
 
     def evaluate(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def evaluate_with_curvature(self, charts: np.ndarray, coords: np.ndarray):
-        """Metric values and contracted curvature at many points, shape
-        (n, r, r) each; finite-difference curvature unless overridden."""
-        coords = np.asarray(coords, dtype=complex)
-        F = fd_curvature_batch(*fd_stencil(self.evaluate, charts, coords))
-        return self.evaluate(charts, coords), contract_batch(F, coords)
-
-
-class _StandardMetric(MetricEvaluator):
-    """diag((1+|coord|^2)^(-a_i)) in either chart."""
-
-    def __init__(self, bundle: BundleSpec):
-        self.bundle = bundle
-        self._neg_degs = -np.array(bundle.degrees, dtype=float)
-
-    def evaluate(self, charts, coords) -> np.ndarray:
-        x = np.asarray(coords, dtype=complex)
-        # hypot rounds as the scalar abs(x) does; np.abs can differ in the last bit
-        x2 = np.hypot(x.real, x.imag) ** 2
-        r = self.bundle.rank
-        out = np.zeros((len(x2), r, r), dtype=complex)
-        out[:, np.arange(r), np.arange(r)] = (1.0 + x2[:, None]) ** self._neg_degs
-        return out
-
-
-def trivial_metric(bundle: BundleSpec) -> MetricEvaluator:
-    """Identity metric; natural on degree-0 summands, and the standard
-    homogeneous metric (1+|coord|^2)^(-a) on degree-a summands so the
-    two charts glue."""
-    return _StandardMetric(bundle)
 
 
 # numpy's stacked matmul makes one BLAS call per small matrix, which for
@@ -321,9 +291,9 @@ def _node_sup_norm(M: np.ndarray) -> float:
     return math.ldexp(math.sqrt(lam.max()), e)
 
 
-def he_residual(h: MetricEvaluator, rule: QuadratureRule) -> float:
+def he_residual(h, rule: QuadratureRule) -> float:
     """Sup over the rule's nodes of the pointwise 2-norm of the Einstein
-    defect of h."""
+    defect of the FS metric h (`sections.FSMetric`)."""
     hv, lam = h.evaluate_with_curvature(rule.charts, rule.coords)
     return _node_sup_norm(_he_defect(hv, _equilibrated_inverse(hv), lam, float(h.bundle.slope)))
 

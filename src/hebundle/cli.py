@@ -28,13 +28,13 @@ import scipy.linalg
 
 from . import __version__
 from .asymptotics import coercivity_probe, slope_estimate, zeta_matrix
-from .bundle import BundleSpec, regularity, trivial_metric
+from .bundle import BundleSpec, regularity
 from .donaldson import (c_delta, delta_lower_bound_audit, donaldson, poincare_constant,
                         second_derivative_geodesic)
 from .geometry import build_quadrature
 from .quot import (WeightSpec, block_weightspec, filtration, report_to_json, weightspec_from_json,
                    _frac_str)
-from .sections import FSMetric, basis, bergman_kernel, l2_gram
+from .sections import FSMetric, basis, bergman_kernel, l2_gram, trivial_metric
 from .solver import SolveOptions, destabilizer_extract, minimize
 
 
@@ -215,7 +215,7 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_bergman(cfg, spec, rule, outdir):
-    h = trivial_metric(spec)
+    h = trivial_metric(basis(spec, regularity(spec)))
     rows = []
     for k in cfg.get("k_list") or [cfg["k"]]:
         rep = bergman_kernel(h, k, rule)
@@ -226,7 +226,7 @@ def _cmd_bergman(cfg, spec, rule, outdir):
 
 def _cmd_mdon(cfg, spec, rule, outdir):
     sb = basis(spec, cfg["k"])
-    G0 = l2_gram(sb, trivial_metric(spec), rule)
+    G0 = l2_gram(sb, trivial_metric(sb), rule)
     zr = _zeta_from_config(cfg, sb)
     E = scipy.linalg.expm(zeta_matrix(zr))
     val = donaldson(FSMetric(sb, G=E @ G0 @ E), FSMetric(sb, G=G0), rule=rule)
@@ -243,7 +243,7 @@ def _cmd_mna(cfg, spec, rule, outdir):
 def _cmd_slope_test(cfg, spec, rule, outdir):
     sb = basis(spec, cfg["k"])
     zr = _zeta_from_config(cfg, sb)
-    G0 = l2_gram(sb, trivial_metric(spec), rule)
+    G0 = l2_gram(sb, trivial_metric(sb), rule)
     rep = slope_estimate(sb, G0, zr, cfg["slope"]["t_max"], cfg["slope"]["n_t"], rule)
     mna_f = float(rep.mna_exact)
     _write_csv(
@@ -290,7 +290,7 @@ def _rand_pd(rng, n: int, scale: float) -> np.ndarray:
 def _cmd_audit_deltabound(cfg, spec, rule, outdir):
     n = cfg["delta_audit"]["n_samples"]
     sb = basis(spec, cfg["k"])
-    h0 = trivial_metric(spec)
+    h0 = trivial_metric(sb)
     rng = np.random.default_rng(cfg.get("seed", 0))
     pc = poincare_constant(h0, rule)
     rows = []
@@ -372,7 +372,7 @@ def _self_test() -> int:
     """Small end-to-end exercise of the easy example paths."""
     checks = []
     rule = build_quadrature(16, 16)
-    rep = bergman_kernel(trivial_metric(BundleSpec((0,))), 5, rule)
+    rep = bergman_kernel(trivial_metric(basis(BundleSpec((0,)), 0)), 5, rule)
     checks.append(("bergman O(0) k=5", rep["raw_sup_dev"] < 1e-8))
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)

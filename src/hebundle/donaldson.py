@@ -2,9 +2,9 @@
 
 M(h1, h0) integrates tr(h_t^-1 dh_t/dt (LambdaF_t - mu Id)) over the
 sphere and over a path of metrics joining h0 to h1; the value is
-path-independent, so we integrate along whichever path admits analytic
-t-derivatives (form-space geodesics for Fubini-Study endpoints,
-pointwise exponentials otherwise).
+path-independent; it runs along the form-space geodesic between
+Fubini-Study metrics of one section basis, whose t-derivatives are
+closed form, unless the caller names another path.
 """
 
 from __future__ import annotations
@@ -130,10 +130,10 @@ class PointwiseExponentialPath:
         return out[0] if ts.ndim == 0 else np.array(out)
 
 
-def _path_for(h1: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule):
-    if isinstance(h1, FSMetric) and isinstance(h0, FSMetric) and h1.sb.entries == h0.sb.entries:
-        return BergmanPath(h0.sb, h0.G, h1.G, node_sections(h0.sb, rule))
-    return PointwiseExponentialPath(h0, h1, rule)
+def _path_for(h1: FSMetric, h0: FSMetric, rule: QuadratureRule) -> BergmanPath:
+    if not (isinstance(h1, FSMetric) and isinstance(h0, FSMetric) and h1.sb == h0.sb):
+        raise ValueError("the default path needs two FS metrics of one section basis; pass path=")
+    return BergmanPath(h0.sb, h0.G, h1.G, node_sections(h0.sb, rule))
 
 
 # The Gauss-Kronrod 7/15 pair of QUADPACK's qk15 on [-1, 1] (Piessens,
@@ -242,18 +242,18 @@ def path_energy(path, tol: float) -> float:
 
 
 def donaldson(
-    h1: MetricEvaluator,
-    h0: MetricEvaluator,
+    h1: FSMetric,
+    h0: FSMetric,
     rule: QuadratureRule,
     path=None,
     tol: float = 1e-8,
 ) -> float:
     """Energy of h1 relative to h0 (path independent): `path_energy`
-    along `path`, by default the form-space geodesic on `rule` when both
-    metrics are FS metrics of one section basis and the pointwise
-    geodesic on `rule` otherwise.  The metrics and the rule are read only
-    to build that default: a given path integrates on its own rule, and
-    a caller holding one may pass None for the metrics."""
+    along `path`, by default the form-space geodesic on `rule`, which
+    needs two FS metrics of one section basis (ValueError otherwise).
+    The metrics and the rule are read only to build that default: a
+    given path integrates on its own rule, and a caller holding one may
+    pass None for the metrics."""
     return path_energy(_path_for(h1, h0, rule) if path is None else path, tol)
 
 
@@ -336,7 +336,7 @@ def c_delta(delta: float) -> float:
     return (delta - 1.0 - ld) / ld**2
 
 
-def he_defect_norm(h0: MetricEvaluator, rule: QuadratureRule) -> float:
+def he_defect_norm(h0: FSMetric, rule: QuadratureRule) -> float:
     """L2 size of the Einstein defect with its scalar average removed."""
     r = h0.bundle.rank
     hv, lam = h0.evaluate_with_curvature(rule.charts, rule.coords)

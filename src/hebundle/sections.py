@@ -4,11 +4,13 @@ H0(E(k)) has the monomial basis z^j on the degree-(a_i+k) summand,
 0 <= j <= a_i+k, ordered summand-major with ascending exponent.  A
 positive hermitian form G on that space induces a bundle metric
 h(p) = e^{k phi(p)} (S(p) G^-1 S(p)*)^-1 where S(p) is the section
-evaluation matrix in p's chart frame; its curvature is closed-form.
+evaluation matrix in p's chart frame; its curvature is closed-form.  The
+standard metric is one of them, at every level (`trivial_metric`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,23 +50,23 @@ def _exponents(sb: SectionBasis, charts: np.ndarray):
     return rows, np.where(np.asarray(charts, dtype=bool)[:, None], ez, ew)
 
 
-def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
-    """Section values and first coordinate derivatives at many points.
+def _section_values(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Section values S at many points, (n, r, N) in each point's own
+    chart frame: column c holds one monomial, in the row and of the
+    exponent given by `_exponents`."""
+    x, (rows, e) = np.asarray(coords, dtype=complex)[:, None], _exponents(sb, charts)
+    S = np.zeros((len(x), sb.bundle.rank, sb.N), dtype=complex)
+    S[:, rows, np.arange(sb.N)] = x**e
+    return S
 
-    Returns (S, S1) of shape (n, r, N) in each point's own chart frame;
-    column c holds one monomial, in the row and of the exponent given by
-    `_exponents`.
-    """
-    n = len(coords)
-    r = sb.bundle.rank
-    S = np.zeros((n, r, sb.N), dtype=complex)
-    S1 = np.zeros((n, r, sb.N), dtype=complex)
-    x = np.asarray(coords, dtype=complex)[:, None]
-    rows, e = _exponents(sb, charts)
-    cols = np.arange(sb.N)
-    S[:, rows, cols] = x**e
-    S1[:, rows, cols] = e * x ** np.maximum(e - 1, 0)  # 0 where e = 0
-    return S, S1
+
+def eval_matrix_batch(sb: SectionBasis, charts: np.ndarray, coords: np.ndarray):
+    """Section values (`_section_values`) and their first coordinate
+    derivatives at many points, (S, S1) of shape (n, r, N) each."""
+    x, (rows, e) = np.asarray(coords, dtype=complex)[:, None], _exponents(sb, charts)
+    S1 = np.zeros((len(x), sb.bundle.rank, sb.N), dtype=complex)
+    S1[:, rows, np.arange(sb.N)] = e * x ** np.maximum(e - 1, 0)  # 0 where e = 0
+    return _section_values(sb, charts, coords), S1
 
 
 def node_sections(sb: SectionBasis, rule: QuadratureRule):
@@ -104,10 +106,16 @@ def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> np.nd
     """Hermitian L2 form of the basis sections against h and the level-k
     line weight e^{-k phi} (`_section_pairing`); RuntimeError when the
     rule leaves it degenerate."""
+    S = _section_values(sb, rule.charts, rule.coords)
+    return _l2_form(sb, rule, h.evaluate(rule.charts, rule.coords), S)
+
+
+def _l2_form(sb: SectionBasis, rule: QuadratureRule, hv: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """`l2_gram` from the metric values hv and the section values S on
+    the rule's nodes."""
     density = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
-    hv, (rows, e) = h.evaluate(rule.charts, rule.coords), _exponents(sb, rule.charts)
-    s = np.asarray(rule.coords, dtype=complex)[:, None] ** e  # (n, N)
-    g = _section_pairing(rule, hv, density, rows, s)
+    rows = _exponents(sb, rule.charts)[0]
+    g = _section_pairing(rule, hv, density, rows, S[:, rows, np.arange(sb.N)])
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -128,32 +136,33 @@ def _section_factor(S, W):
     return (rows @ W)[: len(rows) - pad].reshape(S.shape[:-1] + W.shape[-1:])
 
 
-def _fs_moments(T, T1):
-    """A = T T*, A' = T' T* and A'' = T' T'* over any leading batch
-    axes, entry by entry.
+def _fs_moments(*T):
+    """A = T T* over any leading batch axes, entry by entry, as a
+    1-tuple; given T and T', (A, A', A'') with A' = T' T* and
+    A'' = T' T'*.
 
     In an (r, N, batch) layout each entry is (t[i] * t[j].conj()).sum(0),
     which numpy sums over N one row after another, so a matrix gets the
-    same bits whatever the batch shape.  numpy would sum a lone column
-    pairwise, so a single matrix gets a zero partner.  A and A'' are
-    hermitian: their lower triangles are the conjugated upper ones.
+    same bits whatever the batch shape, and A the same bits with or
+    without T'.  numpy would sum a lone column pairwise, so a single
+    matrix gets a zero partner.  A and A'' are hermitian: their lower
+    triangles are the conjugated upper ones.
     """
-    lead, (r, N) = T.shape[:-2], T.shape[-2:]
-    t, t1 = (np.moveaxis(M.reshape(-1, r, N), 0, -1) for M in (T, T1))
-    n = t.shape[-1]
+    lead, (r, N), n = T[0].shape[:-2], T[0].shape[-2:], T[0][..., 0, 0].size
+    t = [np.moveaxis(M.reshape(n, r, N), 0, -1) for M in T]
     if n == 1:
-        t, t1 = (np.concatenate([x, np.zeros_like(x)], axis=-1) for x in (t, t1))
-    t, t1 = np.ascontiguousarray(t), np.ascontiguousarray(t1)
-    out = np.empty((3, r, r, t.shape[-1]), dtype=complex)
+        t = [np.concatenate([x, np.zeros_like(x)], axis=-1) for x in t]
+    t = [np.ascontiguousarray(x) for x in t]
+    pairs = ((0, 0), (1, 0), (1, 1))[: 2 * len(t) - 1]  # (a, b): T_a T_b*
+    out = np.empty((len(pairs), r, r, t[0].shape[-1]), dtype=complex)
     for j in reversed(range(r)):  # right to left: for i > j, out[:, j, i] is summed
-        tc, t1c = t[j].conj(), t1[j].conj()
-        for i in range(r):
-            out[1, i, j] = (t1[i] * tc).sum(0)
-            if i > j:
-                out[0, i, j], out[2, i, j] = out[0, j, i].conj(), out[2, j, i].conj()
-            else:
-                out[0, i, j], out[2, i, j] = (t[i] * tc).sum(0), (t1[i] * t1c).sum(0)
-    return tuple(np.moveaxis(out[..., :n], (1, 2), (-2, -1)).reshape((3,) + lead + (r, r)))
+        tc = [x[j].conj() for x in t]
+        for p, (a, b) in enumerate(pairs):
+            for i in range(r):
+                herm = a == b and i > j
+                out[p, i, j] = out[p, j, i].conj() if herm else (t[a][i] * tc[b]).sum(0)
+    shape = (len(pairs),) + lead + (r, r)
+    return tuple(np.moveaxis(out[..., :n], (1, 2), (-2, -1)).reshape(shape))
 
 
 def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
@@ -215,8 +224,10 @@ class FSMetric(MetricEvaluator):
         return _hermitize(Ainv * ekphi[:, None, None])
 
     def evaluate(self, charts, coords) -> np.ndarray:
+        """Metric values from S and A = T T* alone, in the bits of `_core`'s."""
         coords = np.asarray(coords, dtype=complex)
-        return self._metric(self._core(charts, coords)[3], coords)
+        T = _section_factor(_section_values(self.sb, charts, coords), self.W)
+        return self._metric(_equilibrated_inverse(_fs_moments(T)[0]), coords)
 
     # -- closed-form differential data --------------------------------
     def evaluate_with_curvature(self, charts, coords):
@@ -245,17 +256,24 @@ class FSMetric(MetricEvaluator):
         return self.sb.k * dphi[:, None, None] * eye - _mat_mul(A1, Ainv)
 
 
-def _bergman_raw(h: MetricEvaluator, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
-    """raw(p) = h(p) fs(p)^-1 at every node, for fs the FS metric of the
-    form G: fs^-1 = e^{-k phi} T T* with T = S W its section factor.
-    T T* stays a stacked numpy product: an entrywise one copies T's
-    conjugate and costs the `bergman` command memory with no gain in
-    time."""
-    S = eval_matrix_batch(sb, rule.charts, rule.coords)[0]
+def trivial_metric(sb: SectionBasis) -> FSMetric:
+    """The standard metric diag((1+|z|^2)^(-a_i)), whose two charts glue:
+    the FS metric of the binomial form diag(1/C(a_i+k, j)) at the level k
+    of `sb`, as summand i then has S G^-1 S* = (1+|z|^2)^(a_i+k)."""
+    degs = sb.bundle.degrees
+    return FSMetric(sb, G=np.diag([1.0 / math.comb(degs[i] + sb.k, j) for i, j in sb.entries]))
+
+
+def _bergman_raw(hv, S, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
+    """raw(p) = h(p) fs(p)^-1 at every node, from the values hv of h and
+    S of the sections there, for fs the FS metric of the form G:
+    fs^-1 = e^{-k phi} T T* with T = S W its section factor.  T T* stays
+    a stacked numpy product: an entrywise one copies T's conjugate and
+    costs the `bergman` command memory with no gain in time."""
     T = _section_factor(S, FSMetric(sb, G=G).W)
     wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
     fs_inv = (T @ np.swapaxes(T, -1, -2).conj()) * wphi[:, None, None]
-    return _mat_mul(h.evaluate(rule.charts, rule.coords), fs_inv)
+    return _mat_mul(hv, fs_inv)
 
 
 def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
@@ -263,11 +281,13 @@ def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
 
     The raw kernel (`_bergman_raw`) times r * Vol / N tends to the
     identity as k grows.  The node sup of the pointwise 2-norm of
-    tilde - Id is `bundle._node_sup_norm`, the Einstein defect's sup.
+    tilde - Id is `bundle._node_sup_norm`, the Einstein defect's sup.  The
+    L2 form and the raw kernel share one evaluation of h and the sections.
     """
     sb = basis(h.bundle, k)
-    G = l2_gram(sb, h, rule)
-    raw = _bergman_raw(h, sb, G, rule)
+    hv, S = h.evaluate(rule.charts, rule.coords), _section_values(sb, rule.charts, rule.coords)
+    G = _l2_form(sb, rule, hv, S)
+    raw = _bergman_raw(hv, S, sb, G, rule)
     r = h.bundle.rank
     tilde = (r * 1.0 / sb.N) * raw  # volume is 1
     # raw = (N / r) tilde, so one 2-norm gives both sups

@@ -18,10 +18,11 @@ import numpy as np
 import scipy.linalg
 
 from .bundle import (BundleSpec, _he_defect, _hermitize, _mat_mul, _node_sup_norm, _relative_eigs,
-                     _whitening, he_residual, regularity, trivial_metric)
+                     _whitening, he_residual, regularity)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
-from .sections import FSMetric, SectionBasis, _section_pairing, basis, l2_gram, node_sections
+from .sections import (FSMetric, SectionBasis, _section_pairing, basis, l2_gram, node_sections,
+                       trivial_metric)
 
 
 def mdon_gradient(
@@ -114,7 +115,8 @@ def minimize(
     G_init: np.ndarray | None = None,
 ) -> SolveResult:
     """Descend the energy over the form space at level k, from the L2
-    form of the trivial metric unless `G_init` is given.
+    form of the standard metric unless `G_init` is given; the energy
+    history adds each accepted step's measured change.
 
     What no iterate changes, the `node_sections` and the `_whitening` of
     the reference metric values, is formed once, before the loop.
@@ -128,7 +130,7 @@ def minimize(
     if k < regularity(spec):
         raise ValueError(f"level {k} is below the regularity {regularity(spec)}")
     sb = basis(spec, k)
-    h_ref = trivial_metric(spec)
+    h_ref = trivial_metric(sb)
     G = np.asarray(G_init if G_init is not None else l2_gram(sb, h_ref, rule), dtype=complex)
     sections = node_sections(sb, rule)
     white = _whitening(h_ref.evaluate(rule.charts, rule.coords))
@@ -209,7 +211,7 @@ def minimize(
         g_prev = g
         last_dm = dm
         G = G_new
-        m_total += min(dm, 0.0)
+        m_total += dm
         mdon_history.append(m_total)
         alpha = min(a * _GROW, _MAX_STEP)
     else:

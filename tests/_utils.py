@@ -7,14 +7,21 @@ import numpy as np
 import scipy.linalg
 
 import hebundle
-from hebundle.bundle import MetricEvaluator
+from hebundle.bundle import MetricEvaluator, regularity
 from hebundle.geometry import canonical_points
+from hebundle.sections import basis, trivial_metric
 
 
 def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
     """Random hermitian positive-definite matrix e^{scale * sym(X)}."""
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
+
+
+def standard_metric(spec):
+    """The standard metric diag((1+|z|^2)^(-a_i)) of `spec`, as the FS
+    metric of the binomial form at the least level (`trivial_metric`)."""
+    return trivial_metric(basis(spec, regularity(spec)))
 
 
 def count_calls(monkeypatch, home, name):

@@ -18,7 +18,6 @@ from hebundle.asymptotics import slope_estimate
 from hebundle.bundle import (
     BundleSpec,
     he_residual,
-    trivial_metric,
 )
 from hebundle.donaldson import (
     PointwiseExponentialPath,
@@ -32,7 +31,7 @@ from hebundle.donaldson import (
 )
 from hebundle.geometry import canonical_points
 from hebundle.quot import WeightSpec, block_weightspec, filtration
-from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram
+from hebundle.sections import FSMetric, basis, bergman_kernel, l2_gram, trivial_metric
 from hebundle.solver import SolveOptions, destabilizer_extract, minimize
 
 
@@ -74,7 +73,7 @@ def test_criterion_01_exact_invariants():
 
 def test_criterion_02_balanced_bergman_constant(rule64):
     t0 = time.time()
-    h = trivial_metric(BundleSpec((0,)))
+    h = trivial_metric(basis(BundleSpec((0,)), 0))
     worst = 0.0
     for k in range(2, 11):
         rep = bergman_kernel(h, k, rule64)
@@ -175,7 +174,7 @@ def test_criterion_06_slope_match(rule24):
     t0 = time.time()
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)
-    G0 = l2_gram(sb, trivial_metric(spec), rule24)
+    G0 = l2_gram(sb, trivial_metric(sb), rule24)
     e = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     zetas = [
         block_weightspec(sb, [(Fraction(1, 3), 3), (Fraction(-1), 1)]),

@@ -126,6 +126,37 @@ def test_stencils_inverses_and_products_go_through_the_per_node_kernels():
     assert not bypass, f"calls that bypass the per-node kernels: {sorted(bypass)}"
 
 
+# (module, top-level name) -> why it may read the finite-difference
+# stencil; every metric of the package is an FS metric, whose curvature
+# and connection are closed form
+FD_STENCIL_ALLOWED = {
+    ("donaldson", "PointwiseExponentialPath"):
+        "the pointwise geodesic between two metrics has no closed-form curvature",
+    ("donaldson", "second_derivative_geodesic"):
+        "the convexity audit differences the pointwise geodesic's velocity and metric",
+    ("donaldson", "curvature_variation_check"):
+        "the variation check sets the closed-form curvature against differences",
+}
+
+
+def test_finite_differences_only_where_they_are_the_point():
+    """`fd_stencil` and `fd_curvature_batch` are read only in the
+    allowlisted places.  Imports are not reads."""
+    bypass, found = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            place = (path.stem, getattr(stmt, "name", f"line {stmt.lineno}"))
+            reads = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)}
+            if not reads & {"fd_stencil", "fd_curvature_batch"}:
+                continue
+            (found if place in FD_STENCIL_ALLOWED else bypass).add(place)
+    assert found == set(FD_STENCIL_ALLOWED), "an allowlisted place no longer differences"
+    assert all(FD_STENCIL_ALLOWED.values()), "every allowlisted place needs its reason"
+    assert not bypass, f"finite differences outside the allowlist: {sorted(bypass)}"
+
+
 def _attributes(node) -> Counter:
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 

@@ -17,10 +17,10 @@ from hebundle.asymptotics import (
     slope_estimate,
     zeta_matrix,
 )
-from hebundle.bundle import BundleSpec, trivial_metric
+from hebundle.bundle import BundleSpec
 from hebundle.geometry import canonical_points
 from hebundle.quot import WeightSpec, block_weightspec, filtration
-from hebundle.sections import basis, l2_gram
+from hebundle.sections import basis, l2_gram, trivial_metric
 
 SPEC = BundleSpec((1, -1))
 SB = basis(SPEC, 1)
@@ -28,7 +28,7 @@ SB = basis(SPEC, 1)
 
 def _datum(rule, weights_and_dims):
     """The L2 form of the standard metric and block weight data."""
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule)
+    G0 = l2_gram(SB, trivial_metric(SB), rule)
     return G0, block_weightspec(SB, [(Fraction(w), d) for w, d in weights_and_dims])
 
 
@@ -41,7 +41,7 @@ def test_zeta_matrix_spectrum():
 
 
 def test_ray_construction_and_scaling(rule16):
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
+    G0 = l2_gram(SB, trivial_metric(SB), rule16)
     z = np.diag([1.0, 1.0, 1.0, -3.0])
     ray = OnePSRay(SB, G0, z)
     # generators above unit operator norm are rescaled, factor recorded
@@ -56,7 +56,7 @@ def test_ray_construction_and_scaling(rule16):
 def test_ray_start_is_base_metric(rule16):
     from hebundle.sections import FSMetric
 
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
+    G0 = l2_gram(SB, trivial_metric(SB), rule16)
     h = OnePSRay(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0])).metric_at(0.0)
     z = 0.4 + 0.2j
     assert np.allclose(at(h, z), at(FSMetric(SB, G=G0), z), atol=1e-10)
@@ -88,7 +88,7 @@ def test_slope_matches_exact_invariant_on_a_non_aligned_datum(rule24):
     # spanned by monomials, and the sections of no level share a zero
     e1, e2, e0 = (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)
     zr = WeightSpec(k=1, blocks=((Fraction(1), ((1, 2, 0, 1),)), (Fraction(-1, 3), (e1, e2, e0))))
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule24)
+    G0 = l2_gram(SB, trivial_metric(SB), rule24)
     rep = slope_estimate(SB, G0, zr, t_max=20.0, n_t=11, rule=rule24)
     assert rep.mna_exact == Fraction(8, 3)
     assert rep.concentration_degrees == (0,)
@@ -105,7 +105,7 @@ def test_slope_estimate_flags_concentration(rule16):
             (Fraction(-1), ((0, 1, 0, 0), (0, 0, 1, 0))),
         ),
     )
-    G0 = l2_gram(SB, trivial_metric(SPEC), rule16)
+    G0 = l2_gram(SB, trivial_metric(SB), rule16)
     rep = slope_estimate(SB, G0, zr, t_max=10.0, n_t=6, rule=rule16)
     assert rep.concentration_degrees[0] > 0
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _utils import ExplicitMetric, rand_pd, transition_matrix
+from _utils import ExplicitMetric, rand_pd, standard_metric, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
@@ -20,7 +20,6 @@ from hebundle.bundle import (
     geodesic_log_batch,
     he_residual,
     regularity,
-    trivial_metric,
 )
 from hebundle.geometry import canonical_points, contract_batch
 from hebundle.sections import FSMetric, basis
@@ -57,7 +56,7 @@ def test_transition_matrix():
 def test_trivial_metric_glues_across_charts():
     # h_W(w) = T(z)^* h_Z(z) T(z) with T = diag(z^{a_i}), w = 1/z
     spec = BundleSpec((2, -1))
-    h = trivial_metric(spec)
+    h = standard_metric(spec)
     z = 0.8 + 0.3j
     hz = h.evaluate(np.array([True]), np.array([z]))[0]
     hw = h.evaluate(np.array([False]), np.array([1.0 / z]))[0]
@@ -68,7 +67,7 @@ def test_trivial_metric_glues_across_charts():
 def test_trivial_metric_curvature():
     # the standard metric on O(a) has constant contracted curvature a
     for a in (0, 1, 3, -2):
-        h = trivial_metric(BundleSpec((a,)))
+        h = standard_metric(BundleSpec((a,)))
         for z in (0.0, 0.5, 0.3 - 0.6j):
             charts, coords = canonical_points([z])
             F = fd_curvature_batch(*fd_stencil(h.evaluate, charts, coords))
@@ -77,18 +76,18 @@ def test_trivial_metric_curvature():
 
 
 def test_trivial_metric_is_hermitian_einstein(rule24):
-    assert he_residual(trivial_metric(BundleSpec((3,))), rule24) < 1e-7
+    assert he_residual(standard_metric(BundleSpec((3,))), rule24) < 1e-7
 
 
 def test_he_residual_of_unbalanced_split(rule24):
     # O(1) + O(-1) has contracted curvature diag(1, -1) and slope 0,
     # so the defect field has pointwise 2-norm 1
-    res = he_residual(trivial_metric(BundleSpec((1, -1))), rule24)
+    res = he_residual(standard_metric(BundleSpec((1, -1))), rule24)
     assert res == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fd_curvature_batch_matches_pointwise(rule16):
-    h = trivial_metric(BundleSpec((2, 0)))
+    h = standard_metric(BundleSpec((2, 0)))
     F = fd_curvature_batch(*fd_stencil(h.evaluate, rule16.charts[:5], rule16.coords[:5]))
     for i in range(5):
         charts, coords = rule16.charts[i : i + 1], rule16.coords[i : i + 1]
@@ -164,15 +163,15 @@ def test_geodesic_stays_positive_definite(seed, s):
 
 
 def test_geodesic_metric_bundle_check():
-    h0 = trivial_metric(BundleSpec((1,)))
-    h1 = trivial_metric(BundleSpec((2,)))
+    h0 = standard_metric(BundleSpec((1,)))
+    h1 = standard_metric(BundleSpec((2,)))
     with pytest.raises(ValueError):
         GeodesicMetric(h0, h1, 0.5)
 
 
 def test_scale_normalize_and_delta(rule16):
     spec = BundleSpec((0, 0))
-    h0 = trivial_metric(spec)
+    h0 = standard_metric(spec)
     # on (0, 0) at k = 0 the sections are the frame, so FS(G0) = Id
     sb, G0 = basis(spec, 0), np.eye(2)
     values = FSMetric(sb, G=3.0 * G0).evaluate(rule16.charts, rule16.coords)
@@ -185,6 +184,6 @@ def test_scale_normalize_and_delta(rule16):
 
 def test_delta_boundedness_of_skewed_metric(rule16):
     spec = BundleSpec((0, 0))
-    h0 = trivial_metric(spec)
+    h0 = standard_metric(spec)
     h = ExplicitMetric(spec, lambda chart, x: np.diag([1.0, 4.0]))
     assert delta_boundedness(h, h0, rule16) == pytest.approx(0.25, abs=1e-12)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import hebundle.donaldson as donaldson_mod
+from _utils import count_calls
 from hebundle.cli import main, parse_config, ConfigError
 
 
@@ -339,6 +341,16 @@ def test_audit_deltabound_command(tmp_path):
     lines = (out / "delta_audit.csv").read_text().strip().splitlines()
     assert lines[0] == "sample,delta,mdon,bound,passes"
     assert len(lines) == 3
+
+
+def test_audit_deltabound_takes_the_form_space_geodesic(tmp_path, monkeypatch):
+    # the standard metric is an FS metric of the audit's section basis, so
+    # no energy of the audit goes along the pointwise geodesic
+    built = count_calls(monkeypatch, donaldson_mod, "PointwiseExponentialPath")
+    p = _write_cfg(tmp_path, "c.json", {"bundle": [1, -1], "k": 1, "quadrature": {
+        "n_colat": 12, "n_angle": 12}, "delta_audit": {"n_samples": 2}})
+    assert _run("audit-deltabound", p, tmp_path / "out") == 0
+    assert built == []
 
 
 def test_probe_coercivity_command(tmp_path):

@@ -11,13 +11,12 @@ import scipy.linalg
 import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
-from _utils import ExplicitMetric, at, count_calls, rand_pd
+from _utils import ExplicitMetric, at, count_calls, rand_pd, standard_metric
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
     _geodesic_parts,
     geodesic_log_batch,
-    trivial_metric,
 )
 from hebundle.donaldson import (
     _GK_T,
@@ -39,7 +38,7 @@ from hebundle.donaldson import (
     second_derivative_geodesic,
 )
 from hebundle.geometry import build_quadrature, canonical_points
-from hebundle.sections import FSMetric, basis, node_sections
+from hebundle.sections import FSMetric, basis, l2_gram, node_sections, trivial_metric
 
 
 SPEC = BundleSpec((1, -1))
@@ -134,7 +133,7 @@ def test_curvature_variation_identity():
     charts, coords = canonical_points([0.2, 0.5j, -0.3 + 0.4j])
     assert curvature_variation_check(h0, h1, 0.5, charts, coords) < 1e-5
     with pytest.raises(ValueError):
-        curvature_variation_check(trivial_metric(SPEC), h1, 0.5, charts, coords)
+        curvature_variation_check(GeodesicMetric(h0, h1, 0.5), h1, 0.5, charts, coords)
 
 
 def test_c_delta_values():
@@ -150,12 +149,12 @@ def test_c_delta_values():
 
 def test_he_defect_norm_split(rule24):
     # O(1) + O(-1): trace-free defect diag(1, -1) has L2 norm sqrt(2)
-    val = he_defect_norm(trivial_metric(SPEC), rule24)
+    val = he_defect_norm(standard_metric(SPEC), rule24)
     assert val == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
 def test_he_defect_norm_vanishes_at_he_point(rule24):
-    assert he_defect_norm(trivial_metric(BundleSpec((3,))), rule24) < 1e-7
+    assert he_defect_norm(standard_metric(BundleSpec((3,))), rule24) < 1e-7
 
 
 def test_nonfinite_node_value_raises(rule16):
@@ -164,14 +163,14 @@ def test_nonfinite_node_value_raises(rule16):
     node = complex(rule16.coords[0])
     h = ExplicitMetric(SPEC, lambda chart, x: np.diag([np.nan if x == node else 1.0, 1.0]))
     with pytest.raises(RuntimeError, match="non-finite integrand value"):
-        he_defect_norm(h, rule16)
+        l2_gram(SB, h, rule16)
     with pytest.raises(RuntimeError, match="non-finite integrand value"):
-        PointwiseExponentialPath(trivial_metric(SPEC), h, rule16).deriv_integrand(0.5)
+        PointwiseExponentialPath(standard_metric(SPEC), h, rule16).deriv_integrand(0.5)
 
 
 def test_poincare_line_bundle(rule24):
     # on the trivial line bundle the first nonzero eigenvalue is 2
-    out = poincare_constant(trivial_metric(BundleSpec((0,))), rule24)
+    out = poincare_constant(standard_metric(BundleSpec((0,))), rule24)
     assert out["lambda1"] == pytest.approx(2.0, abs=1e-6)
     assert out["constant"] == pytest.approx(0.5, abs=1e-6)
 
@@ -182,21 +181,19 @@ def test_poincare_raises_when_not_settled(rule16, monkeypatch):
         donaldson_mod, "_poincare_rayleigh", lambda h0, rule, max_deg: 1.1**max_deg
     )
     with pytest.raises(RuntimeError, match="not stable to 1% by degree 6") as exc:
-        poincare_constant(trivial_metric(SPEC), rule16)
+        poincare_constant(standard_metric(SPEC), rule16)
     assert repr(1.1**5) in str(exc.value) and repr(1.1**6) in str(exc.value)
 
 
 def test_poincare_split_bundle_frozen(rule24):
-    out = poincare_constant(trivial_metric(SPEC), rule24)
+    out = poincare_constant(standard_metric(SPEC), rule24)
     assert out["constant"] == pytest.approx(0.8435774255676916, rel=1e-6)
 
 
 def test_delta_audit_line_bundle(rule24):
     spec = BundleSpec((3,))
     sb = basis(spec, 3)
-    from hebundle.sections import l2_gram
-
-    h0 = FSMetric(sb, G=l2_gram(sb, trivial_metric(spec), rule24))
+    h0 = FSMetric(sb, G=l2_gram(sb, trivial_metric(sb), rule24))
     rng = np.random.default_rng(17)
     h = FSMetric(sb, G=rand_pd(rng, sb.N, scale=0.4))
     pc = poincare_constant(h0, rule24)["constant"]
@@ -204,6 +201,16 @@ def test_delta_audit_line_bundle(rule24):
     assert 0 < rep.delta <= 1.0 + 1e-9
     assert rep.passes
     assert rep.mdon >= rep.bound - 1e-6
+
+
+def test_default_path_needs_fs_metrics_of_one_basis(rule16):
+    # FS metrics at levels 1 and 2 of one bundle: the caller names the path
+    h1 = _fs_pair(13)[0]
+    sb2 = basis(SPEC, 2)
+    h2 = FSMetric(sb2, G=rand_pd(np.random.default_rng(13), sb2.N, 0.4))
+    for a, b in ((h2, h1), (h1, h2)):
+        with pytest.raises(ValueError, match="pass path="):
+            donaldson(a, b, rule16)
 
 
 def test_donaldson_requires_rule():
@@ -310,32 +317,36 @@ def test_shared_path_setup_gives_the_bits_of_a_fresh_one(rule16, seed):
 
 def _evaluated_points(monkeypatch, *metrics):
     """A function that reads how many points each metric's `evaluate`
-    has been called on and, last, `eval_matrix_batch` through every
-    package module that binds it (`count_calls`)."""
+    has been called on and, last, `eval_matrix_batch` (sections and
+    their derivatives) and `_section_values` (sections alone, which
+    `eval_matrix_batch` calls too), through every package module that
+    binds them (`count_calls`)."""
     calls = [count_calls(monkeypatch, h, "evaluate") for h in metrics]
-    calls.append(count_calls(monkeypatch, sections_mod, "eval_matrix_batch"))
+    for name in ("eval_matrix_batch", "_section_values"):
+        calls.append(count_calls(monkeypatch, sections_mod, name))
     return lambda: [sum(len(args[-1]) for args in c) for c in calls]
 
 
 def test_second_derivative_evaluates_each_endpoint_on_two_stencils(rule16, monkeypatch):
     # one stencil for the path (velocity and energy rate), one for the
-    # metric at s; nothing evaluates sections past the endpoints
+    # metric at s; nothing evaluates sections past the endpoints, and
+    # their values take no section derivatives
     h0, h1 = _fs_pair(8, scale=0.3)
     points = _evaluated_points(monkeypatch, h0, h1)
     second_derivative_geodesic(h0, h1, 0.5, rule16)
     stencil = 9 * rule16.n
-    assert points() == [2 * stencil, 2 * stencil, 4 * stencil]
+    assert points() == [2 * stencil, 2 * stencil, 0, 4 * stencil]
 
 
 def test_pointwise_energy_evaluates_each_endpoint_once(rule24, monkeypatch):
     # against the standard metric, (1, -1) at k = 1 misses the 3/7 rung:
     # the rung and the panels share one stencil evaluation of each
     # endpoint, and each call's values equal a fresh path's
-    h0, h1 = trivial_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
+    h0, h1 = standard_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
     points = _evaluated_points(monkeypatch, h0, h1)
     rec = _RecordingPath(PointwiseExponentialPath(h0, h1, rule24))
     path_energy(rec, 1e-8)
-    assert points() == [9 * rule24.n, 9 * rule24.n, 9 * rule24.n]
+    assert points() == [9 * rule24.n, 9 * rule24.n, 0, 18 * rule24.n]
     assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
     for ts, got in zip(rec.calls, rec.values):
         assert np.array_equal(got, PointwiseExponentialPath(h0, h1, rule24).deriv_integrand(ts))
@@ -344,9 +355,9 @@ def test_pointwise_energy_evaluates_each_endpoint_once(rule24, monkeypatch):
 def test_pointwise_energy_forms_the_velocity_at_the_nodes_alone(rule24, monkeypatch):
     # the energy reads the velocity at the nodes; only the convexity
     # audit's formula differences it, and forms it on the stencil itself
-    h0, h1 = trivial_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
+    h0, h1 = standard_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
     calls = count_calls(monkeypatch, bundle_mod, "geodesic_log_batch")
-    donaldson(h1, h0, rule24)
+    donaldson(h1, h0, rule24, path=PointwiseExponentialPath(h0, h1, rule24))
     # the points are every axis of the relative eigenvalues but the last
     assert [math.prod(args[0][2].shape[:-1]) for args in calls] == [rule24.n]
     calls.clear()

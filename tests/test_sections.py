@@ -1,19 +1,20 @@
 """Section bases, L2 forms, Fubini-Study metrics, and Bergman kernels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from _utils import at, rand_pd, transition_matrix
+from _utils import at, rand_pd, standard_metric, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     _equilibrated_inverse,
     _mat_mul,
     fd_curvature_batch,
     fd_stencil,
-    trivial_metric,
+    regularity,
 )
 from hebundle.geometry import build_quadrature, canonical_points
 from hebundle.sections import (
@@ -23,6 +24,7 @@ from hebundle.sections import (
     bergman_kernel,
     eval_matrix_batch,
     l2_gram,
+    trivial_metric,
 )
 
 
@@ -55,7 +57,7 @@ def test_l2_gram_exact_monomial_values(rule24):
     # <z^i, z^j> = delta_ij * i! (d-i)! / (d+1)!
     d = 4
     sb = basis(BundleSpec((0,)), d)
-    G = l2_gram(sb, trivial_metric(sb.bundle), rule24)
+    G = l2_gram(sb, standard_metric(sb.bundle), rule24)
     exact = [
         math.factorial(j) * math.factorial(d - j) / math.factorial(d + 1)
         for j in range(d + 1)
@@ -68,7 +70,7 @@ def test_l2_gram_rejects_degenerate_rule():
     # O(0) at k = 20 has 21 sections; 16 nodes cannot separate them
     sb = basis(BundleSpec((0,)), 20)
     with pytest.raises(RuntimeError, match="degenerate L2 form"):
-        l2_gram(sb, trivial_metric(sb.bundle), build_quadrature(4, 4))
+        l2_gram(sb, standard_metric(sb.bundle), build_quadrature(4, 4))
 
 
 def test_fs_metric_identity_form_closed_form():
@@ -151,14 +153,42 @@ def test_fs_identity_defect_small():
         assert defect < 1e-10
 
 
+def _exact_standard(degs, coords):
+    """diag((1+|x|^2)^(-a_i)) at every point, each entry the float
+    nearest its exact rational value."""
+    q = [Fraction(x.real) ** 2 + Fraction(x.imag) ** 2 for x in coords.tolist()]
+    out = np.zeros((len(q), len(degs), len(degs)))
+    for i, a in enumerate(degs):
+        out[:, i, i] = [float((1 + t) ** -a) for t in q]
+    return out
+
+
+# the rounding of the section powers and of (1+|x|^2)^k grows with the
+# level: on this rule the largest errors are 4.2 eps and 1.9e-14 at the
+# regularity + 3 levels, and 3.3 eps and 8.7e-15 below them
+@pytest.mark.parametrize("degs", [(3,), (1, -1), (2, 1, 0), (2, -1, 0), (0,)])
+def test_trivial_metric_is_the_binomial_fs_metric(degs, rule24):
+    # the standard metric at every level from the regularity up, negative
+    # ones included, in both charts, with closed-form curvature diag(a_i)
+    spec = BundleSpec(degs)
+    assert rule24.charts.any() and not rule24.charts.all()
+    ref, eps = _exact_standard(degs, rule24.coords), np.finfo(float).eps
+    for k in range(regularity(spec), regularity(spec) + 4):
+        h = trivial_metric(basis(spec, k))
+        assert isinstance(h, FSMetric)
+        hv, lam = h.evaluate_with_curvature(rule24.charts, rule24.coords)
+        assert np.all(np.abs(hv - ref) <= 6 * eps * ref), k
+        assert np.max(np.abs(lam - np.diag(np.array(degs, dtype=float)))) <= 3e-14, k
+
+
 def test_bergman_kernel_flat_line_bundle(rule24):
     # the flat metric on O(0) is balanced: raw kernel is (k+1) Id
-    rep = bergman_kernel(trivial_metric(BundleSpec((0,))), 4, rule24)
+    rep = bergman_kernel(standard_metric(BundleSpec((0,))), 4, rule24)
     assert rep["N"] == 5
     assert rep["raw_sup_dev"] < 1e-9
     assert rep["sup_dev"] < 1e-9
     # the raw kernel h fs^-1 at a point, with fs the FS metric of the L2 form
-    h = trivial_metric(BundleSpec((0,)))
+    h = standard_metric(BundleSpec((0,)))
     fs = FSMetric(basis(h.bundle, 4), G=rep["gram"])
     raw = at(h, 0.3) @ np.linalg.inv(at(fs, 0.3))
     assert raw[0, 0].real == pytest.approx(5.0, abs=1e-9)
@@ -238,6 +268,7 @@ def test_fs_moments_match_numpy_and_do_not_depend_on_the_batch(r, N):
     rng = np.random.default_rng(40 + 3 * r + N)
     T, T1 = (rng.normal(size=(4, 7, r, N)) + 1j * rng.normal(size=(4, 7, r, N)) for _ in "ab")
     got = _fs_moments(T, T1)
+    assert len(got) == 3 and np.array_equal(_fs_moments(T)[0], got[0])  # A alone: the same bits
     Tc, T1c = (np.swapaxes(M, -1, -2).conj() for M in (T, T1))
     for g, ref in zip(got, (T @ Tc, T1 @ Tc, T1 @ T1c)):
         _close_to(g, ref, 1e-13)

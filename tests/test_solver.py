@@ -14,10 +14,11 @@ import hebundle.bundle as bundle_mod
 import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
 from _utils import count_calls, rand_pd
-from hebundle.bundle import BundleSpec, he_residual, trivial_metric
+from hebundle.bundle import BundleSpec, he_residual
 from hebundle.donaldson import BergmanPath, path_energy
 from hebundle.geometry import build_quadrature
-from hebundle.sections import FSMetric, basis, eval_matrix_batch, l2_gram, node_sections
+from hebundle.sections import (FSMetric, basis, eval_matrix_batch, l2_gram, node_sections,
+                               trivial_metric)
 from hebundle.solver import (
     SolveOptions,
     destabilizer_extract,
@@ -72,7 +73,7 @@ def test_gradient_vanishes_at_critical_point(rule24):
     # its L2 form is a critical point of the energy
     spec = BundleSpec((0,))
     sb = basis(spec, 3)
-    G = l2_gram(sb, trivial_metric(spec), rule24)
+    G = l2_gram(sb, trivial_metric(sb), rule24)
     g, _, _ = mdon_gradient(sb, G, node_sections(sb, rule24))
     assert np.linalg.norm(g) < 1e-10
 
@@ -210,6 +211,23 @@ def test_solve_forms_sections_and_reference_whitening_once(monkeypatch):
     assert len(eigs) == len(res.history)
     assert len(sections) == 2
     assert len(factors) == 1
+
+
+def test_energy_history_records_an_accepted_rise(monkeypatch):
+    # the first trial reads a rise within the acceptance tolerance, so it
+    # is accepted, and the history moves by exactly that rise
+    spec, rule, rise = BundleSpec((2, 2)), build_quadrature(12, 12), 5e-11
+    orig, trials = solver_mod.donaldson, []
+
+    def first_trial_rises(*args, **kwargs):
+        trials.append(orig(*args, **kwargs))
+        return rise if len(trials) == 1 else trials[-1]
+
+    monkeypatch.setattr(solver_mod, "donaldson", first_trial_rises)
+    G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
+    res = minimize(spec, SolveOptions(k=0, max_iter=3), rule, G_init=G)
+    assert len(res.history) == 3 and len(res.mdon_history) > 1
+    assert res.mdon_history[1] - res.mdon_history[0] == rise
 
 
 def test_gradient_from_shared_sections_has_fresh_bits(rule16):
