@@ -5,8 +5,7 @@ forms; along the ray the energy grows linearly with slope equal to the
 exact invariant computed by the sheaf engine.  This module evaluates
 the energy rate along such rays in a factor graded by weight, in the
 frame of a QR of the section factor, which stays exact at large times;
-it fits asymptotic slopes, takes renormalized large-time limits in a
-weight-adapted frame, and probes the uniformity of the linear lower
+it fits asymptotic slopes and probes the uniformity of the linear lower
 bound across twist levels.
 
 Sign convention: the weight-w eigenvectors of the generator are scaled
@@ -26,10 +25,9 @@ import sympy as sp
 
 from .bundle import BundleSpec, _chunked_rate, _hermitize
 from .geometry import QuadratureRule, gauss_legendre01
-from .quot import (WeightSpec, _generic_rank, block_weightspec, evaluation_drop_degree, filtration,
+from .quot import (WeightSpec, block_weightspec, evaluation_drop_degree, filtration,
                    generated_subsheaf)
 from .sections import (
-    FSMetric,
     SectionBasis,
     _section_factor,
     basis as section_basis,
@@ -71,15 +69,6 @@ class OnePSRay:
         K = np.linalg.solve(np.linalg.cholesky(self.G0), self._U)
         self._C = np.linalg.cholesky(_hermitize(K.conj().T @ K))
         self._M = np.linalg.solve(self._C, self._lam[:, None] * self._C)
-
-    def gram_factor(self, t: float) -> np.ndarray:
-        """W_t with G_t^-1 = W_t W_t*."""
-        return (self._U * np.exp(self._lam * t)) @ self._C
-
-    def metric_at(self, t: float) -> FSMetric:
-        if t < 0:
-            raise ValueError("ray parameter must be nonnegative")
-        return FSMetric(self.sb, ginv_factor=self.gram_factor(t))
 
 
 def _reflect(v, vc, tau, col):
@@ -277,67 +266,6 @@ def zeta_matrix(zeta: WeightSpec) -> np.ndarray:
     for w, vs in zeta.blocks:
         weights.extend([float(w)] * len(vs))
     return (q * np.array(weights)) @ q.conj().T
-
-
-def frame_weights(spec: BundleSpec, zeta_rational: WeightSpec):
-    """Per-summand weights of the filtration in the standard frame.
-
-    Each summand row is assigned the weight of the first filtration
-    level whose generic fiber contains that coordinate direction.  The
-    generic fiber lies in the span of the rows that are not identically
-    zero, so it is that coordinate subspace exactly when the level's
-    rank over the function field C(x) equals their number.  The
-    saturations must be aligned with the splitting: any other level
-    raises ValueError.
-    """
-    sb = section_basis(spec, zeta_rational.k)
-    zeta_rational.validate_against(sb)
-    out = [None] * spec.rank
-    cum = []
-    for w, vecs in zeta_rational.blocks:
-        cum.extend(vecs)
-        m = generated_subsheaf(sb, cum)
-        rows = [i for i, row in enumerate(m.matrix.to_list()) if any(row)]
-        if _generic_rank(m.matrix, m.row_degrees)[0] != len(rows):
-            raise ValueError(
-                "filtration is not aligned with the splitting; "
-                "pass explicit frame weights"
-            )
-        for i in rows:
-            if out[i] is None:
-                out[i] = w
-    return tuple(out)
-
-
-def renormalized_limit(
-    sb: SectionBasis, G0: np.ndarray, zeta_rational: WeightSpec, t_list, charts, coords
-) -> dict:
-    """Large-time limit of the metric along the ray from the form G0
-    generated by the weight datum (`zeta_matrix`), in the weight-adapted
-    frame.
-
-    Conjugates h_t by diag(e^{w_i t}) with per-summand filtration
-    weights, evaluates at the sample points (charts, coords) for
-    increasing t (`values`, shape (t, point, r, r)), and reports
-    successive sup differences (a Cauchy check) together with
-    positive-definiteness flags.  On the projective line the divided
-    minors of a saturation have no common zero, so every point is
-    regular and admissible.
-    """
-    ray = OnePSRay(sb, G0, zeta_matrix(zeta_rational))
-    frame_w = np.array([float(w) for w in frame_weights(sb.bundle, zeta_rational)]) / ray.scale
-    t_list = sorted(float(t) for t in t_list)
-    h = np.array([ray.metric_at(t).evaluate(charts, coords) for t in t_list])
-    conj = np.exp(np.outer(t_list, frame_w))[:, None]
-    values = conj[..., :, None] * h * conj[..., None, :]
-    cauchy = np.linalg.norm(np.diff(values, axis=0), 2, axis=(-2, -1)).max(axis=-1)
-    return {
-        "t_list": t_list,
-        "values": values,
-        "cauchy_defects": cauchy.tolist(),
-        "pd_flags": np.all(np.linalg.eigvalsh(values) > 0, axis=(-2, -1)).tolist(),
-        "frame_weights": tuple(frame_w),
-    }
 
 
 def random_block_weightspec(sb: SectionBasis, rng) -> WeightSpec:

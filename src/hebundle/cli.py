@@ -53,7 +53,8 @@ _BLOCKS = {
     "convexity": {"n_paths": 3, "s_values": [0.0, 0.5, 1.0]},
 }
 _TOP_KEYS = {"bundle", "k", "k_list", "seed", "output_dir", "zeta", *_BLOCKS}
-_KINDS = {int: "an integer >= 1", float: "a number", list: "a nonempty list of numbers"}
+_KINDS = {int: "an integer >= 1", float: "a finite number",
+          list: "a nonempty list of finite numbers"}
 
 # the top-level inputs a command reads besides the bundle ("k" when not
 # listed); "a|b" takes either
@@ -76,7 +77,7 @@ def _fits(x, default) -> bool:
     if isinstance(default, list):
         return isinstance(x, list) and len(x) > 0 and all(_fits(v, 0.0) for v in x)
     if isinstance(default, float):
-        return _is_int(x) or isinstance(x, float)
+        return _is_int(x) or isinstance(x, float) and math.isfinite(x)
     return _is_int(x) and x >= 1
 
 
@@ -216,10 +217,9 @@ def _write_csv(path, header, rows):
 
 def _cmd_bergman(cfg, spec, rule, outdir):
     h = trivial_metric(basis(spec, regularity(spec)))
-    rows = []
-    for k in cfg.get("k_list") or [cfg["k"]]:
-        rep = bergman_kernel(h, k, rule)
-        rows.append((k, float(rep["sup_dev"]), float(rep["raw_sup_dev"])))
+    ks = cfg.get("k_list") or [cfg["k"]]
+    reps = bergman_kernel(h, ks, rule)
+    rows = [(k, float(rep["sup_dev"]), float(rep["raw_sup_dev"])) for k, rep in zip(ks, reps)]
     _write_csv(outdir / "bergman.csv", ("k", "sup_dev", "raw_sup_dev"), rows)
     return {"rows": [{"k": k, "sup_dev": s, "raw_sup_dev": r} for k, s, r in rows]}, 0
 
@@ -372,7 +372,7 @@ def _self_test() -> int:
     """Small end-to-end exercise of the easy example paths."""
     checks = []
     rule = build_quadrature(16, 16)
-    rep = bergman_kernel(trivial_metric(basis(BundleSpec((0,)), 0)), 5, rule)
+    (rep,) = bergman_kernel(trivial_metric(basis(BundleSpec((0,)), 0)), [5], rule)
     checks.append(("bergman O(0) k=5", rep["raw_sup_dev"] < 1e-8))
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)

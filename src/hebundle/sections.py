@@ -276,25 +276,24 @@ def _bergman_raw(hv, S, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
     return _mat_mul(hv, fs_inv)
 
 
-def bergman_kernel(h: MetricEvaluator, k: int, rule: QuadratureRule) -> dict:
-    """Kernel endomorphism comparing h with the FS metric of its L2 form.
+def bergman_kernel(h: MetricEvaluator, k_list, rule: QuadratureRule) -> list:
+    """Kernel endomorphism comparing h with the FS metric of its L2 form,
+    one report per level of `k_list`.
 
     The raw kernel (`_bergman_raw`) times r * Vol / N tends to the
     identity as k grows.  The node sup of the pointwise 2-norm of
-    tilde - Id is `bundle._node_sup_norm`, the Einstein defect's sup.  The
-    L2 form and the raw kernel share one evaluation of h and the sections.
+    tilde - Id is `bundle._node_sup_norm`, the Einstein defect's sup.  h
+    is evaluated on the nodes once; each level's L2 form and raw kernel
+    share that evaluation and the level's sections.
     """
-    sb = basis(h.bundle, k)
-    hv, S = h.evaluate(rule.charts, rule.coords), _section_values(sb, rule.charts, rule.coords)
-    G = _l2_form(sb, rule, hv, S)
-    raw = _bergman_raw(hv, S, sb, G, rule)
-    r = h.bundle.rank
-    tilde = (r * 1.0 / sb.N) * raw  # volume is 1
-    # raw = (N / r) tilde, so one 2-norm gives both sups
-    sup_dev = _node_sup_norm(tilde - np.eye(r))
-    return {
-        "sup_dev": sup_dev,
-        "raw_sup_dev": (sb.N / r) * sup_dev,
-        "N": sb.N,
-        "gram": G,
-    }
+    hv, r = h.evaluate(rule.charts, rule.coords), h.bundle.rank
+    reps = []
+    for k in k_list:
+        sb = basis(h.bundle, k)
+        S = _section_values(sb, rule.charts, rule.coords)
+        G = _l2_form(sb, rule, hv, S)
+        tilde = (r * 1.0 / sb.N) * _bergman_raw(hv, S, sb, G, rule)  # volume is 1
+        # raw = (N / r) tilde, so one 2-norm gives both sups
+        sup_dev = _node_sup_norm(tilde - np.eye(r))
+        reps.append({"sup_dev": sup_dev, "raw_sup_dev": (sb.N / r) * sup_dev, "N": sb.N, "gram": G})
+    return reps

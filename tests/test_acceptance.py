@@ -75,8 +75,7 @@ def test_criterion_02_balanced_bergman_constant(rule64):
     t0 = time.time()
     h = trivial_metric(basis(BundleSpec((0,)), 0))
     worst = 0.0
-    for k in range(2, 11):
-        rep = bergman_kernel(h, k, rule64)
+    for k, rep in zip(range(2, 11), bergman_kernel(h, range(2, 11), rule64)):
         assert rep["N"] == k + 1
         worst = max(worst, rep["raw_sup_dev"])
     dt = time.time() - t0
@@ -96,7 +95,7 @@ def test_criterion_03_bergman_decay(rule64):
     rng = np.random.default_rng(7)
     h = FSMetric(sb3, G=rand_pd(rng, sb3.N, scale=0.5))
     ks = np.arange(4, 13)
-    devs = np.array([bergman_kernel(h, int(k), rule64)["sup_dev"] for k in ks])
+    devs = np.array([rep["sup_dev"] for rep in bergman_kernel(h, ks.tolist(), rule64)])
     # one-parameter least squares fit dev_k ~ C/k
     C = float(np.sum(devs / ks) / np.sum(1.0 / ks**2))
     resid = float(np.max(np.abs(devs - C / ks))) / C

@@ -18,9 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hebundle"
 
-ALLOWED = {
-    "renormalized_limit": "the paper's title object, the Quot-scheme limit of the FS rays",
-}
+ALLOWED = {}
 
 
 MODULES = {p.stem for p in SRC.glob("*.py")}
@@ -74,6 +72,26 @@ def test_every_public_name_has_a_caller():
                 uncalled.append(f"{mod}.{name}")
     assert set(ALLOWED) <= defined, "an allowlisted name no longer exists"
     assert not uncalled, f"public names with no caller outside the unit tests: {uncalled}"
+
+
+def test_every_import_is_read():
+    """Every name that an import binds in a package module is read in
+    that module, so a deletion cannot leave its imports behind.
+    Annotations count as reads; `from __future__` imports bind nothing."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        reads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in reads:
+                        unread.append(f"{path.stem}: {bound}")
+    assert not unread, f"imports read by nothing in their module: {unread}"
 
 
 def test_node_sums_go_through_integrate_values():

@@ -1,4 +1,5 @@
-"""Rays of Fubini-Study metrics: slopes, limits, and weight rounding."""
+"""Rays of Fubini-Study metrics: slopes, coercivity probes and weight
+rounding."""
 
 from fractions import Fraction
 
@@ -9,18 +10,15 @@ from _utils import at
 from hebundle.asymptotics import (
     OnePSRay,
     coercivity_probe,
-    frame_weights,
     mdon_along_ray,
     random_block_weightspec,
     rationalize_zeta,
-    renormalized_limit,
     slope_estimate,
     zeta_matrix,
 )
 from hebundle.bundle import BundleSpec
-from hebundle.geometry import canonical_points
 from hebundle.quot import WeightSpec, block_weightspec, filtration
-from hebundle.sections import basis, l2_gram, trivial_metric
+from hebundle.sections import FSMetric, basis, l2_gram, trivial_metric
 
 SPEC = BundleSpec((1, -1))
 SB = basis(SPEC, 1)
@@ -49,15 +47,13 @@ def test_ray_construction_and_scaling(rule16):
     assert np.linalg.norm(ray.zeta, 2) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         OnePSRay(SB, G0, np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        ray.metric_at(-1.0)
 
 
 def test_ray_start_is_base_metric(rule16):
-    from hebundle.sections import FSMetric
-
+    # the graded factor at t = 0: G0^-1 = (U C) (U C)*
     G0 = l2_gram(SB, trivial_metric(SB), rule16)
-    h = OnePSRay(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0])).metric_at(0.0)
+    ray = OnePSRay(SB, G0, np.diag([1.0, 0.5, 0.0, -1.0]))
+    h = FSMetric(SB, ginv_factor=ray._U @ ray._C)
     z = 0.4 + 0.2j
     assert np.allclose(at(h, z), at(FSMetric(SB, G=G0), z), atol=1e-10)
 
@@ -122,45 +118,6 @@ def test_slope_estimate_needs_two_tail_times(rule16):
     G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
     with pytest.raises(ValueError, match="n_t = 2"):
         slope_estimate(SB, G0, zr, t_max=30.0, n_t=2, rule=rule16)
-
-
-def test_frame_weights_aligned_case():
-    zr = block_weightspec(SB, [(Fraction(1, 3), 3), (Fraction(-1), 1)])
-    assert frame_weights(SPEC, zr) == (Fraction(1, 3), Fraction(-1))
-    # the top level's generator x - root vanishes at (1, root); its
-    # generic fiber is still e_0
-    for root in (Fraction(3, 7), Fraction(1, 2)):
-        zr = WeightSpec(
-            k=1,
-            blocks=(
-                (Fraction(1), ((-root, 1, 0, 0),)),
-                (Fraction(-1), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
-            ),
-        )
-        assert frame_weights(SPEC, zr) == (Fraction(1), Fraction(-1))
-
-
-def test_frame_weights_non_aligned_case():
-    # each top level contains neither coordinate direction: x0^2 e_0 + e_1
-    # has the constant fiber (1, 1); x0 x1 e_0 + e_1 has the fiber (x, 1),
-    # which is e_1 at x = 0 alone
-    for top, rest in (
-        ((1, 0, 0, 1), ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
-        ((0, 1, 0, 1), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
-    ):
-        zr = WeightSpec(k=1, blocks=((Fraction(1), (top,)), (Fraction(-1), rest)))
-        with pytest.raises(ValueError, match="not aligned"):
-            frame_weights(SPEC, zr)
-
-
-def test_renormalized_limit_is_cauchy_and_positive(rule16):
-    G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
-    points = canonical_points([0.0, 0.5, 0.8j])
-    out = renormalized_limit(SB, G0, zr, [4.0, 8.0, 12.0, 16.0], *points)
-    assert all(out["pd_flags"])
-    d = out["cauchy_defects"]
-    assert d[-1] <= d[0]
-    assert d[-1] < 1e-3
 
 
 def test_rationalize_zeta_roundtrip():

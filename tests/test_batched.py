@@ -289,8 +289,7 @@ def test_bergman_kernel_sups_equal_per_node_loop(rule16):
     rng = np.random.default_rng(7)
     sb0 = basis(BundleSpec((1, 0)), 1)
     h = FSMetric(sb0, G=rand_pd(rng, sb0.N, 0.3))
-    for k in (1, 3):
-        rep = bergman_kernel(h, k, rule16)
+    for k, rep in zip((1, 3), bergman_kernel(h, (1, 3), rule16)):
         sb = basis(h.bundle, k)
         raw = _bergman_raw(h, sb, rep["gram"], rule16)
         r = h.bundle.rank

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hebundle.donaldson as donaldson_mod
+import hebundle.sections as sections_mod
 from _utils import count_calls
 from hebundle.cli import main, parse_config, ConfigError
 
@@ -158,6 +159,13 @@ def test_bergman_command(tmp_path):
     assert len(lines) == 3
     rep = json.loads((out / "report.json").read_text())
     assert rep["results"]["rows"][0]["raw_sup_dev"] < 1e-8
+
+
+def test_bergman_command_evaluates_h_once(tmp_path, monkeypatch):
+    # one evaluation of h on the nodes serves every level of k_list
+    calls = count_calls(monkeypatch, sections_mod.FSMetric, "evaluate")
+    assert _run("bergman", _write_cfg(tmp_path, "c.json", _BERGMAN_CFG), tmp_path / "out") == 0
+    assert len(calls) == 1
 
 
 def test_mdon_command(tmp_path):
@@ -311,6 +319,14 @@ _BLOCKS_13 = [
         # values of the right kind that the solver refuses
         ("solve", {**_MNA_BASE, "solve": {"grad_tol": 0}}, "grad_tol"),
         ("solve", {**_MNA_BASE, "solve": {"divergence_op": 0}}, "divergence_op"),
+        # NaN and Infinity, which Python's json reads as floats
+        ("slope-test", {**_MNA_BASE, "zeta": {"weights": ["1/3", "-1"], "dims": [3, 1]},
+                        "slope": {"t_max": float("inf")}}, "t_max"),
+        ("convexity-audit", {**_CONVEXITY_BASE, "convexity": {"s_values": [float("nan")]}},
+         "s_values"),
+        ("audit-deltabound", {"bundle": [0], "k": 2, "quadrature": _Q8,
+                              "delta_audit": {"scale": float("nan")}}, "scale"),
+        ("solve", {**_MNA_BASE, "solve": {"divergence_m": float("nan")}}, "divergence_m"),
     ],
 )
 def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):

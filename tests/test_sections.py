@@ -183,7 +183,7 @@ def test_trivial_metric_is_the_binomial_fs_metric(degs, rule24):
 
 def test_bergman_kernel_flat_line_bundle(rule24):
     # the flat metric on O(0) is balanced: raw kernel is (k+1) Id
-    rep = bergman_kernel(standard_metric(BundleSpec((0,))), 4, rule24)
+    (rep,) = bergman_kernel(standard_metric(BundleSpec((0,))), [4], rule24)
     assert rep["N"] == 5
     assert rep["raw_sup_dev"] < 1e-9
     assert rep["sup_dev"] < 1e-9
@@ -198,8 +198,7 @@ def test_bergman_kernel_decreasing_for_smooth_metric(rule24):
     sb3 = basis(BundleSpec((0,)), 3)
     rng = np.random.default_rng(7)
     h = FSMetric(sb3, G=rand_pd(rng, sb3.N, scale=0.5))
-    d1 = bergman_kernel(h, 4, rule24)["sup_dev"]
-    d2 = bergman_kernel(h, 8, rule24)["sup_dev"]
+    d1, d2 = (rep["sup_dev"] for rep in bergman_kernel(h, [4, 8], rule24))
     assert d2 < d1
 
 
