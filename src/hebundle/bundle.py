@@ -206,17 +206,23 @@ def fd_stencil(fn, charts, coords):
     return np.concatenate(vals), dl
 
 
+def _t_chunk(rule: QuadratureRule) -> int:
+    """The t-nodes that one call of a path's node kernel takes on `rule`:
+    as many as fit in _MAX_POINTS (t-node, sphere-node) points, and at
+    least one."""
+    return max(1, _MAX_POINTS // rule.n)
+
+
 def _chunked_rate(t, rule: QuadratureRule, node_values):
     """dM/dt along a path on the nodes of `rule`: a float for a scalar t,
     an array for a 1-D array of t.  `node_values(ts)` gives the integrand
     at every node for a 1-D array of t, shape (len(ts), n); the t-nodes
-    go to it in chunks of at most _MAX_POINTS (t-node, sphere-node)
-    points, and a path whose values do not depend on the chunking gives
-    the same value at a t in any call."""
+    go to it in chunks of `_t_chunk`, and a path whose values do not
+    depend on the chunking gives the same value at a t in any call."""
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
     out = np.empty(flat.shape)
-    step = max(1, _MAX_POINTS // rule.n)
+    step = _t_chunk(rule)
     for lo in range(0, len(flat), step):
         out[lo : lo + step] = integrate_values(node_values(flat[lo : lo + step]).T, rule)
     return float(out[0]) if ts.ndim == 0 else out

@@ -27,6 +27,7 @@ from .bundle import (
     _hermitize,
     _mat_mul,
     _stencil_sum,
+    _t_chunk,
     delta_boundedness,
     fd_curvature_batch,
     fd_derivatives,
@@ -48,50 +49,92 @@ def _form_geodesic(G0: np.ndarray, G1: np.ndarray):
 class BergmanPath:
     """Form-space geodesic between two positive forms on H0(E(k))
     (`_form_geodesic`), on the rule of its `sections` (`node_sections`),
-    where its constructor forms all that t does not change."""
+    where its constructor forms all that t does not change.  Besides
+    `deriv_integrand(t)` it exposes its end state, FS(G1) on the nodes
+    (`end_state`), which the solver's next gradient reads."""
 
     def __init__(self, sb: SectionBasis, G0: np.ndarray, G1: np.ndarray, sections):
         self.sb = sb
         self._rule = sections[0]
-        base, self._lam = _form_geodesic(G0, G1)
+        self._base, self._lam = _form_geodesic(G0, G1)
         self._loglam = np.log(self._lam)
         # columns of S B and S' B, (N, n, r, 1), and their rank-one
         # moments, (N, 3, n, r, r)
-        u, u1 = (np.moveaxis(_section_factor(S, base), -1, 0)[..., None] for S in sections[1:3])
+        u, u1 = (np.moveaxis(_section_factor(S, self._base), -1, 0)[..., None]
+                 for S in sections[1:3])
         uc, u1c = np.swapaxes(u, -1, -2).conj(), np.swapaxes(u1, -1, -2).conj()
         self._mom = np.ascontiguousarray(np.stack([u * uc, u1 * uc, u1 * u1c], axis=1))
+        self._end = None
+
+    def _nodes(self, ts):
+        """A_t, its equilibrated inverse, the contracted curvature and V
+        at every node for each t of the 1-D array ts, shape (len(ts), n,
+        r, r) each.
+
+        G_t^-1 = B diag(lam^-t) B*, so with the columns u_j of S B and u'_j
+        of S' B, A_t = sum_j lam_j^-t u_j u_j*, and likewise A' = T' T* and
+        A'' = T' T'* from u'_j u_j* and u'_j u'_j*; V is A_t with weights
+        lam^-t log lam.  The moments of all of ts come from one real GEMM
+        against [lam^-t; lam^-t log lam], which has at least two rows, and
+        every later step is a per-node kernel, so a t-node's values do not
+        depend on what else ts holds."""
+        # lam^-t as an exp: numpy's power takes an exponent that is
+        # constant along its inner loop, such as the t = 1 of a one-node
+        # call, by a reciprocal, which rounds apart from the power it
+        # forms for the same t within a longer ts
+        e = np.exp(np.outer(-ts, self._loglam))
+        m = len(ts)
+        mom = self._mom.view(float).reshape(len(self._lam), -1)
+        mo = (np.concatenate([e, e * self._loglam]) @ mom).view(complex)
+        mo = mo.reshape((2 * m,) + self._mom.shape[1:])
+        A, A1, A11, V = mo[:m, 0], mo[:m, 1], mo[:m, 2], mo[m:, 0]
+        Ainv = _equilibrated_inverse(A)
+        coords = self._rule.coords
+        lamF = contract_batch(_fs_curvature(A1, A11, Ainv, coords, self.sb.k), coords)
+        return A, Ainv, lamF, V
+
+    def _keep_end(self, A, Ainv, lamF):
+        """Keep the t = 1 node's A, A^-1 and contracted curvature, with
+        G1^-1 = B diag(lam^-1) B*, as the end state."""
+        ginv = (self._base / self._lam) @ self._base.conj().T
+        self._end = (A.copy(), Ainv.copy(), lamF.copy(), ginv)
+
+    def end_state(self):
+        """FS(G1) on the nodes of the rule: (A, A^-1, contracted curvature,
+        G1^-1), the first three of shape (n, r, r).  It comes from the
+        first `deriv_integrand` call when that call's one chunk had room
+        for t = 1, and otherwise from a one-node call of its own, with the
+        same bits either way."""
+        if self._end is None:
+            A, Ainv, lamF, _ = self._nodes(np.ones(1))
+            self._keep_end(A[0], Ainv[0], lamF[0])
+        return self._end
 
     def deriv_integrand(self, t):
         """dM/dt along the path on the nodes of its rule: a float for a
         scalar t, an array for a 1-D array of t.
 
         The integral of tr(h^-1 dh/dt (contracted curvature - mu)) with
-        h^-1 dh/dt = V A^-1.  G_t^-1 = B diag(lam^-t) B*, so with the
-        columns u_j of S B and u'_j of S' B, A_t = sum_j lam_j^-t u_j u_j*,
-        and likewise A' = T' T* and A'' = T' T'* from u'_j u_j* and
-        u'_j u'_j*; V is A_t with weights lam^-t log lam.  The constructor
-        forms the rank-one moments, so the energy integral's rung and
-        panels share them; the moments of all t-nodes of a chunk
-        (`_chunked_rate`) then come from one real GEMM against
-        [lam^-t; lam^-t log lam], which has at least two rows, and every
-        later step is a per-node kernel, so a t-node's value does not
-        depend on the chunking: the 7 t-nodes of the energy integral's
-        first rung and the 15 of each later panel (`path_energy`) give
-        the same value at a t.
+        h^-1 dh/dt = V A^-1 (`_nodes`).  The constructor forms the rank-one
+        moments, so the energy integral's rung and panels share them, and
+        each chunk of t-nodes (`_chunked_rate`) is one `_nodes` call, so
+        the 7 t-nodes of the energy integral's first rung and the 15 of
+        each later panel (`path_energy`) give the same value at a t.  While
+        the path has no end state, t = 1 joins a call whose t-nodes leave
+        its one chunk room, and its node values become the end state
+        (`end_state`): no chunk is added for it.
         """
         rule = self._rule
         res_shift = float(self.sb.bundle.slope) * np.eye(self.sb.bundle.rank)
-        mom = self._mom.view(float).reshape(len(self._lam), -1)
+        join = self._end is None and np.size(t) < _t_chunk(rule)
 
         def node_values(ts):
-            e = self._lam ** (-ts[:, None])
             m = len(ts)
-            mo = (np.concatenate([e, e * self._loglam]) @ mom).view(complex)
-            mo = mo.reshape((2 * m,) + self._mom.shape[1:])
-            A, A1, A11, V = mo[:m, 0], mo[:m, 1], mo[:m, 2], mo[m:, 0]
-            Ainv = _equilibrated_inverse(A)
-            res = contract_batch(_fs_curvature(A1, A11, Ainv, rule.coords, self.sb.k), rule.coords)
-            return np.einsum("...ij,...ji->...", _mat_mul(V, Ainv), res - res_shift).real
+            A, Ainv, lamF, V = self._nodes(np.append(ts, 1.0) if join else ts)
+            if join:
+                self._keep_end(A[m], Ainv[m], lamF[m])
+            return np.einsum("...ij,...ji->...", _mat_mul(V[:m], Ainv[:m]),
+                             lamF[:m] - res_shift).real
 
         return _chunked_rate(t, rule, node_values)
 

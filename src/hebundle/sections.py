@@ -177,6 +177,13 @@ def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
     return term - k * omega_c[:, None, None] * np.eye(r)
 
 
+def _fs_values(Ainv, coords, k: int) -> np.ndarray:
+    """FS metric values h = e^{k phi} A^-1 at the nodes `coords`, from the
+    inverse moments Ainv = (T T*)^-1 of the section factor T = S W."""
+    ekphi = (1.0 + np.abs(coords) ** 2) ** k
+    return _hermitize(Ainv * ekphi[:, None, None])
+
+
 class FSMetric(MetricEvaluator):
     """Metric induced by a positive form on the level-k section space.
 
@@ -219,22 +226,18 @@ class FSMetric(MetricEvaluator):
         A, A1, A11 = _fs_moments(_section_factor(S, self.W), _section_factor(S1, self.W))
         return A, A1, A11, _equilibrated_inverse(A)
 
-    def _metric(self, Ainv, coords) -> np.ndarray:
-        ekphi = (1.0 + np.abs(coords) ** 2) ** self.sb.k
-        return _hermitize(Ainv * ekphi[:, None, None])
-
     def evaluate(self, charts, coords) -> np.ndarray:
         """Metric values from S and A = T T* alone, in the bits of `_core`'s."""
         coords = np.asarray(coords, dtype=complex)
         T = _section_factor(_section_values(self.sb, charts, coords), self.W)
-        return self._metric(_equilibrated_inverse(_fs_moments(T)[0]), coords)
+        return _fs_values(_equilibrated_inverse(_fs_moments(T)[0]), coords, self.sb.k)
 
     # -- closed-form differential data --------------------------------
     def evaluate_with_curvature(self, charts, coords):
         coords = np.asarray(coords, dtype=complex)
         _, A1, A11, Ainv = self._core(charts, coords)
         lam = contract_batch(self._curvature(A1, A11, Ainv, coords), coords)
-        return self._metric(Ainv, coords), lam
+        return _fs_values(Ainv, coords, self.sb.k), lam
 
     def curvature_coeff(self, charts, coords) -> np.ndarray:
         """Coefficients of (i/2pi) dz^dz-bar of the curvature, (n, r, r)."""

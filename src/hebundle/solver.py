@@ -12,6 +12,8 @@ the destabilizing subsheaf.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +23,31 @@ from .bundle import (BundleSpec, _he_defect, _hermitize, _mat_mul, _node_sup_nor
                      _whitening, he_residual, regularity)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
-from .sections import (FSMetric, SectionBasis, _section_pairing, basis, l2_gram, node_sections,
-                       trivial_metric)
+from .sections import (FSMetric, SectionBasis, _fs_values, _section_pairing, basis, l2_gram,
+                       node_sections, trivial_metric)
 
 
-def mdon_gradient(
-    sb: SectionBasis, G: np.ndarray, sections
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Gradient of the energy in log-coordinates on the form space, the
-    sup of the Einstein defect of FS(G) from the same sections and
+def _fs_state(sb: SectionBasis, G: np.ndarray, sections):
+    """FS(G) on the nodes of the sections' rule, in the layout of
+    `BergmanPath.end_state`: (A, A^-1, contracted curvature, G^-1) from
+    FS(G)'s own moments, for a form that no accepted path ends at."""
+    rule, S, S1 = sections[:3]
+    hm = FSMetric(sb, G=G)
+    A, A1, A11, Ainv = hm._moments(S, S1)
+    lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
+    return A, Ainv, lamF, hm.Ginv
+
+
+def mdon_gradient(sb: SectionBasis, state, sections) -> tuple[np.ndarray, float, np.ndarray]:
+    """Gradient of the energy in log-coordinates on the form space at a
+    form G, the sup of the Einstein defect of FS(G) from the same
     curvature, and FS(G) on the nodes of the sections' rule.
 
-    The moments come from `sections` (`node_sections`), formed once per
-    solve, and the integrals are on their rule.
+    FS(G) enters as its end state (A, A^-1, contracted curvature, G^-1)
+    on those nodes: the accepted line-search path's (`BergmanPath.
+    end_state`), or `_fs_state`'s for the first form of a solve.  The
+    sections (`node_sections`) are formed once per solve, and the
+    integrals are on their rule.
     The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
     energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
     g = P G^-1 + G^-1 P with P the curvature-residual moment matrix,
@@ -41,17 +55,14 @@ def mdon_gradient(
     The trace component vanishes by scale invariance; projecting it
     out suppresses quadrature noise in that direction.
     """
-    rule, S, S1, rows, s = sections
-    hm = FSMetric(sb, G=G)
-    A, A1, A11, Ainv = hm._moments(S, S1)
-    lamF = contract_batch(hm._curvature(A1, A11, Ainv, rule.coords), rule.coords)
+    rule, _, _, rows, s = sections
+    A, Ainv, lamF, Ginv = state
     mu = float(sb.bundle.slope)
     res = lamF - mu * np.eye(sb.bundle.rank)
     P = _section_pairing(rule, _mat_mul(Ainv, res), 1.0, rows, s)
-    Ginv = hm.Ginv
     g = _hermitize(P @ Ginv + Ginv @ P)
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
-    hv = hm._metric(Ainv, rule.coords)
+    hv = _fs_values(Ainv, rule.coords, sb.k)
     # hv^-1 = e^{-k phi} A, which the moments have formed already
     hv_inv = A * ((1.0 + np.abs(rule.coords) ** 2) ** (-sb.k))[:, None, None]
     return g, _node_sup_norm(_he_defect(hv, hv_inv, lamF, mu)), hv
@@ -76,9 +87,16 @@ class SolveOptions:
     divergence_m: float = -1.0e3
 
     def __post_init__(self):
+        # an infinite tolerance would declare any start converged at once
         for name in ("grad_tol", "he_tol", "divergence_op"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, not {v!r}")
+        if not math.isfinite(self.divergence_m):
+            raise ValueError(f"divergence_m must be finite, not {self.divergence_m!r}")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, not {n!r}")
 
 
 @dataclass
@@ -144,8 +162,9 @@ def minimize(
     s_prev = None
     last_dm = None
 
+    state = _fs_state(sb, G, sections)
     for it in range(opts.max_iter):
-        g, res_sup, values = mdon_gradient(sb, G, sections)
+        g, res_sup, values = mdon_gradient(sb, state, sections)
         # the gradient and the residual are scale free, so the form is
         # normalized from the metric values they came from
         G = _normalize(G, values, white)
@@ -190,14 +209,15 @@ def minimize(
             # call goes through `donaldson`, whose spans the benchmark's
             # tracer (perfbench/tracing.py) counts as line-search trials
             try:
-                dm = donaldson(None, None, rule, path=BergmanPath(sb, G, G_new, sections),
-                               tol=1e-9)
+                path = BergmanPath(sb, G, G_new, sections)
+                dm = donaldson(None, None, rule, path=path, tol=1e-9)
+                if dm <= -_ARMIJO_C * a * gnorm2 or dm <= 1e-10:
+                    # the next gradient reads FS(G_new) off the accepted path
+                    state = path.end_state()
+                    accepted = True
+                    break
             except RuntimeError:
-                a *= _BACKTRACK
-                continue
-            if dm <= -_ARMIJO_C * a * gnorm2 or dm <= 1e-10:
-                accepted = True
-                break
+                pass
             a *= _BACKTRACK
         if not accepted:
             if gnorm < 1e2 * opts.grad_tol:
@@ -215,8 +235,9 @@ def minimize(
         mdon_history.append(m_total)
         alpha = min(a * _GROW, _MAX_STEP)
     else:
-        # every iteration took a step: the last form is not normalized yet
-        G = _normalize(G, FSMetric(sb, G=G).evaluate(rule.charts, rule.coords), white)
+        # every iteration took a step: the last form is not normalized yet,
+        # and the accepted path's end state holds its metric values
+        G = _normalize(G, _fs_values(state[1], rule.coords, k), white)
 
     del sections, white  # the ray extension, the memory peak of a solve, needs neither
     if status == "diverging":

@@ -11,6 +11,7 @@ import scipy.linalg
 import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
+import hebundle.solver as solver_mod
 from _utils import ExplicitMetric, at, count_calls, rand_pd, standard_metric
 from hebundle.bundle import (
     BundleSpec,
@@ -37,8 +38,9 @@ from hebundle.donaldson import (
     poincare_constant,
     second_derivative_geodesic,
 )
-from hebundle.geometry import build_quadrature, canonical_points
+from hebundle.geometry import build_quadrature, canonical_points, contract_batch
 from hebundle.sections import FSMetric, basis, l2_gram, node_sections, trivial_metric
+from hebundle.solver import mdon_gradient
 
 
 SPEC = BundleSpec((1, -1))
@@ -374,6 +376,56 @@ def test_bergman_path_integrates_on_the_rule_of_its_sections(rule16):
     value = path_energy(BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule)), 1e-8)
     assert value == donaldson(h1, h0, rule)
     assert value != donaldson(h1, h0, rule16)
+
+
+def _end_pair(degs, k, n, seed=4):
+    sb, rule = basis(BundleSpec(degs), k), build_quadrature(n, n)
+    rng = np.random.default_rng(seed)
+    return sb, rule, rand_pd(rng, sb.N, 0.4), rand_pd(rng, sb.N, 0.4)
+
+
+def _rel_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("degs, k, n", [((2, 2), 0, 12), ((2, 1, 0), 1, 16)])
+def test_bergman_path_end_state_is_fs_of_its_end_form(degs, k, n):
+    # the t = 1 node of the path's first call is FS(G1): its moments,
+    # their inverse, its contracted curvature and the inverse form, and a
+    # gradient read off it is the one FS(G1)'s own moments give
+    sb, rule, G0, G1 = _end_pair(degs, k, n)
+    sections = node_sections(sb, rule)
+    path = BergmanPath(sb, G0, G1, sections)
+    path.deriv_integrand(_K7_T)
+    state = path.end_state()
+    hm = FSMetric(sb, G=G1)
+    A, _, _, Ainv = hm._moments(*sections[1:3])
+    lamF = contract_batch(hm.curvature_coeff(rule.charts, rule.coords), rule.coords)
+    for got, want in zip(state, (A, Ainv, lamF, hm.Ginv)):
+        assert _rel_gap(got, want) <= 1e-12
+    got = mdon_gradient(sb, state, sections)
+    fresh = mdon_gradient(sb, solver_mod._fs_state(sb, G1, sections), sections)
+    assert _rel_gap(got[0], fresh[0]) <= 1e-12
+    assert got[1] == pytest.approx(fresh[1], rel=1e-12)
+    assert _rel_gap(got[2], fresh[2]) <= 1e-12
+
+
+@pytest.mark.parametrize("n, joins", [(12, True), (24, False)])
+def test_bergman_path_end_state_has_the_bits_of_a_one_node_call(n, joins, monkeypatch):
+    # 12 x 12: t = 1 joins the first call's chunk of 7 t-nodes; 24 x 24
+    # (576 nodes) has room for 7 t-nodes alone, so the end state takes a
+    # one-node call of its own.  Either way it has a fresh path's bits
+    sb, rule, G0, G1 = _end_pair((2, 2), 0, n)
+    path = BergmanPath(sb, G0, G1, node_sections(sb, rule))
+    first = path.deriv_integrand(_K7_T)
+    assert (len(_K7_T) < bundle_mod._t_chunk(rule)) == joins
+    calls = count_calls(monkeypatch, path, "_nodes")
+    got = path.end_state()
+    assert [len(args[0]) for args in calls] == ([] if joins else [1])
+    fresh = BergmanPath(sb, G0, G1, node_sections(sb, rule))
+    assert all(np.array_equal(a, b) for a, b in zip(got, fresh.end_state()))
+    # and the rung's values are those of a path that formed it first
+    assert np.array_equal(first, fresh.deriv_integrand(_K7_T))
 
 
 def test_donaldson_raises_when_tolerance_missed(rule16):

@@ -52,12 +52,17 @@ def _fs_defect_sup(sb, G, rule) -> float:
     return sup
 
 
+def _gradient(sb, G, sections):
+    """`mdon_gradient` at the form G, from FS(G)'s own end state."""
+    return mdon_gradient(sb, solver_mod._fs_state(sb, G, sections), sections)
+
+
 def test_gradient_matches_finite_differences(rule24):
     spec = BundleSpec((1, -1))
     sb = basis(spec, 1)
     rng = np.random.default_rng(5)
     G = rand_pd(rng, sb.N, scale=0.3)
-    g, res_sup, _ = mdon_gradient(sb, G, node_sections(sb, rule24))
+    g, res_sup, _ = _gradient(sb, G, node_sections(sb, rule24))
     # the defect comes from the gradient's own sections and curvature
     assert res_sup == _fs_defect_sup(sb, G, rule24)
     X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
@@ -74,7 +79,7 @@ def test_gradient_vanishes_at_critical_point(rule24):
     spec = BundleSpec((0,))
     sb = basis(spec, 3)
     G = l2_gram(sb, trivial_metric(sb), rule24)
-    g, _, _ = mdon_gradient(sb, G, node_sections(sb, rule24))
+    g, _, _ = _gradient(sb, G, node_sections(sb, rule24))
     assert np.linalg.norm(g) < 1e-10
 
 
@@ -91,6 +96,21 @@ def test_options_validation():
             SolveOptions(k=0),
             rule=None,
         )
+
+
+def test_options_refuse_non_finite_values_and_non_integer_iterations():
+    # an infinite tolerance would declare any start converged at once
+    for name in ("grad_tol", "he_tol", "divergence_op"):
+        for bad in (float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=name):
+                SolveOptions(k=1, **{name: bad})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="divergence_m"):
+            SolveOptions(k=1, divergence_m=bad)
+    for bad in (0, -3, 2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolveOptions(k=1, max_iter=bad)
+    assert SolveOptions(k=1, max_iter=np.int64(5), divergence_m=-10).max_iter == 5
 
 
 def test_minimize_converges_on_line_bundle(rule24):
@@ -213,6 +233,22 @@ def test_solve_forms_sections_and_reference_whitening_once(monkeypatch):
     assert len(factors) == 1
 
 
+def test_solve_forms_fs_moments_for_its_first_gradient_and_final_residual(monkeypatch):
+    # an he_solve-shaped solve: every later gradient reads FS of its form
+    # off the accepted line-search path, so the FS moments are formed
+    # once for the reference metric's values, once for the first gradient
+    # and once for the final `he_residual`, while the gradient still runs
+    # once per iteration
+    spec, rule = BundleSpec((2, 2)), build_quadrature(12, 12)
+    moments = count_calls(monkeypatch, sections_mod, "_fs_moments")
+    grads = count_calls(monkeypatch, solver_mod, "mdon_gradient")
+    G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
+    res = minimize(spec, SolveOptions(k=0, max_iter=300), rule, G_init=G)
+    assert res.status == "converged" and len(res.history) > 2
+    assert len(grads) == len(res.history)
+    assert len(moments) == 3
+
+
 def test_energy_history_records_an_accepted_rise(monkeypatch):
     # the first trial reads a rise within the acceptance tolerance, so it
     # is accepted, and the history moves by exactly that rise
@@ -240,8 +276,8 @@ def test_gradient_from_shared_sections_has_fresh_bits(rule16):
     for _ in range(3):
         G = rand_pd(rng, sb.N, scale=0.3)
         BergmanPath(sb, G, rand_pd(rng, sb.N, scale=0.3), shared).deriv_integrand(0.5)
-        got = mdon_gradient(sb, G, shared)
-        fresh = mdon_gradient(sb, G, node_sections(sb, rule16))
+        got = _gradient(sb, G, shared)
+        fresh = _gradient(sb, G, node_sections(sb, rule16))
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
         assert np.array_equal(got[2], FSMetric(sb, G=G).evaluate(rule16.charts, rule16.coords))
         assert got[1] == _fs_defect_sup(sb, G, rule16)

@@ -77,6 +77,9 @@ def test_traced_he_solve_run_records_every_traced_callable():
     m = {name: v["value"] for name, v in _traced_run("he_solve")["metrics"].items()}
     # each solve forms its sections once for the loop, once for its final residual
     assert m["sections.eval_matrix_batch.calls"] == 2 * m["bundle.he_residual.calls"] > 0
+    # and the FS curvature once for its first gradient, once for that
+    # residual: every later gradient reads it off the accepted path
+    assert m["sections.FSMetric._curvature.calls"] <= 2 * m["bundle.he_residual.calls"]
 
 
 def test_traced_cli_audits_run_records_every_traced_callable():
