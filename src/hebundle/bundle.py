@@ -128,17 +128,81 @@ def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy's stacked eigh, like its stacked inv, makes one LAPACK call per
+# matrix; at r <= 2 these kernels are closed form, entry by entry, so no
+# matrix's eigenvalues or vectors depend on the others
+def _node_eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each hermitian matrix of an (..., r, r)
+    stack, or of one (r, r) matrix.  At r = 1 the real diagonal, which
+    is what LAPACK returns.  At r = 2, for H = [[a, b], [b*, d]] with b
+    read above the diagonal, m = (a + d)/2 and h = hypot((a - d)/2, |b|):
+    the eigenvalue of larger modulus is rt1 = m + h, or m - h when m is
+    negative (-0 included), and the other is the determinant divided by
+    it, in the order of LAPACK's `dlaev2`: (acmx / rt1) acmn -
+    (|b| / rt1) |b| with acmx, acmn the diagonal entries of larger and
+    smaller modulus.  m - h would lose a nearly singular positive
+    matrix's least eigenvalue to cancellation, and its sign with it.  At
+    r >= 3 a stacked `eigvalsh`, which reads the lower triangle."""
+    r = H.shape[-1]
+    if r == 1:
+        return np.array(H[..., 0].real)
+    if r > 2:
+        return np.linalg.eigvalsh(H)
+    a, d = H[..., 0, 0].real, H[..., 1, 1].real
+    nb = np.abs(H[..., 0, 1])
+    m = 0.5 * (a + d)
+    h = np.hypot(0.5 * (a - d), nb)
+    rt1 = m + np.copysign(h, m)
+    den = np.where(rt1 == 0, 1.0, rt1)
+    a_big = np.abs(a) > np.abs(d)
+    rt2 = (np.where(a_big, a, d) / den) * np.where(a_big, d, a) - (nb / den) * nb
+    neg = np.signbit(m)
+    return np.stack([np.where(neg, rt1, rt2), np.where(neg, rt2, rt1)], axis=-1)
+
+
+def _node_eigh(H: np.ndarray):
+    """Ascending eigenvalues (`_node_eigvalsh`) and the unitary matrix of
+    eigenvectors, in its columns, of each hermitian matrix of an
+    (..., r, r) stack, or of one (r, r) matrix.  At r = 1 the vector is
+    1, as from LAPACK.  At r = 2, with b = |b| p (p = 1 when b = 0), H is
+    D S D* for D = diag(p, 1) and S real symmetric, which one Jacobi
+    rotation by theta = atan2(|b|, (a - d)/2) / 2 diagonalizes (Golub and
+    Van Loan, Matrix Computations, 4th ed., 8.5.2): the vectors are
+    (-p sin theta, cos theta) and (p cos theta, sin theta).  At r >= 3 a
+    stacked `eigh`."""
+    r = H.shape[-1]
+    if r > 2:
+        return np.linalg.eigh(H)
+    w = _node_eigvalsh(H)
+    V = np.empty(H.shape, dtype=np.result_type(H, 1.0))
+    if r == 1:
+        V[...] = 1.0
+        return w, V
+    b = H[..., 0, 1]
+    nb = np.abs(b)
+    theta = 0.5 * np.arctan2(nb, 0.5 * (H[..., 0, 0].real - H[..., 1, 1].real))
+    c, s = np.cos(theta), np.sin(theta)
+    p = np.divide(b, nb, out=np.ones_like(b), where=nb > 0)
+    V[..., 0, 0] = -p * s
+    V[..., 0, 1] = p * c
+    V[..., 1, 0] = c
+    V[..., 1, 1] = s
+    return w, V
+
+
 def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
     """Batched square roots and relative eigendecomposition of a metric
-    pair; accepts (..., r, r) arrays.  The eigendecompositions stay
-    batched LAPACK calls."""
-    w0, v0 = np.linalg.eigh(_hermitize(h0))
+    pair; accepts (..., r, r) arrays.  Both eigendecompositions are
+    `_node_eigh`'s: closed form per node at r <= 2, a stacked LAPACK
+    call at r >= 3, so the N x N forms of `_form_geodesic` keep LAPACK
+    from N = 3 up."""
+    w0, v0 = _node_eigh(_hermitize(h0))
     if np.any(w0[..., 0] <= 0):
         raise RuntimeError("metric value not positive definite")
     v0h = np.swapaxes(v0, -1, -2).conj()
     rt = _mat_mul(v0 * np.sqrt(w0)[..., None, :], v0h)
     irt = _mat_mul(v0 / np.sqrt(w0)[..., None, :], v0h)
-    wb, vb = np.linalg.eigh(_hermitize(_mat_mul(_mat_mul(irt, h1), irt)))
+    wb, vb = _node_eigh(_hermitize(_mat_mul(_mat_mul(irt, h1), irt)))
     if np.any(wb[..., 0] <= 0):
         raise RuntimeError("metric pair not jointly positive definite")
     return rt, irt, wb, vb
@@ -273,11 +337,13 @@ def _he_defect(hv: np.ndarray, hv_inv: np.ndarray, lam: np.ndarray, mu: float) -
 def _node_sup_norm(M: np.ndarray) -> float:
     """Largest pointwise 2-norm over an (n, r, r) stack: the largest
     entry modulus at r = 1, else the square root of the largest
-    eigenvalue of M* M, formed entry by entry.  At r = 2 that eigenvalue
-    is (a + d)/2 + hypot((a - d)/2, |b|) for M* M = [[a, b], [b*, d]],
-    a sum of two nonnegative terms; at r >= 3 it is a batched
-    `eigvalsh`.  The stack is first scaled, exactly, by the power of two
-    that brings its largest entry near 1, so M* M neither overflows nor
+    eigenvalue of M* M, formed entry by entry, from `_node_eigvalsh`.
+    At r = 2 that eigenvalue is (a + d)/2 + hypot((a - d)/2, |b|) for
+    M* M = [[a, b], [b*, d]], a sum of two nonnegative terms, with b the
+    entry above the diagonal; at r >= 3 M* M is first made hermitian,
+    since its two triangles round apart and LAPACK reads the lower one.
+    Beforehand the stack is scaled, exactly, by the power of two that
+    brings its largest entry near 1, so M* M neither overflows nor
     loses the sup to underflow (the sup is at least the largest entry),
     and the result does not depend on the scaling.  RuntimeError on a
     non-finite entry."""
@@ -289,11 +355,7 @@ def _node_sup_norm(M: np.ndarray) -> float:
     e = min(max(math.frexp(top)[1], -1021), 1023)
     M = M * math.ldexp(1.0, -e)
     Q = _mat_mul(np.swapaxes(M, -1, -2).conj(), M)
-    if M.shape[-1] == 2:
-        a, d = Q[..., 0, 0].real, Q[..., 1, 1].real
-        lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(Q[..., 0, 1]))
-    else:
-        lam = np.linalg.eigvalsh(_hermitize(Q))[..., -1]
+    lam = _node_eigvalsh(Q if M.shape[-1] == 2 else _hermitize(Q))[..., -1]
     return math.ldexp(math.sqrt(lam.max()), e)
 
 
@@ -312,9 +374,10 @@ def _whitening(b: np.ndarray) -> np.ndarray:
 def _relative_eigs(a: np.ndarray, Linv: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the metric values a relative to b at every
     node, those of L^-1 a L^-* for Linv = `_whitening(b)`, which a solve
-    forms once for its reference."""
+    forms once for its reference: `_node_eigvalsh`, closed form per node
+    at r <= 2."""
     c = _mat_mul(_mat_mul(Linv, _hermitize(a)), np.swapaxes(Linv, -1, -2).conj())
-    return np.linalg.eigvalsh(c)
+    return _node_eigvalsh(c)
 
 
 def delta_boundedness(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> float:

@@ -144,6 +144,38 @@ def test_stencils_inverses_and_products_go_through_the_per_node_kernels():
     assert not bypass, f"calls that bypass the per-node kernels: {sorted(bypass)}"
 
 
+# (module, top-level name) -> why it may call a dense `eigh` or
+# `eigvalsh`; per-node r x r values go through `bundle._node_eigh` and
+# `bundle._node_eigvalsh`, closed form at r <= 2
+DENSE_EIGH_ALLOWED = {
+    ("bundle", "_node_eigh"): "the kernel's r >= 3 fallback",
+    ("bundle", "_node_eigvalsh"): "the kernel's r >= 3 fallback",
+    ("asymptotics", "OnePSRay"): "diagonalizes the N x N generator once",
+    ("asymptotics", "rationalize_zeta"): "diagonalizes the N x N generator once",
+    ("solver", "_log_opnorm"): "takes the logarithm of the N x N form",
+    ("donaldson", "_poincare_rayleigh"): "dense Rayleigh-Ritz on the trial space",
+}
+
+
+def test_eigendecompositions_go_through_the_per_node_kernels():
+    """`eigh` and `eigvalsh` only in the allowlisted places: a stacked
+    LAPACK `eigh` makes one call per small matrix, as stacked `inv`
+    does."""
+    bypass, found = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            place = (path.stem, getattr(stmt, "name", f"line {stmt.lineno}"))
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("eigh", "eigvalsh"):
+                    (found if place in DENSE_EIGH_ALLOWED else bypass).add(place)
+    assert not bypass, f"eigendecompositions that bypass the per-node kernels: {sorted(bypass)}"
+    assert found == set(DENSE_EIGH_ALLOWED), "an allowlisted place no longer diagonalizes"
+    assert all(DENSE_EIGH_ALLOWED.values()), "every allowlisted place needs its reason"
+
+
 # (module, top-level name) -> why it may read the finite-difference
 # stencil; every metric of the package is an FS metric, whose curvature
 # and connection are closed form

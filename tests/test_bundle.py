@@ -2,17 +2,23 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _utils import ExplicitMetric, rand_pd, standard_metric, transition_matrix
+from hebundle import bundle as bundle_mod
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
     _geodesic_at,
     _geodesic_parts,
+    _hermitize,
+    _node_eigh,
+    _node_eigvalsh,
+    _relative_eigs,
     _whitening,
     delta_boundedness,
     fd_curvature_batch,
@@ -187,3 +193,117 @@ def test_delta_boundedness_of_skewed_metric(rule16):
     h0 = standard_metric(spec)
     h = ExplicitMetric(spec, lambda chart, x: np.diag([1.0, 4.0]))
     assert delta_boundedness(h, h0, rule16) == pytest.approx(0.25, abs=1e-12)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _eigh_cases(rng):
+    """Hermitian 2 x 2 inputs of `_node_eigh`: a random stack (indefinite
+    ones among them), diagonal stacks with a < d and with a > d, scalar
+    ones (a = d, b = 0; zero and negative included) and one unbatched
+    matrix."""
+    def diagonal(a, d):
+        H = np.zeros((len(a), 2, 2), dtype=complex)
+        H[:, 0, 0], H[:, 1, 1] = a, d
+        return H
+
+    X = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    return {
+        "random": _hermitize(X * np.exp(rng.uniform(-5, 5, size=(500, 1, 1)))),
+        "diagonal a < d": diagonal([-1.0, 1e-3, 2.0], [5.0, 1e3, 2.5]),
+        "diagonal a > d": diagonal([2.0, 3.0, 1e3], [0.5, -4.0, 1e-3]),
+        "scalar": diagonal([2.5, 0.0, -3.0, 1e-300], [2.5, 0.0, -3.0, 1e-300]),
+        "unbatched": _hermitize(X[0]),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "diagonal a < d", "diagonal a > d", "scalar",
+                                  "unbatched"])
+def test_node_eigh_matches_lapack(case):
+    H = _eigh_cases(np.random.default_rng(11))[case]
+    w, V = _node_eigh(H)
+    assert w.shape == H.shape[:-1] and V.shape == H.shape
+    assert np.array_equal(_node_eigvalsh(H), w)
+    tol = 8 * _EPS * np.linalg.norm(H, 2, axis=(-2, -1))
+    assert np.all(np.abs(w - np.linalg.eigvalsh(H)).max(axis=-1) <= tol)
+    assert np.all(np.linalg.norm(H @ V - V * w[..., None, :], 2, axis=(-2, -1)) <= tol)
+    assert np.all(np.abs(np.swapaxes(V, -1, -2).conj() @ V - np.eye(2)) <= 8 * _EPS)
+
+
+def _ill_conditioned_pd(rng, cond, kind, n=400):
+    """Positive 2 x 2 stacks of condition about `cond`, scaled by 1e-3 to
+    1e3: U diag(1, 1/cond) U* for random unitary U ("rotated"), or
+    D K D for D = diag(1, cond^-1/2) and K = [[1, c], [c*, 1]], |c| < 0.9
+    ("graded"), where (a + d)/2 - hypot((a - d)/2, |b|) cancels."""
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    if kind == "rotated":
+        theta = rng.uniform(0, np.pi / 2, n)
+        c, s = np.cos(theta), np.sin(theta)
+        U = np.empty((n, 2, 2), dtype=complex)
+        U[:, 0, 0], U[:, 0, 1], U[:, 1, 0], U[:, 1, 1] = c, -phase.conj() * s, phase * s, c
+        H = _hermitize((U * np.array([1.0, 1.0 / cond])) @ np.swapaxes(U, -1, -2).conj())
+    else:
+        H = np.empty((n, 2, 2), dtype=complex)
+        H[:, 0, 0], H[:, 1, 1] = 1.0, 1.0 / cond
+        H[:, 0, 1] = rng.uniform(0, 0.9, n) * phase / np.sqrt(cond)
+        H[:, 1, 0] = H[:, 0, 1].conj()
+    return H * np.exp(rng.uniform(-3, 3, size=(n, 1, 1)) * np.log(10))
+
+
+def _least_eig_mp(H) -> float:
+    """The least eigenvalue of one 2 x 2 float matrix, read as exact, at
+    60 digits: its determinant over the larger eigenvalue."""
+    with mpmath.workdps(60):
+        a, d, b = mpmath.mpf(H[0, 0].real), mpmath.mpf(H[1, 1].real), mpmath.mpc(H[0, 1])
+        big = (a + d) / 2 + mpmath.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+        return float((a * d - abs(b) ** 2) / big)
+
+
+@pytest.mark.parametrize("kind", ["rotated", "graded"])
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12, 1e15])
+def test_node_eigvalsh_keeps_ill_conditioned_least_eigenvalues(cond, kind):
+    # the determinant form of dlaev2 keeps the least eigenvalue of a
+    # nearly singular positive matrix positive and as accurate as LAPACK's;
+    # m - hypot loses it to cancellation on the graded stacks
+    H = _ill_conditioned_pd(np.random.default_rng(int(np.log10(cond))), cond, kind)
+    exact = np.array([_least_eig_mp(h) for h in H])
+    assert np.all(exact > 0)
+    got = _node_eigvalsh(H)[:, 0]
+    assert np.all(got > 0)
+    lapack = np.linalg.eigvalsh(H)[:, 0]
+    assert np.max(np.abs(got - exact) / exact) <= 2 * np.max(np.abs(lapack - exact) / exact)
+
+
+def test_node_eigh_of_one_point_is_its_row_of_a_stack():
+    H = _eigh_cases(np.random.default_rng(12))["random"][:37]
+    w, V = _node_eigh(H)
+    for i in range(len(H)):
+        for one in (H[i], H[i : i + 1]):
+            wi, Vi = _node_eigh(one)
+            assert np.array_equal(wi.reshape(2), w[i]) and np.array_equal(Vi.reshape(2, 2), V[i])
+            assert np.array_equal(_node_eigvalsh(one).reshape(2), w[i])
+
+
+def test_node_eigh_at_rank_one_is_lapack_bit_for_bit():
+    rng = np.random.default_rng(13)
+    H = rng.normal(size=(5000, 1, 1)) + 1j * rng.normal(size=(5000, 1, 1))
+    w, V = _node_eigh(H)
+    w_ref, V_ref = np.linalg.eigh(H)
+    assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref) and V.dtype == V_ref.dtype
+    assert np.array_equal(_node_eigvalsh(H), np.linalg.eigvalsh(H))
+
+
+def test_rank_one_normalization_and_geodesic_keep_lapack_bits(monkeypatch):
+    # a Barzilai-Borwein solve's iteration count can move with one ulp of
+    # the normalization (criterion 8's O(3) solve); at r = 1 the kernels
+    # must leave `_relative_eigs` and `_geodesic_parts` LAPACK's bits
+    rng = np.random.default_rng(14)
+    a, b = (np.exp(rng.normal(size=(400, 1, 1))) + 1e-3j * rng.normal(size=(400, 1, 1))
+            for _ in range(2))
+    got = [_relative_eigs(a, _whitening(b)), *_geodesic_parts(a, b)]
+    monkeypatch.setattr(bundle_mod, "_node_eigh", np.linalg.eigh)
+    monkeypatch.setattr(bundle_mod, "_node_eigvalsh", np.linalg.eigvalsh)
+    ref = [_relative_eigs(a, _whitening(b)), *_geodesic_parts(a, b)]
+    for x, y in zip(got, ref):
+        assert np.array_equal(x, y)
