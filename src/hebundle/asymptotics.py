@@ -299,7 +299,7 @@ def coercivity_probe(
     samples_per_k: int,
     t_max: float,
     rule: QuadratureRule,
-    seed: int = 0,
+    seed: int,
 ) -> dict:
     """Per-level offsets c_k = max over sampled rays and 13 times of
     (exact slope * t - numeric energy).

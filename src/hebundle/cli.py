@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import fields
@@ -52,13 +51,13 @@ _BLOCKS = {
     "slope": {"t_max": 30.0, "n_t": 31},
     "convexity": {"n_paths": 3, "s_values": [0.0, 0.5, 1.0]},
 }
-_TOP_KEYS = {"bundle", "k", "k_list", "seed", "output_dir", "zeta", *_BLOCKS}
+_TOP_KEYS = {"bundle", "k", "k_list", "seed", "zeta", *_BLOCKS}
 _KINDS = {int: "an integer >= 1", float: "a finite number",
           list: "a nonempty list of finite numbers"}
 
 # the top-level inputs a command reads besides the bundle ("k" when not
-# listed); "a|b" takes either
-_NEEDS = {"bergman": ["k|k_list"], "probe-coercivity": ["k_list"],
+# listed)
+_NEEDS = {"bergman": ["k_list"], "probe-coercivity": ["k_list"],
           **dict.fromkeys(("mdon", "mna", "slope-test"), ["k", "zeta"])}
 
 
@@ -137,18 +136,14 @@ def parse_config(path) -> dict:
         _expect(k >= reg, f"k={k} is below the minimum level {reg} for bundle {b}")
     for block, defaults in _BLOCKS.items():
         given = cfg.get(block, {})
-        _expect(
-            isinstance(given, dict) and set(given) <= set(defaults),
-            f"{block} block allows {sorted(defaults)}",
-        )
+        _expect(isinstance(given, dict), f"{block} block must be an object")
+        unknown = set(given) - set(defaults)
+        _expect(not unknown, f"unknown {block} keys: {sorted(unknown)}; "
+                f"the block allows {sorted(defaults)}")
         for key, v in given.items():
             d = defaults[key]
             _expect(_fits(v, d), f"{block}.{key} must be {_KINDS[type(d)]}, not {v!r}")
         cfg[block] = {**defaults, **given}
-    try:  # the solver's own checks, before any numerics
-        SolveOptions(k=reg, **cfg["solve"])
-    except ValueError as exc:
-        raise ConfigError(f"solve: {exc}") from exc
     if "zeta" in cfg:
         _check_zeta(cfg["zeta"])
         if "k" in cfg:  # every command that reads zeta needs k (`_NEEDS`)
@@ -158,8 +153,6 @@ def parse_config(path) -> dict:
                 raise ConfigError(f"zeta: {exc}") from exc
     if "seed" in cfg:
         _expect(_is_int(cfg["seed"]), "seed must be an integer")
-    if "output_dir" in cfg:
-        _expect(isinstance(cfg["output_dir"], str), "output_dir must be a string")
     return cfg
 
 
@@ -217,7 +210,7 @@ def _write_csv(path, header, rows):
 
 def _cmd_bergman(cfg, spec, rule, outdir):
     h = trivial_metric(basis(spec, regularity(spec)))
-    ks = cfg.get("k_list") or [cfg["k"]]
+    ks = cfg["k_list"]
     reps = bergman_kernel(h, ks, rule)
     rows = [(k, float(rep["sup_dev"]), float(rep["raw_sup_dev"])) for k, rep in zip(ks, reps)]
     _write_csv(outdir / "bergman.csv", ("k", "sup_dev", "raw_sup_dev"), rows)
@@ -356,9 +349,8 @@ _IMPL = {
 def run(command: str, cfg: dict, outdir: Path) -> int:
     """Run a command on a config from `parse_config`, once its inputs
     (`_NEEDS`) are checked."""
-    for need in _NEEDS.get(command, ["k"]):
-        keys = need.split("|")
-        _expect(any(x in cfg for x in keys), f"{command} needs {' or '.join(keys)}")
+    for key in _NEEDS.get(command, ["k"]):
+        _expect(key in cfg, f"{command} needs {key}")
     t0 = time.time()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -396,11 +388,9 @@ def main(argv=None) -> int:
     )
     p.add_argument("command", nargs="?", choices=_IMPL)
     p.add_argument("--config", type=str, help="path to a JSON config")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--out", type=str, default="hebundle-out", help="output directory")
     p.add_argument("--self-test", action="store_true")
     args = p.parse_args(argv)
-    outdir = Path(args.out or os.environ.get("HEBUNDLE_OUT", "hebundle-out"))
     if args.self_test:
         return _self_test()
     if not args.command:
@@ -408,12 +398,7 @@ def main(argv=None) -> int:
     if not args.config:
         p.error("--config is required")
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if "output_dir" in cfg and args.out is None:
-            outdir = Path(cfg["output_dir"])
-        return run(args.command, cfg, outdir)
+        return run(args.command, parse_config(args.config), Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ the destabilizing subsheaf.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -76,24 +75,19 @@ _BACKTRACK = 0.5
 _GROW = 1.5
 _MAX_STEP = 64.0
 
+# the stopping tolerances; `minimize` says what each one stops
+_GRAD_TOL = 1e-7
+_HE_TOL = 1e-3
+_DIVERGENCE_OP = 40.0
+_DIVERGENCE_M = -1.0e3
+
 
 @dataclass
 class SolveOptions:
     k: int
     max_iter: int = 200
-    grad_tol: float = 1e-7
-    he_tol: float = 1e-3
-    divergence_op: float = 40.0
-    divergence_m: float = -1.0e3
 
     def __post_init__(self):
-        # an infinite tolerance would declare any start converged at once
-        for name in ("grad_tol", "he_tol", "divergence_op"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, not {v!r}")
-        if not math.isfinite(self.divergence_m):
-            raise ValueError(f"divergence_m must be finite, not {self.divergence_m!r}")
         n = self.max_iter
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"max_iter must be an integer >= 1, not {n!r}")
@@ -142,7 +136,13 @@ def minimize(
     Converges on polystable split bundles; on unstable ones detects
     divergence (operator-norm blowup of log G with decreasing energy),
     freezes the escape direction, and extends the energy history along
-    that ray until it crosses the divergence threshold.
+    that ray until it crosses the divergence threshold.  The stops are
+    module constants: "converged" when the gradient norm falls below
+    `_GRAD_TOL`, or when the Einstein defect sup is below `_HE_TOL` and
+    the last step changed the energy by less than 1e-12; "diverging" when the
+    operator norm of log G passes `_DIVERGENCE_OP`, confirmed once the
+    energy along the escape ray falls below `_DIVERGENCE_M`; "maxiter"
+    after `opts.max_iter` iterations.
     """
     k = opts.k
     if k < regularity(spec):
@@ -173,14 +173,14 @@ def minimize(
         logG, opn = _log_opnorm(G)
         history.append((it, m_total, res_sup, opn))
 
-        if gnorm < opts.grad_tol:
+        if gnorm < _GRAD_TOL:
             status = "converged"
             break
         # residual target met and the energy has stalled: accept
-        if res_sup < opts.he_tol and last_dm is not None and abs(last_dm) < 1e-12:
+        if res_sup < _HE_TOL and last_dm is not None and abs(last_dm) < 1e-12:
             status = "converged"
             break
-        if opn > opts.divergence_op:
+        if opn > _DIVERGENCE_OP:
             status = "diverging"
             zeta_limit = -logG / opn
             break
@@ -220,7 +220,7 @@ def minimize(
                 pass
             a *= _BACKTRACK
         if not accepted:
-            if gnorm < 1e2 * opts.grad_tol:
+            if gnorm < 1e2 * _GRAD_TOL:
                 status = "converged"
                 break
             raise RuntimeError(
@@ -241,9 +241,7 @@ def minimize(
 
     del sections, white  # the ray extension, the memory peak of a solve, needs neither
     if status == "diverging":
-        m_total, mdon_history = _extend_along_ray(
-            sb, G, zeta_limit, m_total, mdon_history, rule, opts
-        )
+        m_total, mdon_history = _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule)
 
     return SolveResult(
         status=status,
@@ -256,7 +254,7 @@ def minimize(
     )
 
 
-def _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule, opts):
+def _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule):
     """Ride the frozen escape ray until the energy crosses the
     divergence threshold.
 
@@ -279,11 +277,11 @@ def _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule, opts):
             "escape-ray derivative did not settle; divergence unconfirmed"
         )
     t = t_end
-    while m_total > opts.divergence_m and t < 1e6:
+    while m_total > _DIVERGENCE_M and t < 1e6:
         t += t_end
         m_total += t_end * d2
         mdon_history.append(m_total)
-    if m_total > opts.divergence_m:  # pragma: no cover
+    if m_total > _DIVERGENCE_M:  # pragma: no cover
         raise RuntimeError("escape ray failed to cross the divergence threshold")
     return m_total, mdon_history
 

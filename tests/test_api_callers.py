@@ -1,6 +1,7 @@
 """Every public module-level function or class of the package has a
 caller, every public method or property of a package class is read, and
-every defaulted parameter has a caller that overrides it.
+every defaulted parameter or dataclass field has a caller that overrides
+it.
 
 A name counts as used when it is read bare (and not shadowed by a local
 name), imported, or read off a package module (`quot.filtration`) in
@@ -13,6 +14,7 @@ Unit tests alone do not keep a name alive, and docstrings do not count.
 
 import ast
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,16 +235,31 @@ def test_every_public_method_is_read():
 ALLOWED_DEFAULTS = {}
 
 
+def _init_fields(cls: ast.ClassDef) -> list:
+    """The fields, in order, that a dataclass's generated `__init__`
+    takes; none for any other class."""
+    if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        return []
+    return [s for s in cls.body if isinstance(s, ast.AnnAssign)
+            and "init=False" not in ast.unparse(s.value or s.target)]
+
+
 def _defaulted_params():
     """(qualified name, call name, positional parameters, {defaulted
-    parameter: default}) for every function and method of the package.
-    A method's `self` is not counted, and `__init__` is called by its
-    class's name."""
+    parameter: default}) for every function and method of the package,
+    and for the generated `__init__` of every dataclass, whose fields
+    are its parameters.  A method's `self` is not counted, and
+    `__init__` is called by its class's name."""
     for path in sorted(SRC.glob("*.py")):
         for stmt in _tree(path).body:
             if isinstance(stmt, ast.FunctionDef):
                 funcs = [(stmt.name, stmt.name, stmt, 0)]
             elif isinstance(stmt, ast.ClassDef):
+                fields = _init_fields(stmt)
+                defaults = {f.target.id: f.value for f in fields if f.value is not None}
+                if defaults:
+                    yield (f"{path.stem}.{stmt.name}", stmt.name,
+                           [f.target.id for f in fields], defaults)
                 funcs = [
                     (stmt.name, stmt.name, f, 1) if f.name == "__init__"
                     else (f"{stmt.name}.{f.name}", f.name, f, 1)
@@ -272,10 +289,13 @@ def _overrides(arg, default) -> bool:
 
 def test_every_keyword_default_is_overridden():
     """A defaulted parameter counts as overridden when some call of its
-    function's name in the package, the benchmark harness or the
-    acceptance tests passes it, by keyword or by position, a value other
-    than the default's own literal; a `*` or `**` expansion passes every
-    parameter.  Unit tests do not count."""
+    function's name (a dataclass's: its class's name) in the package, the
+    benchmark harness or the acceptance tests passes it, by keyword or by
+    position, a value other than the default's own literal.  A `*` or
+    `**` expansion counts for no parameter, and no positional argument
+    after a `*` does: what it passes is data the code cannot show (a
+    config block expanded into a call keeps no default alive).  Unit
+    tests do not count."""
     calls = {}
     for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
                  ROOT / "tests" / "test_acceptance.py"]:
@@ -291,12 +311,9 @@ def test_every_keyword_default_is_overridden():
             if key in ALLOWED_DEFAULTS:
                 continue
             for call in calls.get(call_name, []):
-                if any(isinstance(x, ast.Starred) for x in call.args) or any(
-                    kw.arg is None for kw in call.keywords
-                ):
-                    break
-                passed = dict(zip(pos, call.args))
-                passed.update((kw.arg, kw.value) for kw in call.keywords)
+                args = takewhile(lambda x: not isinstance(x, ast.Starred), call.args)
+                passed = dict(zip(pos, args))
+                passed.update((kw.arg, kw.value) for kw in call.keywords if kw.arg is not None)
                 if param in passed and _overrides(passed[param], default):
                     break
             else:
@@ -310,7 +327,7 @@ def test_every_keyword_default_is_overridden():
 
 # settable values of the package as it stands; a change that needs a new
 # option raises this ceiling in the same change and says why in CHANGES.md
-SETTABLE_CEILING = 13
+SETTABLE_CEILING = 7
 
 
 def _settable_values() -> list:
@@ -325,15 +342,9 @@ def _settable_values() -> list:
                 out += [f"{path.stem}.{node.name}({x})" for x in pos[len(pos) - len(a.defaults):]]
                 out += [f"{path.stem}.{node.name}({x.arg})"
                         for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            elif isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list
-            ):
-                out += [
-                    f"{path.stem}.{node.name}.{s.target.id}"
-                    for s in node.body
-                    if isinstance(s, ast.AnnAssign) and s.value is not None
-                    and "init=False" not in ast.unparse(s.value)
-                ]
+            elif isinstance(node, ast.ClassDef):
+                out += [f"{path.stem}.{node.name}.{s.target.id}"
+                        for s in _init_fields(node) if s.value is not None]
     return out
 
 

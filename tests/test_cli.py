@@ -1,5 +1,7 @@
 """Command-line interface: configs, reports, determinism, exit codes."""
 
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -69,7 +71,8 @@ def test_parse_config_rejects_unknown_block_keys(tmp_path, block):
     p = _write_cfg(tmp_path, "c.json", {"bundle": [0], block: {"bogus": 1}})
     with pytest.raises(ConfigError) as exc:
         parse_config(p)
-    assert block in str(exc.value)
+    # the unknown key is named, not only the keys its block allows
+    assert f"unknown {block} keys: ['bogus']" in str(exc.value)
     p = _write_cfg(tmp_path, "c.json", {"bundle": [0], block: [1]})
     with pytest.raises(ConfigError):
         parse_config(p)
@@ -260,7 +263,9 @@ def test_missing_arguments():
         main(["mna"])
 
 
-def test_env_output_dir(tmp_path, monkeypatch):
+def test_default_output_dir(tmp_path, monkeypatch):
+    # without --out the output lands in ./hebundle-out; the environment
+    # does not move it
     monkeypatch.setenv("HEBUNDLE_OUT", str(tmp_path / "envout"))
     p = _write_cfg(
         tmp_path,
@@ -271,8 +276,42 @@ def test_env_output_dir(tmp_path, monkeypatch):
             "zeta": {"weights": ["1", "-3"], "dims": [3, 1]},
         },
     )
+    monkeypatch.chdir(tmp_path)
     assert main(["mna", "--config", p]) == 0
-    assert (tmp_path / "envout" / "report.json").exists()
+    assert (tmp_path / "hebundle-out" / "report.json").exists()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_cli_surface(monkeypatch):
+    # the flags are --config, --out and --self-test; the seed is the
+    # config's alone
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    with pytest.raises(SystemExit) as exc:
+        main(["mna", "--config", "c.json", "--seed", "3"])
+    assert exc.value.code == 2
+    (p,) = parsers
+    flags = {s for a in p._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--config", "--out", "--self-test"}
+
+
+def test_package_reads_no_environment():
+    # every input comes from the command line or the config (numpy's
+    # BLAS thread cap is numpy's own)
+    src = Path(main.__code__.co_filename).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                reads.append(f"{path.stem}:{node.lineno}")
+    assert not reads, f"environment reads: {reads}"
 
 
 _Q8 = {"n_colat": 8, "n_angle": 8}
@@ -327,6 +366,8 @@ _BLOCKS_13 = [
         ("audit-deltabound", {"bundle": [0], "k": 2, "quadrature": _Q8,
                               "delta_audit": {"scale": float("nan")}}, "scale"),
         ("solve", {**_MNA_BASE, "solve": {"divergence_m": float("nan")}}, "divergence_m"),
+        # bergman's levels are k_list's alone
+        ("bergman", {"bundle": [0], "k": 2, "quadrature": _Q8}, "k_list"),
     ],
 )
 def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):
@@ -343,7 +384,7 @@ def test_report_config_records_every_block(tmp_path):
     assert _run("mna", p, tmp_path / "out") == 0
     cfg = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
     assert cfg["slope"] == {"t_max": 30.0, "n_t": 7}
-    assert cfg["solve"]["max_iter"] == 200
+    assert cfg["solve"] == {"max_iter": 200}
     assert set(cfg) >= {"quadrature", "solve", "delta_audit", "probe", "slope", "convexity"}
 
 

@@ -84,13 +84,11 @@ def test_gradient_vanishes_at_critical_point(rule24):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(k=2, grad_tol=0.0)
-    # at divergence_op <= 0 every start would be declared diverging at once
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="divergence_op"):
-            SolveOptions(k=0, divergence_op=bad)
-    with pytest.raises(ValueError):
+    # the stopping tolerances are the solver's constants, not options
+    for name in ("grad_tol", "he_tol", "divergence_op", "divergence_m"):
+        with pytest.raises(TypeError, match=name):
+            SolveOptions(k=2, **{name: 1.0})
+    with pytest.raises(ValueError, match="regularity"):
         minimize(
             BundleSpec((1, -1)),
             SolveOptions(k=0),
@@ -99,18 +97,10 @@ def test_options_validation():
 
 
 def test_options_refuse_non_finite_values_and_non_integer_iterations():
-    # an infinite tolerance would declare any start converged at once
-    for name in ("grad_tol", "he_tol", "divergence_op"):
-        for bad in (float("inf"), -float("inf"), float("nan")):
-            with pytest.raises(ValueError, match=name):
-                SolveOptions(k=1, **{name: bad})
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="divergence_m"):
-            SolveOptions(k=1, divergence_m=bad)
-    for bad in (0, -3, 2.5, 3.0, True, "3"):
+    for bad in (0, -3, 2.5, 3.0, True, "3", float("nan"), float("inf")):
         with pytest.raises(ValueError, match="max_iter"):
             SolveOptions(k=1, max_iter=bad)
-    assert SolveOptions(k=1, max_iter=np.int64(5), divergence_m=-10).max_iter == 5
+    assert SolveOptions(k=1, max_iter=np.int64(5)).max_iter == 5
 
 
 def test_minimize_converges_on_line_bundle(rule24):
