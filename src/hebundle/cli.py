@@ -267,6 +267,9 @@ def _cmd_solve(cfg, spec, rule, outdir):
         "he_residual_sup": res.he_residual_sup,
         "mdon_final": float(res.mdon_history[-1]),
         "iterations": len(res.history),
+        "t_steps": len(res.t_changes),
+        "t_change": res.t_changes[-1] if res.t_changes else None,
+        "t_outcome": res.t_outcome,
     }
     if res.status == "diverging":
         rep = destabilizer_extract(res)

@@ -1,13 +1,18 @@
 """Finite-dimensional energy minimization over positive section forms.
 
 The energy of the induced Fubini-Study metric, as a function of the
-positive form on the section space, is minimized by gradient descent
-in log-coordinates with a backtracking line search.  On polystable
-bundles the descent converges to a Hermitian-Einstein metric; on
-unstable bundles the energy is unbounded below, the iterates run off
-along a ray, and the normalized log-direction of the divergence is
-extracted and rounded into exact weight data whose filtration exhibits
-the destabilizing subsheaf.
+positive form on the section space, is minimized in two phases.  First
+Donaldson's T-map G -> integral of S* FS(G) S e^{-k phi}, whose fixed
+point is the balanced metric, is iterated from the start form (`_balance`);
+on the bundles solved here that fixed point is also the minimum, and an
+iteration that converges hands its form to the descent.  Then gradient
+descent in log-coordinates with a backtracking line search certifies the
+minimum, or finds it from the untouched start form when the T-phase
+stalls.  On polystable bundles the descent converges to a
+Hermitian-Einstein metric; on unstable bundles the energy is unbounded
+below, the iterates run off along a ray, and the normalized
+log-direction of the divergence is extracted and rounded into exact
+weight data whose filtration exhibits the destabilizing subsheaf.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bundle import (BundleSpec, _he_defect, _hermitize, _mat_mul, _node_sup_norm, _relative_eigs,
-                     _whitening, he_residual, regularity)
+from .bundle import (BundleSpec, _equilibrated_inverse, _he_defect, _hermitize, _mat_mul,
+                     _node_eigvalsh, _node_sup_norm, _relative_eigs, _whitening, he_residual,
+                     regularity)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
-from .sections import (FSMetric, SectionBasis, _fs_values, _section_pairing, basis, l2_gram,
-                       node_sections, trivial_metric)
+from .sections import (FSMetric, SectionBasis, _fs_moments, _fs_values, _section_factor,
+                       _section_pairing, basis, l2_gram, node_sections, trivial_metric)
 
 
 def _fs_state(sb: SectionBasis, G: np.ndarray, sections):
@@ -81,6 +87,48 @@ _HE_TOL = 1e-3
 _DIVERGENCE_OP = 40.0
 _DIVERGENCE_M = -1.0e3
 
+# the T-phase (`_balance`): a step whose change is below `_T_TOL` ends it
+# as converged; a change above `_T_STALL` times the one before, three
+# steps in a row, as stalled; `_T_MAX_STEPS` steps as cap
+_T_TOL = 0.1 * _GRAD_TOL
+_T_STALL = 0.99
+_T_MAX_STEPS = 500
+
+
+def _balance(sb: SectionBasis, G: np.ndarray, sections):
+    """Donaldson's T-map iteration from the form G: each step takes the
+    L2 form of FS(G) against e^{-k phi}, the pairing of S* A^-1 S for the
+    moments A = T T* of the section factor T = S W (G^-1 = W W*), on the
+    rule of the `node_sections`, trace normalized.
+
+    A step's change is scale free: the spread, max - min, of the log
+    eigenvalues of the new form relative to the old one, those of
+    W* G_new W.  Returns the last form, or None unless the iteration
+    converged, the change of every step, and the outcome: "converged",
+    "stalled" (also when a step breaks down) or "cap" (`_T_TOL`,
+    `_T_STALL`, `_T_MAX_STEPS`).  On O(1)+O(-1) each step moves the two
+    summands' blocks apart by a factor 2, so the change stays log 2 and
+    the iteration stalls."""
+    rule, S, _, rows, s = sections
+    changes, rising = [], 0
+    try:
+        W = FSMetric(sb, G=G).W
+        for _ in range(_T_MAX_STEPS):
+            A = _fs_moments(_section_factor(S, W))[0]
+            G_new = _section_pairing(rule, _equilibrated_inverse(A), 1.0, rows, s)
+            G_new = G_new / np.trace(G_new).real
+            w = _node_eigvalsh(_hermitize(W.conj().T @ G_new @ W))
+            changes.append(float(np.log(w[-1] / w[0])))
+            if changes[-1] < _T_TOL:
+                return G_new, changes, "converged"
+            rising = rising + 1 if len(changes) > 1 and changes[-1] > _T_STALL * changes[-2] else 0
+            if rising == 3:
+                return None, changes, "stalled"
+            W = FSMetric(sb, G=G_new).W
+    except (RuntimeError, np.linalg.LinAlgError):
+        return None, changes, "stalled"
+    return None, changes, "cap"
+
 
 @dataclass
 class SolveOptions:
@@ -102,6 +150,8 @@ class SolveResult:
     history: list  # (iter, M, res, op_norm)
     zeta_limit: np.ndarray | None
     sb: SectionBasis
+    t_changes: list  # the change of every T-step (`_balance`)
+    t_outcome: str  # converged | stalled | cap | rejected
 
 
 def _log_opnorm(G: np.ndarray):
@@ -126,12 +176,25 @@ def minimize(
     rule: QuadratureRule,
     G_init: np.ndarray | None = None,
 ) -> SolveResult:
-    """Descend the energy over the form space at level k, from the L2
-    form of the standard metric unless `G_init` is given; the energy
-    history adds each accepted step's measured change.
+    """Minimize the energy over the form space at level k, from the L2
+    form of the standard metric unless `G_init` is given: the T-phase,
+    then the descent.  The energy history adds each accepted step's
+    measured change.
 
     What no iterate changes, the `node_sections` and the `_whitening` of
-    the reference metric values, is formed once, before the loop.
+    the reference metric values, is formed once, before either phase.
+
+    The T-phase (`_balance`) iterates Donaldson's T-map from the start
+    form.  When it converges, the energy of its form relative to the
+    start is measured along their form geodesic and, under the line
+    search's test for a step (a rise of at most 1e-10), taken as the
+    first step: the history records it and the descent starts there,
+    with the first gradient read off that path's end.  On a stall, a cap
+    or a rejected step the descent starts from the untouched start form.
+    `SolveResult` records every T-step's change and the outcome
+    ("rejected" for a refused step).
+
+    The descent certifies every exit with the gradient.
 
     Converges on polystable split bundles; on unstable ones detects
     divergence (operator-norm blowup of log G with decreasing energy),
@@ -162,7 +225,22 @@ def minimize(
     s_prev = None
     last_dm = None
 
-    state = _fs_state(sb, G, sections)
+    G_T, t_changes, t_outcome = _balance(sb, G, sections)
+    state = None
+    if G_T is not None:
+        try:
+            path = BergmanPath(sb, G, G_T, sections)
+            dm = donaldson(None, None, rule, path=path, tol=1e-9)
+        except RuntimeError:
+            dm = np.inf
+        if dm <= 1e-10:
+            G, state = G_T, path.end_state()
+            m_total += dm
+            mdon_history.append(m_total)
+        else:
+            t_outcome = "rejected"
+    if state is None:
+        state = _fs_state(sb, G, sections)
     for it in range(opts.max_iter):
         g, res_sup, values = mdon_gradient(sb, state, sections)
         # the gradient and the residual are scale free, so the form is
@@ -251,6 +329,8 @@ def minimize(
         history=history,
         zeta_limit=zeta_limit,
         sb=sb,
+        t_changes=t_changes,
+        t_outcome=t_outcome,
     )
 
 

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
+import hebundle.solver as solver_mod
 from _utils import count_calls
 from hebundle.cli import main, parse_config, ConfigError
 
@@ -151,6 +153,27 @@ def test_mna_report_is_deterministic(tmp_path):
     assert _run("mna", p, out1) == 0
     assert _run("mna", p, out2) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("bundle, k, outcome, steps, status", [
+    ([1, -1], 2, "stalled", 4, "diverging"),
+    ([2, 2], 0, "converged", 1, "converged"),
+])
+def test_solve_command_reports_the_t_phase(tmp_path, bundle, k, outcome, steps, status):
+    # the T-phase's steps, last change and outcome sit beside the
+    # descent's results; the default start of O(2)+O(2) is balanced
+    # already, and on O(1)+O(-1) every change is log 2
+    cfg = {"bundle": bundle, "k": k, "quadrature": {"n_colat": 12, "n_angle": 12}}
+    out = tmp_path / "out"
+    assert _run("solve", _write_cfg(tmp_path, "c.json", cfg), out) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["status"] == status
+    assert res["t_outcome"] == outcome and res["t_steps"] == steps
+    assert res["t_change"] == pytest.approx(math.log(2.0) if outcome == "stalled" else 0.0,
+                                            abs=solver_mod._T_TOL)
+    rows = (out / "solve_history.csv").read_text().splitlines()
+    assert rows[0] == "iter,mdon,he_residual,log_op_norm"
+    assert len(rows) == 1 + res["iterations"]
 
 
 def test_bergman_command(tmp_path):

@@ -15,7 +15,7 @@ import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
 from _utils import count_calls, rand_pd
 from hebundle.bundle import BundleSpec, he_residual
-from hebundle.donaldson import BergmanPath, path_energy
+from hebundle.donaldson import BergmanPath, donaldson, path_energy
 from hebundle.geometry import build_quadrature
 from hebundle.sections import (FSMetric, basis, eval_matrix_batch, l2_gram, node_sections,
                                trivial_metric)
@@ -207,16 +207,39 @@ def test_diverging_solve_ignores_last_bit_of_normalization(monkeypatch, ulps):
     assert np.allclose(got.mdon_history, ref.mdon_history, rtol=1e-12, atol=0.0)
 
 
+def _he_solve_shaped():
+    """An he_solve-shaped solve: O(2)+O(2) at k = 0 on 12 x 12 from a
+    `rand_pd` form of scale 0.3."""
+    spec = BundleSpec((2, 2))
+    G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
+    return minimize(spec, SolveOptions(k=0, max_iter=300), build_quadrature(12, 12), G_init=G)
+
+
+def _capped_t_phase(monkeypatch):
+    """Cap the T-phase at no step: the descent starts from the start form
+    and iterates."""
+    monkeypatch.setattr(solver_mod, "_T_MAX_STEPS", 0)
+
+
 def test_solve_forms_sections_and_reference_whitening_once(monkeypatch):
-    # an he_solve-shaped solve: the sections on the nodes are formed once
-    # for the loop and once by the final `he_residual`, and the reference
-    # metric is factored once, whatever the number of iterations
-    spec, rule = BundleSpec((2, 2)), build_quadrature(12, 12)
+    # the sections on the nodes are formed once for both phases and once
+    # by the final `he_residual`, and the reference metric is factored
+    # once, whatever the number of T-steps and iterations: with the
+    # T-phase, which ends an he_solve-shaped solve after 1 iteration, and
+    # with the T-phase capped, which leaves the descent to iterate
     sections = count_calls(monkeypatch, sections_mod, "eval_matrix_batch")
     factors = count_calls(monkeypatch, bundle_mod, "_whitening")
     eigs = count_calls(monkeypatch, bundle_mod, "_relative_eigs")
-    G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
-    res = minimize(spec, SolveOptions(k=0, max_iter=300), rule, G_init=G)
+    res = _he_solve_shaped()
+    assert res.status == res.t_outcome == "converged"
+    assert len(res.t_changes) > 2 and len(res.history) == 1
+    assert len(eigs) == len(res.history)
+    assert len(sections) == 2
+    assert len(factors) == 1
+    for calls in (sections, factors, eigs):
+        calls.clear()
+    _capped_t_phase(monkeypatch)
+    res = _he_solve_shaped()
     assert res.status == "converged" and len(res.history) > 2
     assert len(eigs) == len(res.history)
     assert len(sections) == 2
@@ -224,36 +247,119 @@ def test_solve_forms_sections_and_reference_whitening_once(monkeypatch):
 
 
 def test_solve_forms_fs_moments_for_its_first_gradient_and_final_residual(monkeypatch):
-    # an he_solve-shaped solve: every later gradient reads FS of its form
-    # off the accepted line-search path, so the FS moments are formed
-    # once for the reference metric's values, once for the first gradient
-    # and once for the final `he_residual`, while the gradient still runs
-    # once per iteration
-    spec, rule = BundleSpec((2, 2)), build_quadrature(12, 12)
+    # with the T-phase capped, the descent iterates: every later gradient
+    # reads FS of its form off the accepted line-search path, so the FS
+    # moments are formed once for the reference metric's values, once for
+    # the first gradient and once for the final `he_residual`, while the
+    # gradient still runs once per iteration.  With the T-phase, each
+    # T-step forms them once, and the first gradient reads FS of the
+    # T-phase's form off the path of the accepted T-step
     moments = count_calls(monkeypatch, sections_mod, "_fs_moments")
     grads = count_calls(monkeypatch, solver_mod, "mdon_gradient")
-    G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
-    res = minimize(spec, SolveOptions(k=0, max_iter=300), rule, G_init=G)
+    res = _he_solve_shaped()
+    assert res.status == res.t_outcome == "converged"
+    assert len(grads) == len(res.history) == 1
+    assert len(moments) == 2 + len(res.t_changes)
+    moments.clear()
+    grads.clear()
+    _capped_t_phase(monkeypatch)
+    res = _he_solve_shaped()
     assert res.status == "converged" and len(res.history) > 2
     assert len(grads) == len(res.history)
     assert len(moments) == 3
 
 
+def _first_energy_reads(monkeypatch, value):
+    """Make the solve's first energy integral read `value`."""
+    trials = []
+
+    def first_reads(*args, **kwargs):
+        trials.append(donaldson(*args, **kwargs))
+        return value if len(trials) == 1 else trials[-1]
+
+    monkeypatch.setattr(solver_mod, "donaldson", first_reads)
+
+
 def test_energy_history_records_an_accepted_rise(monkeypatch):
     # the first trial reads a rise within the acceptance tolerance, so it
-    # is accepted, and the history moves by exactly that rise
-    spec, rule, rise = BundleSpec((2, 2)), build_quadrature(12, 12), 5e-11
-    orig, trials = solver_mod.donaldson, []
-
-    def first_trial_rises(*args, **kwargs):
-        trials.append(orig(*args, **kwargs))
-        return rise if len(trials) == 1 else trials[-1]
-
-    monkeypatch.setattr(solver_mod, "donaldson", first_trial_rises)
-    G = rand_pd(np.random.default_rng(1), basis(spec, 0).N, scale=0.3)
-    res = minimize(spec, SolveOptions(k=0, max_iter=3), rule, G_init=G)
+    # is accepted, and the history moves by exactly that rise.  On
+    # O(1)+O(-1) the T-phase stalls, so the descent iterates, and its
+    # first trial is the solve's first energy integral
+    spec, rule, rise = BundleSpec((1, -1)), build_quadrature(12, 12), 5e-11
+    _first_energy_reads(monkeypatch, rise)
+    res = minimize(spec, SolveOptions(k=2, max_iter=3), rule)
+    assert res.t_outcome == "stalled"
     assert len(res.history) == 3 and len(res.mdon_history) > 1
     assert res.mdon_history[1] - res.mdon_history[0] == rise
+
+
+def test_t_step_is_taken_under_the_line_search_test(monkeypatch):
+    # the converged T-phase's energy is the first step: a rise within the
+    # line search's tolerance is taken and recorded as it is, and a larger
+    # one is refused, so the descent starts from the untouched start form
+    # and runs as with the T-phase capped, bit for bit
+    _first_energy_reads(monkeypatch, 5e-11)
+    res = _he_solve_shaped()
+    assert res.t_outcome == "converged" and len(res.history) == 1
+    assert res.mdon_history[1] - res.mdon_history[0] == 5e-11
+    _first_energy_reads(monkeypatch, 2e-10)
+    refused = _he_solve_shaped()
+    assert refused.t_outcome == "rejected" and refused.t_changes == res.t_changes
+    monkeypatch.setattr(solver_mod, "donaldson", donaldson)
+    _capped_t_phase(monkeypatch)
+    ref = _he_solve_shaped()
+    assert refused.status == ref.status == "converged" and len(ref.history) > 2
+    assert refused.history == ref.history
+    assert refused.mdon_history == ref.mdon_history
+    assert np.array_equal(refused.G_final, ref.G_final)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("degs", [(3,), (1, 1)], ids=["O(3)", "O(1)+O(1)"])
+def test_t_phase_contracts_by_the_berezin_factor(rule24, degs, k):
+    # near the balanced metric each T-step shrinks the change by d/(d+2),
+    # d = a + k: the first eigenvalue of the Berezin transform of O(d)
+    spec = BundleSpec(degs)
+    G = rand_pd(np.random.default_rng(1), basis(spec, k).N, scale=0.3)
+    res = minimize(spec, SolveOptions(k=k, max_iter=300), rule24, G_init=G)
+    d = degs[0] + k
+    assert res.t_outcome == "converged"
+    assert res.t_changes[-1] / res.t_changes[-2] == pytest.approx(d / (d + 2), abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("degs", [(3,), (1, 1)], ids=["O(3)", "O(1)+O(1)"])
+def test_minimize_converges_at_higher_levels(rule24, degs, k):
+    # in each case the descent alone needs more than 300 iterations from
+    # at least one of the two starts; the T-phase hands it the balanced
+    # metric
+    spec = BundleSpec(degs)
+    for seed in (1, 2):
+        G = rand_pd(np.random.default_rng(seed), basis(spec, k).N, scale=0.3)
+        res = minimize(spec, SolveOptions(k=k, max_iter=300), rule24, G_init=G)
+        assert res.status == "converged"
+        assert res.he_residual_sup < 1e-3
+
+
+def test_stalled_t_phase_hands_back_the_start(monkeypatch):
+    # on O(1)+O(-1) each T-step moves the summands' blocks apart by a
+    # factor 2, so the change stays log 2 and the T-phase stalls; the
+    # descent then runs from the untouched start form, as with the
+    # T-phase capped, bit for bit, and escapes along criterion 9's
+    # direction
+    spec, rule = BundleSpec((1, -1)), build_quadrature(12, 12)
+    res = minimize(spec, SolveOptions(k=2, max_iter=300), rule)
+    assert res.t_outcome == "stalled"
+    assert res.t_changes[-1] == pytest.approx(np.log(2.0), abs=1e-12)
+    _capped_t_phase(monkeypatch)
+    ref = minimize(spec, SolveOptions(k=2, max_iter=300), rule)
+    assert ref.t_outcome == "cap" and ref.t_changes == []
+    assert res.status == ref.status == "diverging"
+    assert res.history == ref.history
+    assert res.mdon_history == ref.mdon_history
+    assert np.array_equal(res.zeta_limit, ref.zeta_limit)
+    spectrum = np.linalg.eigvalsh(res.zeta_limit)
+    assert np.allclose(spectrum, [-1, -1, 0, 0, 0.005614, 0.005614], rtol=0, atol=5e-7)
 
 
 def test_gradient_from_shared_sections_has_fresh_bits(rule16):
