@@ -98,22 +98,42 @@ def _mat_mul(X, Y):
 # r x r matrix; this kernel loops over the matrix indices as `_mat_mul` does
 def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of hermitian positive A over any leading batch axes: the
-    diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then
-    Gauss-Jordan in place without pivoting, entry by entry.  The pivots
-    are diagonal entries of Schur complements of a hermitian positive
-    matrix with unit diagonal: real, in (0, 1] and no smaller than its
-    least eigenvalue, while no Schur complement entry exceeds 1 in
-    modulus, so pivoting would gain nothing."""
+    diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then an
+    inverse entry by entry.  At r = 1 it is 1/a.  At r = 2 the
+    equilibrated matrix is [[1, b], [b*, 1]], b read above the diagonal,
+    and the inverse is D^-1 [[1, -b], [-b*, 1]] D^-1 / (1 - |b|^2),
+    hermitian.  At r >= 3 Gauss-Jordan in place without pivoting.  The
+    pivots are diagonal entries of Schur complements of a hermitian
+    positive matrix with unit diagonal: real, in (0, 1] and no smaller
+    than its least eigenvalue, while no Schur complement entry exceeds 1
+    in modulus, so pivoting would gain nothing.  RuntimeError when a
+    diagonal entry, a pivot or 1 - |b|^2 is not positive: A is then
+    rank-deficient or not positive definite."""
     diag = np.diagonal(A, axis1=-2, axis2=-1).real
     if np.any(diag <= 0):
         raise RuntimeError("matrix is rank-deficient or not positive definite")
-    dinv = 1.0 / np.sqrt(diag)
     r = A.shape[-1]
+    out = np.empty(A.shape, dtype=complex)
+    if r == 1:
+        out[..., 0, 0] = 1.0 / diag[..., 0]
+        return out
+    dinv = 1.0 / np.sqrt(diag)
+    if r == 2:
+        d01 = dinv[..., 0] * dinv[..., 1]
+        b = A[..., 0, 1] * d01
+        det = 1.0 - (b.real**2 + b.imag**2)
+        if np.any(det <= 0):
+            raise RuntimeError("matrix is rank-deficient or not positive definite")
+        out[..., 0, 0] = dinv[..., 0] ** 2 / det
+        out[..., 1, 1] = dinv[..., 1] ** 2 / det
+        out[..., 0, 1] = -b * (d01 / det)
+        out[..., 1, 0] = out[..., 0, 1].conj()
+        return out
     scale = [[dinv[..., i] * dinv[..., j] for j in range(r)] for i in range(r)]
     a = [[A[..., i, j] * scale[i][j] for j in range(r)] for i in range(r)]
     for k in range(r):
         piv = a[k][k].real
-        if np.any(piv == 0):
+        if np.any(piv <= 0):
             raise RuntimeError("matrix is rank-deficient or not positive definite")
         p = 1.0 / piv
         a[k] = [p if j == k else a[k][j] * p for j in range(r)]
@@ -121,7 +141,6 @@ def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
             if i != k:
                 f = a[i][k]
                 a[i] = [-f * p if j == k else a[i][j] - f * a[k][j] for j in range(r)]
-    out = np.empty(A.shape, dtype=complex)
     for i in range(r):
         for j in range(r):
             out[..., i, j] = a[i][j] * scale[i][j]

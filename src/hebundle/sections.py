@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundle import (BundleSpec, MetricEvaluator, _equilibrated_inverse, _hermitize, _mat_mul,
                      _node_sup_norm, regularity)
-from .geometry import QuadratureRule, contract_batch, tree_sum
+from .geometry import QuadratureRule, contract_batch
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,13 @@ def _section_pairing(rule: QuadratureRule, X: np.ndarray, density, rows, s):
     rows[c] (`node_sections`), so entry (c, d) integrates
     conj(s_c) X[rows[c], rows[d]] s_d density, with no dense
     contraction.  The weights and the density are folded into conj(s_c),
-    and the rows of each summand are summed over the nodes on their own
-    by the tree reduction, so no (n, N, N) array is formed.  Weighting
-    the products after forming them, as `integrate_values` does, costs a
-    second (n, N_i, N) array per summand: about 30% more peak memory and
-    time on a 64 x 64 rule.  RuntimeError on a non-finite value.
+    and the rows of each summand are one product over the node axis,
+    (N_i x n) by (n x N), whose rows BLAS sums in an order that no
+    thread count changes.  RuntimeError on a non-finite value.
     """
     ws = (s * (rule.weights * density)[:, None]).conj()
     xs = X[:, :, rows] * s[:, None, :]  # X S, (n, r, N)
-    g = np.concatenate(
-        [tree_sum(ws[:, rows == i, None] * xs[:, i, None, :]) for i in range(X.shape[-1])]
-    )
+    g = np.concatenate([ws[:, rows == i].T @ xs[:, i] for i in range(X.shape[-1])])
     if not np.all(np.isfinite(g)):
         raise RuntimeError("non-finite integrand value")
     return _hermitize(g)

@@ -24,8 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .bundle import (BundleSpec, _equilibrated_inverse, _he_defect, _hermitize, _mat_mul,
-                     _node_eigvalsh, _node_sup_norm, _relative_eigs, _whitening, he_residual,
-                     regularity)
+                     _node_sup_norm, _relative_eigs, _whitening, he_residual, regularity)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch
 from .sections import (FSMetric, SectionBasis, _fs_moments, _fs_values, _section_factor,
@@ -102,10 +101,14 @@ def _balance(sb: SectionBasis, G: np.ndarray, sections):
     rule of the `node_sections`, trace normalized.
 
     A step's change is scale free: the spread, max - min, of the log
-    eigenvalues of the new form relative to the old one, those of
-    W* G_new W.  Returns the last form, or None unless the iteration
-    converged, the change of every step, and the outcome: "converged",
-    "stalled" (also when a step breaks down) or "cap" (`_T_TOL`,
+    eigenvalues w of the new form relative to the old one, those of
+    H = W* G_new W.  One `eigh` of H gives w and their eigenvectors U,
+    and the next factor is W U diag(w^-1/2): its product with its
+    adjoint is W H^-1 W* = G_new^-1.  Only the start factor comes from
+    `FSMetric`, so a step forms no Cholesky factor.  Returns the last
+    form, or None unless the iteration converged, the change of every
+    step, and the outcome: "converged", "stalled" (also when a step
+    breaks down or its form loses positivity) or "cap" (`_T_TOL`,
     `_T_STALL`, `_T_MAX_STEPS`).  On O(1)+O(-1) each step moves the two
     summands' blocks apart by a factor 2, so the change stays log 2 and
     the iteration stalls."""
@@ -117,14 +120,14 @@ def _balance(sb: SectionBasis, G: np.ndarray, sections):
             A = _fs_moments(_section_factor(S, W))[0]
             G_new = _section_pairing(rule, _equilibrated_inverse(A), 1.0, rows, s)
             G_new = G_new / np.trace(G_new).real
-            w = _node_eigvalsh(_hermitize(W.conj().T @ G_new @ W))
+            w, U = np.linalg.eigh(_hermitize(W.conj().T @ G_new @ W))
             changes.append(float(np.log(w[-1] / w[0])))
             if changes[-1] < _T_TOL:
                 return G_new, changes, "converged"
             rising = rising + 1 if len(changes) > 1 and changes[-1] > _T_STALL * changes[-2] else 0
-            if rising == 3:
+            if rising == 3 or not w[0] > 0:
                 return None, changes, "stalled"
-            W = FSMetric(sb, G=G_new).W
+            W = (W @ U) / np.sqrt(w)
     except (RuntimeError, np.linalg.LinAlgError):
         return None, changes, "stalled"
     return None, changes, "cap"

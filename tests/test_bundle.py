@@ -13,6 +13,7 @@ from hebundle import bundle as bundle_mod
 from hebundle.bundle import (
     BundleSpec,
     GeodesicMetric,
+    _equilibrated_inverse,
     _geodesic_at,
     _geodesic_parts,
     _hermitize,
@@ -307,3 +308,63 @@ def test_rank_one_normalization_and_geodesic_keep_lapack_bits(monkeypatch):
     ref = [_relative_eigs(a, _whitening(b)), *_geodesic_parts(a, b)]
     for x, y in zip(got, ref):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_closed_form_inverse_matches_lapack(r):
+    rng = np.random.default_rng(60 + r)
+    X = rng.normal(size=(300, r, r)) + 1j * rng.normal(size=(300, r, r))
+    # a well-conditioned M scaled by D = diag(10^u), u in [-3, 3]: the
+    # condition numbers reach 1e12, and the equilibration removes D
+    M = X @ np.swapaxes(X, -1, -2).conj() + 0.1 * np.eye(r)
+    d = 10.0 ** rng.uniform(-3.0, 3.0, size=(300, r))
+    A = d[:, :, None] * M * d[:, None, :]
+    assert r == 1 or np.linalg.cond(A).max() > 1e11
+    got, ref = _equilibrated_inverse(A), np.linalg.inv(A)
+    # each entry against its natural scale, sqrt(ref_ii ref_jj)
+    dg = np.sqrt(np.diagonal(ref, axis1=-2, axis2=-1).real)
+    assert np.all(np.abs(got - ref) <= 1e-13 * dg[:, :, None] * dg[:, None, :])
+    assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
+    # eigenvalues 1 and 10^-e in a random basis: the equilibrated matrix
+    # itself has condition numbers up to 1e12, and both inverses lose
+    # cond * eps of it
+    U = np.linalg.qr(X)[0]
+    w = np.ones((300, r))
+    w[:, -1] = 10.0 ** -rng.uniform(0.0, 12.0, size=300)
+    A = _hermitize((U * w[:, None, :]) @ np.swapaxes(U, -1, -2).conj())
+    got, ref = _equilibrated_inverse(A), np.linalg.inv(A)
+    err = np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    assert np.all(err <= 8 * np.finfo(float).eps * np.linalg.cond(A))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_equilibrated_inverse_of_one_point_is_its_row_of_a_stack(r):
+    rng = np.random.default_rng(70 + r)
+    X = rng.normal(size=(64, r, r)) + 1j * rng.normal(size=(64, r, r))
+    A = X @ np.swapaxes(X, -1, -2).conj() + 0.1 * np.eye(r)
+    inv = _equilibrated_inverse(A)
+    for i in range(len(A)):
+        assert np.array_equal(_equilibrated_inverse(A[i]), inv[i])
+        assert np.array_equal(_equilibrated_inverse(A[i : i + 1])[0], inv[i])
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[0.0]],
+        [[-2.0]],
+        [[1.0, 1.0], [1.0, 1.0]],  # singular: 1 - |b|^2 = 0
+        [[4.0, 2.0j], [-2.0j, 1.0]],  # singular after equilibration
+        [[1.0, 2.0], [2.0, 1.0]],  # indefinite, eigenvalues 3 and -1
+        [[1.0, 0.6, 0.6], [0.6, 1.0, -0.6], [0.6, -0.6, 1.0]],  # eigenvalue -0.2
+    ],
+)
+def test_equilibrated_inverse_refuses_matrices_that_are_not_positive(M):
+    # alone and as one matrix of a positive stack; a pivot test of == 0
+    # would let the two indefinite ones through
+    M = np.array(M, dtype=complex)
+    stack = np.repeat(np.eye(len(M), dtype=complex)[None], 4, axis=0)
+    stack[2] = M
+    for A in (M, stack):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            _equilibrated_inverse(A)

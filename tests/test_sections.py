@@ -1,7 +1,11 @@
 """Section bases, L2 forms, Fubini-Study metrics, and Bergman kernels."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +24,12 @@ from hebundle.geometry import build_quadrature, canonical_points
 from hebundle.sections import (
     FSMetric,
     _fs_moments,
+    _section_pairing,
     basis,
     bergman_kernel,
     eval_matrix_batch,
     l2_gram,
+    node_sections,
     trivial_metric,
 )
 
@@ -288,3 +294,52 @@ def test_equilibrated_inverse_raises_when_rank_deficient():
     singular[1] = [[1.0, 1.0], [1.0, 1.0]]  # unit diagonal, zero pivot
     with pytest.raises(RuntimeError, match="rank-deficient"):
         _equilibrated_inverse(singular)
+
+
+@pytest.mark.parametrize("degs, k", [((1, 0, -1), 1), ((2, 1), 2), ((3,), 1)])
+def test_section_pairing_matches_dense_einsum(degs, k, rule16):
+    # the node sum as one product per summand against Σ_n w density S* X S
+    # formed by a dense einsum, on a non-hermitian field and a density per node
+    rng = np.random.default_rng(50 + k)
+    sb, r = basis(BundleSpec(degs), k), len(degs)
+    rule, S, _, rows, s = node_sections(sb, rule16)
+    X = rng.normal(size=(rule.n, r, r)) + 1j * rng.normal(size=(rule.n, r, r))
+    density = rng.uniform(0.5, 2.0, size=rule.n)
+    got = _section_pairing(rule, X, density, rows, s)
+    ref = np.einsum("n,nji,njl,nlm->im", rule.weights * density, S.conj(), X, S)
+    ref = 0.5 * (ref + ref.conj().T)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# the pairing of a random field on a 64x64 rule over O(1)+O(0)+O(-1) at
+# k = 1, whose O(-1) summand has one section: that summand's product has
+# one row
+_PAIRING_HASH = """
+import hashlib
+import numpy as np
+from hebundle.bundle import BundleSpec
+from hebundle.geometry import build_quadrature
+from hebundle.sections import _section_pairing, basis, node_sections
+sb = basis(BundleSpec((1, 0, -1)), 1)
+rule, _, _, rows, s = node_sections(sb, build_quadrature(64, 64))
+rng = np.random.default_rng(3)
+X = rng.normal(size=(rule.n, 3, 3)) + 1j * rng.normal(size=(rule.n, 3, 3))
+print(sb.N, hashlib.sha256(_section_pairing(rule, X, 1.0, rows, s).tobytes()).hexdigest())
+"""
+
+
+def test_section_pairing_is_independent_of_blas_threads():
+    import hebundle
+
+    src = str(Path(hebundle.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-c", _PAIRING_HASH],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        outs.append(proc.stdout.split())
+    assert outs[0][0] == "6" and len(outs[0]) == 2
+    assert outs[0] == outs[1]
