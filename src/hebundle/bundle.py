@@ -99,24 +99,21 @@ def _mat_mul(X, Y):
 def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of hermitian positive A over any leading batch axes: the
     diagonal equilibration A -> D^-1 A D^-1 to a unit diagonal, then an
-    inverse entry by entry.  At r = 1 it is 1/a.  At r = 2 the
-    equilibrated matrix is [[1, b], [b*, 1]], b read above the diagonal,
-    and the inverse is D^-1 [[1, -b], [-b*, 1]] D^-1 / (1 - |b|^2),
-    hermitian.  At r >= 3 Gauss-Jordan in place without pivoting.  The
-    pivots are diagonal entries of Schur complements of a hermitian
-    positive matrix with unit diagonal: real, in (0, 1] and no smaller
-    than its least eigenvalue, while no Schur complement entry exceeds 1
-    in modulus, so pivoting would gain nothing.  RuntimeError when a
-    diagonal entry, a pivot or 1 - |b|^2 is not positive: A is then
-    rank-deficient or not positive definite."""
+    inverse entry by entry.  At r = 2 the equilibrated matrix is
+    [[1, b], [b*, 1]], b read above the diagonal, and the inverse is
+    D^-1 [[1, -b], [-b*, 1]] D^-1 / (1 - |b|^2), hermitian.  At every
+    other r Gauss-Jordan in place without pivoting.  The pivots are
+    diagonal entries of Schur complements of a hermitian positive matrix
+    with unit diagonal: real, in (0, 1] and no smaller than its least
+    eigenvalue, while no Schur complement entry exceeds 1 in modulus, so
+    pivoting would gain nothing.  RuntimeError when a diagonal entry, a
+    pivot or 1 - |b|^2 is not positive: A is then rank-deficient or not
+    positive definite."""
     diag = np.diagonal(A, axis1=-2, axis2=-1).real
     if np.any(diag <= 0):
         raise RuntimeError("matrix is rank-deficient or not positive definite")
     r = A.shape[-1]
     out = np.empty(A.shape, dtype=complex)
-    if r == 1:
-        out[..., 0, 0] = 1.0 / diag[..., 0]
-        return out
     dinv = 1.0 / np.sqrt(diag)
     if r == 2:
         d01 = dinv[..., 0] * dinv[..., 1]

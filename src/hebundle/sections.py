@@ -87,8 +87,9 @@ def _section_pairing(rule: QuadratureRule, X: np.ndarray, density, rows, s):
     conj(s_c) X[rows[c], rows[d]] s_d density, with no dense
     contraction.  The weights and the density are folded into conj(s_c),
     and the rows of each summand are one product over the node axis,
-    (N_i x n) by (n x N), whose rows BLAS sums in an order that no
-    thread count changes.  RuntimeError on a non-finite value.
+    (N_i x n) by (n x N), whose bits are the same at 1 and 2 BLAS
+    threads on products OpenBLAS runs on one thread and on two
+    (`tests/test_sections.py`).  RuntimeError on a non-finite value.
     """
     ws = (s * (rule.weights * density)[:, None]).conj()
     xs = X[:, :, rows] * s[:, None, :]  # X S, (n, r, N)

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +20,19 @@ def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
     """Random hermitian positive-definite matrix e^{scale * sym(X)}."""
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scipy.linalg.expm(scale * 0.5 * (X + X.conj().T))
+
+
+def run_at_blas_threads(threads: str, *args) -> str:
+    """Stdout of a fresh interpreter given `args`, with hebundle and these
+    helpers on its path and its BLAS capped at `threads` threads.  numpy
+    reads the cap once, at import, so it is set before the interpreter
+    starts."""
+    paths = [Path(hebundle.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(map(str, paths))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=600, check=True
+    ).stdout
 
 
 def standard_metric(spec):

@@ -311,7 +311,8 @@ def test_rank_one_normalization_and_geodesic_keep_lapack_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [1, 2])
-def test_closed_form_inverse_matches_lapack(r):
+def test_equilibrated_inverse_matches_lapack(r):
+    # r = 2 is the closed form, r = 1 the Gauss-Jordan's one pivot
     rng = np.random.default_rng(60 + r)
     X = rng.normal(size=(300, r, r)) + 1j * rng.normal(size=(300, r, r))
     # a well-conditioned M scaled by D = diag(10^u), u in [-3, 3]: the

@@ -4,9 +4,6 @@ import argparse
 import ast
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +11,7 @@ import pytest
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
-from _utils import count_calls
+from _utils import count_calls, run_at_blas_threads
 from hebundle.cli import main, parse_config, ConfigError
 
 
@@ -205,9 +202,6 @@ def test_mdon_command(tmp_path):
 def test_reports_are_independent_of_blas_threads(tmp_path):
     # the thread cap is the environment's, set before the interpreter
     # starts: numpy reads it once, at import
-    import hebundle
-
-    src = str(Path(hebundle.__file__).resolve().parents[1])
     for cmd, cfg in (
         ("bergman", _BERGMAN_CFG),
         ("mdon", _MDON_CFG),
@@ -217,13 +211,8 @@ def test_reports_are_independent_of_blas_threads(tmp_path):
         p = _write_cfg(tmp_path, f"{cmd}.json", cfg)
         reports = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = src
             out = tmp_path / f"{cmd}-{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "hebundle.cli", cmd, "--config", p, "--out", str(out)],
-                env=env, capture_output=True, timeout=600, check=True,
-            )
+            run_at_blas_threads(threads, "-m", "hebundle.cli", cmd, "--config", p, "--out", str(out))
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1], cmd
 

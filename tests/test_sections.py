@@ -1,17 +1,13 @@
 """Section bases, L2 forms, Fubini-Study metrics, and Bergman kernels."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from _utils import at, rand_pd, standard_metric, transition_matrix
+from _utils import at, rand_pd, run_at_blas_threads, standard_metric, transition_matrix
 from hebundle.bundle import (
     BundleSpec,
     _equilibrated_inverse,
@@ -312,34 +308,26 @@ def test_section_pairing_matches_dense_einsum(degs, k, rule16):
 
 
 # the pairing of a random field on a 64x64 rule over O(1)+O(0)+O(-1) at
-# k = 1, whose O(-1) summand has one section: that summand's product has
-# one row
+# k = 1, whose O(-1) summand has one section, so that summand's product
+# has one row; and over O(12)+O(10) at k = 8, whose (21 x 4096) by
+# (4096 x 40) and (19 x 4096) by (4096 x 40) products OpenBLAS runs on
+# both threads when it has two
 _PAIRING_HASH = """
 import hashlib
 import numpy as np
 from hebundle.bundle import BundleSpec
 from hebundle.geometry import build_quadrature
 from hebundle.sections import _section_pairing, basis, node_sections
-sb = basis(BundleSpec((1, 0, -1)), 1)
-rule, _, _, rows, s = node_sections(sb, build_quadrature(64, 64))
-rng = np.random.default_rng(3)
-X = rng.normal(size=(rule.n, 3, 3)) + 1j * rng.normal(size=(rule.n, 3, 3))
-print(sb.N, hashlib.sha256(_section_pairing(rule, X, 1.0, rows, s).tobytes()).hexdigest())
+for degs, k in (((1, 0, -1), 1), ((12, 10), 8)):
+    sb, r = basis(BundleSpec(degs), k), len(degs)
+    rule, _, _, rows, s = node_sections(sb, build_quadrature(64, 64))
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(rule.n, r, r)) + 1j * rng.normal(size=(rule.n, r, r))
+    print(sb.N, hashlib.sha256(_section_pairing(rule, X, 1.0, rows, s).tobytes()).hexdigest())
 """
 
 
 def test_section_pairing_is_independent_of_blas_threads():
-    import hebundle
-
-    src = str(Path(hebundle.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src
-        proc = subprocess.run(
-            [sys.executable, "-c", _PAIRING_HASH],
-            env=env, capture_output=True, text=True, timeout=600, check=True,
-        )
-        outs.append(proc.stdout.split())
-    assert outs[0][0] == "6" and len(outs[0]) == 2
+    outs = [run_at_blas_threads(threads, "-c", _PAIRING_HASH).split() for threads in ("1", "2")]
+    assert outs[0][::2] == ["6", "40"] and len(outs[0]) == 4
     assert outs[0] == outs[1]

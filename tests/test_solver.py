@@ -1,10 +1,6 @@
 """Energy minimization: gradient correctness, convergence, divergence."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +9,7 @@ import scipy.linalg
 import hebundle.bundle as bundle_mod
 import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
-from _utils import count_calls, rand_pd
+from _utils import count_calls, rand_pd, run_at_blas_threads
 from hebundle.bundle import BundleSpec, he_residual
 from hebundle.donaldson import BergmanPath, donaldson, path_energy
 from hebundle.geometry import build_quadrature
@@ -150,7 +146,7 @@ def test_minimize_random_init_reaches_he(rule24):
 _SOLVE_HASH = """
 import hashlib, sys
 import numpy as np
-from _utils import count_calls, rand_pd
+from _utils import count_calls, rand_pd, run_at_blas_threads
 from hebundle.bundle import BundleSpec
 from hebundle.geometry import build_quadrature
 from hebundle.sections import basis
@@ -165,19 +161,7 @@ print(res.status, len(res.history),
 
 
 def test_minimize_is_independent_of_blas_threads():
-    import hebundle
-
-    src = str(Path(hebundle.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join([src, tests])
-        proc = subprocess.run(
-            [sys.executable, "-c", _SOLVE_HASH],
-            env=env, capture_output=True, text=True, timeout=600, check=True,
-        )
-        outs.append(proc.stdout.split())
+    outs = [run_at_blas_threads(threads, "-c", _SOLVE_HASH).split() for threads in ("1", "2")]
     assert len(outs[0]) == 4
     assert outs[0] == outs[1]
 
