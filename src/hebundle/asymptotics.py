@@ -37,6 +37,13 @@ from .sections import (
 )
 
 
+# most (t-node, sphere-node) points in one `_graded_rate` call, half the
+# energy paths' `bundle._MAX_POINTS`: a complex (r, N, points) array of
+# a call is then 0.26 MB on an r N = 8 ray and 0.4 MB at r N = 12
+# (`_deriv_at` says why that matters)
+_RAY_POINTS = 2048
+
+
 @dataclass
 class OnePSRay:
     """Ray of positive forms G_t = e^{-zeta t} G0 e^{-zeta t}.
@@ -145,11 +152,19 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     S W_t up to the scalar e^{-lam_1 t}, which cancels in the integrand
     and keeps every entry bounded by its value at t = 0, while its
     columns fall off by weight.  Y' likewise from S'.  The sections are
-    evaluated once; each chunk of t-nodes (`_chunked_rate`) forms
-    conj(Y) and conj(Y'), whose rows are the columns of Y* and Y'*, with
-    one `_section_factor` product by conj(C) each, and `_graded_rate`
-    takes the integrand in their QR frame, with no moment matrix and no
-    inverse of one.  A lone node gets a twin:
+    evaluated once; each block of t-nodes (`_chunked_rate`, at most
+    `_RAY_POINTS` (t-node, sphere-node) points and at least one t-node)
+    forms conj(Y) and conj(Y'), whose rows are the columns of Y* and
+    Y'*, with one `_section_factor` product by conj(C) each, and
+    `_graded_rate` takes the integrand in their QR frame, with no moment
+    matrix and no inverse of one.  Every step is per point, entrywise
+    sums over N and products with the points on the left, so the block
+    size moves no bit.  It sets the working set, about 3.5 MB on an
+    r N = 12 ray against 6.6 MB at 4096 points: in a process that has
+    already freed larger arrays, as one running several CLI commands
+    has, 2048-point blocks stay within the heap that malloc keeps, where
+    4096-point blocks took thousands of fresh pages per call.  A first
+    call in a fresh process does not gain.  A lone node gets a twin:
     numpy sums a lone column pairwise, and a point's value must not
     depend on its batch.
     """
@@ -168,7 +183,7 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
         vals = _graded_rate(y, y1, ray._M, np.tile(c, len(ts)), kmu)
         return vals.reshape(len(ts), -1)[:, : rule.n]
 
-    return _chunked_rate(t, rule, node_values)
+    return _chunked_rate(t, rule, node_values, _RAY_POINTS)
 
 
 def mdon_along_ray(ray: OnePSRay, t_grid, rule: QuadratureRule) -> np.ndarray:
@@ -176,8 +191,8 @@ def mdon_along_ray(ray: OnePSRay, t_grid, rule: QuadratureRule) -> np.ndarray:
     order-6 Gauss-Legendre integration of the analytic t-derivative, all
     segments' t-nodes in one batched call."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t grid must start at 0 and increase")
+    if not np.all(np.isfinite(t_grid)) or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError(f"t grid must be finite, start at 0 and increase, got {t_grid}")
     u, w = gauss_legendre01(6)
     a, b = t_grid[:-1, None], t_grid[1:, None]
     derivs = _deriv_at(ray, (a + (b - a) * u).reshape(-1), rule).reshape(-1, len(u))
@@ -221,8 +236,8 @@ def slope_estimate(
     filtration level, the exact degree of the common minor factor;
     the slope comparison is trustworthy only when all are zero.
     """
-    if t_max < 10:
-        raise ValueError("slope fitting needs t_max >= 10")
+    if not 10 <= t_max < np.inf:
+        raise ValueError(f"slope fitting needs a finite t_max >= 10, got t_max = {t_max}")
     if n_t < 3:
         raise ValueError(f"slope fitting needs n_t >= 3 (two tail times), got n_t = {n_t}")
     rep = filtration(sb.bundle, zeta_rational)
@@ -308,6 +323,8 @@ def coercivity_probe(
     level-uniform linear lower bound; growth is evidence against it in
     the sampled regime.  No claim is asserted either way.
     """
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"probe rays need a finite t_max > 0, got t_max = {t_max}")
     rows = []
     for k in k_list:
         rng = np.random.default_rng(seed + 1000 * k)

@@ -20,8 +20,10 @@ import numpy as np
 
 from .geometry import QuadratureRule, integrate_values
 
-# most points evaluated in one batched call by the stencil and the
-# energy-path helpers: the size of a 64x64 rule
+# most points evaluated in one batched call by the stencil and by the
+# energy paths of `donaldson`: the size of a 64x64 rule, so a 15-node
+# panel of `BergmanPath` takes one call on rules of up to 273 nodes.
+# The escape ray of `asymptotics` passes its own, smaller budget
 _MAX_POINTS = 4096
 
 
@@ -108,7 +110,11 @@ def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
     eigenvalue, while no Schur complement entry exceeds 1 in modulus, so
     pivoting would gain nothing.  RuntimeError when a diagonal entry, a
     pivot or 1 - |b|^2 is not positive: A is then rank-deficient or not
-    positive definite."""
+    positive definite.  A lone (r, r) matrix is inverted as a stack of
+    one: numpy's scalar arithmetic rounds apart from its array loops, and
+    a matrix must get its bits as a row of any stack."""
+    if A.ndim == 2:
+        return _equilibrated_inverse(A[None])[0]
     diag = np.diagonal(A, axis1=-2, axis2=-1).real
     if np.any(diag <= 0):
         raise RuntimeError("matrix is rank-deficient or not positive definite")
@@ -286,23 +292,25 @@ def fd_stencil(fn, charts, coords):
     return np.concatenate(vals), dl
 
 
-def _t_chunk(rule: QuadratureRule) -> int:
+def _t_chunk(rule: QuadratureRule, max_points: int) -> int:
     """The t-nodes that one call of a path's node kernel takes on `rule`:
-    as many as fit in _MAX_POINTS (t-node, sphere-node) points, and at
+    as many as fit in `max_points` (t-node, sphere-node) points, and at
     least one."""
-    return max(1, _MAX_POINTS // rule.n)
+    return max(1, max_points // rule.n)
 
 
-def _chunked_rate(t, rule: QuadratureRule, node_values):
+def _chunked_rate(t, rule: QuadratureRule, node_values, max_points: int):
     """dM/dt along a path on the nodes of `rule`: a float for a scalar t,
     an array for a 1-D array of t.  `node_values(ts)` gives the integrand
     at every node for a 1-D array of t, shape (len(ts), n); the t-nodes
-    go to it in chunks of `_t_chunk`, and a path whose values do not
-    depend on the chunking gives the same value at a t in any call."""
+    go to it in chunks of `_t_chunk(rule, max_points)`, the caller's
+    budget of points per call (`_MAX_POINTS` for the energy paths), and
+    a path whose values do not depend on the chunking gives the same
+    value at a t in any call."""
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
     out = np.empty(flat.shape)
-    step = _t_chunk(rule)
+    step = _t_chunk(rule, max_points)
     for lo in range(0, len(flat), step):
         out[lo : lo + step] = integrate_values(node_values(flat[lo : lo + step]).T, rule)
     return float(out[0]) if ts.ndim == 0 else out

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bundle import (
     _D1,
+    _MAX_POINTS,
     _OFF,
     GeodesicMetric,
     MetricEvaluator,
@@ -126,7 +127,7 @@ class BergmanPath:
         """
         rule = self._rule
         res_shift = float(self.sb.bundle.slope) * np.eye(self.sb.bundle.rank)
-        join = self._end is None and np.size(t) < _t_chunk(rule)
+        join = self._end is None and np.size(t) < _t_chunk(rule, _MAX_POINTS)
 
         def node_values(ts):
             m = len(ts)
@@ -136,7 +137,7 @@ class BergmanPath:
             return np.einsum("...ij,...ji->...", _mat_mul(V[:m], Ainv[:m]),
                              lamF[:m] - res_shift).real
 
-        return _chunked_rate(t, rule, node_values)
+        return _chunked_rate(t, rule, node_values, _MAX_POINTS)
 
 
 class PointwiseExponentialPath:

@@ -67,6 +67,21 @@ def test_mdon_along_ray_grid_validation(rule16):
         mdon_along_ray(ray, [0.0, 2.0, 1.0], rule16)
 
 
+def test_ray_times_must_be_finite(rule16):
+    # NaN fails every comparison, and inf passes the increase check: both
+    # must be refused before they reach the ray's QR
+    G0, zr = _datum(rule16, [(Fraction(1, 3), 3), (-1, 1)])
+    ray = OnePSRay(SB, G0, zeta_matrix(zr))
+    for grid in ([0.0, np.nan], [0.0, np.inf], [0.0, 1.0, np.nan, 3.0]):
+        with pytest.raises(ValueError, match="t grid must be finite"):
+            mdon_along_ray(ray, grid, rule16)
+    for t_max in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite t_max"):
+            slope_estimate(SB, G0, zr, t_max=t_max, n_t=9, rule=rule16)
+        with pytest.raises(ValueError, match="finite t_max"):
+            coercivity_probe(SPEC, [1], 1, t_max, rule16, seed=0)
+
+
 def test_slope_matches_exact_invariant(rule24):
     # concentration-free datum: fitted slope equals the exact value
     G0, zr = _datum(rule24, [(Fraction(1, 3), 3), (-1, 1)])

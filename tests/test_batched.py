@@ -9,16 +9,17 @@ not.  The ray's integrand is checked against frozen high-precision
 values instead: its per-t moment formula cancels at large t.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import hebundle.bundle as bundle_mod
+import hebundle.asymptotics as asymptotics_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
-from _utils import ExplicitMetric, rand_pd, standard_metric
+from _utils import ExplicitMetric, count_calls, rand_pd, standard_metric
 from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray, zeta_matrix
 from hebundle.bundle import (
     BundleSpec,
@@ -136,11 +137,14 @@ def test_bergman_integrand_chunking_is_bitwise(rule24, monkeypatch):
     # 576 nodes: 4096 // 576 = 7 t-nodes per chunk, so 16 nodes take 3
     path = _path((2, 1, 0), 2, 5, rule24)
     ts = gauss_legendre01(16)[0]
-    assert len(ts) > bundle_mod._MAX_POINTS // rule24.n
+    calls = count_calls(monkeypatch, path, "_nodes")
     chunked = path.deriv_integrand(ts)
+    assert len(calls) == 3
     per_t = np.array([path.deriv_integrand(t) for t in ts])
-    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", len(ts) * rule24.n)
+    calls.clear()
+    monkeypatch.setattr(donaldson_mod, "_MAX_POINTS", len(ts) * rule24.n)
     unchunked = path.deriv_integrand(ts)
+    assert len(calls) == 1
     assert np.array_equal(chunked, per_t)
     assert np.array_equal(chunked, unchunked)
 
@@ -583,9 +587,21 @@ _RAY_FROZEN = {
 }
 
 
+def _blocked_deriv(ray, ts, rule, monkeypatch, t_per_block):
+    """`_deriv_at` with the ray's point budget set to `t_per_block`
+    t-nodes, after checking that it takes one `_graded_rate` call per
+    block."""
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics_mod, "_RAY_POINTS", t_per_block * rule.n)
+        calls = count_calls(m, asymptotics_mod, "_graded_rate")
+        got = _deriv_at(ray, ts, rule)
+    assert len(calls) == -(-len(ts) // t_per_block)
+    return got
+
+
 def _ray_checks(ray, rule, frozen, monkeypatch):
-    """The frozen values to 1e-9 relative; a scalar call, chunks of 5
-    t-nodes and one chunk give the same bits; `mdon_along_ray` against
+    """The frozen values to 1e-9 relative; a scalar call, blocks of 5
+    t-nodes and one block give the same bits; `mdon_along_ray` against
     per-segment Gauss-Legendre sums of the batched derivative."""
     ts_frozen, want_frozen = frozen
     got_frozen = _deriv_at(ray, np.array(ts_frozen), rule)
@@ -595,10 +611,8 @@ def _ray_checks(ray, rule, frozen, monkeypatch):
     ts = (t_grid[:-1, None] + np.diff(t_grid)[:, None] * u).reshape(-1)
     got = _deriv_at(ray, ts, rule)
     assert _deriv_at(ray, ts[3], rule) == got[3]
-    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", 5 * rule.n)
-    assert np.array_equal(_deriv_at(ray, ts, rule), got)
-    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", len(ts) * rule.n)
-    assert np.array_equal(_deriv_at(ray, ts, rule), got)
+    assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, 5), got)
+    assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, len(ts)), got)
     acc, want = 0.0, [0.0]
     for i in range(len(t_grid) - 1):
         acc += (t_grid[i + 1] - t_grid[i]) * sum(
@@ -626,8 +640,42 @@ def test_ray_derivative_bits_on_an_odd_rule(monkeypatch):
     ts = np.linspace(0.5, 19.5, 23)
     got = _deriv_at(ray, ts, rule)
     assert all(_deriv_at(ray, t, rule) == g for t, g in zip(ts, got))
-    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", 3 * rule.n)
-    assert np.array_equal(_deriv_at(ray, ts, rule), got)
+    assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, 3), got)
+
+
+def _solve_shaped_ray():
+    """A ray of the shape of the CLI `solve`'s escape ray: (1, -1), k = 2
+    (r = 2, N = 6) on a 12 x 12 rule, over a 21-point grid to t = 80
+    (`solver._extend_along_ray`)."""
+    rule = build_quadrature(12, 12)
+    return _ray((1, -1), 2, rule, 12), rule, np.linspace(0.0, 80.0, 21)
+
+
+def test_ray_working_set_stays_small():
+    # 2048-point blocks trace a 3.5 MB peak here, 4096-point ones 6.6 MB
+    ray, rule, grid = _solve_shaped_ray()
+    mdon_along_ray(ray, grid, rule)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mdon_along_ray(ray, grid, rule)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_ray_derivative_bits_through_t80_in_any_blocks(monkeypatch):
+    # the 120 t-nodes of the grid's segments and the settle check's two
+    # times: one t-node per block, the default 14 and a single block
+    ray, rule, grid = _solve_shaped_ray()
+    u = gauss_legendre01(6)[0]
+    ts = np.append((grid[:-1, None] + np.diff(grid)[:, None] * u).reshape(-1), [40.0, 80.0])
+    got = _deriv_at(ray, ts, rule)
+    assert np.all(np.isfinite(got))
+    for per_block in (1, asymptotics_mod._RAY_POINTS // rule.n, len(ts)):
+        assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, per_block), got)
 
 
 def _poincare_rayleigh_reference(h0, rule, max_deg):

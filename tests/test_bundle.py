@@ -338,7 +338,7 @@ def test_equilibrated_inverse_matches_lapack(r):
     assert np.all(err <= 8 * np.finfo(float).eps * np.linalg.cond(A))
 
 
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_equilibrated_inverse_of_one_point_is_its_row_of_a_stack(r):
     rng = np.random.default_rng(70 + r)
     X = rng.normal(size=(64, r, r)) + 1j * rng.normal(size=(64, r, r))
