@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .bundle import BundleSpec, _chunked_rate, _hermitize
+from .bundle import BundleSpec, _chunked_rate, _hermitize, _t_chunk
 from .geometry import QuadratureRule, gauss_legendre01
 from .quot import (WeightSpec, block_weightspec, evaluation_drop_degree, filtration,
                    generated_subsheaf)
@@ -35,13 +35,6 @@ from .sections import (
     l2_gram,
     trivial_metric,
 )
-
-
-# most (t-node, sphere-node) points in one `_graded_rate` call, half the
-# energy paths' `bundle._MAX_POINTS`: a complex (r, N, points) array of
-# a call is then 0.26 MB on an r N = 8 ray and 0.4 MB at r N = 12
-# (`_deriv_at` says why that matters)
-_RAY_POINTS = 2048
 
 
 @dataclass
@@ -78,18 +71,24 @@ class OnePSRay:
         self._M = np.linalg.solve(self._C, self._lam[:, None] * self._C)
 
 
-def _reflect(v, vc, tau, col):
-    """col <- (I - tau v v*) col in place, over the trailing batch axis."""
-    col -= v * (tau * (vc * col).sum(0))
+def _reflect(v, vc, tau, col, s):
+    """col <- (I - tau v v*) col in place, over the trailing batch axis,
+    with s, of col's shape, as scratch."""
+    w = np.multiply(vc, col, out=s).sum(0)
+    np.multiply(tau, w, out=w)
+    col -= np.multiply(v, w, out=s)
 
 
-def _columns(rows):
-    """Section-factor rows, (batch, r, N), in the (r, N, batch) layout of
-    `_fs_moments`, contiguous."""
-    return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+def _factor_columns(rows, W, prod, out):
+    """rows @ W for a (batch, r, N) stack of section-factor rows, as one
+    product into `prod`, written to `out` in the (r, N, batch) layout of
+    `_fs_moments`.  The batch keeps more than one row (`_deriv_at`), so
+    this is the GEMM of `_section_factor`."""
+    np.matmul(rows.reshape(-1, rows.shape[-1]), W, out=prod.reshape(-1, W.shape[-1]))
+    np.copyto(out, np.moveaxis(prod.reshape(rows.shape), 0, -1))
 
 
-def _graded_rate(y, y1, M, c, kmu: float) -> np.ndarray:
+def _graded_rate(y, y1, M, c, kmu: float, work) -> np.ndarray:
     """The ray's integrand at every (t-node, sphere-node) point of a batch,
     from the columns of Y* and Y'* in an (r, N, batch) layout, rows
     sorted by weight (`_deriv_at`).
@@ -99,46 +98,55 @@ def _graded_rate(y, y1, M, c, kmu: float) -> np.ndarray:
     Y'* alongside; with Yh' its rows outside Q's span, Z = Yh' R^-1 and
     K = Q* M Q, the integrand c tr(Vh Z* Z) - (k + mu) tr(Vh) with
     Vh = -(K + K*) is -2 Re tr(K (c Z* Z - (k + mu))).  M Q is a
-    `_section_factor` product, row by row.  RuntimeError on a zero or
-    non-finite pivot of R.
+    `_section_factor` product, row by row.  Q takes y's place and Z the
+    rows of y1 below r; the reflectors, their conjugates and the scratch
+    live in `work`: four complex arrays of y's shape and a float
+    (2, N, batch) one.  RuntimeError on a zero or non-finite pivot of R.
     """
-    r = y.shape[0]
+    r, N = y.shape[:2]
+    v, vc, s1, s2, f = work
     R = np.empty((r, r) + y.shape[2:], dtype=complex)
     refl = []
     for j in range(r):
-        a = y[j, j:]
-        sigma = np.sqrt((a.real**2 + a.imag**2).sum(0))
+        a, n = y[j, j:], N - j
+        sq = np.square(a.real, out=f[0, :n])
+        sq += np.square(a.imag, out=f[1, :n])
+        sigma = np.sqrt(sq.sum(0))
         if not np.all(np.isfinite(sigma) & (sigma > 0)):
             raise RuntimeError("ray factor is rank-deficient or not finite")
         alpha = a[0]
         mod = np.abs(alpha)
         phase = np.where(mod > 0, alpha / np.where(mod > 0, mod, 1.0), 1.0)
-        v = a.copy()
-        v[0] = alpha + phase * sigma
-        refl.append((v, v.conj(), 1.0 / (sigma * (sigma + mod))))
+        np.copyto(v[j, :n], a)
+        v[j, 0] = alpha + phase * sigma
+        np.conjugate(v[j, :n], out=vc[j, :n])
+        refl.append((v[j, :n], vc[j, :n], 1.0 / (sigma * (sigma + mod))))
         R[j, j] = -phase * sigma
         for col in range(j + 1, r):
-            _reflect(*refl[j], y[col, j:])
+            _reflect(*refl[j], y[col, j:], s1[0, :n])
             R[j, col] = y[col, j]
         for col in range(r):
-            _reflect(*refl[j], y1[col, j:])
-    q = np.zeros_like(y)
+            _reflect(*refl[j], y1[col, j:], s1[0, :n])
+    q = y
+    q[...] = 0.0
     for i in range(r):
         q[i, i] = 1.0
         for j in reversed(range(i + 1)):
-            _reflect(*refl[j], q[i, j:])
-    mq = _columns(_section_factor(np.moveaxis(q, -1, 0), M.T))
-    z = []
+            _reflect(*refl[j], q[i, j:], s1[0, : N - j])
+    rows, mq = s2.reshape(-1, r, N), s1
+    np.copyto(rows, np.moveaxis(q, -1, 0))
+    _factor_columns(rows, M.T, v, mq)
+    z = y1[:, r:]
     for j in range(r):
-        acc = y1[j, r:].copy()
         for i in range(j):
-            acc -= z[i] * R[i, j]
-        z.append(acc / R[j, j])
+            z[j] -= np.multiply(z[i], R[i, j], out=s2[0, : N - r])
+        np.divide(z[j], R[j, j], out=z[j])
+    qc, zc = np.conjugate(q, out=v), np.conjugate(z, out=vc[:, : N - r])
     tot = 0.0
     for i in range(r):
         for j in range(r):
-            kij = (q[i].conj() * mq[j]).sum(0)
-            g = c * (z[j].conj() * z[i]).sum(0)
+            kij = np.multiply(qc[i], mq[j], out=s2[0]).sum(0)
+            g = c * np.multiply(zc[j], z[i], out=s2[0, : N - r]).sum(0)
             tot = tot + (kij * (g - kmu if i == j else g)).real
     return -2.0 * tot
 
@@ -152,21 +160,14 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     S W_t up to the scalar e^{-lam_1 t}, which cancels in the integrand
     and keeps every entry bounded by its value at t = 0, while its
     columns fall off by weight.  Y' likewise from S'.  The sections are
-    evaluated once; each block of t-nodes (`_chunked_rate`, at most
-    `_RAY_POINTS` (t-node, sphere-node) points and at least one t-node)
-    forms conj(Y) and conj(Y'), whose rows are the columns of Y* and
-    Y'*, with one `_section_factor` product by conj(C) each, and
-    `_graded_rate` takes the integrand in their QR frame, with no moment
-    matrix and no inverse of one.  Every step is per point, entrywise
-    sums over N and products with the points on the left, so the block
-    size moves no bit.  It sets the working set, about 3.5 MB on an
-    r N = 12 ray against 6.6 MB at 4096 points: in a process that has
-    already freed larger arrays, as one running several CLI commands
-    has, 2048-point blocks stay within the heap that malloc keeps, where
-    4096-point blocks took thousands of fresh pages per call.  A first
-    call in a fresh process does not gain.  A lone node gets a twin:
-    numpy sums a lone column pairwise, and a point's value must not
-    depend on its batch.
+    evaluated once; each chunk of t-nodes (`_chunked_rate`) forms
+    conj(Y) and conj(Y'), whose rows are the columns of Y* and Y'*, with
+    one `_section_factor` product by conj(C) each, and `_graded_rate`
+    takes the integrand in their QR frame, with no moment matrix and no
+    inverse of one.  Every array of a chunk is a view of one workspace,
+    allocated once per call for the largest chunk, so later chunks touch
+    no fresh memory.  A lone node gets a twin: numpy sums a lone column
+    pairwise, and a point's value must not depend on its batch.
     """
     sb, r, N = ray.sb, ray.sb.bundle.rank, ray.sb.N
     pad = rule.n == 1
@@ -176,14 +177,21 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     Cc = ray._C.conj()
     c = (1.0 + np.abs(coords) ** 2) ** 2
     kmu = sb.k + float(sb.bundle.slope)
+    points = len(c) * min(np.size(t), _t_chunk(rule))
+    work, fwork = np.empty((6, r * N * points), dtype=complex), np.empty(2 * N * points)
 
     def node_values(ts):
+        p = len(ts) * len(c)
+        y, y1, v, vc, s1, s2 = (w[: r * N * p].reshape(r, N, p) for w in work)
         d = np.exp(np.outer(ts, ray._lam - ray._lam[0]))[:, None, None, :]
-        y, y1 = (_columns(_section_factor((X * d).reshape(-1, r, N), Cc)) for X in (P, P1))
-        vals = _graded_rate(y, y1, ray._M, np.tile(c, len(ts)), kmu)
+        for X, out in ((P, y), (P1, y1)):
+            rows = np.multiply(X, d, out=s1.reshape(len(ts), -1, r, N))
+            _factor_columns(rows.reshape(-1, r, N), Cc, s2, out)
+        f = fwork[: 2 * N * p].reshape(2, N, p)
+        vals = _graded_rate(y, y1, ray._M, np.tile(c, len(ts)), kmu, (v, vc, s1, s2, f))
         return vals.reshape(len(ts), -1)[:, : rule.n]
 
-    return _chunked_rate(t, rule, node_values, _RAY_POINTS)
+    return _chunked_rate(t, rule, node_values)
 
 
 def mdon_along_ray(ray: OnePSRay, t_grid, rule: QuadratureRule) -> np.ndarray:

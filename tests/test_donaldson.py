@@ -418,7 +418,7 @@ def test_bergman_path_end_state_has_the_bits_of_a_one_node_call(n, joins, monkey
     sb, rule, G0, G1 = _end_pair((2, 2), 0, n)
     path = BergmanPath(sb, G0, G1, node_sections(sb, rule))
     first = path.deriv_integrand(_K7_T)
-    assert (len(_K7_T) < bundle_mod._t_chunk(rule, bundle_mod._MAX_POINTS)) == joins
+    assert (len(_K7_T) < bundle_mod._t_chunk(rule)) == joins
     calls = count_calls(monkeypatch, path, "_nodes")
     got = path.end_state()
     assert [len(args[0]) for args in calls] == ([] if joins else [1])
