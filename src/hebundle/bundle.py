@@ -58,21 +58,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-class MetricEvaluator:
-    """Base class: a hermitian positive-definite matrix field.
-
-    `evaluate(charts, coords)` takes a boolean array (True where chart
-    Z) and a complex coordinate array of length n and returns the metric
-    components, shape (n, r, r).  Each point's value does not depend on
-    the other points of the call.
-    """
-
-    bundle: BundleSpec
-
-    def evaluate(self, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 # numpy's stacked matmul makes one BLAS call per small matrix, which for
 # r <= 3 costs many times the arithmetic; `_mat_mul` loops over the
 # matrix indices instead, each step one array operation over all batch
@@ -149,24 +134,20 @@ def _equilibrated_inverse(A: np.ndarray) -> np.ndarray:
 
 
 # numpy's stacked eigh, like its stacked inv, makes one LAPACK call per
-# matrix; at r <= 2 these kernels are closed form, entry by entry, so no
+# matrix; at r = 2 these kernels are closed form, entry by entry, so no
 # matrix's eigenvalues or vectors depend on the others
 def _node_eigvalsh(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each hermitian matrix of an (..., r, r)
-    stack, or of one (r, r) matrix.  At r = 1 the real diagonal, which
-    is what LAPACK returns.  At r = 2, for H = [[a, b], [b*, d]] with b
-    read above the diagonal, m = (a + d)/2 and h = hypot((a - d)/2, |b|):
-    the eigenvalue of larger modulus is rt1 = m + h, or m - h when m is
-    negative (-0 included), and the other is the determinant divided by
-    it, in the order of LAPACK's `dlaev2`: (acmx / rt1) acmn -
+    stack, or of one (r, r) matrix.  At r = 2, for H = [[a, b], [b*, d]]
+    with b read above the diagonal, m = (a + d)/2 and h = hypot((a - d)/2,
+    |b|): the eigenvalue of larger modulus is rt1 = m + h, or m - h when
+    m is negative (-0 included), and the other is the determinant divided
+    by it, in the order of LAPACK's `dlaev2`: (acmx / rt1) acmn -
     (|b| / rt1) |b| with acmx, acmn the diagonal entries of larger and
     smaller modulus.  m - h would lose a nearly singular positive
     matrix's least eigenvalue to cancellation, and its sign with it.  At
-    r >= 3 a stacked `eigvalsh`, which reads the lower triangle."""
-    r = H.shape[-1]
-    if r == 1:
-        return np.array(H[..., 0].real)
-    if r > 2:
+    every other r a stacked `eigvalsh`, which reads the lower triangle."""
+    if H.shape[-1] != 2:
         return np.linalg.eigvalsh(H)
     a, d = H[..., 0, 0].real, H[..., 1, 1].real
     nb = np.abs(H[..., 0, 1])
@@ -183,21 +164,16 @@ def _node_eigvalsh(H: np.ndarray) -> np.ndarray:
 def _node_eigh(H: np.ndarray):
     """Ascending eigenvalues (`_node_eigvalsh`) and the unitary matrix of
     eigenvectors, in its columns, of each hermitian matrix of an
-    (..., r, r) stack, or of one (r, r) matrix.  At r = 1 the vector is
-    1, as from LAPACK.  At r = 2, with b = |b| p (p = 1 when b = 0), H is
-    D S D* for D = diag(p, 1) and S real symmetric, which one Jacobi
-    rotation by theta = atan2(|b|, (a - d)/2) / 2 diagonalizes (Golub and
-    Van Loan, Matrix Computations, 4th ed., 8.5.2): the vectors are
-    (-p sin theta, cos theta) and (p cos theta, sin theta).  At r >= 3 a
-    stacked `eigh`."""
-    r = H.shape[-1]
-    if r > 2:
+    (..., r, r) stack, or of one (r, r) matrix.  At r = 2, with b = |b| p
+    (p = 1 when b = 0), H is D S D* for D = diag(p, 1) and S real
+    symmetric, which one Jacobi rotation by theta = atan2(|b|, (a - d)/2)
+    / 2 diagonalizes (Golub and Van Loan, Matrix Computations, 4th ed.,
+    8.5.2): the vectors are (-p sin theta, cos theta) and (p cos theta,
+    sin theta).  At every other r a stacked `eigh`."""
+    if H.shape[-1] != 2:
         return np.linalg.eigh(H)
     w = _node_eigvalsh(H)
     V = np.empty(H.shape, dtype=np.result_type(H, 1.0))
-    if r == 1:
-        V[...] = 1.0
-        return w, V
     b = H[..., 0, 1]
     nb = np.abs(b)
     theta = 0.5 * np.arctan2(nb, 0.5 * (H[..., 0, 0].real - H[..., 1, 1].real))
@@ -213,9 +189,9 @@ def _node_eigh(H: np.ndarray):
 def _geodesic_parts(h0: np.ndarray, h1: np.ndarray):
     """Batched square roots and relative eigendecomposition of a metric
     pair; accepts (..., r, r) arrays.  Both eigendecompositions are
-    `_node_eigh`'s: closed form per node at r <= 2, a stacked LAPACK
-    call at r >= 3, so the N x N forms of `_form_geodesic` keep LAPACK
-    from N = 3 up."""
+    `_node_eigh`'s: closed form per node at r = 2, a stacked LAPACK
+    call at every other r, so the N x N forms of `_form_geodesic` keep
+    LAPACK unless N = 2."""
     w0, v0 = _node_eigh(_hermitize(h0))
     if np.any(w0[..., 0] <= 0):
         raise RuntimeError("metric value not positive definite")
@@ -245,8 +221,11 @@ def geodesic_log_batch(parts) -> np.ndarray:
     return _mat_mul(_mat_mul(irt, lb), rt)
 
 
-class GeodesicMetric(MetricEvaluator):
-    def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, s: float):
+class GeodesicMetric:
+    """The metric exp(s log(h1 h0^-1)) h0 at s on the pointwise geodesic
+    between two metrics."""
+
+    def __init__(self, h0, h1, s: float):
         if h0.bundle.degrees != h1.bundle.degrees:
             raise ValueError("geodesic endpoints live on different bundles")
         self.bundle = h0.bundle
@@ -395,12 +374,12 @@ def _relative_eigs(a: np.ndarray, Linv: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the metric values a relative to b at every
     node, those of L^-1 a L^-* for Linv = `_whitening(b)`, which a solve
     forms once for its reference: `_node_eigvalsh`, closed form per node
-    at r <= 2."""
+    at r = 2."""
     c = _mat_mul(_mat_mul(Linv, _hermitize(a)), np.swapaxes(Linv, -1, -2).conj())
     return _node_eigvalsh(c)
 
 
-def delta_boundedness(h: MetricEvaluator, h0: MetricEvaluator, rule: QuadratureRule) -> float:
+def delta_boundedness(h, h0, rule: QuadratureRule) -> float:
     """Node-infimum of lambda_min/lambda_max of h relative to h0."""
     a, b = (m.evaluate(rule.charts, rule.coords) for m in (h, h0))
     eigs = _relative_eigs(a, _whitening(b))

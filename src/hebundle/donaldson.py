@@ -18,7 +18,6 @@ from .bundle import (
     _D1,
     _OFF,
     GeodesicMetric,
-    MetricEvaluator,
     _chunked_rate,
     _equilibrated_inverse,
     _geodesic_at,
@@ -116,13 +115,13 @@ class BergmanPath:
 
         The integral of tr(h^-1 dh/dt (contracted curvature - mu)) with
         h^-1 dh/dt = V A^-1 (`_nodes`).  The constructor forms the rank-one
-        moments, so the energy integral's rung and panels share them, and
-        each chunk of t-nodes (`_chunked_rate`) is one `_nodes` call, so
-        the 7 t-nodes of the energy integral's first rung and the 15 of
-        each later panel (`path_energy`) give the same value at a t.  While
-        the path has no end state, t = 1 joins a call whose t-nodes leave
-        its one chunk room, and its node values become the end state
-        (`end_state`): no chunk is added for it.
+        moments, so the panels of every level of the energy integral
+        (`path_energy`) share them, and each chunk of t-nodes
+        (`_chunked_rate`) is one `_nodes` call, so a t-node's value does
+        not depend on the others of its call.  While the path has no end
+        state, t = 1 joins a call whose t-nodes leave its one chunk room,
+        and its node values become the end state (`end_state`): no chunk
+        is added for it.
         """
         rule = self._rule
         res_shift = float(self.sb.bundle.slope) * np.eye(self.sb.bundle.rank)
@@ -140,8 +139,8 @@ class BergmanPath:
 
 
 class PointwiseExponentialPath:
-    """Pointwise geodesic between two arbitrary metric evaluators, on the
-    nodes of `rule`.
+    """Pointwise geodesic between two arbitrary metrics, on the nodes of
+    `rule`.
 
     The constructor evaluates the endpoints on the curvature stencil of
     every node (`fd_stencil`) and takes their `_geodesic_parts` there,
@@ -150,7 +149,7 @@ class PointwiseExponentialPath:
     does not depend on t (`geodesic_log_batch`).
     """
 
-    def __init__(self, h0: MetricEvaluator, h1: MetricEvaluator, rule: QuadratureRule):
+    def __init__(self, h0, h1, rule: QuadratureRule):
         if h0.bundle.degrees != h1.bundle.degrees:
             raise ValueError("path endpoints live on different bundles")
         self._rule = rule
@@ -209,34 +208,12 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-# The Gauss-Kronrod 3/7 pair (Kronrod, Nodes and Weights of Quadrature
-# Formulas, 1965), laid out as above: the G3 abscissae sqrt(3/5) and 0
-# are every second Kronrod one.
-_XK7 = (
-    0.960491268708020283423507092629080,
-    0.774596669241483377035853079956480,
-    0.434243749346802558002071502844628,
-    0.000000000000000000000000000000000,
-)
-_WK7 = (
-    0.104656226026467265193823857192073,
-    0.268488089868333440728569280666710,
-    0.401397414775962222905051818618432,
-    0.450916538658474142345110087045571,
-)
-_WG3 = (5.0 / 9.0, 8.0 / 9.0)
 
-
-def _on_unit_interval(x, wk, wg):
-    """A Gauss-Kronrod pair laid out as above, moved to [0, 1]: the
-    Kronrod nodes ascending, their weights, and the weights of the Gauss
-    nodes, which are the odd-index Kronrod ones."""
-    t = np.concatenate([0.5 - 0.5 * np.array(x), 0.5 + 0.5 * np.array(x[-2::-1])])
-    return t, 0.5 * np.array(wk + wk[-2::-1]), 0.5 * np.array(wg + wg[-2::-1])
-
-
-_GK_T, _GK_WK, _GK_WG = _on_unit_interval(_XGK, _WGK, _WG)
-_K7_T, _K7_WK, _K7_WG = _on_unit_interval(_XK7, _WK7, _WG3)
+# the pair moved to [0, 1]: the Kronrod nodes ascending, their weights,
+# and the weights of the Gauss nodes, which are the odd-index Kronrod ones
+_GK_T = np.concatenate([0.5 - 0.5 * np.array(_XGK), 0.5 + 0.5 * np.array(_XGK[-2::-1])])
+_GK_WK = 0.5 * np.array(_WGK + _WGK[-2::-1])
+_GK_WG = 0.5 * np.array(_WG + _WG[-2::-1])
 # bisection levels: the finest panels have width 2^-(_GK_LEVELS - 1)
 _GK_LEVELS = 5
 
@@ -245,23 +222,16 @@ def path_energy(path, tol: float) -> float:
     """Integral over t in [0, 1] of the path's dM/dt, on the rule the
     path was built on.
 
-    First rung: the Gauss-Kronrod 3/7 pair on [0, 1], whose K7 value is
-    returned when |K7 - G3| <= `tol`.  Otherwise the 7/15 pair takes
-    over, with |K15 - G7| as each panel's error estimate: while the
-    summed estimate exceeds `tol`, the panels whose estimate exceeds
-    their share tol * width are bisected, down to width 1/16.  The rung
-    nodes are not among the 7/15 nodes, and no 7/15 t-node's integrand is
-    evaluated twice; all nodes of a level go in one call.  Returns the
-    rung's K7 value or the sum of the panels' K15 values.  Raises
-    RuntimeError, naming the
-    value, the estimate, `tol` and the t-node count (the 7 rung nodes
-    included), when the finest level still misses `tol`.
+    The Gauss-Kronrod 7/15 pair, with |K15 - G7| as each panel's error
+    estimate, starting from the one panel [0, 1]: while the summed
+    estimate exceeds `tol`, the panels whose estimate exceeds their share
+    tol * width are bisected, down to width 1/16.  No t-node's integrand
+    is evaluated twice, and all nodes of a level go in one call.  Returns
+    the sum of the panels' K15 values.  Raises RuntimeError, naming the
+    value, the estimate, `tol` and the t-node count, when the finest
+    level still misses `tol`.
     """
-    f = np.asarray(path.deriv_integrand(_K7_T))
-    value = float(f @ _K7_WK)
-    if abs(value - float(f[1::2] @ _K7_WG)) <= tol:
-        return value
-    nodes = len(_K7_T)
+    nodes = 0
     lo, width = np.zeros(1), 1.0
     done_val = done_err = 0.0  # accepted panels
     for _ in range(_GK_LEVELS):
@@ -307,9 +277,7 @@ def cocycle_defect(h2, h1, h0, rule: QuadratureRule) -> float:
     return abs(m20 - m21 - m10)
 
 
-def second_derivative_geodesic(
-    h0: MetricEvaluator, h1: MetricEvaluator, s: float, rule: QuadratureRule
-) -> dict:
+def second_derivative_geodesic(h0: FSMetric, h1: FSMetric, s: float, rule: QuadratureRule) -> dict:
     """Second s-derivative of the energy along the pointwise geodesic,
     from one `PointwiseExponentialPath` on `rule`.
 
@@ -411,7 +379,7 @@ def _harmonic_family(max_deg: int, charts, coords):
     return np.array(vals), np.array(dbars)
 
 
-def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) -> float:
+def _poincare_rayleigh(h0: FSMetric, rule: QuadratureRule, max_deg: int) -> float:
     """Smallest nonzero eigenvalue of the del-bar energy quotient on
     endomorphism fields spanned by scalar harmonics times constant
     matrices (Rayleigh-Ritz upper bound)."""
@@ -440,7 +408,7 @@ def _poincare_rayleigh(h0: MetricEvaluator, rule: QuadratureRule, max_deg: int) 
     return float(nonzero[0])
 
 
-def poincare_constant(h0: MetricEvaluator, rule: QuadratureRule) -> dict:
+def poincare_constant(h0: FSMetric, rule: QuadratureRule) -> dict:
     """1/lambda_1 of the del-bar energy on endomorphism fields, by
     Rayleigh-Ritz on harmonics of degree up to 3, enriched to degree 6
     until stable to 1%; raises RuntimeError when degree 6 is not."""
@@ -467,8 +435,8 @@ class DeltaBoundReport:
 
 
 def delta_lower_bound_audit(
-    h: MetricEvaluator,
-    h0: MetricEvaluator,
+    h: FSMetric,
+    h0: FSMetric,
     rule: QuadratureRule,
     poincare: float,
 ) -> DeltaBoundReport:

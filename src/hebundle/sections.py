@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (BundleSpec, MetricEvaluator, _equilibrated_inverse, _hermitize, _mat_mul,
-                     _node_sup_norm, regularity)
+from .bundle import (BundleSpec, _equilibrated_inverse, _hermitize, _mat_mul, _node_sup_norm,
+                     regularity)
 from .geometry import QuadratureRule, contract_batch
 
 
@@ -99,7 +99,7 @@ def _section_pairing(rule: QuadratureRule, X: np.ndarray, density, rows, s):
     return _hermitize(g)
 
 
-def l2_gram(sb: SectionBasis, h: MetricEvaluator, rule: QuadratureRule) -> np.ndarray:
+def l2_gram(sb: SectionBasis, h, rule: QuadratureRule) -> np.ndarray:
     """Hermitian L2 form of the basis sections against h and the level-k
     line weight e^{-k phi} (`_section_pairing`); RuntimeError when the
     rule leaves it degenerate."""
@@ -181,7 +181,7 @@ def _fs_values(Ainv, coords, k: int) -> np.ndarray:
     return _hermitize(Ainv * ekphi[:, None, None])
 
 
-class FSMetric(MetricEvaluator):
+class FSMetric:
     """Metric induced by a positive form on the level-k section space.
 
     Stored through an inverse-form factor W with G^-1 = W W*, which
@@ -276,7 +276,7 @@ def _bergman_raw(hv, S, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
     return _mat_mul(hv, fs_inv)
 
 
-def bergman_kernel(h: MetricEvaluator, k_list, rule: QuadratureRule) -> list:
+def bergman_kernel(h: FSMetric, k_list, rule: QuadratureRule) -> list:
     """Kernel endomorphism comparing h with the FS metric of its L2 form,
     one report per level of `k_list`.
 

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 import hebundle
-from hebundle.bundle import MetricEvaluator, regularity
+from hebundle.bundle import regularity
 from hebundle.geometry import canonical_points
 from hebundle.sections import basis, trivial_metric
 
@@ -72,7 +72,7 @@ def transition_matrix(spec, z: complex) -> np.ndarray:
     return np.diag([complex(z) ** a for a in spec.degrees])
 
 
-class ExplicitMetric(MetricEvaluator):
+class ExplicitMetric:
     """Metric given by an explicit function (chart, coord) -> matrix,
     chart True where chart Z, called once per point."""
 

@@ -146,10 +146,10 @@ def test_stencils_inverses_and_products_go_through_the_per_node_kernels():
 
 # (module, top-level name) -> why it may call a dense `eigh` or
 # `eigvalsh`; per-node r x r values go through `bundle._node_eigh` and
-# `bundle._node_eigvalsh`, closed form at r <= 2
+# `bundle._node_eigvalsh`, closed form at r = 2
 DENSE_EIGH_ALLOWED = {
-    ("bundle", "_node_eigh"): "the kernel's r >= 3 fallback",
-    ("bundle", "_node_eigvalsh"): "the kernel's r >= 3 fallback",
+    ("bundle", "_node_eigh"): "the kernel's fallback at every r but 2",
+    ("bundle", "_node_eigvalsh"): "the kernel's fallback at every r but 2",
     ("asymptotics", "OnePSRay"): "diagonalizes the N x N generator once",
     ("asymptotics", "rationalize_zeta"): "diagonalizes the N x N generator once",
     ("solver", "_log_opnorm"): "takes the logarithm of the N x N form",

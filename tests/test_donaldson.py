@@ -23,9 +23,6 @@ from hebundle.donaldson import (
     _GK_T,
     _GK_WG,
     _GK_WK,
-    _K7_T,
-    _K7_WG,
-    _K7_WK,
     BergmanPath,
     PointwiseExponentialPath,
     c_delta,
@@ -237,22 +234,6 @@ def test_gauss_kronrod_table():
         assert abs(w.sum() - 1.0) < 1e-15
 
 
-def test_gauss_kronrod_3_7_table():
-    # the first rung: K7 is exact to degree 11 and G3 to degree 5 on [0, 1]
-    for d in range(12):
-        assert abs(_K7_WK @ _K7_T**d - 1.0 / (d + 1)) < 1e-15
-    for d in range(6):
-        assert abs(_K7_WG @ _K7_T[1::2] ** d - 1.0 / (d + 1)) < 1e-15
-    # the G3 nodes are the odd-index K7 nodes: Gauss-Legendre 3 on [0, 1]
-    x3, w3 = np.polynomial.legendre.leggauss(3)
-    assert np.allclose(_K7_T[1::2], 0.5 * (x3 + 1.0), rtol=0.0, atol=1e-15)
-    assert np.allclose(_K7_WG, 0.5 * w3, rtol=0.0, atol=1e-15)
-    assert np.all(np.diff(_K7_T) > 0) and 0.0 < _K7_T[0] and _K7_T[-1] < 1.0
-    for w in (_K7_WK, _K7_WG):
-        assert np.all(w > 0)
-        assert abs(w.sum() - 1.0) < 1e-15
-
-
 class _RecordingPath:
     """A path that records the t-nodes and the values of every integrand
     call."""
@@ -273,45 +254,39 @@ def _composite_k15(path, panels=16):
     return float(f.reshape(panels, -1).sum(0) @ _GK_WK) / panels
 
 
-def _rung_gap(path):
-    f = path.deriv_integrand(_K7_T)
-    return abs(f @ _K7_WK - f[1::2] @ _K7_WG)
-
-
-def test_energy_first_rung_accepts_a_short_step(rule16):
-    # a solver-sized step: K7 meets tol after its 7 t-nodes
+def test_energy_takes_a_short_step_in_one_panel(rule16):
+    # a solver-sized step: K15 on [0, 1] meets tol after its 15 t-nodes
     h0, _ = _fs_pair(12)
     X = np.random.default_rng(12).normal(size=(SB.N, SB.N))
     E = scipy.linalg.expm(0.01 * (X + X.T))
     path = BergmanPath(SB, h0.G, E @ h0.G @ E, node_sections(SB, rule16))
-    assert _rung_gap(path) <= 1e-9
     rec = _RecordingPath(path)
     value = path_energy(rec, 1e-9)
-    assert len(rec.calls) == 1 and np.array_equal(rec.calls[0], _K7_T)
+    assert len(rec.calls) == 1 and np.array_equal(rec.calls[0], _GK_T)
     assert abs(value - _composite_k15(path)) <= 1e-9
 
 
-def test_energy_falls_through_the_first_rung(rule16):
-    # K7 misses tol: the 7/15 bisection runs as it would without the rung
-    h0, h1 = _fs_pair(12)
+def test_energy_bisects_when_one_panel_misses(rule16):
+    # a long step: K15 on [0, 1] misses tol, so bisected panels follow
+    # the first call
+    h0, h1 = _fs_pair(12, scale=0.8)
     path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
-    assert _rung_gap(path) > 1e-8
     rec = _RecordingPath(path)
     value = donaldson(h1, h0, rule16, path=rec)
-    assert np.array_equal(rec.calls[0], _K7_T) and np.array_equal(rec.calls[1], _GK_T)
+    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _GK_T)
     assert value == donaldson(h1, h0, rule=rule16)
     assert abs(value - _composite_k15(path)) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [3, 12])
 def test_shared_path_setup_gives_the_bits_of_a_fresh_one(rule16, seed):
-    # an integral that misses the rung: its rung and its panels share one
+    # an integral that bisects: the panels of every level share one
     # path's set-up, and each call's values equal a fresh path's
-    h0, h1 = _fs_pair(seed)
+    h0, h1 = _fs_pair(seed, scale=0.8)
     path = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
     rec = _RecordingPath(path)
     path_energy(rec, 1e-8)
-    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
+    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _GK_T)
     for ts, got in zip(rec.calls, rec.values):
         fresh = BergmanPath(SB, h0.G, h1.G, node_sections(SB, rule16))
         assert np.array_equal(got, fresh.deriv_integrand(ts))
@@ -341,15 +316,15 @@ def test_second_derivative_evaluates_each_endpoint_on_two_stencils(rule16, monke
 
 
 def test_pointwise_energy_evaluates_each_endpoint_once(rule24, monkeypatch):
-    # against the standard metric, (1, -1) at k = 1 misses the 3/7 rung:
-    # the rung and the panels share one stencil evaluation of each
-    # endpoint, and each call's values equal a fresh path's
-    h0, h1 = standard_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 0.4))
+    # against the standard metric, (1, -1) at k = 1 from a far form
+    # bisects: the panels of every level share one stencil evaluation of
+    # each endpoint, and each call's values equal a fresh path's
+    h0, h1 = standard_metric(SPEC), FSMetric(SB, G=rand_pd(np.random.default_rng(3), SB.N, 4.0))
     points = _evaluated_points(monkeypatch, h0, h1)
     rec = _RecordingPath(PointwiseExponentialPath(h0, h1, rule24))
-    path_energy(rec, 1e-8)
+    path_energy(rec, 1e-9)
     assert points() == [9 * rule24.n, 9 * rule24.n, 0, 18 * rule24.n]
-    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _K7_T)
+    assert len(rec.calls) > 1 and np.array_equal(rec.calls[0], _GK_T)
     for ts, got in zip(rec.calls, rec.values):
         assert np.array_equal(got, PointwiseExponentialPath(h0, h1, rule24).deriv_integrand(ts))
 
@@ -396,7 +371,7 @@ def test_bergman_path_end_state_is_fs_of_its_end_form(degs, k, n):
     sb, rule, G0, G1 = _end_pair(degs, k, n)
     sections = node_sections(sb, rule)
     path = BergmanPath(sb, G0, G1, sections)
-    path.deriv_integrand(_K7_T)
+    path.deriv_integrand(_GK_T)
     state = path.end_state()
     hm = FSMetric(sb, G=G1)
     A, _, _, Ainv = hm._moments(*sections[1:3])
@@ -412,20 +387,20 @@ def test_bergman_path_end_state_is_fs_of_its_end_form(degs, k, n):
 
 @pytest.mark.parametrize("n, joins", [(12, True), (24, False)])
 def test_bergman_path_end_state_has_the_bits_of_a_one_node_call(n, joins, monkeypatch):
-    # 12 x 12: t = 1 joins the first call's chunk of 7 t-nodes; 24 x 24
+    # 12 x 12: t = 1 joins the first call's chunk of 15 t-nodes; 24 x 24
     # (576 nodes) has room for 7 t-nodes alone, so the end state takes a
     # one-node call of its own.  Either way it has a fresh path's bits
     sb, rule, G0, G1 = _end_pair((2, 2), 0, n)
     path = BergmanPath(sb, G0, G1, node_sections(sb, rule))
-    first = path.deriv_integrand(_K7_T)
-    assert (len(_K7_T) < bundle_mod._t_chunk(rule)) == joins
+    first = path.deriv_integrand(_GK_T)
+    assert (len(_GK_T) < bundle_mod._t_chunk(rule)) == joins
     calls = count_calls(monkeypatch, path, "_nodes")
     got = path.end_state()
     assert [len(args[0]) for args in calls] == ([] if joins else [1])
     fresh = BergmanPath(sb, G0, G1, node_sections(sb, rule))
     assert all(np.array_equal(a, b) for a, b in zip(got, fresh.end_state()))
-    # and the rung's values are those of a path that formed it first
-    assert np.array_equal(first, fresh.deriv_integrand(_K7_T))
+    # and the first call's values are those of a path that formed it first
+    assert np.array_equal(first, fresh.deriv_integrand(_GK_T))
 
 
 def test_donaldson_raises_when_tolerance_missed(rule16):
@@ -441,6 +416,6 @@ def test_donaldson_raises_when_tolerance_missed(rule16):
     assert float(m.group(1)) == pytest.approx(value, abs=1e-12)
     assert 0.0 < float(m.group(2)) < 1e-6
     assert float(m.group(3)) == 1e-300
-    # the 7 rung nodes, then 15 per panel over more than one level
+    # 15 per panel over more than one level
     nodes = int(m.group(4))
-    assert nodes > 7 + 15 and (nodes - 7) % 15 == 0
+    assert nodes > 15 and nodes % 15 == 0

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import hebundle.bundle as bundle_mod
+import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
 from _utils import count_calls, rand_pd, run_at_blas_threads
@@ -344,6 +345,32 @@ def test_stalled_t_phase_hands_back_the_start(monkeypatch):
     assert np.array_equal(res.zeta_limit, ref.zeta_limit)
     spectrum = np.linalg.eigvalsh(res.zeta_limit)
     assert np.allclose(spectrum, [-1, -1, 0, 0, 0.005614, 0.005614], rtol=0, atol=5e-7)
+
+
+def test_solve_stops_at_max_iter_with_a_normalized_form():
+    # on O(1)+O(-1) the T-phase stalls and the descent needs far more than
+    # two iterations, so the loop runs out; its last step leaves the form
+    # normalized all the same: the least eigenvalue of FS(G_final)
+    # relative to the standard metric has node minimum 1
+    spec, rule = BundleSpec((1, -1)), build_quadrature(12, 12)
+    res = minimize(spec, SolveOptions(k=2, max_iter=2), rule)
+    assert res.status == "maxiter" and len(res.history) == 2
+    a = FSMetric(res.sb, G=res.G_final).evaluate(rule.charts, rule.coords)
+    b = trivial_metric(res.sb).evaluate(rule.charts, rule.coords)
+    least = min(scipy.linalg.eigh(x, y, eigvals_only=True)[0] for x, y in zip(a, b))
+    assert least == pytest.approx(1.0, abs=1e-12)
+
+
+def test_line_search_backtracks_from_a_long_first_step(monkeypatch):
+    # with the T-phase capped and a first step of 8, some trial fails the
+    # Armijo test and is halved: the solve takes more energy integrals
+    # than it accepts steps, and still converges
+    _capped_t_phase(monkeypatch)
+    monkeypatch.setattr(solver_mod, "_STEP0", 8.0)
+    trials = count_calls(monkeypatch, donaldson_mod, "donaldson")
+    res = _he_solve_shaped()
+    assert res.status == "converged"
+    assert len(trials) > len(res.mdon_history) - 1
 
 
 def test_gradient_from_shared_sections_has_fresh_bits(rule16):
