@@ -24,7 +24,7 @@ import numpy as np
 import sympy as sp
 
 from .bundle import BundleSpec, _chunked_rate, _hermitize, _t_chunk
-from .geometry import QuadratureRule, gauss_legendre01
+from .geometry import QuadratureRule, contraction, gauss_legendre01
 from .quot import (WeightSpec, block_weightspec, evaluation_drop_degree, filtration,
                    generated_subsheaf)
 from .sections import (
@@ -175,7 +175,7 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     S, S1 = eval_matrix_batch(sb, charts, coords)
     P, P1 = (_section_factor(X, ray._U).conj() for X in (S, S1))
     Cc = ray._C.conj()
-    c = (1.0 + np.abs(coords) ** 2) ** 2
+    c = contraction(coords)
     kmu = sb.k + float(sb.bundle.slope)
     points = len(c) * min(np.size(t), _t_chunk(rule))
     work, fwork = np.empty((6, r * N * points), dtype=complex), np.empty(2 * N * points)

@@ -33,7 +33,7 @@ from .bundle import (
     fd_stencil,
     geodesic_log_batch,
 )
-from .geometry import QuadratureRule, contract_batch, integrate_values
+from .geometry import QuadratureRule, contract_batch, contraction, e_phi, integrate_values
 from .sections import FSMetric, SectionBasis, _fs_curvature, _section_factor, node_sections
 
 
@@ -161,15 +161,15 @@ class PointwiseExponentialPath:
     def deriv_integrand(self, t):
         """dM/dt along the path: a float for a scalar t, an array for a
         1-D array of t.  Only the metric at t, a power of the relative
-        eigenvalues, is formed per t-node."""
-        ts, rule = np.asarray(t, dtype=float), self._rule
-        out = []
-        for s in ts.reshape(-1):
-            hs = _geodesic_at(self._parts, s)
-            lam = contract_batch(fd_curvature_batch(hs, self._dl), rule.coords)
-            vals = np.einsum("nij,nji->n", self._velocity, lam - self._res_shift).real
-            out.append(float(integrate_values(vals, rule)))
-        return out[0] if ts.ndim == 0 else np.array(out)
+        eigenvalues, is formed per t-node, and each chunk of t-nodes is
+        integrated as one array (`_chunked_rate`)."""
+        coords = self._rule.coords
+
+        def node_value(s):
+            lam = contract_batch(fd_curvature_batch(_geodesic_at(self._parts, s), self._dl), coords)
+            return np.einsum("nij,nji->n", self._velocity, lam - self._res_shift).real
+
+        return _chunked_rate(t, self._rule, lambda ts: np.array([node_value(s) for s in ts]))
 
 
 def _path_for(h1: FSMetric, h0: FSMetric, rule: QuadratureRule) -> BergmanPath:
@@ -295,7 +295,7 @@ def second_derivative_geodesic(h0: FSMetric, h1: FSMetric, s: float, rule: Quadr
     a_s = _mat_mul(_equilibrated_inverse(hc), hz)
     grad = vz + _mat_mul(a_s, v) - _mat_mul(v, a_s)
     coeff = np.einsum("nij,nji->n", grad, vzb).real
-    formula = float(integrate_values(coeff * (1.0 + np.abs(rule.coords) ** 2) ** 2, rule))
+    formula = float(integrate_values(coeff * contraction(rule.coords), rule))
 
     eps, nz = 0.05, _D1 != 0.0
     fd = _stencil_sum(_D1[nz], path.deriv_integrand(s + _OFF[nz] * eps)) / eps
@@ -364,7 +364,7 @@ def _harmonic_family(max_deg: int, charts, coords):
     arrays of shape (number of functions, n)."""
     x = np.asarray(coords, dtype=complex)
     xb = np.conj(x)
-    s = 1.0 + np.abs(x) ** 2
+    s = e_phi(x)
     vals, dbars = [], []
     for l in range(max_deg + 1):
         q, q1 = s ** (-l), s ** (-l - 1)
@@ -388,7 +388,7 @@ def _poincare_rayleigh(h0: FSMetric, rule: QuadratureRule, max_deg: int) -> floa
     dim = len(fvals) * r * r
     hv = h0.evaluate(rule.charts, rule.coords)
     hinv = _equilibrated_inverse(hv)
-    gup = (1.0 + np.abs(rule.coords) ** 2) ** 2
+    gup = contraction(rule.coords)
     # pairing of the elementary matrices E_pq and E_st at every node:
     # tr(E_pq h^-1 E_st^* h) = (h^-1)_qt h_sp
     pair = np.einsum("nqt,nsp->npqst", hinv, hv).reshape(rule.n, r * r, r * r)

@@ -1,8 +1,9 @@
 """The Riemann sphere with its degree-1 polarization.
 
-Two charts Z and W with w = 1/z.  The Kahler form is
-(i/2pi) dd-bar log(1 + |z|^2) in each chart, normalized to total mass
-1, so the contraction of the form itself is identically 1.
+Two charts Z and W with w = 1/z.  The Kahler form is (i/2pi) dd-bar phi,
+phi = log(1 + |z|^2) in each chart, of total mass 1, so its contraction
+is identically 1; the package reads phi only through `e_phi`, `dphi`,
+`area_coeff` and `contraction`, functions of chart coordinates.
 Quadrature is a product rule: Gauss-Legendre in the colatitude-like
 variable u = |z|^2/(1+|z|^2), uniform in angle.
 """
@@ -29,14 +30,34 @@ def canonical_points(z):
     return charts, coords
 
 
+def e_phi(z):
+    """e^phi = 1 + |z|^2 at chart coordinates z; e^{-k phi} is the level-k line weight."""
+    return 1.0 + np.abs(z) ** 2
+
+
+def dphi(z):
+    """d phi/dz = z-bar e^{-phi} at chart coordinates z."""
+    return np.conj(z) / e_phi(z)
+
+
+def area_coeff(z):
+    """The Kahler form's coefficient e^{-2 phi} = d dbar phi of (i/2pi) dz^dz-bar."""
+    return e_phi(z) ** (-2.0)
+
+
+def contraction(z):
+    """e^{2 phi}, which contracts a (1,1)-coefficient against the Kahler form."""
+    return e_phi(z) ** 2
+
+
 def contract_batch(form_coeff: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Contract (1,1)-coefficients against the area form at every node.
 
     `form_coeff` holds the coefficients g of (i/2pi) g dz^dz-bar in each
     node's chart, with the node axis, matching `coords`, just before the
-    two matrix axes; returns g * (1+|coord|^2)^2, so the area form itself
+    two matrix axes; returns g * `contraction`, so the area form itself
     contracts to 1."""
-    return form_coeff * ((1.0 + np.abs(coords) ** 2) ** 2)[:, None, None]
+    return form_coeff * contraction(coords)[:, None, None]
 
 
 @dataclass(frozen=True)

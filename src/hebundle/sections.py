@@ -4,8 +4,10 @@ H0(E(k)) has the monomial basis z^j on the degree-(a_i+k) summand,
 0 <= j <= a_i+k, ordered summand-major with ascending exponent.  A
 positive hermitian form G on that space induces a bundle metric
 h(p) = e^{k phi(p)} (S(p) G^-1 S(p)*)^-1 where S(p) is the section
-evaluation matrix in p's chart frame; its curvature is closed-form.  The
-standard metric is one of them, at every level (`trivial_metric`).
+evaluation matrix in p's chart frame and phi the Kahler potential, read
+through `geometry`'s `e_phi`, `dphi` and `area_coeff`; its curvature is
+closed-form.  The standard metric is one of them, at every level
+(`trivial_metric`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .bundle import (BundleSpec, _equilibrated_inverse, _hermitize, _mat_mul, _node_sup_norm,
                      regularity)
-from .geometry import QuadratureRule, contract_batch
+from .geometry import QuadratureRule, area_coeff, contract_batch, dphi, e_phi
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def l2_gram(sb: SectionBasis, h, rule: QuadratureRule) -> np.ndarray:
 def _l2_form(sb: SectionBasis, rule: QuadratureRule, hv: np.ndarray, S: np.ndarray) -> np.ndarray:
     """`l2_gram` from the metric values hv and the section values S on
     the rule's nodes."""
-    density = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
+    density = e_phi(rule.coords) ** (-sb.k)
     rows = _exponents(sb, rule.charts)[0]
     g = _section_pairing(rule, hv, density, rows, S[:, rows, np.arange(sb.N)])
     try:
@@ -167,17 +169,16 @@ def _fs_curvature(A1, A11, Ainv, coords, k: int) -> np.ndarray:
     metric with moments A' = T' T*, A'' = T' T'* and Ainv = (T T*)^-1 of
     the section factor T = S W, over any leading batch axes ending in the
     node axis of `coords`."""
-    omega_c = (1.0 + np.abs(coords) ** 2) ** (-2.0)
     r = A1.shape[-1]
     A1c = np.swapaxes(A1, -1, -2).conj()
     term = _mat_mul(A11 - _mat_mul(_mat_mul(A1, Ainv), A1c), Ainv)
-    return term - k * omega_c[:, None, None] * np.eye(r)
+    return term - k * area_coeff(coords)[:, None, None] * np.eye(r)
 
 
 def _fs_values(Ainv, coords, k: int) -> np.ndarray:
     """FS metric values h = e^{k phi} A^-1 at the nodes `coords`, from the
     inverse moments Ainv = (T T*)^-1 of the section factor T = S W."""
-    ekphi = (1.0 + np.abs(coords) ** 2) ** k
+    ekphi = e_phi(coords) ** k
     return _hermitize(Ainv * ekphi[:, None, None])
 
 
@@ -251,9 +252,8 @@ class FSMetric:
         chart, (n, r, r)."""
         coords = np.asarray(coords, dtype=complex)
         _, A1, _, Ainv = self._core(charts, coords)
-        dphi = np.conj(coords) / (1.0 + np.abs(coords) ** 2)
         eye = np.eye(self.bundle.rank)
-        return self.sb.k * dphi[:, None, None] * eye - _mat_mul(A1, Ainv)
+        return self.sb.k * dphi(coords)[:, None, None] * eye - _mat_mul(A1, Ainv)
 
 
 def trivial_metric(sb: SectionBasis) -> FSMetric:
@@ -269,9 +269,14 @@ def _bergman_raw(hv, S, sb: SectionBasis, G: np.ndarray, rule: QuadratureRule):
     S of the sections there, for fs the FS metric of the form G:
     fs^-1 = e^{-k phi} T T* with T = S W its section factor.  T T* stays
     a stacked numpy product: an entrywise one copies T's conjugate and
-    costs the `bergman` command memory with no gain in time."""
+    costs the `bergman` command memory with no gain in time.
+
+    In the convention of the contracted curvature, whose endomorphisms are
+    X h with X hermitian (`bundle._he_defect`), the kernel is the adjoint
+    raw* = fs^-1 h; `bergman_kernel`'s sup_dev reads the same in either,
+    since the pointwise 2-norm is adjoint-invariant."""
     T = _section_factor(S, FSMetric(sb, G=G).W)
-    wphi = (1.0 + np.abs(rule.coords) ** 2) ** (-sb.k)
+    wphi = e_phi(rule.coords) ** (-sb.k)
     fs_inv = (T @ np.swapaxes(T, -1, -2).conj()) * wphi[:, None, None]
     return _mat_mul(hv, fs_inv)
 

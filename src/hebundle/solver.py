@@ -26,7 +26,7 @@ import scipy.linalg
 from .bundle import (BundleSpec, _equilibrated_inverse, _he_defect, _hermitize, _mat_mul,
                      _node_sup_norm, _relative_eigs, _whitening, he_residual, regularity)
 from .donaldson import BergmanPath, donaldson
-from .geometry import QuadratureRule, contract_batch
+from .geometry import QuadratureRule, contract_batch, e_phi
 from .sections import (FSMetric, SectionBasis, _fs_moments, _fs_values, _section_factor,
                        _section_pairing, basis, l2_gram, node_sections, trivial_metric)
 
@@ -68,7 +68,7 @@ def mdon_gradient(sb: SectionBasis, state, sections) -> tuple[np.ndarray, float,
     g = g - (np.trace(g).real / sb.N) * np.eye(sb.N)
     hv = _fs_values(Ainv, rule.coords, sb.k)
     # hv^-1 = e^{-k phi} A, which the moments have formed already
-    hv_inv = A * ((1.0 + np.abs(rule.coords) ** 2) ** (-sb.k))[:, None, None]
+    hv_inv = A * (e_phi(rule.coords) ** (-sb.k))[:, None, None]
     return g, _node_sup_norm(_he_defect(hv, hv_inv, lamF, mu)), hv
 
 

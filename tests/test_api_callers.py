@@ -112,6 +112,30 @@ def test_node_sums_go_through_integrate_values():
     assert not bypass, f"node sums that bypass integrate_values: {bypass}"
 
 
+
+def _is_abs_squared(node) -> bool:
+    """Whether `node` is `np.abs(x) ** 2` (or `abs(x) ** 2`)."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "attr", getattr(node.left.func, "id", None)) == "abs"
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def test_the_kahler_potential_lives_in_geometry():
+    """|z|^2 is computed only in `geometry`: every power of e^phi =
+    1 + |z|^2, its derivative, the area coefficient and the contraction
+    factor are read from `geometry`'s functions of chart coordinates, so
+    another base changes one module."""
+    bypass = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "geometry":
+            continue
+        for stmt in _tree(path).body:
+            name = getattr(stmt, "name", f"line {stmt.lineno}")
+            bypass += [f"{path.stem}.{name}:{n.lineno}" for n in ast.walk(stmt) if _is_abs_squared(n)]
+    assert not bypass, f"potential terms written out outside geometry: {bypass}"
+
+
 # (module, top-level name) -> why it may call a dense `inv`, `solve` or
 # `qr`; per-node metric values go through `bundle._equilibrated_inverse`,
 # and the ray's per-node QR is `asymptotics._graded_rate`'s entrywise one

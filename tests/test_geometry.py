@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hebundle.geometry import (
+    area_coeff,
     build_quadrature,
     canonical_points,
     contract_batch,
+    contraction,
+    dphi,
+    e_phi,
     integrate_values,
     tree_sum,
 )
@@ -52,6 +56,21 @@ def test_area_form_contracts_to_one():
     coeffs = (1.0 + np.abs(xs) ** 2) ** -2
     for val in contract_batch(coeffs[:, None, None], xs)[:, 0, 0]:
         assert val == pytest.approx(1.0)
+
+
+def test_potential_terms_glue_across_charts():
+    # phi_Z = phi_W - log|w|^2 with w = 1/z, on both sides of |z| = 1, to
+    # a few roundings; w - w^2 dphi(w) cancels, so it is held to the
+    # size of its terms
+    radii = np.array([0.05, 0.3, 0.9, 0.999, 1.001, 1.7, 6.0, 40.0])
+    z = (radii[:, None] * np.exp(1j * np.linspace(0.1, 6.0, 7))).reshape(-1)
+    w, tol = 1.0 / z, 8 * np.finfo(float).eps
+    np.testing.assert_allclose(e_phi(z), np.abs(z) ** 2 * e_phi(w), rtol=tol)
+    np.testing.assert_allclose(area_coeff(z), np.abs(w) ** 4 * area_coeff(w), rtol=tol)
+    terms = np.abs(w) + np.abs(w**2 * dphi(w))
+    assert np.all(np.abs(dphi(z) - (w - w**2 * dphi(w))) <= tol * terms)
+    for x in (z, w):
+        np.testing.assert_allclose(contraction(x) * area_coeff(x), 1.0, rtol=tol)
 
 
 def test_total_mass_is_one(rule24):
