@@ -177,7 +177,7 @@ DENSE_EIGH_ALLOWED = {
     ("asymptotics", "OnePSRay"): "diagonalizes the N x N generator once",
     ("asymptotics", "rationalize_zeta"): "diagonalizes the N x N generator once",
     ("solver", "_log_opnorm"): "takes the logarithm of the N x N form",
-    ("solver", "_balance"): "diagonalizes the N x N relative form once per T-step",
+    ("solver", "_balance"): "diagonalizes the N x N relative form and the next log iterate",
     ("donaldson", "_poincare_rayleigh"): "dense Rayleigh-Ritz on the trial space",
 }
 

@@ -299,17 +299,67 @@ def test_t_step_is_taken_under_the_line_search_test(monkeypatch):
     assert np.array_equal(refused.G_final, ref.G_final)
 
 
+def _plain_t_phase(sb, G, sections):
+    """Donaldson's T-map (`solver._t_map`) iterated plainly from the form
+    G, with the T-phase's measure of a step's change and its stop: the
+    last form and the change of every step."""
+    W, changes = FSMetric(sb, G=G).W, []
+    for _ in range(solver_mod._T_MAX_STEPS):
+        G_new = solver_mod._t_map(W, sections)
+        w, U = np.linalg.eigh(W.conj().T @ G_new @ W)
+        changes.append(float(np.log(w[-1] / w[0])))
+        if changes[-1] < solver_mod._T_TOL:
+            return G_new, changes
+        W = (W @ U) / np.sqrt(w)
+    raise AssertionError(f"the plain T-map did not converge: {changes[-3:]}")
+
+
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("degs", [(3,), (1, 1)], ids=["O(3)", "O(1)+O(1)"])
 def test_t_phase_contracts_by_the_berezin_factor(rule24, degs, k):
-    # near the balanced metric each T-step shrinks the change by d/(d+2),
-    # d = a + k: the first eigenvalue of the Berezin transform of O(d)
+    # near the balanced metric each plain T-step shrinks the change by
+    # d/(d+2), d = a + k: the first eigenvalue of the Berezin transform of
+    # O(d), the rate that the T-phase's Chebyshev semi-iteration is tuned to
     spec = BundleSpec(degs)
-    G = rand_pd(np.random.default_rng(1), basis(spec, k).N, scale=0.3)
-    res = minimize(spec, SolveOptions(k=k, max_iter=300), rule24, G_init=G)
+    sb = basis(spec, k)
+    G = rand_pd(np.random.default_rng(1), sb.N, scale=0.3)
+    changes = _plain_t_phase(sb, G, node_sections(sb, rule24))[1]
     d = degs[0] + k
+    assert changes[-1] / changes[-2] == pytest.approx(d / (d + 2), abs=1e-3)
+
+
+@pytest.mark.parametrize("degs", [(3,), (1, 1)], ids=["O(3)", "O(1)+O(1)"])
+def test_t_phase_steps_grow_slower_than_the_level(rule24, degs):
+    # the plain T-map takes 112 steps on O(3) and 99 on O(1)+O(1) at
+    # k = 10; the Chebyshev semi-iteration's rate 1 - O(1/sqrt(d)) takes
+    # about a third of them
+    spec = BundleSpec(degs)
+    G = rand_pd(np.random.default_rng(1), basis(spec, 10).N, scale=0.3)
+    res = minimize(spec, SolveOptions(k=10, max_iter=300), rule24, G_init=G)
     assert res.t_outcome == "converged"
-    assert res.t_changes[-1] / res.t_changes[-2] == pytest.approx(d / (d + 2), abs=1e-3)
+    assert len(res.t_changes) <= 40
+    assert res.he_residual_sup < 1e-3
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_t_phase_lands_on_the_plain_fixed_point_up_to_an_automorphism(seed):
+    # on O(2)+O(2) the balanced metrics are one Aut(E) family, and the
+    # accelerated iteration lands on another member than the plain map:
+    # the forms differ, but FS(G_plain)^-1 FS(G_cheb) is one constant
+    # endomorphism over the nodes
+    spec, rule = BundleSpec((2, 2)), build_quadrature(12, 12)
+    sb = basis(spec, 0)
+    sections = node_sections(sb, rule)
+    G = rand_pd(np.random.default_rng(seed), sb.N, scale=0.3)
+    G_plain = _plain_t_phase(sb, G, sections)[0]
+    G_cheb, _, outcome = solver_mod._balance(sb, G, sections)
+    assert outcome == "converged"
+    assert np.linalg.norm(G_cheb - G_plain) > 1e-4 * np.linalg.norm(G_plain)
+    h_plain, h_cheb = (FSMetric(sb, G=X).evaluate(rule.charts, rule.coords)
+                       for X in (G_plain, G_cheb))
+    M = np.linalg.solve(h_plain, h_cheb)
+    C = M.mean(axis=0)
+    assert np.max(np.linalg.norm(M - C, axis=(1, 2))) <= 1e-7 * np.linalg.norm(C)
 
 
 @pytest.mark.parametrize("k", [4, 5])
