@@ -156,10 +156,14 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     array of t.
 
     The integral of tr(h^-1 dh/dt (contracted curvature - mu)), taken in
-    the graded factor of the ray: Y = S U e^{(Lambda - lam_1) t} C is
-    S W_t up to the scalar e^{-lam_1 t}, which cancels in the integrand
-    and keeps every entry bounded by its value at t = 0, while its
-    columns fall off by weight.  Y' likewise from S'.  The sections are
+    the graded factor of the ray: Y = D S U e^{(Lambda - lam_1) t} C and
+    Y' likewise from S', with one positive factor per bundle row in D,
+    which the integrand ignores: that column of R takes it, Z = Yh' R^-1
+    cancels it and Q does not change.  Row i's is e^{-m_i(t)}, m_i(t) the
+    largest of log|(S U)_ij| + (lam_j - lam_1) t over the rule's nodes
+    and the columns j, in log space, so no row underflows at any t; its
+    product with e^{(lam_j - lam_1) t}, which could overflow where the
+    row has no support in column j, is exactly 0 there.  The sections are
     evaluated once; each chunk of t-nodes (`_chunked_rate`) forms
     conj(Y) and conj(Y'), whose rows are the columns of Y* and Y'*, with
     one `_section_factor` product by conj(C) each, and `_graded_rate`
@@ -174,6 +178,8 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     charts, coords = (np.concatenate([x, x]) if pad else x for x in (rule.charts, rule.coords))
     S, S1 = eval_matrix_batch(sb, charts, coords)
     P, P1 = (_section_factor(X, ray._U).conj() for X in (S, S1))
+    top = np.abs(P).max(0)
+    log_top = np.log(top, out=np.full(top.shape, -np.inf), where=top > 0)
     Cc = ray._C.conj()
     c = contraction(coords)
     kmu = sb.k + float(sb.bundle.slope)
@@ -183,7 +189,9 @@ def _deriv_at(ray: OnePSRay, t, rule: QuadratureRule):
     def node_values(ts):
         p = len(ts) * len(c)
         y, y1, v, vc, s1, s2 = (w[: r * N * p].reshape(r, N, p) for w in work)
-        d = np.exp(np.outer(ts, ray._lam - ray._lam[0]))[:, None, None, :]
+        ex = np.outer(ts, ray._lam - ray._lam[0])[:, None]
+        ex = ex - (log_top + ex).max(-1, keepdims=True)
+        d = np.exp(ex, out=np.zeros(ex.shape), where=top > 0)[:, None]
         for X, out in ((P, y), (P1, y1)):
             rows = np.multiply(X, d, out=s1.reshape(len(ts), -1, r, N))
             _factor_columns(rows.reshape(-1, r, N), Cc, s2, out)

@@ -241,8 +241,8 @@ def minimize(
 
     Converges on polystable split bundles; on unstable ones detects
     divergence (operator-norm blowup of log G with decreasing energy),
-    freezes the escape direction, and extends the energy history along
-    that ray until it crosses the divergence threshold.  The stops are
+    freezes the escape direction, and measures the energy history along
+    that ray down to the divergence threshold.  The stops are
     module constants: "converged" when the gradient norm falls below
     `_GRAD_TOL`, or when the Einstein defect sup is below `_HE_TOL` and
     the last step changed the energy by less than 1e-12; "diverging" when the
@@ -362,7 +362,7 @@ def minimize(
 
     del sections, white  # the ray extension, the memory peak of a solve, needs neither
     if status == "diverging":
-        m_total, mdon_history = _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule)
+        mdon_history += _extend_along_ray(sb, G, zeta_limit, m_total, rule)
 
     return SolveResult(
         status=status,
@@ -377,36 +377,27 @@ def minimize(
     )
 
 
-def _extend_along_ray(sb, G, zeta_limit, m_total, mdon_history, rule):
-    """Ride the frozen escape ray until the energy crosses the
-    divergence threshold.
-
-    The ray derivative converges exponentially fast in t, so once two
-    widely spaced evaluations agree the remaining stretch is integrated
-    with the settled constant slope; this keeps every matrix evaluation
-    inside floating-point range while certifying the threshold crossing.
+def _extend_along_ray(sb, G, zeta_limit, m_total, rule):
+    """The energies along the frozen escape ray from the form G, of
+    energy `m_total`, measured (`mdon_along_ray`) on the doubling grid
+    t = 0, 5, 10, 20, ... down to the first one below `_DIVERGENCE_M`.
+    The grid runs to t = 640 first, past the crossing of O(1)+O(-1) at
+    k = 2, then to 5 * 2^18 > 1e6 if no value crossed; RuntimeError,
+    naming the threshold and the last t and energy, if none does.
     """
-    from .asymptotics import OnePSRay, _deriv_at, mdon_along_ray
+    from .asymptotics import OnePSRay, mdon_along_ray
 
     ray = OnePSRay(sb, G, zeta_limit)
-    t_end = 80.0
-    t_grid = np.linspace(0.0, t_end, 21)
-    vals = mdon_along_ray(ray, t_grid, rule)
-    mdon_history = mdon_history + list(m_total + vals[1:])
-    m_total += float(vals[-1])
-    d1, d2 = _deriv_at(ray, np.array([0.5 * t_end, t_end]), rule)
-    if d2 >= 0 or abs(d1 - d2) > max(0.05 * abs(d2), 1e-8):
-        raise RuntimeError(
-            "escape-ray derivative did not settle; divergence unconfirmed"
-        )
-    t = t_end
-    while m_total > _DIVERGENCE_M and t < 1e6:
-        t += t_end
-        m_total += t_end * d2
-        mdon_history.append(m_total)
-    if m_total > _DIVERGENCE_M:  # pragma: no cover
-        raise RuntimeError("escape ray failed to cross the divergence threshold")
-    return m_total, mdon_history
+    t_grid = np.append(0.0, 5.0 * 2.0 ** np.arange(19))
+    for end in (9, len(t_grid)):
+        vals = m_total + mdon_along_ray(ray, t_grid[:end], rule)[1:]
+        below = np.flatnonzero(vals < _DIVERGENCE_M)
+        if below.size:
+            return list(vals[: below[0] + 1])
+    raise RuntimeError(
+        f"escape ray stayed above the divergence threshold {_DIVERGENCE_M:g}: "
+        f"energy {vals[-1]:.6g} at t = {t_grid[-1]:g}; divergence unconfirmed"
+    )
 
 
 def destabilizer_extract(result: SolveResult):

@@ -11,9 +11,11 @@ import numpy as np
 import scipy.linalg
 
 import hebundle
+from hebundle.asymptotics import OnePSRay
 from hebundle.bundle import regularity
 from hebundle.geometry import canonical_points
 from hebundle.sections import basis, trivial_metric
+from hebundle.solver import SolveOptions, minimize
 
 
 def rand_pd(rng, n: int, scale: float = 0.25) -> np.ndarray:
@@ -39,6 +41,16 @@ def standard_metric(spec):
     """The standard metric diag((1+|z|^2)^(-a_i)) of `spec`, as the FS
     metric of the binomial form at the least level (`trivial_metric`)."""
     return trivial_metric(basis(spec, regularity(spec)))
+
+
+def escape_ray(spec, k: int, rule) -> OnePSRay:
+    """The escape ray that `minimize` freezes on the unstable `spec` at
+    level k on `rule`, and measures to the divergence threshold
+    (`solver._extend_along_ray`): from the solve's last form along its
+    escape direction."""
+    res = minimize(spec, SolveOptions(k=k, max_iter=300), rule)
+    assert res.status == "diverging"
+    return OnePSRay(res.sb, res.G_final, res.zeta_limit)
 
 
 def count_calls(monkeypatch, home, name):

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _utils import at
+from _utils import at, escape_ray
 from hebundle.asymptotics import (
     OnePSRay,
+    _deriv_at,
     coercivity_probe,
     mdon_along_ray,
     random_block_weightspec,
@@ -17,6 +18,7 @@ from hebundle.asymptotics import (
     zeta_matrix,
 )
 from hebundle.bundle import BundleSpec
+from hebundle.geometry import build_quadrature
 from hebundle.quot import WeightSpec, block_weightspec, filtration
 from hebundle.sections import FSMetric, basis, l2_gram, trivial_metric
 
@@ -65,6 +67,25 @@ def test_mdon_along_ray_grid_validation(rule16):
         mdon_along_ray(ray, [1.0, 2.0], rule16)
     with pytest.raises(ValueError):
         mdon_along_ray(ray, [0.0, 2.0, 1.0], rule16)
+
+
+# dM/dt on the CLI `solve`'s escape ray, (1, -1) at k = 2 on 12 x 12, as
+# the kernel gave it before its rows were scaled; from t = 280 on that
+# kernel's low-weight rows underflowed and it refused
+_ESCAPE_RAY_UNSCALED = (
+    (20.0, 80.0, 160.0, 240.0),
+    (-2.005324795815323, -2.004178460469099, -2.0026253493280683, -2.001754895177011),
+)
+
+
+def test_escape_ray_derivative_is_finite_past_the_old_horizon():
+    rule = build_quadrature(12, 12)
+    ray = escape_ray(SPEC, 2, rule)
+    ts, want = _ESCAPE_RAY_UNSCALED
+    got = _deriv_at(ray, np.array(ts), rule)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    far = _deriv_at(ray, np.array([320.0, 640.0, 5120.0]), rule)
+    assert np.all(np.isfinite(far))
 
 
 def test_ray_times_must_be_finite(rule16):

@@ -19,7 +19,7 @@ import hebundle.asymptotics as asymptotics_mod
 import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
-from _utils import ExplicitMetric, count_calls, rand_pd, standard_metric
+from _utils import ExplicitMetric, count_calls, escape_ray, rand_pd, standard_metric
 from hebundle.asymptotics import OnePSRay, _deriv_at, mdon_along_ray, zeta_matrix
 from hebundle.bundle import (
     BundleSpec,
@@ -641,15 +641,16 @@ def test_ray_derivative_bits_on_an_odd_rule(monkeypatch):
     assert np.array_equal(_blocked_deriv(ray, ts, rule, monkeypatch, 3), got)
 
 
-def test_ray_derivative_bits_through_t80_in_any_blocks(monkeypatch):
-    # the CLI `solve`'s escape ray shape, (1, -1), k = 2 on 12 x 12, and
-    # the 120 t-nodes of its 21-point grid to t = 80 with the settle
-    # check's two times (`solver._extend_along_ray`): one t-node per
-    # block, the default 28 and a single block
+def test_ray_derivative_bits_to_the_crossing_in_any_blocks(monkeypatch):
+    # the CLI `solve`'s escape ray, (1, -1) at k = 2 on 12 x 12, and the
+    # 48 t-nodes of its doubling grid 0, 5, 10, ..., 640, which crosses
+    # the divergence threshold at its end (`solver._extend_along_ray`):
+    # one t-node per block, the default 28 and a single block
     rule = build_quadrature(12, 12)
-    ray, grid = _ray((1, -1), 2, rule, 12), np.linspace(0.0, 80.0, 21)
+    ray = escape_ray(BundleSpec((1, -1)), 2, rule)
+    grid = np.append(0.0, 5.0 * 2.0 ** np.arange(8))
     u = gauss_legendre01(6)[0]
-    ts = np.append((grid[:-1, None] + np.diff(grid)[:, None] * u).reshape(-1), [40.0, 80.0])
+    ts = (grid[:-1, None] + np.diff(grid)[:, None] * u).reshape(-1)
     got = _deriv_at(ray, ts, rule)
     assert np.all(np.isfinite(got))
     for per_block in (1, bundle_mod._t_chunk(rule), len(ts)):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import hebundle.asymptotics as asymptotics_mod
 import hebundle.bundle as bundle_mod
 import hebundle.donaldson as donaldson_mod
 import hebundle.sections as sections_mod
 import hebundle.solver as solver_mod
-from _utils import count_calls, rand_pd, run_at_blas_threads
+from _utils import count_calls, escape_ray, rand_pd, run_at_blas_threads
+from hebundle.asymptotics import mdon_along_ray
 from hebundle.bundle import BundleSpec, he_residual
 from hebundle.donaldson import BergmanPath, donaldson, path_energy
 from hebundle.geometry import build_quadrature
@@ -374,6 +376,30 @@ def test_minimize_converges_at_higher_levels(rule24, degs, k):
         res = minimize(spec, SolveOptions(k=k, max_iter=300), rule24, G_init=G)
         assert res.status == "converged"
         assert res.he_residual_sup < 1e-3
+
+
+def test_escape_ray_history_is_measured_to_the_crossing(monkeypatch):
+    # the history's ray entries are the energies `mdon_along_ray` measured
+    # along the solver's escape ray, added to the descent's last, down to
+    # the first below the threshold and no further
+    spec, rule = BundleSpec((1, -1)), build_quadrature(12, 12)
+    calls = count_calls(monkeypatch, asymptotics_mod, "mdon_along_ray")
+    res = minimize(spec, SolveOptions(k=2, max_iter=300), rule)
+    assert res.status == "diverging" and len(calls) == 1
+    t_grid = calls[0][1]
+    vals = mdon_along_ray(escape_ray(spec, 2, rule), t_grid, rule)
+    n = len(vals) - 1
+    m0 = res.mdon_history[-n - 1]
+    assert res.mdon_history[-n:] == list(m0 + vals[1:])
+    assert res.mdon_history[-1] < solver_mod._DIVERGENCE_M <= res.mdon_history[-2]
+
+
+def test_escape_ray_that_never_crosses_is_refused(monkeypatch):
+    # the ray falls at slope -1.99 to -2.6e6 by the grid's end, t = 5 * 2^18
+    monkeypatch.setattr(solver_mod, "_DIVERGENCE_M", -1e12)
+    want = r"threshold -1e\+12: energy -2.6\d*e\+06 at t = 1.31072e\+06"
+    with pytest.raises(RuntimeError, match=want):
+        minimize(BundleSpec((1, -1)), SolveOptions(k=2, max_iter=300), build_quadrature(12, 12))
 
 
 def test_stalled_t_phase_hands_back_the_start(monkeypatch):
