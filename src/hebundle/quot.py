@@ -40,17 +40,8 @@ RING = QQ_I[sp.Symbol("x")]
 def _to_gaussian(c):
     """Coerce a coefficient to an exact Gaussian-rational sympy scalar
     re + I*im."""
-    if isinstance(c, Fraction):
-        return sp.Rational(c.numerator, c.denominator)
-    if isinstance(c, (int, sp.Integer, sp.Rational)):
+    if isinstance(c, (int, Fraction, sp.Rational)):
         return sp.sympify(c)
-    if isinstance(c, complex):
-        re, im = Fraction(c.real), Fraction(c.imag)
-        if re.denominator > 1 << 20 or im.denominator > 1 << 20:
-            raise ValueError("inexact complex coefficient; pass exact rationals")
-        return sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(
-            im.numerator, im.denominator
-        )
     re, im = sp.sympify(c).as_real_imag()
     if not (re.is_rational and im.is_rational):
         raise ValueError(f"coefficient {c!r} is not a Gaussian rational")

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .bundle import (BundleSpec, _equilibrated_inverse, _he_defect, _hermitize, _mat_mul,
-                     _node_sup_norm, _relative_eigs, _whitening, he_residual, regularity)
+                     _node_sup_norm, _relative_eigs, _whitening, he_residual)
 from .donaldson import BergmanPath, donaldson
 from .geometry import QuadratureRule, contract_batch, e_phi
 from .sections import (FSMetric, SectionBasis, _fs_moments, _fs_values, _section_factor,
@@ -39,7 +39,7 @@ from .sections import (FSMetric, SectionBasis, _fs_moments, _fs_values, _section
 def _fs_state(sb: SectionBasis, G: np.ndarray, sections):
     """FS(G) on the nodes of the sections' rule, in the layout of
     `BergmanPath.end_state`: (A, A^-1, contracted curvature, G^-1) from
-    FS(G)'s own moments, for a form that no accepted path ends at."""
+    FS(G)'s own moments, for a form that no taken step's path ends at."""
     rule, S, S1 = sections[:3]
     hm = FSMetric(sb, G=G)
     A, A1, A11, Ainv = hm._moments(S, S1)
@@ -47,16 +47,16 @@ def _fs_state(sb: SectionBasis, G: np.ndarray, sections):
     return A, Ainv, lamF, hm.Ginv
 
 
-def mdon_gradient(sb: SectionBasis, state, sections) -> tuple[np.ndarray, float, np.ndarray]:
+def mdon_gradient(sb: SectionBasis, state, sections) -> tuple[np.ndarray, float]:
     """Gradient of the energy in log-coordinates on the form space at a
-    form G, the sup of the Einstein defect of FS(G) from the same
-    curvature, and FS(G) on the nodes of the sections' rule.
+    form G, and the sup of the Einstein defect of FS(G) from the same
+    curvature.
 
     FS(G) enters as its end state (A, A^-1, contracted curvature, G^-1)
-    on those nodes: the accepted line-search path's (`BergmanPath.
-    end_state`), or `_fs_state`'s for the first form of a solve.  The
-    sections (`node_sections`) are formed once per solve, and the
-    integrals are on their rule.
+    on the nodes of the sections' rule: the taken step's path's
+    (`BergmanPath.end_state`), or `_fs_state`'s for the first form of a
+    solve.  The sections (`node_sections`) are formed once per solve,
+    and the integrals are on their rule.
     The gradient is the hermitian g with tr(g dzeta) = d/ds at 0 of the
     energy of FS(e^{s dzeta} G e^{s dzeta}) for every hermitian direction:
     g = P G^-1 + G^-1 P with P the curvature-residual moment matrix,
@@ -74,13 +74,12 @@ def mdon_gradient(sb: SectionBasis, state, sections) -> tuple[np.ndarray, float,
     hv = _fs_values(Ainv, rule.coords, sb.k)
     # hv^-1 = e^{-k phi} A, which the moments have formed already
     hv_inv = A * (e_phi(rule.coords) ** (-sb.k))[:, None, None]
-    return g, _node_sup_norm(_he_defect(hv, hv_inv, lamF, mu)), hv
+    return g, _node_sup_norm(_he_defect(hv, hv_inv, lamF, mu))
 
 
-# line search: first step, Armijo constant, backtracking and growth
-# factors, and the cap on the step
+# line search: first step, backtracking and growth factors, and the
+# cap on the step
 _STEP0 = 1.0
-_ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _GROW = 1.5
 _MAX_STEP = 64.0
@@ -213,6 +212,30 @@ def _normalize(G: np.ndarray, values: np.ndarray, white: np.ndarray) -> np.ndarr
     return G / c
 
 
+def _step(sb: SectionBasis, G: np.ndarray, G_new: np.ndarray, sections, white):
+    """The step from the form G to G_new, taken when the energy rises by
+    at most 1e-10 along their form geodesic: the change, G_new
+    normalized (`_normalize`) from the metric values of the path's end
+    state, and that state, which the next gradient reads.  None for a
+    refused step.  A RuntimeError reads as an energy of inf: from
+    `BergmanPath` on forms that are not jointly positive, or from
+    `donaldson` on an integral that misses its tolerance.
+
+    The path alone fixes the energy, so no metric is formed; the call
+    goes through `donaldson`, whose spans the benchmark's tracer
+    (perfbench/tracing.py) counts as line-search trials."""
+    rule = sections[0]
+    try:
+        path = BergmanPath(sb, G, G_new, sections)
+        dm = donaldson(None, None, rule, path=path, tol=1e-9)
+    except RuntimeError:
+        dm = np.inf
+    if not dm <= 1e-10:
+        return None
+    state = path.end_state()
+    return dm, _normalize(G_new, _fs_values(state[1], rule.coords, sb.k), white), state
+
+
 def minimize(
     spec: BundleSpec,
     opts: SolveOptions,
@@ -221,21 +244,20 @@ def minimize(
 ) -> SolveResult:
     """Minimize the energy over the form space at level k, from the L2
     form of the standard metric unless `G_init` is given: the T-phase,
-    then the descent.  The energy history adds each accepted step's
+    then the descent.  The energy history adds each taken step's
     measured change.
 
     What no iterate changes, the `node_sections` and the `_whitening` of
     the reference metric values, is formed once, before either phase.
 
-    The T-phase (`_balance`) iterates Donaldson's T-map from the start
-    form.  When it converges, the energy of its form relative to the
-    start is measured along their form geodesic and, under the line
-    search's test for a step (a rise of at most 1e-10), taken as the
-    first step: the history records it and the descent starts there,
-    with the first gradient read off that path's end.  On a stall, a cap
-    or a rejected step the descent starts from the untouched start form.
-    `SolveResult` records every T-step's change and the outcome
-    ("rejected" for a refused step).
+    `_step` builds, integrates and refuses every step, the T-phase's and
+    each line-search trial, and normalizes the form of a taken one.  The
+    T-phase (`_balance`) iterates Donaldson's T-map from the start form.
+    When it converges, its form is the first step: the history records
+    it and the descent starts there, with the first gradient read off
+    that path's end.  On a stall, a cap or a refused step the descent
+    starts from the untouched start form.  `SolveResult` records every
+    T-step's change and the outcome ("rejected" for a refused step).
 
     The descent certifies every exit with the gradient.
 
@@ -248,51 +270,37 @@ def minimize(
     the last step changed the energy by less than 1e-12; "diverging" when the
     operator norm of log G passes `_DIVERGENCE_OP`, confirmed once the
     energy along the escape ray falls below `_DIVERGENCE_M`; "maxiter"
-    after `opts.max_iter` iterations.
+    after `opts.max_iter` iterations.  A line search that finds no step
+    in 40 halvings raises RuntimeError, whatever the gradient norm.
     """
-    k = opts.k
-    if k < regularity(spec):
-        raise ValueError(f"level {k} is below the regularity {regularity(spec)}")
-    sb = basis(spec, k)
+    sb = basis(spec, opts.k)
     h_ref = trivial_metric(sb)
     G = np.asarray(G_init if G_init is not None else l2_gram(sb, h_ref, rule), dtype=complex)
     sections = node_sections(sb, rule)
     white = _whitening(h_ref.evaluate(rule.charts, rule.coords))
-    m_total = 0.0
-    mdon_history = [m_total]
+    mdon_history = [0.0]
     history = []
     alpha = _STEP0
     status = "maxiter"
     zeta_limit = None
-    g_prev = None
-    s_prev = None
-    last_dm = None
+    g_prev = s_prev = last_dm = None
 
     G_T, t_changes, t_outcome = _balance(sb, G, sections)
-    state = None
-    if G_T is not None:
-        try:
-            path = BergmanPath(sb, G, G_T, sections)
-            dm = donaldson(None, None, rule, path=path, tol=1e-9)
-        except RuntimeError:
-            dm = np.inf
-        if dm <= 1e-10:
-            G, state = G_T, path.end_state()
-            m_total += dm
-            mdon_history.append(m_total)
-        else:
+    step = None if G_T is None else _step(sb, G, G_T, sections, white)
+    if step is not None:
+        dm, G, state = step
+        mdon_history.append(mdon_history[-1] + dm)
+    else:
+        if G_T is not None:
             t_outcome = "rejected"
-    if state is None:
         state = _fs_state(sb, G, sections)
+        G = _normalize(G, _fs_values(state[1], rule.coords, sb.k), white)
     for it in range(opts.max_iter):
-        g, res_sup, values = mdon_gradient(sb, state, sections)
-        # the gradient and the residual are scale free, so the form is
-        # normalized from the metric values they came from
-        G = _normalize(G, values, white)
+        g, res_sup = mdon_gradient(sb, state, sections)
         gnorm2 = float(np.real(np.trace(g @ g)))
         gnorm = np.sqrt(max(gnorm2, 0.0))
         logG, opn = _log_opnorm(G)
-        history.append((it, m_total, res_sup, opn))
+        history.append((it, mdon_history[-1], res_sup, opn))
 
         if gnorm < _GRAD_TOL:
             status = "converged"
@@ -306,13 +314,13 @@ def minimize(
             zeta_limit = -logG / opn
             break
 
-        # spectral (Barzilai-Borwein) initial step, Armijo backtracking;
-        # acceptance allows any decrease within the monotonicity tolerance.
+        # spectral (Barzilai-Borwein) initial step, halved until `_step`
+        # takes it: any decrease within the monotonicity tolerance.
         # Both tests are relative: a gradient unchanged to rounding (as
         # along an escape ray) has no curvature, the limit of ss/sy is
         # infinite and the step is capped; otherwise s.y must be positive
         # beyond the rounding of the trace
-        if g_prev is not None and s_prev is not None:
+        if g_prev is not None:
             y = g - g_prev
             sy = float(np.real(np.trace(s_prev @ y)))
             ss = float(np.real(np.trace(s_prev @ s_prev)))
@@ -321,48 +329,26 @@ def minimize(
                 alpha = _MAX_STEP
             elif sy > 1e-12 * np.sqrt(ss * yy):
                 alpha = min(ss / sy, _MAX_STEP)
-        accepted = False
         a = alpha
         for _ in range(40):
             E = scipy.linalg.expm(-a * g)
-            G_new = E @ G @ E
-            # the path alone fixes the energy, so no metric is formed; the
-            # call goes through `donaldson`, whose spans the benchmark's
-            # tracer (perfbench/tracing.py) counts as line-search trials
-            try:
-                path = BergmanPath(sb, G, G_new, sections)
-                dm = donaldson(None, None, rule, path=path, tol=1e-9)
-                if dm <= -_ARMIJO_C * a * gnorm2 or dm <= 1e-10:
-                    # the next gradient reads FS(G_new) off the accepted path
-                    state = path.end_state()
-                    accepted = True
-                    break
-            except RuntimeError:
-                pass
-            a *= _BACKTRACK
-        if not accepted:
-            if gnorm < 1e2 * _GRAD_TOL:
-                status = "converged"
+            step = _step(sb, G, E @ G @ E, sections, white)
+            if step is not None:
                 break
+            a *= _BACKTRACK
+        else:
             raise RuntimeError(
                 f"line search failed at iteration {it} with gradient norm "
                 f"{gnorm:.3e}; history: {history[-3:]}"
             )
-        s_prev = -a * g
-        g_prev = g
-        last_dm = dm
-        G = G_new
-        m_total += dm
-        mdon_history.append(m_total)
+        last_dm, G, state = step
+        mdon_history.append(mdon_history[-1] + last_dm)
+        s_prev, g_prev = -a * g, g
         alpha = min(a * _GROW, _MAX_STEP)
-    else:
-        # every iteration took a step: the last form is not normalized yet,
-        # and the accepted path's end state holds its metric values
-        G = _normalize(G, _fs_values(state[1], rule.coords, k), white)
 
     del sections, white  # the ray extension, the memory peak of a solve, needs neither
     if status == "diverging":
-        mdon_history += _extend_along_ray(sb, G, zeta_limit, m_total, rule)
+        mdon_history += _extend_along_ray(sb, G, zeta_limit, mdon_history[-1], rule)
 
     return SolveResult(
         status=status,

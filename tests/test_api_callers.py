@@ -113,6 +113,20 @@ def test_node_sums_go_through_integrate_values():
 
 
 
+def test_no_exception_handler_only_passes():
+    """No `except` in the package has a body of `pass` alone: a failure
+    is turned into a value that says what happened (an energy of inf, a
+    "stalled" outcome) or raised, never dropped."""
+    silent = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            name = getattr(stmt, "name", f"line {stmt.lineno}")
+            silent += [f"{path.stem}.{name}:{n.lineno}" for n in ast.walk(stmt)
+                       if isinstance(n, ast.ExceptHandler)
+                       and all(isinstance(b, ast.Pass) for b in n.body)]
+    assert not silent, f"exception handlers that drop the exception: {silent}"
+
+
 def _is_abs_squared(node) -> bool:
     """Whether `node` is `np.abs(x) ** 2` (or `abs(x) ** 2`)."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)

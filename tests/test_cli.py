@@ -380,6 +380,11 @@ _BLOCKS_13 = [
         ("solve", {**_MNA_BASE, "solve": {"divergence_m": float("nan")}}, "divergence_m"),
         # bergman's levels are k_list's alone
         ("bergman", {"bundle": [0], "k": 2, "quadrature": _Q8}, "k_list"),
+        # zeta weights: strings that `Fraction` does not parse
+        ("mna", {**_MNA_BASE, "zeta": {"weights": ["1/0", "-3"], "dims": [3, 1]}},
+         "zeta weights"),
+        ("mna", {**_MNA_BASE, "zeta": {"weights": ["one", "-3"], "dims": [3, 1]}},
+         "zeta weights"),
     ],
 )
 def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):

@@ -36,7 +36,7 @@ from hebundle.donaldson import (
     second_derivative_geodesic,
 )
 from hebundle.geometry import build_quadrature, canonical_points, contract_batch
-from hebundle.sections import FSMetric, basis, l2_gram, node_sections, trivial_metric
+from hebundle.sections import FSMetric, _fs_values, basis, l2_gram, node_sections, trivial_metric
 from hebundle.solver import mdon_gradient
 
 
@@ -378,11 +378,14 @@ def test_bergman_path_end_state_is_fs_of_its_end_form(degs, k, n):
     lamF = contract_batch(hm.curvature_coeff(rule.charts, rule.coords), rule.coords)
     for got, want in zip(state, (A, Ainv, lamF, hm.Ginv)):
         assert _rel_gap(got, want) <= 1e-12
+    fresh_state = solver_mod._fs_state(sb, G1, sections)
     got = mdon_gradient(sb, state, sections)
-    fresh = mdon_gradient(sb, solver_mod._fs_state(sb, G1, sections), sections)
+    fresh = mdon_gradient(sb, fresh_state, sections)
     assert _rel_gap(got[0], fresh[0]) <= 1e-12
     assert got[1] == pytest.approx(fresh[1], rel=1e-12)
-    assert _rel_gap(got[2], fresh[2]) <= 1e-12
+    # and so are the metric values that normalize the form of a step
+    values = (_fs_values(x[1], rule.coords, k) for x in (state, fresh_state))
+    assert _rel_gap(*values) <= 1e-12
 
 
 @pytest.mark.parametrize("n, joins", [(12, True), (24, False)])

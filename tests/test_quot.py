@@ -195,6 +195,15 @@ def test_inexact_coefficients_rejected():
         WeightSpec(k=1, blocks=((Fraction(1), ((sp.sqrt(2), 0, 0, 0),)),))
 
 
+def test_complex_coefficients_rejected():
+    # no floating point enters `quot`, not even an exactly representable
+    # Python complex; Gaussian rationals come as sympy scalars
+    with pytest.raises(ValueError, match="not a Gaussian rational"):
+        WeightSpec(k=1, blocks=((Fraction(1), ((1 + 2j, 0, 0, 0),)),))
+    z = WeightSpec(k=1, blocks=((Fraction(1), ((1 + 2 * sp.I, Fraction(1, 3), 0, 0),)),))
+    assert z.blocks[0][1][0][:2] == (1 + 2 * sp.I, sp.Rational(1, 3))
+
+
 def test_weightspec_dimension():
     z = _ws([(1, 3), (-3, 1)])
     assert z.dimension == 4

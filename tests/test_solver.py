@@ -1,5 +1,6 @@
 """Energy minimization: gradient correctness, convergence, divergence."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ from hebundle.asymptotics import mdon_along_ray
 from hebundle.bundle import BundleSpec, he_residual
 from hebundle.donaldson import BergmanPath, donaldson, path_energy
 from hebundle.geometry import build_quadrature
-from hebundle.sections import (FSMetric, basis, eval_matrix_batch, l2_gram, node_sections,
-                               trivial_metric)
+from hebundle.sections import (FSMetric, _fs_values, basis, eval_matrix_batch, l2_gram,
+                               node_sections, trivial_metric)
 from hebundle.solver import (
     SolveOptions,
     destabilizer_extract,
@@ -61,7 +62,7 @@ def test_gradient_matches_finite_differences(rule24):
     sb = basis(spec, 1)
     rng = np.random.default_rng(5)
     G = rand_pd(rng, sb.N, scale=0.3)
-    g, res_sup, _ = _gradient(sb, G, node_sections(sb, rule24))
+    g, res_sup = _gradient(sb, G, node_sections(sb, rule24))
     # the defect comes from the gradient's own sections and curvature
     assert res_sup == _fs_defect_sup(sb, G, rule24)
     X = rng.normal(size=(sb.N, sb.N)) + 1j * rng.normal(size=(sb.N, sb.N))
@@ -78,7 +79,7 @@ def test_gradient_vanishes_at_critical_point(rule24):
     spec = BundleSpec((0,))
     sb = basis(spec, 3)
     G = l2_gram(sb, trivial_metric(sb), rule24)
-    g, _, _ = _gradient(sb, G, node_sections(sb, rule24))
+    g, _ = _gradient(sb, G, node_sections(sb, rule24))
     assert np.linalg.norm(g) < 1e-10
 
 
@@ -87,7 +88,8 @@ def test_options_validation():
     for name in ("grad_tol", "he_tol", "divergence_op", "divergence_m"):
         with pytest.raises(TypeError, match=name):
             SolveOptions(k=2, **{name: 1.0})
-    with pytest.raises(ValueError, match="regularity"):
+    # `basis` refuses a level below the regularity
+    with pytest.raises(ValueError, match="below the minimum level 1"):
         minimize(
             BundleSpec((1, -1)),
             SolveOptions(k=0),
@@ -257,12 +259,18 @@ def test_solve_forms_fs_moments_for_its_first_gradient_and_final_residual(monkey
 
 
 def _first_energy_reads(monkeypatch, value):
-    """Make the solve's first energy integral read `value`."""
+    """Make the solve's first energy integral read `value`, or raise it,
+    as `donaldson` raises on an integral it refuses, when it is an
+    exception."""
     trials = []
 
     def first_reads(*args, **kwargs):
         trials.append(donaldson(*args, **kwargs))
-        return value if len(trials) == 1 else trials[-1]
+        if len(trials) > 1:
+            return trials[-1]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     monkeypatch.setattr(solver_mod, "donaldson", first_reads)
 
@@ -295,10 +303,91 @@ def test_t_step_is_taken_under_the_line_search_test(monkeypatch):
     monkeypatch.setattr(solver_mod, "donaldson", donaldson)
     _capped_t_phase(monkeypatch)
     ref = _he_solve_shaped()
-    assert refused.status == ref.status == "converged" and len(ref.history) > 2
-    assert refused.history == ref.history
-    assert refused.mdon_history == ref.mdon_history
-    assert np.array_equal(refused.G_final, ref.G_final)
+    assert ref.status == "converged" and len(ref.history) > 2
+    assert _same_solve(refused, ref)
+
+
+def _same_solve(got, want):
+    """Whether two solves ran the same descent, bit for bit."""
+    return (got.status == want.status and got.history == want.history
+            and got.mdon_history == want.mdon_history
+            and np.array_equal(got.G_final, want.G_final))
+
+
+def test_refused_t_step_integral_is_a_refused_step(monkeypatch):
+    # an energy integral that `donaldson` refuses refuses the T-step: the
+    # descent runs from the untouched start form, as with the T-phase
+    # capped, bit for bit
+    _first_energy_reads(monkeypatch, RuntimeError("integral refused"))
+    refused = _he_solve_shaped()
+    assert refused.t_outcome == "rejected" and len(refused.t_changes) > 2
+    monkeypatch.setattr(solver_mod, "donaldson", donaldson)
+    _capped_t_phase(monkeypatch)
+    ref = _he_solve_shaped()
+    assert ref.status == "converged" and len(ref.history) > 2
+    assert _same_solve(refused, ref)
+
+
+def test_refused_trial_integral_is_halved(monkeypatch):
+    # with the T-phase capped, the first energy integral is the first
+    # line-search trial; refused, it is halved, and the solve converges
+    _capped_t_phase(monkeypatch)
+    _first_energy_reads(monkeypatch, RuntimeError("integral refused"))
+    # a trial steps to E G E, E = expm(-a g); the start form's `rand_pd`
+    # makes the first call
+    exps = count_calls(monkeypatch, scipy.linalg, "expm")
+    res = _he_solve_shaped()
+    assert res.status == "converged" and res.t_outcome == "cap"
+    assert np.array_equal(exps[2][0], 0.5 * exps[1][0])
+
+
+def test_line_search_without_a_step_raises(monkeypatch):
+    # a line search that no trial passes raises, naming the iteration and
+    # the gradient norm, even when that norm is below 100 times the
+    # gradient tolerance: every energy integral reads a rise of 1, so the
+    # T-step is refused too and the first search runs at the start form
+    spec, rule = BundleSpec((2, 2)), build_quadrature(12, 12)
+    sb = basis(spec, 0)
+    G = rand_pd(np.random.default_rng(1), sb.N, scale=0.3)
+    g = _gradient(sb, G, node_sections(sb, rule))[0]
+    gnorm = np.sqrt(float(np.real(np.trace(g @ g))))
+    monkeypatch.setattr(solver_mod, "_GRAD_TOL", gnorm / 10)
+    trials = []
+
+    def rises(*args, **kwargs):
+        trials.append(args)
+        return 1.0
+
+    monkeypatch.setattr(solver_mod, "donaldson", rises)
+    want = f"line search failed at iteration 0 with gradient norm {gnorm:.3e};"
+    with pytest.raises(RuntimeError, match=re.escape(want)):
+        _he_solve_shaped()
+    assert len(trials) == 1 + 40
+
+
+@pytest.mark.parametrize("error", [RuntimeError, np.linalg.LinAlgError])
+def test_broken_t_step_stalls_the_phase(monkeypatch, error):
+    # a T-step that breaks down ends the phase as stalled, with the
+    # changes of the steps before it; the descent runs from the untouched
+    # start form, as with the T-phase capped, bit for bit
+    whole = _he_solve_shaped()
+    orig, calls = solver_mod._t_map, []
+
+    def breaks_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error("T-step broke down")
+        return orig(*args)
+
+    monkeypatch.setattr(solver_mod, "_t_map", breaks_third)
+    broken = _he_solve_shaped()
+    assert len(calls) == 3
+    assert broken.t_outcome == "stalled" and broken.t_changes == whole.t_changes[:2]
+    monkeypatch.setattr(solver_mod, "_t_map", orig)
+    _capped_t_phase(monkeypatch)
+    ref = _he_solve_shaped()
+    assert ref.status == "converged" and len(ref.history) > 2
+    assert _same_solve(broken, ref)
 
 
 def _plain_t_phase(sb, G, sections):
@@ -438,9 +527,9 @@ def test_solve_stops_at_max_iter_with_a_normalized_form():
 
 
 def test_line_search_backtracks_from_a_long_first_step(monkeypatch):
-    # with the T-phase capped and a first step of 8, some trial fails the
-    # Armijo test and is halved: the solve takes more energy integrals
-    # than it accepts steps, and still converges
+    # with the T-phase capped and a first step of 8, some trial raises the
+    # energy by more than 1e-10 and is halved: the solve takes more energy
+    # integrals than it takes steps, and still converges
     _capped_t_phase(monkeypatch)
     monkeypatch.setattr(solver_mod, "_STEP0", 8.0)
     trials = count_calls(monkeypatch, donaldson_mod, "donaldson")
@@ -459,8 +548,10 @@ def test_gradient_from_shared_sections_has_fresh_bits(rule16):
     for _ in range(3):
         G = rand_pd(rng, sb.N, scale=0.3)
         BergmanPath(sb, G, rand_pd(rng, sb.N, scale=0.3), shared).deriv_integrand(0.5)
-        got = _gradient(sb, G, shared)
+        state = solver_mod._fs_state(sb, G, shared)
+        got = mdon_gradient(sb, state, shared)
         fresh = _gradient(sb, G, node_sections(sb, rule16))
         assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
-        assert np.array_equal(got[2], FSMetric(sb, G=G).evaluate(rule16.charts, rule16.coords))
+        values = _fs_values(state[1], rule16.coords, sb.k)
+        assert np.array_equal(values, FSMetric(sb, G=G).evaluate(rule16.charts, rule16.coords))
         assert got[1] == _fs_defect_sup(sb, G, rule16)
