@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+from sympy import QQ_I
 
 from .bundle import BundleSpec, _chunked_rate, _hermitize, _t_chunk
 from .geometry import QuadratureRule, contraction, gauss_legendre01
@@ -290,9 +291,8 @@ def zeta_matrix(zeta: WeightSpec) -> np.ndarray:
     new direction carries its block weight, so the flag of summed
     eigenspaces agrees exactly with the weight flag.
     """
-    vecs = [np.array([complex(c) for c in v]) for v in zeta.all_vectors()]
-    n = len(vecs[0])
-    q, _ = np.linalg.qr(np.array(vecs).T)
+    vecs = [[QQ_I.from_sympy(c) for c in v] for v in zeta.all_vectors()]
+    q, _ = np.linalg.qr(np.array([[complex(float(c.x), float(c.y)) for c in v] for v in vecs]).T)
     weights = []
     for w, vs in zeta.blocks:
         weights.extend([float(w)] * len(vs))
@@ -364,6 +364,8 @@ def rationalize_zeta(sb: SectionBasis, zeta: np.ndarray) -> WeightSpec:
     Eigenvalues are clustered at the tolerance 1e-4, cluster means rounded
     by continued fractions with denominator at most 64, and eigenvector
     coordinates snapped to such rationals when within the tolerance.
+    The datum is not checked against `sb` here: `filtration` validates
+    it.
     """
     tol = 1e-4
     z = np.asarray(zeta, dtype=complex)
@@ -401,6 +403,4 @@ def rationalize_zeta(sb: SectionBasis, zeta: np.ndarray) -> WeightSpec:
                 )
             vecs.append(tuple(vec))
         blocks.append((w, tuple(vecs)))
-    ws = WeightSpec(k=sb.k, blocks=tuple(blocks))
-    ws.validate_against(sb)
-    return ws
+    return WeightSpec(k=sb.k, blocks=tuple(blocks))

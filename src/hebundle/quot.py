@@ -4,10 +4,14 @@ Rational weight decompositions of the section space at a twist level k,
 the subsheaves generated by weight-truncated section families, their
 saturations, and the two numerical invariants of a weight datum: the
 non-Archimedean energy slope and the extremal weight gap.  All
-arithmetic is exact over the Gaussian rationals; no floating point
-enters this module.  A binary form of degree d is held as its
-dehomogenisation f(1, x) in QQ_I[x], of degree at most d; matrices of
-forms are sympy DomainMatrix objects over that ring.
+arithmetic is exact over the smallest field that holds the data: QQ
+when every coefficient is real, the Gaussian rationals QQ_I otherwise;
+no floating point enters this module.  A binary form of degree d is
+held as its dehomogenisation f(1, x) in QQ[x] for real data and in
+QQ_I[x] otherwise, of degree at most d; matrices of forms are sympy
+DomainMatrix objects over that ring.  Gauss-Jordan and Euclid never
+leave the field of their entries, so a real datum has the same ranks
+and gcd degrees over either field.
 
 A saturation's rank is the largest rank at the points (1, t),
 t = 0, 1, ..., and its degree comes from the gcd of the maximal minors
@@ -26,26 +30,39 @@ from fractions import Fraction
 from math import lcm
 
 import sympy as sp
-from sympy import QQ_I
+from sympy import QQ, QQ_I
 from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
 from .bundle import BundleSpec
 from .sections import SectionBasis, basis
 
-# dehomogenised forms: x0 -> 1, x1 -> x
+# dehomogenised forms: x0 -> 1, x1 -> x; real data use QQ[x] instead.
+# Both rings are built once: after sympy's clear_cache a ring takes
+# about 0.5 ms to build again
 RING = QQ_I[sp.Symbol("x")]
+_RINGS = {QQ: QQ[RING.symbols], QQ_I: RING}
 
 
 def _to_gaussian(c):
     """Coerce a coefficient to an exact Gaussian-rational sympy scalar
     re + I*im."""
-    if isinstance(c, (int, Fraction, sp.Rational)):
-        return sp.sympify(c)
-    re, im = sp.sympify(c).as_real_imag()
-    if not (re.is_rational and im.is_rational):
-        raise ValueError(f"coefficient {c!r} is not a Gaussian rational")
-    return re + sp.I * im
+    e = sp.sympify(c)
+    if isinstance(e, sp.Rational):
+        return e
+    if isinstance(e, sp.Expr):  # a bool, numpy's too, becomes a Boolean
+        re, im = e.as_real_imag()
+        if re.is_rational and im.is_rational:
+            return re + sp.I * im
+    raise ValueError(f"coefficient {c!r} is not a Gaussian rational")
+
+
+def _smallest_field(vecs):
+    """Vectors of `_to_gaussian` scalars as elements of the smallest field
+    that holds them, and that field: QQ when every scalar is rational (its
+    imaginary part is zero), else QQ_I."""
+    field = QQ if all(c.is_Rational for v in vecs for c in v) else QQ_I
+    return [[field.from_sympy(c) for c in v] for v in vecs], field
 
 
 def _frac(w) -> Fraction:
@@ -105,8 +122,8 @@ class WeightSpec:
                 f"weight decomposition has {self.dimension} vectors; the section "
                 f"space needs {sb.N} vectors of {sb.N} coefficients"
             )
-        m = DomainMatrix([[QQ_I.from_sympy(c) for c in v] for v in vecs], (sb.N, sb.N), QQ_I)
-        if m.rank() != sb.N:
+        rows, field = _smallest_field(vecs)
+        if DomainMatrix(rows, (sb.N, sb.N), field).rank() != sb.N:
             raise ValueError("weight-block vectors are linearly dependent")
 
 
@@ -116,8 +133,8 @@ class HomogeneousSectionMatrix:
 
     Row i holds binary forms of degree d_i = (i-th summand degree) + k; a
     map from m copies of the k-fold negative line bundle into the bundle.
-    `matrix` is an r x m DomainMatrix over RING holding each form as
-    f(1, x), of degree at most d_i.
+    `matrix` is an r x m DomainMatrix over QQ[x] or QQ_I[x] (RING)
+    holding each form as f(1, x), of degree at most d_i.
     """
 
     bundle: BundleSpec
@@ -128,10 +145,10 @@ class HomogeneousSectionMatrix:
         mat, degs = self.matrix, self.row_degrees
         if mat.shape[0] != self.bundle.rank:
             raise ValueError("generator matrix row count differs from rank")
-        if not isinstance(mat, DomainMatrix) or mat.domain != RING or any(
+        if not isinstance(mat, DomainMatrix) or mat.domain not in _RINGS.values() or any(
             f.degree() > d for row, d in zip(mat.to_list(), degs) for f in row
         ):
-            raise ValueError(f"generator matrix must be over {RING} with row degrees {degs}")
+            raise ValueError(f"generator matrix must be over QQ[x] or QQ_I[x], row degrees {degs}")
 
     @property
     def row_degrees(self) -> tuple:
@@ -148,26 +165,34 @@ def j_of(weights) -> int:
 
 def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
     """Generator matrix of section-coefficient vectors: basis entry
-    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i."""
+    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i, over QQ[x] when
+    every coefficient is real and over QQ_I[x] otherwise."""
     r = sb.bundle.rank
-    cols = []
+    rows = []
     for v in vectors:
         if len(v) != sb.N:
             raise ValueError(
                 f"coefficient vector has length {len(v)}; expected {sb.N}"
             )
+        rows.append([_to_gaussian(c) for c in v])
+    vecs, field = _smallest_field(rows)
+    ring = _RINGS[field]
+    cols = []
+    for v in vecs:
         col = [{} for _ in range(r)]
         for c, (i, j) in zip(v, sb.entries):
-            col[i][(j,)] = QQ_I.from_sympy(_to_gaussian(c))  # RING drops zeros
-        cols.append([RING(terms) for terms in col])
-    m = DomainMatrix([list(row) for row in zip(*cols)] or [[]] * r, (r, len(cols)), RING)
+            col[i][(j,)] = c  # the ring drops zeros
+        cols.append([ring(terms) for terms in col])
+    m = DomainMatrix([list(row) for row in zip(*cols)] or [[]] * r, (r, len(cols)), ring)
     return HomogeneousSectionMatrix(bundle=sb.bundle, k=sb.k, matrix=m)
 
 
 def values_at(mat: DomainMatrix, x) -> DomainMatrix:
-    """The forms of `mat` evaluated at the point (1, x), over QQ_I."""
-    x = QQ_I.convert(x)
-    return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, QQ_I), QQ_I)
+    """The forms of `mat` evaluated at the point (1, x), over the field
+    of their coefficients, QQ or QQ_I."""
+    field = mat.domain.domain
+    x = field.convert(x)
+    return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, field), field)
 
 
 def _generic_rank(m: DomainMatrix, degs):
@@ -177,7 +202,7 @@ def _generic_rank(m: DomainMatrix, degs):
     independent at one point are independent over C(x)."""
     best, at = (), 0
     for t in range(sum(max(d, 0) for d in degs) + 1):
-        pivots = values_at(m, t).rref()[1]
+        pivots = values_at(m, t).rref(method="GJ")[1]  # 3x faster than auto over QQ
         if len(pivots) > len(best):
             best, at = pivots, t
         if len(best) == min(m.shape):
@@ -191,15 +216,17 @@ def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
 
     In the chart (x0, x1) = (y, 1 + t y), where row i holds
     y^d_i f(t + 1/y), that point is at infinity, so the gcd of the minors
-    in QQ_I[y] has the full degree.  Unimodular column operations keep
-    every determinantal divisor over the PID QQ_I[y], so Euclid on the
-    columns, row by row with the entry of least degree as pivot, leaves
-    rho columns whose C(r, rho) minors have that gcd.
+    in K[y] has the full degree, K = QQ or QQ_I the field of `mat`.
+    Unimodular column operations keep every determinantal divisor over
+    the PID K[y], so Euclid on the columns, row by row with the entry of
+    least degree as pivot, leaves rho columns whose C(r, rho) minors
+    have that gcd.
     """
     if rho == 0:
         return 0
+    ring = mat.domain
     cols = (
-        [RING({(d - e,): a for (e,), a in f.shift(t).terms()}) for f, d in zip(col, degs)]
+        [ring({(d - e,): a for (e,), a in f.shift(t).terms()}) for f, d in zip(col, degs)]
         for col in zip(*mat.to_list())
     )
     done, live = [], [c for c in cols if any(c)]
@@ -215,8 +242,8 @@ def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
             live = [c for c in live if any(c)]
         done += [c for c in live if c[i]]
         live = [c for c in live if not c[i]]
-    red = DomainMatrix([list(row) for row in zip(*done, *live)], (len(degs), rho), RING)
-    g = RING.zero
+    red = DomainMatrix([list(row) for row in zip(*done, *live)], (len(degs), rho), ring)
+    g = ring.zero
     for rows in itertools.combinations(range(len(degs)), rho):
         g = g.gcd(red.extract(rows, range(rho)).det())
     return g.degree()

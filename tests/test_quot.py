@@ -8,9 +8,10 @@ bookkeeping of subsheaves of split bundles on the line.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
-from sympy import QQ_I
+from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,22 +140,53 @@ def test_saturation_column_mix_invariance():
             assert evaluation_drop_degree(generated_subsheaf(SB, fam)) == drop
 
 
-def test_twenty_generator_family_frozen():
+def _factored_family(seed, n):
     # (2,1,0) at k=4, row degrees 6, 5, 4: every entry is (x1 - x0) x0
     # times a form with coefficients in {-2, -1, 1, 2}, so every 3x3 minor
-    # has the factor (x1 - x0)**3 x0**3.  The values were computed once by
-    # the exhaustive gcd over all 1140 maximal minors
-    rng = random.Random(20)
+    # has the factor (x1 - x0)**3 x0**3
+    rng = random.Random(seed)
     vecs = []
-    for _ in range(20):
+    for _ in range(n):
         v = []
         for d in (6, 5, 4):
             q = [rng.choice([-2, -1, 1, 2]) for _ in range(d - 1)]
             v.extend([b - a for a, b in zip(q + [0], [0] + q)] + [0])  # (x - 1) q
         vecs.append(v)
-    m = generated_subsheaf(basis(BundleSpec((2, 1, 0)), 4), vecs)
+    return basis(BundleSpec((2, 1, 0)), 4), vecs
+
+
+def test_twenty_generator_family_frozen():
+    # the values were computed once by the exhaustive gcd over all 1140
+    # maximal minors
+    m = generated_subsheaf(*_factored_family(20, 20))
     assert evaluation_drop_degree(m) == 6
     assert saturate_rank_degree(m) == (3, 3)
+
+
+def test_real_data_run_over_the_rationals():
+    # a real family is held over QQ[x]; scaling one generator by 1 + i
+    # spans the same subsheaf over QQ_I[x], with the same invariants
+    sb, vecs = _factored_family(35, 4)
+    real = generated_subsheaf(sb, vecs)
+    gauss = generated_subsheaf(sb, [[(1 + sp.I) * c for c in vecs[0]]] + vecs[1:])
+    assert real.matrix.domain == QQ[RING.symbols]
+    assert gauss.matrix.domain == QQ_I[RING.symbols]
+    assert saturate_rank_degree(real) == saturate_rank_degree(gauss) == (3, 3)
+    assert evaluation_drop_degree(real) == evaluation_drop_degree(gauss) >= 6
+    # a real weight datum and its copy times i have the same filtration
+    z = WeightSpec(
+        k=1,
+        blocks=(
+            (Fraction(1, 2), ((1, 2, 0, 0), (0, 1, -1, 0))),
+            (Fraction(-1), ((0, 0, 1, 3), (1, 0, 0, 1))),
+        ),
+    )
+    zi = WeightSpec(
+        k=1, blocks=tuple((w, tuple(tuple(sp.I * c for c in v) for v in vs)) for w, vs in z.blocks)
+    )
+    a, b = filtration(SPEC, z), filtration(SPEC, zi)
+    assert (a.mna, a.jna, a.levels) == (b.mna, b.jna, b.levels)
+    assert a.levels[0][1:3] == (1, 1)  # two coprime forms in O(1): all of it
 
 
 def test_gaussian_rational_coefficients():
@@ -204,6 +236,15 @@ def test_complex_coefficients_rejected():
     assert z.blocks[0][1][0][:2] == (1 + 2 * sp.I, sp.Rational(1, 3))
 
 
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy.bool_"])
+def test_bool_coefficients_rejected(flag):
+    # sympy reads a bool as a Boolean, not as the number 1
+    with pytest.raises(ValueError, match="not a Gaussian rational"):
+        WeightSpec(k=1, blocks=((Fraction(1), ((flag, 0, 0, 0),)),))
+    with pytest.raises(ValueError, match="not a Gaussian rational"):
+        generated_subsheaf(SB, [(flag, 0, 0, 0)])
+
+
 def test_weightspec_dimension():
     z = _ws([(1, 3), (-3, 1)])
     assert z.dimension == 4
@@ -230,6 +271,8 @@ def test_domain_matrix_degree_enforced():
         return HomogeneousSectionMatrix(bundle=SPEC, k=1, matrix=DomainMatrix(col, (2, 1), domain))
 
     assert make([[x**2], [RING.one]]).matrix.shape[1] == 1
+    real = QQ[RING.symbols]
+    assert make([[real.gens[0] ** 2], [real.one]], real).matrix.domain == real
     for col in ([[x**3], [RING.zero]], [[RING.one], [x]]):
         with pytest.raises(ValueError):
             make(col)
@@ -291,11 +334,10 @@ def test_invariants_shift_invariant_property(d, num, den):
     assert shifted.jna == filtration(SPEC, base).jna
 
 
-# sparse coefficients, so that common roots fall at x0 = 0 and x1 = 0,
-# with Gaussian rationals among them
-_COEFF = st.sampled_from(
-    [0, 0, 0, 0, 1, -1, 2, sp.Rational(1, 2), sp.I, 1 - sp.I / 3, sp.Rational(-3, 2) + 2 * sp.I]
-)
+# sparse coefficients, so that common roots fall at x0 = 0 and x1 = 0;
+# a family draws from the real ones or from all, Gaussian rationals too
+_REAL = [0, 0, 0, 0, 1, -1, 2, sp.Rational(1, 2)]
+_GAUSSIAN = _REAL + [sp.I, 1 - sp.I / 3, sp.Rational(-3, 2) + 2 * sp.I]
 # section spaces of dimension 4, 6, 6 and 6
 _ORACLE_BASES = [
     basis(BundleSpec(d), k) for d, k in (((1, -1), 1), ((1, 0, -1), 1), ((2, 1, 0), 0), ((2, 2), 0))
@@ -305,10 +347,12 @@ _ORACLE_BASES = [
 @st.composite
 def _families(draw):
     sb = draw(st.sampled_from(_ORACLE_BASES))
-    vec = st.lists(_COEFF, min_size=sb.N, max_size=sb.N)
+    coeffs = draw(st.sampled_from([_REAL, _GAUSSIAN]))
+    vec = st.lists(st.sampled_from(coeffs), min_size=sb.N, max_size=sb.N)
     base = draw(st.lists(vec, min_size=1, max_size=3))
     # repeated columns (scalar multiples) keep the rank below the column count
-    repeat = st.tuples(st.integers(0, len(base) - 1), st.sampled_from([1, -2, sp.I]))
+    scales = [1, -2, sp.I] if coeffs is _GAUSSIAN else [1, -2]
+    repeat = st.tuples(st.integers(0, len(base) - 1), st.sampled_from(scales))
     repeats = draw(st.lists(repeat, max_size=2))
     return sb, base + [[s * c for c in base[i]] for i, s in repeats]
 
@@ -318,6 +362,8 @@ def _families(draw):
 def test_engine_matches_expr_reference(family):
     sb, vecs = family
     m = generated_subsheaf(sb, vecs)
+    real = all(sp.im(c) == 0 for v in vecs for c in v)
+    assert m.matrix.domain.domain == (QQ if real else QQ_I)
     forms = ref.forms(sb, vecs)
     assert saturate_rank_degree(m) == ref.saturate_rank_degree(forms, sb.bundle, sb.k)
     assert evaluation_drop_degree(m) == ref.evaluation_drop_degree(forms, sb.bundle, sb.k)
