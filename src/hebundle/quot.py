@@ -4,14 +4,17 @@ Rational weight decompositions of the section space at a twist level k,
 the subsheaves generated by weight-truncated section families, their
 saturations, and the two numerical invariants of a weight datum: the
 non-Archimedean energy slope and the extremal weight gap.  All
-arithmetic is exact over the smallest field that holds the data: QQ
-when every coefficient is real, the Gaussian rationals QQ_I otherwise;
-no floating point enters this module.  A binary form of degree d is
-held as its dehomogenisation f(1, x) in QQ[x] for real data and in
-QQ_I[x] otherwise, of degree at most d; matrices of forms are sympy
-DomainMatrix objects over that ring.  Gauss-Jordan and Euclid never
-leave the field of their entries, so a real datum has the same ranks
-and gcd degrees over either field.
+arithmetic is exact and no floating point enters this module.  Real
+data are held over the integers: each vector is multiplied by the lcm
+of its denominators.  Gaussian data are held over the Gaussian
+rationals QQ_I.  A binary form of degree d is held as its
+dehomogenisation f(1, x) in ZZ[x] for real data and in QQ_I[x]
+otherwise, of degree at most d; matrices of forms are sympy DomainMatrix
+objects over that ring.  Ranks come from fraction-free elimination
+(Bareiss) and gcds from Euclid by pseudo-division (Collins' primitive
+remainders), so no rational arithmetic runs on real data.  Both only
+scale a vector by a nonzero constant or add a multiple of one vector to
+another, so every rank and gcd degree is the one over QQ or QQ_I.
 
 A saturation's rank is the largest rank at the points (1, t),
 t = 0, 1, ..., and its degree comes from the gcd of the maximal minors
@@ -27,21 +30,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import sympy as sp
-from sympy import QQ, QQ_I
+from sympy import QQ_I, ZZ
 from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
 from .bundle import BundleSpec
 from .sections import SectionBasis, basis
 
-# dehomogenised forms: x0 -> 1, x1 -> x; real data use QQ[x] instead.
+# dehomogenised forms: x0 -> 1, x1 -> x; real data use ZZ[x] instead.
 # Both rings are built once: after sympy's clear_cache a ring takes
 # about 0.5 ms to build again
 RING = QQ_I[sp.Symbol("x")]
-_RINGS = {QQ: QQ[RING.symbols], QQ_I: RING}
+_RINGS = {ZZ: ZZ[RING.symbols], QQ_I: RING}
 
 
 def _to_gaussian(c):
@@ -57,18 +60,22 @@ def _to_gaussian(c):
     raise ValueError(f"coefficient {c!r} is not a Gaussian rational")
 
 
-def _smallest_field(vecs):
-    """Vectors of `_to_gaussian` scalars as elements of the smallest field
-    that holds them, and that field: QQ when every scalar is rational (its
-    imaginary part is zero), else QQ_I."""
-    field = QQ if all(c.is_Rational for v in vecs for c in v) else QQ_I
-    return [[field.from_sympy(c) for c in v] for v in vecs], field
+def _smallest_domain(vecs):
+    """Vectors of `_to_gaussian` scalars over the smallest domain that
+    holds a nonzero multiple of each, and that domain: ZZ when every
+    scalar is rational (its imaginary part is zero), each vector times
+    the lcm of its denominators; else QQ_I, the vectors as they are."""
+    if all(c.is_Rational for v in vecs for c in v):
+        lcms = [lcm(*(c.q for c in v)) for v in vecs]
+        # ZZ.dtype, not ZZ(): 4x faster
+        return [[ZZ.dtype(c.p * (m // c.q)) for c in v] for v, m in zip(vecs, lcms)], ZZ
+    return [[QQ_I.from_sympy(c) for c in v] for v in vecs], QQ_I
 
 
 def _frac(w) -> Fraction:
     if isinstance(w, Fraction):
         return w
-    if isinstance(w, int):
+    if isinstance(w, int) and not isinstance(w, bool):  # Fraction(True) is 1
         return Fraction(w)
     if isinstance(w, sp.Rational):
         return Fraction(int(w.p), int(w.q))
@@ -122,8 +129,8 @@ class WeightSpec:
                 f"weight decomposition has {self.dimension} vectors; the section "
                 f"space needs {sb.N} vectors of {sb.N} coefficients"
             )
-        rows, field = _smallest_field(vecs)
-        if DomainMatrix(rows, (sb.N, sb.N), field).rank() != sb.N:
+        rows, dom = _smallest_domain(vecs)
+        if len(DomainMatrix(rows, (sb.N, sb.N), dom).rref_den(method="FF")[2]) != sb.N:
             raise ValueError("weight-block vectors are linearly dependent")
 
 
@@ -133,7 +140,7 @@ class HomogeneousSectionMatrix:
 
     Row i holds binary forms of degree d_i = (i-th summand degree) + k; a
     map from m copies of the k-fold negative line bundle into the bundle.
-    `matrix` is an r x m DomainMatrix over QQ[x] or QQ_I[x] (RING)
+    `matrix` is an r x m DomainMatrix over ZZ[x] or QQ_I[x] (RING)
     holding each form as f(1, x), of degree at most d_i.
     """
 
@@ -148,7 +155,7 @@ class HomogeneousSectionMatrix:
         if not isinstance(mat, DomainMatrix) or mat.domain not in _RINGS.values() or any(
             f.degree() > d for row, d in zip(mat.to_list(), degs) for f in row
         ):
-            raise ValueError(f"generator matrix must be over QQ[x] or QQ_I[x], row degrees {degs}")
+            raise ValueError(f"generator matrix must be over ZZ[x] or QQ_I[x], row degrees {degs}")
 
     @property
     def row_degrees(self) -> tuple:
@@ -165,8 +172,10 @@ def j_of(weights) -> int:
 
 def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
     """Generator matrix of section-coefficient vectors: basis entry
-    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i, over QQ[x] when
-    every coefficient is real and over QQ_I[x] otherwise."""
+    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i.  When every
+    coefficient is real, each vector is multiplied by the lcm of its
+    denominators and the matrix is over ZZ[x]; else it is over QQ_I[x].
+    Either way it generates the same subsheaf."""
     r = sb.bundle.rank
     rows = []
     for v in vectors:
@@ -175,8 +184,8 @@ def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
                 f"coefficient vector has length {len(v)}; expected {sb.N}"
             )
         rows.append([_to_gaussian(c) for c in v])
-    vecs, field = _smallest_field(rows)
-    ring = _RINGS[field]
+    vecs, dom = _smallest_domain(rows)
+    ring = _RINGS[dom]
     cols = []
     for v in vecs:
         col = [{} for _ in range(r)]
@@ -188,26 +197,42 @@ def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
 
 
 def values_at(mat: DomainMatrix, x) -> DomainMatrix:
-    """The forms of `mat` evaluated at the point (1, x), over the field
-    of their coefficients, QQ or QQ_I."""
-    field = mat.domain.domain
-    x = field.convert(x)
-    return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, field), field)
+    """The forms of `mat` evaluated at the point (1, x), over the domain
+    of their coefficients, ZZ or QQ_I."""
+    dom = mat.domain.domain
+    x = dom.convert(x)
+    return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, dom), dom)
 
 
 def _generic_rank(m: DomainMatrix, degs):
     """Rank over the function field, a point (1, t) where it is reached
     and the pivot columns there, by exact evaluation at more points than
     a minor has roots: at most the nonnegative row degrees' sum.  Columns
-    independent at one point are independent over C(x)."""
+    independent at one point are independent over C(x).  The pivots come
+    from fraction-free elimination: over ZZ it needs no rational
+    arithmetic, and sympy's automatic method costs more to choose than
+    to run on these small matrices."""
     best, at = (), 0
     for t in range(sum(max(d, 0) for d in degs) + 1):
-        pivots = values_at(m, t).rref(method="GJ")[1]  # 3x faster than auto over QQ
+        pivots = values_at(m, t).rref_den(method="FF")[2]
         if len(pivots) > len(best):
             best, at = pivots, t
         if len(best) == min(m.shape):
             break
     return len(best), at, best
+
+
+def _det(rows):
+    """Determinant of a square list of ring elements, by cofactor
+    expansion along the first column."""
+    if len(rows) == 1:
+        return rows[0][0]
+    d = rows[0][0].ring.zero
+    for k, r in enumerate(rows):
+        if r[0]:
+            m = r[0] * _det([s[1:] for s in rows[:k] + rows[k + 1:]])
+            d = d - m if k % 2 else d + m
+    return d
 
 
 def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
@@ -216,15 +241,23 @@ def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
 
     In the chart (x0, x1) = (y, 1 + t y), where row i holds
     y^d_i f(t + 1/y), that point is at infinity, so the gcd of the minors
-    in K[y] has the full degree, K = QQ or QQ_I the field of `mat`.
-    Unimodular column operations keep every determinantal divisor over
-    the PID K[y], so Euclid on the columns, row by row with the entry of
-    least degree as pivot, leaves rho columns whose C(r, rho) minors
-    have that gcd.
+    in K[y] has the full degree, K = QQ or QQ_I.  Unimodular column
+    operations keep every determinantal divisor over the PID K[y], so
+    Euclid on the columns, row by row with the entry of least degree p as
+    pivot, leaves rho columns whose C(r, rho) minors have that gcd.  Over
+    ZZ each step is a pseudo-division, c <- lc(p)^delta c - pquo(c_i, p)
+    pivot with delta = deg c_i - deg p + 1, after which the column loses
+    its content (Collins' primitive remainders); over QQ_I it is the
+    division c <- c - quo(c_i, p) pivot.  Scaling a column by a nonzero
+    constant is unimodular over K[y] too, so over ZZ the coefficients
+    stay integral, and the content removal keeps them small.  The minors
+    come from cofactor expansion, which on these few small matrices of
+    polynomials costs less than a DomainMatrix determinant.
     """
     if rho == 0:
         return 0
     ring = mat.domain
+    field = ring.domain.is_Field
     cols = (
         [ring({(d - e,): a for (e,), a in f.shift(t).terms()}) for f, d in zip(col, degs)]
         for col in zip(*mat.to_list())
@@ -236,16 +269,25 @@ def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
             hot = [c for c in live if c[i]]
             if len(hot) < 2:
                 break
+            piv = hot[0]
+            p = piv[i]
             for c in hot[1:]:
-                q = c[i] // hot[0][i]
-                c[:] = [a - q * b for a, b in zip(c, hot[0])]
+                if not field:  # pseudo-division: p divides lc(p)^delta c_i
+                    s = p.LC ** (c[i].degree() - p.degree() + 1)
+                    c[:] = [a.mul_ground(s) for a in c]
+                q = c[i] // p
+                c[:] = [a - q * b for a, b in zip(c, piv)]
+                if not field:  # and the column's content goes
+                    g = gcd(*(a.content() for a in c))
+                    if g > 1:
+                        c[:] = [a.quo_ground(g) for a in c]
             live = [c for c in live if any(c)]
         done += [c for c in live if c[i]]
         live = [c for c in live if not c[i]]
-    red = DomainMatrix([list(row) for row in zip(*done, *live)], (len(degs), rho), ring)
+    red = done + live
     g = ring.zero
     for rows in itertools.combinations(range(len(degs)), rho):
-        g = g.gcd(red.extract(rows, range(rho)).det())
+        g = g.gcd(_det([[c[r] for c in red] for r in rows]))
     return g.degree()
 
 
@@ -362,6 +404,12 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _json_rational(x) -> Fraction:
+    if isinstance(x, bool):  # Fraction(True) is 1
+        raise TypeError(f"{x!r} is not a number")
+    return Fraction(x)
+
+
 def weightspec_from_json(obj: dict) -> WeightSpec:
     """The weight decomposition {"k": level, "blocks": [{"w": weight,
     "vectors": [[[re, im], ...], ...]}, ...]}; ValueError naming the key
@@ -373,10 +421,13 @@ def weightspec_from_json(obj: dict) -> WeightSpec:
         blocks = []
         for b in obj["blocks"]:
             vecs = tuple(
-                tuple(sp.Rational(Fraction(re)) + sp.I * sp.Rational(Fraction(im)) for re, im in v)
+                tuple(
+                    sp.Rational(_json_rational(re)) + sp.I * sp.Rational(_json_rational(im))
+                    for re, im in v
+                )
                 for v in b["vectors"]
             )
-            blocks.append((Fraction(b["w"]), vecs))
+            blocks.append((_json_rational(b["w"]), vecs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             'malformed weight decomposition: blocks must be a list of {"w", "vectors"} '

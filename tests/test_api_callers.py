@@ -215,6 +215,23 @@ def test_eigendecompositions_go_through_the_per_node_kernels():
     assert all(DENSE_EIGH_ALLOWED.values()), "every allowlisted place needs its reason"
 
 
+def test_exact_engine_names_its_elimination_method():
+    """`quot` calls no sympy routine that picks its own method: no
+    `.det()` or `.rank()`, and `.rref()` or `.rref_den()` only with
+    `method=`.  On the engine's small matrices the automatic choice
+    costs more than the elimination: a 6 x 6 rank took 360 us over QQ
+    against 105 us for fraction-free elimination over ZZ."""
+    auto = []
+    for node in ast.walk(_tree(SRC / "quot.py")):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name in ("det", "rank") or (
+                name in ("rref", "rref_den") and "method" not in {k.arg for k in node.keywords}
+            ):
+                auto.append(f"quot:{node.lineno}: .{name}()")
+    assert not auto, f"sympy calls that choose their own method: {auto}"
+
+
 # (module, top-level name) -> why it may read the finite-difference
 # stencil; every metric of the package is an FS metric, whose curvature
 # and connection are closed form

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from sympy import QQ, QQ_I
+from sympy import QQ, QQ_I, ZZ
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,13 +163,13 @@ def test_twenty_generator_family_frozen():
     assert saturate_rank_degree(m) == (3, 3)
 
 
-def test_real_data_run_over_the_rationals():
-    # a real family is held over QQ[x]; scaling one generator by 1 + i
+def test_real_data_run_over_the_integers():
+    # a real family is held over ZZ[x]; scaling one generator by 1 + i
     # spans the same subsheaf over QQ_I[x], with the same invariants
     sb, vecs = _factored_family(35, 4)
     real = generated_subsheaf(sb, vecs)
     gauss = generated_subsheaf(sb, [[(1 + sp.I) * c for c in vecs[0]]] + vecs[1:])
-    assert real.matrix.domain == QQ[RING.symbols]
+    assert real.matrix.domain == ZZ[RING.symbols]
     assert gauss.matrix.domain == QQ_I[RING.symbols]
     assert saturate_rank_degree(real) == saturate_rank_degree(gauss) == (3, 3)
     assert evaluation_drop_degree(real) == evaluation_drop_degree(gauss) >= 6
@@ -187,6 +187,43 @@ def test_real_data_run_over_the_rationals():
     a, b = filtration(SPEC, z), filtration(SPEC, zi)
     assert (a.mna, a.jna, a.levels) == (b.mna, b.jna, b.levels)
     assert a.levels[0][1:3] == (1, 1)  # two coprime forms in O(1): all of it
+
+
+def test_pseudo_division_matches_every_build():
+    # the pivots' leading coefficients are not units and two generators
+    # carry denominators; the integer build, an integer multiple, a copy
+    # over QQ_I and the reference agree
+    sb, vecs = _factored_family(36, 4)
+    fam = [[sp.Rational(1, 3) * c for c in vecs[0]], [sp.Rational(2, 5) * c for c in vecs[1]]]
+    fam += vecs[2:]
+    forms = ref.forms(sb, fam)
+    want = (
+        ref.saturate_rank_degree(forms, sb.bundle, sb.k),
+        ref.evaluation_drop_degree(forms, sb.bundle, sb.k),
+    )
+    for build, ring in (
+        (fam, ZZ),
+        ([[15 * c for c in v] for v in fam], ZZ),
+        ([[(1 + sp.I) * c for c in fam[0]]] + fam[1:], QQ_I),
+    ):
+        m = generated_subsheaf(sb, build)
+        assert m.matrix.domain.domain == ring
+        assert (saturate_rank_degree(m), evaluation_drop_degree(m)) == want
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_rank_five_bundle_matches_reference(n):
+    # minors of size 4 (five row choices) and 5, by cofactor expansion
+    sb = basis(BundleSpec((1, 1, 0, 0, -1)), 1)
+    rng = random.Random(n)
+    coeffs = [0, 0, 1, -1, 2, sp.Rational(1, 2)]
+    vecs = [[rng.choice(coeffs) for _ in range(sb.N)] for _ in range(n)]
+    m = generated_subsheaf(sb, vecs)
+    forms = ref.forms(sb, vecs)
+    rho, deg = saturate_rank_degree(m)
+    assert rho == min(n, 5)
+    assert (rho, deg) == ref.saturate_rank_degree(forms, sb.bundle, sb.k)
+    assert evaluation_drop_degree(m) == ref.evaluation_drop_degree(forms, sb.bundle, sb.k)
 
 
 def test_gaussian_rational_coefficients():
@@ -245,6 +282,12 @@ def test_bool_coefficients_rejected(flag):
         generated_subsheaf(SB, [(flag, 0, 0, 0)])
 
 
+def test_bool_weights_rejected():
+    # Fraction(True) is 1: a bool is not read as the weight 1
+    with pytest.raises(ValueError, match="not an exact rational"):
+        WeightSpec(k=1, blocks=((True, ((1, 0, 0, 0),)),))
+
+
 def test_weightspec_dimension():
     z = _ws([(1, 3), (-3, 1)])
     assert z.dimension == 4
@@ -255,6 +298,11 @@ def test_j_of():
     assert j_of([Fraction(2), Fraction(-1)]) == 1
     with pytest.raises(ValueError):
         j_of([])
+
+
+def test_j_of_rejects_bool_weights():
+    with pytest.raises(ValueError, match="not an exact rational"):
+        j_of([Fraction(1, 2), True])
 
 
 def test_filtration_below_regularity_rejected():
@@ -271,13 +319,16 @@ def test_domain_matrix_degree_enforced():
         return HomogeneousSectionMatrix(bundle=SPEC, k=1, matrix=DomainMatrix(col, (2, 1), domain))
 
     assert make([[x**2], [RING.one]]).matrix.shape[1] == 1
-    real = QQ[RING.symbols]
+    real = ZZ[RING.symbols]
     assert make([[real.gens[0] ** 2], [real.one]], real).matrix.domain == real
     for col in ([[x**3], [RING.zero]], [[RING.one], [x]]):
         with pytest.raises(ValueError):
             make(col)
     with pytest.raises(ValueError):  # entries must lie in RING
         make([[QQ_I(1)], [QQ_I(1)]], QQ_I)
+    rational = QQ[RING.symbols]  # real data are cleared of denominators
+    with pytest.raises(ValueError, match="over ZZ"):
+        make([[rational.gens[0] ** 2], [rational.one]], rational)
 
 
 def test_summand_filtration_of_polystable_attains_zero():
@@ -323,6 +374,16 @@ def test_weightspec_from_json_rejects_non_integer_level(k):
         weightspec_from_json(obj)
 
 
+@pytest.mark.parametrize("where", ["w", "re", "im"])
+def test_weightspec_from_json_rejects_bools(where):
+    # JSON true is not the number 1, in a weight or in a coefficient
+    pair = [True, "0"] if where == "re" else ["1", False] if where == "im" else ["1", "0"]
+    vec = [pair, ["0", "0"], ["0", "0"], ["0", "0"]]
+    obj = {"k": 1, "blocks": [{"w": True if where == "w" else "1", "vectors": [vec]}]}
+    with pytest.raises(ValueError, match="malformed weight decomposition"):
+        weightspec_from_json(obj)
+
+
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
 def test_invariants_shift_invariant_property(d, num, den):
@@ -363,7 +424,7 @@ def test_engine_matches_expr_reference(family):
     sb, vecs = family
     m = generated_subsheaf(sb, vecs)
     real = all(sp.im(c) == 0 for v in vecs for c in v)
-    assert m.matrix.domain.domain == (QQ if real else QQ_I)
+    assert m.matrix.domain.domain == (ZZ if real else QQ_I)
     forms = ref.forms(sb, vecs)
     assert saturate_rank_degree(m) == ref.saturate_rank_degree(forms, sb.bundle, sb.k)
     assert evaluation_drop_degree(m) == ref.evaluation_drop_degree(forms, sb.bundle, sb.k)
