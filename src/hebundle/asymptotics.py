@@ -247,9 +247,9 @@ def slope_estimate(
     of `n_t` times since the bounded offset pollutes small times.
 
     When a weight block's sections share a common zero, the curvature
-    along the ray concentrates in a shrinking bubble that fixed
-    quadrature cannot track, and the fitted slope reflects only the
-    unsaturated image degrees.  `concentration_degrees` reports, per
+    along the ray concentrates in a shrinking bubble; once it falls
+    between a fixed rule's nodes, the slope read is neither invariant
+    (saturated or image-degree).  `concentration_degrees` reports, per
     filtration level, the exact degree of the common minor factor;
     the slope comparison is trustworthy only when all are zero.
     """

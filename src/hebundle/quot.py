@@ -4,17 +4,17 @@ Rational weight decompositions of the section space at a twist level k,
 the subsheaves generated by weight-truncated section families, their
 saturations, and the two numerical invariants of a weight datum: the
 non-Archimedean energy slope and the extremal weight gap.  All
-arithmetic is exact and no floating point enters this module.  Real
-data are held over the integers: each vector is multiplied by the lcm
-of its denominators.  Gaussian data are held over the Gaussian
-rationals QQ_I.  A binary form of degree d is held as its
-dehomogenisation f(1, x) in ZZ[x] for real data and in QQ_I[x]
-otherwise, of degree at most d; matrices of forms are sympy DomainMatrix
-objects over that ring.  Ranks come from fraction-free elimination
-(Bareiss) and gcds from Euclid by pseudo-division (Collins' primitive
-remainders), so no rational arithmetic runs on real data.  Both only
-scale a vector by a nonzero constant or add a multiple of one vector to
-another, so every rank and gcd degree is the one over QQ or QQ_I.
+arithmetic is exact and no floating point enters this module.  Each
+vector is multiplied by the lcm of its denominators, real and imaginary
+parts alike, and held over the integers ZZ when every coefficient is
+real, else over the Gaussian integers ZZ_I.  A binary form of degree d
+is held as its dehomogenisation f(1, x) in ZZ[x] or ZZ_I[x], of degree
+at most d; matrices of forms are sympy DomainMatrix objects over that
+ring.  Ranks come from fraction-free elimination (Bareiss) and gcds
+from Euclid by pseudo-division (Collins' primitive remainders), so no
+rational arithmetic runs on any datum.  Both only scale a vector by a
+nonzero constant or add a multiple of one vector to another, so every
+rank and gcd degree is the one over QQ or QQ_I.
 
 A saturation's rank is the largest rank at the points (1, t),
 t = 0, 1, ..., and its degree comes from the gcd of the maximal minors
@@ -30,10 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from math import lcm
 
 import sympy as sp
-from sympy import QQ_I, ZZ
+from sympy import QQ_I, ZZ, ZZ_I
 from sympy.polys.densetools import dup_eval
 from sympy.polys.matrices import DomainMatrix
 
@@ -43,8 +44,8 @@ from .sections import SectionBasis, basis
 # dehomogenised forms: x0 -> 1, x1 -> x; real data use ZZ[x] instead.
 # Both rings are built once: after sympy's clear_cache a ring takes
 # about 0.5 ms to build again
-RING = QQ_I[sp.Symbol("x")]
-_RINGS = {ZZ: ZZ[RING.symbols], QQ_I: RING}
+RING = ZZ_I[sp.Symbol("x")]
+_RINGS = {ZZ: ZZ[RING.symbols], ZZ_I: RING}
 
 
 def _to_gaussian(c):
@@ -62,26 +63,33 @@ def _to_gaussian(c):
 
 def _smallest_domain(vecs):
     """Vectors of `_to_gaussian` scalars over the smallest domain that
-    holds a nonzero multiple of each, and that domain: ZZ when every
-    scalar is rational (its imaginary part is zero), each vector times
-    the lcm of its denominators; else QQ_I, the vectors as they are."""
+    holds a nonzero multiple of each, and that domain: each vector times
+    the lcm of its denominators, over ZZ when every scalar is rational
+    (its imaginary part is zero), else over ZZ_I, where the lcm clears
+    the real and the imaginary parts."""
     if all(c.is_Rational for v in vecs for c in v):
         lcms = [lcm(*(c.q for c in v)) for v in vecs]
         # ZZ.dtype, not ZZ(): 4x faster
         return [[ZZ.dtype(c.p * (m // c.q)) for c in v] for v, m in zip(vecs, lcms)], ZZ
-    return [[QQ_I.from_sympy(c) for c in v] for v in vecs], QQ_I
+    vecs = [[(c.x, c.y) for c in map(QQ_I.from_sympy, v)] for v in vecs]
+    lcms = [lcm(*(q.denominator for c in v for q in c)) for v in vecs]
+    # ZZ_I.dtype, not ZZ_I.convert_from(c * m): 20x faster
+    return [
+        [ZZ_I.dtype(*(q.numerator * (m // q.denominator) for q in c)) for c in v]
+        for v, m in zip(vecs, lcms)
+    ], ZZ_I
 
 
 def _frac(w) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int) and not isinstance(w, bool):  # Fraction(True) is 1
+    """An int, Fraction, sympy Rational or string such as "1/3" as a
+    Fraction; ValueError for anything else, a float or a bool too
+    (Fraction(0.1) is a binary fraction and Fraction(True) is 1)."""
+    if isinstance(w, bool) or not isinstance(w, (int, Fraction, sp.Rational, str)):
+        raise ValueError(f"{w!r} is not an exact rational")
+    try:
         return Fraction(w)
-    if isinstance(w, sp.Rational):
-        return Fraction(int(w.p), int(w.q))
-    if isinstance(w, str):
-        return Fraction(w)
-    raise ValueError(f"weight {w!r} is not an exact rational")
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(f"{w!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ class HomogeneousSectionMatrix:
 
     Row i holds binary forms of degree d_i = (i-th summand degree) + k; a
     map from m copies of the k-fold negative line bundle into the bundle.
-    `matrix` is an r x m DomainMatrix over ZZ[x] or QQ_I[x] (RING)
+    `matrix` is an r x m DomainMatrix over ZZ[x] or ZZ_I[x] (RING)
     holding each form as f(1, x), of degree at most d_i.
     """
 
@@ -155,7 +163,7 @@ class HomogeneousSectionMatrix:
         if not isinstance(mat, DomainMatrix) or mat.domain not in _RINGS.values() or any(
             f.degree() > d for row, d in zip(mat.to_list(), degs) for f in row
         ):
-            raise ValueError(f"generator matrix must be over ZZ[x] or QQ_I[x], row degrees {degs}")
+            raise ValueError(f"generator matrix must be over ZZ[x] or ZZ_I[x], row degrees {degs}")
 
     @property
     def row_degrees(self) -> tuple:
@@ -172,10 +180,10 @@ def j_of(weights) -> int:
 
 def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
     """Generator matrix of section-coefficient vectors: basis entry
-    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i.  When every
-    coefficient is real, each vector is multiplied by the lcm of its
-    denominators and the matrix is over ZZ[x]; else it is over QQ_I[x].
-    Either way it generates the same subsheaf."""
+    (i, j), the form x0^(d_i - j) x1^j, is x^j in row i.  Each vector is
+    multiplied by the lcm of its denominators, which generates the same
+    subsheaf; the matrix is over ZZ[x] when every coefficient is real,
+    else over ZZ_I[x]."""
     r = sb.bundle.rank
     rows = []
     for v in vectors:
@@ -198,7 +206,7 @@ def generated_subsheaf(sb: SectionBasis, vectors) -> HomogeneousSectionMatrix:
 
 def values_at(mat: DomainMatrix, x) -> DomainMatrix:
     """The forms of `mat` evaluated at the point (1, x), over the domain
-    of their coefficients, ZZ or QQ_I."""
+    of their coefficients, ZZ or ZZ_I."""
     dom = mat.domain.domain
     x = dom.convert(x)
     return mat.applyfunc(lambda f: dup_eval(f.to_dense(), x, dom), dom)
@@ -244,20 +252,20 @@ def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
     in K[y] has the full degree, K = QQ or QQ_I.  Unimodular column
     operations keep every determinantal divisor over the PID K[y], so
     Euclid on the columns, row by row with the entry of least degree p as
-    pivot, leaves rho columns whose C(r, rho) minors have that gcd.  Over
-    ZZ each step is a pseudo-division, c <- lc(p)^delta c - pquo(c_i, p)
-    pivot with delta = deg c_i - deg p + 1, after which the column loses
-    its content (Collins' primitive remainders); over QQ_I it is the
-    division c <- c - quo(c_i, p) pivot.  Scaling a column by a nonzero
-    constant is unimodular over K[y] too, so over ZZ the coefficients
-    stay integral, and the content removal keeps them small.  The minors
-    come from cofactor expansion, which on these few small matrices of
-    polynomials costs less than a DomainMatrix determinant.
+    pivot, leaves rho columns whose C(r, rho) minors have that gcd.  Each
+    step is a pseudo-division, c <- lc(p)^delta c - pquo(c_i, p) pivot
+    with delta = deg c_i - deg p + 1, after which the column loses its
+    content, the gcd over ZZ or ZZ_I of its entries' contents (Collins'
+    primitive remainders).  Scaling a column by a nonzero constant is
+    unimodular over K[y] too, so the coefficients stay in ZZ or ZZ_I, and
+    the content removal keeps them small.  The minors come from cofactor
+    expansion, which on these few small matrices of polynomials costs
+    less than a DomainMatrix determinant.
     """
     if rho == 0:
         return 0
     ring = mat.domain
-    field = ring.domain.is_Field
+    dom = ring.domain
     cols = (
         [ring({(d - e,): a for (e,), a in f.shift(t).terms()}) for f, d in zip(col, degs)]
         for col in zip(*mat.to_list())
@@ -272,15 +280,13 @@ def _divisor_degree(mat: DomainMatrix, degs, rho: int, t: int) -> int:
             piv = hot[0]
             p = piv[i]
             for c in hot[1:]:
-                if not field:  # pseudo-division: p divides lc(p)^delta c_i
-                    s = p.LC ** (c[i].degree() - p.degree() + 1)
-                    c[:] = [a.mul_ground(s) for a in c]
+                s = p.LC ** (c[i].degree() - p.degree() + 1)  # p divides s c_i
+                c[:] = [a.mul_ground(s) for a in c]
                 q = c[i] // p
                 c[:] = [a - q * b for a, b in zip(c, piv)]
-                if not field:  # and the column's content goes
-                    g = gcd(*(a.content() for a in c))
-                    if g > 1:
-                        c[:] = [a.quo_ground(g) for a in c]
+                g = reduce(dom.gcd, (a.content() for a in c))
+                if g:  # 0 once the column is zero; quo_ground returns f for 1
+                    c[:] = [a.quo_ground(g) for a in c]
             live = [c for c in live if any(c)]
         done += [c for c in live if c[i]]
         live = [c for c in live if not c[i]]
@@ -404,12 +410,6 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _json_rational(x) -> Fraction:
-    if isinstance(x, bool):  # Fraction(True) is 1
-        raise TypeError(f"{x!r} is not a number")
-    return Fraction(x)
-
-
 def weightspec_from_json(obj: dict) -> WeightSpec:
     """The weight decomposition {"k": level, "blocks": [{"w": weight,
     "vectors": [[[re, im], ...], ...]}, ...]}; ValueError naming the key
@@ -421,13 +421,10 @@ def weightspec_from_json(obj: dict) -> WeightSpec:
         blocks = []
         for b in obj["blocks"]:
             vecs = tuple(
-                tuple(
-                    sp.Rational(_json_rational(re)) + sp.I * sp.Rational(_json_rational(im))
-                    for re, im in v
-                )
+                tuple(sp.Rational(_frac(re)) + sp.I * sp.Rational(_frac(im)) for re, im in v)
                 for v in b["vectors"]
             )
-            blocks.append((_json_rational(b["w"]), vecs))
+            blocks.append((_frac(b["w"]), vecs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             'malformed weight decomposition: blocks must be a list of {"w", "vectors"} '

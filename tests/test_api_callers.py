@@ -232,6 +232,22 @@ def test_exact_engine_names_its_elimination_method():
     assert not auto, f"sympy calls that choose their own method: {auto}"
 
 
+def test_exact_engine_has_one_euclid():
+    """`quot` holds every datum over ZZ[x] or ZZ_I[x] and runs one
+    fraction-free Euclid on both: it reads no `is_Field`, and no ring in
+    `quot._RINGS` has a field as its ground domain.  A ring over a field
+    such as QQ_I would need a second, dividing Euclid."""
+    from hebundle import quot
+
+    reads = [
+        f"quot:{n.lineno}"
+        for n in ast.walk(_tree(SRC / "quot.py"))
+        if isinstance(n, ast.Attribute) and n.attr == "is_Field"
+    ]
+    fields = [str(r) for r in quot._RINGS.values() if r.domain.is_Field]
+    assert not reads and not fields, f"is_Field read at {reads}; rings over a field: {fields}"
+
+
 # (module, top-level name) -> why it may read the finite-difference
 # stencil; every metric of the package is an FS metric, whose curvature
 # and connection are closed form

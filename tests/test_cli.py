@@ -385,6 +385,18 @@ _BLOCKS_13 = [
          "zeta weights"),
         ("mna", {**_MNA_BASE, "zeta": {"weights": ["one", "-3"], "dims": [3, 1]}},
          "zeta weights"),
+        # the full form refuses a zero denominator and a JSON float, as the
+        # short form does, in a weight and in a coefficient
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": [{**_BLOCKS_13[0], "w": "1/0"},
+                                                          _BLOCKS_13[1]]}}, "1/0"),
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": [{**_BLOCKS_13[0], "w": 0.1},
+                                                          _BLOCKS_13[1]]}}, "0.1"),
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": [
+            {"w": "1", "vectors": [[["1/0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]]},
+            _BLOCKS_13[1]]}}, "1/0"),
+        ("mna", {**_MNA_BASE, "zeta": {"k": 1, "blocks": [
+            {"w": "1", "vectors": [[["1", 0.1], ["0", "0"], ["0", "0"], ["0", "0"]]]},
+            _BLOCKS_13[1]]}}, "0.1"),
     ],
 )
 def test_bad_config_is_a_config_error(tmp_path, capsys, command, cfg, key):

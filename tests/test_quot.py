@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from sympy import QQ, QQ_I, ZZ
+from sympy import QQ, QQ_I, ZZ, ZZ_I
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,12 +165,12 @@ def test_twenty_generator_family_frozen():
 
 def test_real_data_run_over_the_integers():
     # a real family is held over ZZ[x]; scaling one generator by 1 + i
-    # spans the same subsheaf over QQ_I[x], with the same invariants
+    # spans the same subsheaf over ZZ_I[x], with the same invariants
     sb, vecs = _factored_family(35, 4)
     real = generated_subsheaf(sb, vecs)
     gauss = generated_subsheaf(sb, [[(1 + sp.I) * c for c in vecs[0]]] + vecs[1:])
     assert real.matrix.domain == ZZ[RING.symbols]
-    assert gauss.matrix.domain == QQ_I[RING.symbols]
+    assert gauss.matrix.domain == ZZ_I[RING.symbols]
     assert saturate_rank_degree(real) == saturate_rank_degree(gauss) == (3, 3)
     assert evaluation_drop_degree(real) == evaluation_drop_degree(gauss) >= 6
     # a real weight datum and its copy times i have the same filtration
@@ -191,8 +191,10 @@ def test_real_data_run_over_the_integers():
 
 def test_pseudo_division_matches_every_build():
     # the pivots' leading coefficients are not units and two generators
-    # carry denominators; the integer build, an integer multiple, a copy
-    # over QQ_I and the reference agree
+    # carry denominators; the integer build, an integer multiple, two
+    # copies over ZZ_I and the reference agree.  In the second, with
+    # Gaussian factors (2 + i)/3 and 1 - 3i, the pivots' leading
+    # coefficients and the columns' contents are non-unit Gaussian integers
     sb, vecs = _factored_family(36, 4)
     fam = [[sp.Rational(1, 3) * c for c in vecs[0]], [sp.Rational(2, 5) * c for c in vecs[1]]]
     fam += vecs[2:]
@@ -204,7 +206,9 @@ def test_pseudo_division_matches_every_build():
     for build, ring in (
         (fam, ZZ),
         ([[15 * c for c in v] for v in fam], ZZ),
-        ([[(1 + sp.I) * c for c in fam[0]]] + fam[1:], QQ_I),
+        ([[(1 + sp.I) * c for c in fam[0]]] + fam[1:], ZZ_I),
+        ([[(2 + sp.I) / 3 * c for c in fam[0]], [(1 - 3 * sp.I) * c for c in fam[1]]] + fam[2:],
+         ZZ_I),
     ):
         m = generated_subsheaf(sb, build)
         assert m.matrix.domain.domain == ring
@@ -326,9 +330,10 @@ def test_domain_matrix_degree_enforced():
             make(col)
     with pytest.raises(ValueError):  # entries must lie in RING
         make([[QQ_I(1)], [QQ_I(1)]], QQ_I)
-    rational = QQ[RING.symbols]  # real data are cleared of denominators
-    with pytest.raises(ValueError, match="over ZZ"):
-        make([[rational.gens[0] ** 2], [rational.one]], rational)
+    for field in (QQ, QQ_I):  # real and Gaussian data are cleared of denominators
+        ring = field[RING.symbols]
+        with pytest.raises(ValueError, match="over ZZ"):
+            make([[ring.gens[0] ** 2], [ring.one]], ring)
 
 
 def test_summand_filtration_of_polystable_attains_zero():
@@ -384,6 +389,18 @@ def test_weightspec_from_json_rejects_bools(where):
         weightspec_from_json(obj)
 
 
+@pytest.mark.parametrize("where", ["w", "re", "im"])
+@pytest.mark.parametrize("bad", ["1/0", 0.1])
+def test_weightspec_from_json_rejects_inexact_numbers(where, bad):
+    # "1/0" has no value and the JSON float 0.1 would be read as the
+    # binary fraction 3602879701896397/36028797018963968
+    pair = [bad, "0"] if where == "re" else ["1", bad] if where == "im" else ["1", "0"]
+    vec = [pair, ["0", "0"], ["0", "0"], ["0", "0"]]
+    obj = {"k": 1, "blocks": [{"w": bad if where == "w" else "1", "vectors": [vec]}]}
+    with pytest.raises(ValueError, match="malformed weight decomposition"):
+        weightspec_from_json(obj)
+
+
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
 def test_invariants_shift_invariant_property(d, num, den):
@@ -424,7 +441,7 @@ def test_engine_matches_expr_reference(family):
     sb, vecs = family
     m = generated_subsheaf(sb, vecs)
     real = all(sp.im(c) == 0 for v in vecs for c in v)
-    assert m.matrix.domain.domain == (ZZ if real else QQ_I)
+    assert m.matrix.domain.domain == (ZZ if real else ZZ_I)
     forms = ref.forms(sb, vecs)
     assert saturate_rank_degree(m) == ref.saturate_rank_degree(forms, sb.bundle, sb.k)
     assert evaluation_drop_degree(m) == ref.evaluation_drop_degree(forms, sb.bundle, sb.k)
